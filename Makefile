@@ -5,7 +5,7 @@ BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= $(BENCH_OUT)
 BENCH_THRESHOLD ?= 15
 
-.PHONY: build vet fmt-check test race race-exec loadgen-smoke check bench bench-compare
+.PHONY: build vet fmt-check test race race-exec loadgen-smoke planbench-test check bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -29,7 +29,7 @@ race:
 # queue, the resource-budget accounting, the model registry, the
 # data-parallel training stack (neural/linreg worker pools, flat sample
 # tensors), the continuous profiler's capture ring, and the tenant-aware
-# planner catalog (single-flight loads, LRU eviction, micro-batching) —
+# planner catalog (single-flight loads, LRU eviction, concurrent Do) —
 # the packages with real concurrency.
 race-exec:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/...
@@ -39,8 +39,13 @@ race-exec:
 loadgen-smoke:
 	$(GO) test ./cmd/loadgen/ -run 'TestSmoke|TestMultiTenantSmoke|TestFailsOnInducedBreach' -v
 
+# planbench-test vets and tests the benchmark's own module, which the root
+# `go test ./...` does not reach; it compiles against the root packages.
+planbench-test:
+	cd planbench && $(GO) vet ./... && $(GO) test ./...
+
 # check is what CI runs (.github/workflows/ci.yml).
-check: build vet fmt-check test race loadgen-smoke
+check: build vet fmt-check test race loadgen-smoke planbench-test
 
 # bench runs the full suite and writes a machine-readable report (ns/op,
 # B/op, allocs/op and every custom metric) to $(BENCH_OUT).

@@ -509,9 +509,11 @@ func BenchmarkMissionStep(b *testing.B) {
 
 // BenchmarkCatalogDecide measures one Decide served through the planner
 // catalog. The hot case is the steady state of a resident tenant: Acquire is
-// a map hit plus an LRU touch, and Do pays the planner reset. The cold case
-// alternates two keys through a capacity-1 catalog, so every Acquire misses,
-// loads, and evicts — the worst-case churn of an oversubscribed working set.
+// a map hit plus an LRU touch, and Do builds the request's planner. With one
+// Decide per Do, that build's math/rand reseed dominates; a mission pays it
+// once, not once per Decide. The cold case alternates two keys through a
+// capacity-1 catalog, so every Acquire misses, loads, and evicts — the
+// worst-case churn of an oversubscribed working set.
 func BenchmarkCatalogDecide(b *testing.B) {
 	h := harness(b)
 	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 400, Edges: 846, MaxOutDegree: 9, Seed: 2})

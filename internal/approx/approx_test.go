@@ -499,73 +499,3 @@ func TestRendezvousMissionGathersTeam(t *testing.T) {
 		}
 	}
 }
-
-// TestResetMatchesFreshPlanner pins the pooling contract behind
-// Planner.Reset: after serving an unrelated mission with a different seed,
-// Reset(seed) must make the pooled planner decide byte-for-byte like a
-// freshly constructed NewPlanner(model, ext, seed) — same action sequence,
-// same mission result. The serving catalog reuses one planner per
-// (grid, model) pair on the strength of this.
-func TestResetMatchesFreshPlanner(t *testing.T) {
-	p := pipeline(t)
-	model, _, err := FitLinear(p.Data)
-	if err != nil {
-		t.Fatalf("FitLinear: %v", err)
-	}
-	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 120, Edges: 260, MaxOutDegree: 7, Seed: 99})
-	if err != nil {
-		t.Fatalf("grid: %v", err)
-	}
-	sc, err := TrainingScenario(g, 2, 3, 1.2, 3)
-	if err != nil {
-		t.Fatalf("scenario: %v", err)
-	}
-
-	run := func(pl *Planner) ([]sim.Action, sim.Result) {
-		var acts []sim.Action
-		res, err := sim.Run(sc, pl, sim.RunOptions{
-			OnStep: func(_ *sim.Mission, step []sim.Action) {
-				acts = append(acts, step...)
-			},
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return acts, res
-	}
-
-	const seed = 5
-	wantActs, wantRes := run(NewPlanner(model, p.Extractor, seed))
-
-	// Dirty a pooled planner on a different mission and seed, then reset.
-	pooled := NewPlanner(model, p.Extractor, 1234)
-	if _, err := sim.Run(sc, pooled, sim.RunOptions{}); err != nil {
-		t.Fatalf("dirtying run: %v", err)
-	}
-	pooled.Reset(seed)
-	gotActs, gotRes := run(pooled)
-
-	if gotRes != wantRes {
-		t.Errorf("reset planner result %+v != fresh %+v", gotRes, wantRes)
-	}
-	if len(gotActs) != len(wantActs) {
-		t.Fatalf("action count %d != %d", len(gotActs), len(wantActs))
-	}
-	for i := range wantActs {
-		if gotActs[i] != wantActs[i] {
-			t.Fatalf("action %d: reset %+v != fresh %+v", i, gotActs[i], wantActs[i])
-		}
-	}
-
-	// Reset also detaches per-request state: hint and budget.
-	pooled.SetBudget(nil)
-	hinted := pooled.WithDestHint(sc.Dest)
-	_ = hinted
-	pooled.Reset(seed)
-	again, _ := run(pooled)
-	for i := range wantActs {
-		if again[i] != wantActs[i] {
-			t.Fatalf("second reset diverged at action %d", i)
-		}
-	}
-}

@@ -118,29 +118,6 @@ func NewPlannerOpts(model Model, ext features.Extractor, seed int64, opts Option
 	return p
 }
 
-// Reset returns the planner to the state NewPlanner(model, ext, seed) would
-// produce while keeping every allocated scratch buffer: the watchdog maps
-// are cleared in place, the rng is reseeded (identical sequence to a fresh
-// source), the navigator's mission memory is dropped, and any per-request
-// budget or destination hint is detached. A serving layer can therefore pool
-// one planner per (grid, model) pair and reuse it across missions — decisions
-// after Reset(seed) are byte-identical to a freshly constructed planner's —
-// without re-allocating the NodeSet stamps and feature buffers that dominate
-// construction cost on large grids.
-func (p *Planner) Reset(seed int64) {
-	clear(p.prevPos)
-	clear(p.lastSensed)
-	clear(p.stall)
-	p.nav = sim.NewNavigator()
-	p.seed = seed
-	p.rng.Seed(seed)
-	p.hint = features.NoDest
-	p.budget = nil
-	// p.blocked stays in place: blockedFn is a method value bound to its
-	// address, and NodeSet.Reset runs on first use anyway. Ball/feature
-	// scratch likewise carries no cross-mission state.
-}
-
 // clone returns a copy sharing the model and extractor but owning fresh
 // per-mission state: watchdog maps, navigator, scratch buffers, and a
 // derived rng. A naive struct copy would share those (maps, pointers, and

@@ -1,16 +1,15 @@
 // Package catalog is the tenant-aware planner serving layer. It resolves
 // (grid, model) pairs on demand, keeps an LRU-bounded cache of fully-loaded
-// planner entries, deduplicates concurrent loads of the same key
-// (single-flight: one training/registry load no matter how many requests
-// race), ref-counts entries so an in-use planner is never torn down
-// mid-Decide, and micro-batches concurrent Decide calls against the same
-// planner so shared inference scratch is reused safely.
+// entries, deduplicates concurrent loads of the same key (single-flight: one
+// training/registry load no matter how many requests race), and ref-counts
+// entries so an in-use entry is never torn down mid-mission.
 //
-// Determinism contract: every task executed through Entry.Do runs on the
-// entry's pooled planner after Planner.Reset(seed), and tasks within a batch
-// run serially. A plan computed through the catalog is therefore
+// Determinism contract: Entry.Do runs each request on the caller's
+// goroutine with its own planner, approx.NewPlanner(model, ext, seed), so
+// concurrent missions on one entry share only the read-only model and
+// extractor. A plan computed through the catalog is therefore
 // byte-identical to one computed on a freshly constructed planner with the
-// same seed, regardless of how requests happen to be batched together.
+// same seed, however many requests run at once.
 package catalog
 
 import (
@@ -72,27 +71,17 @@ type Options struct {
 	// Capacity bounds the number of resident planner entries (LRU beyond
 	// it). Default 8.
 	Capacity int
-	// BatchWindow is how long the per-entry batch runner waits for
-	// stragglers when fewer than MaxBatch tasks are pending. Zero disables
-	// the wait (tasks still coalesce when they arrive while a batch is
-	// executing). Default 0.
-	BatchWindow time.Duration
-	// MaxBatch caps tasks executed per batch round. Default 8.
-	MaxBatch int
 	// LoadModel resolves model selectors. Required.
 	LoadModel ModelLoader
 	// Metrics, when set, receives catalog counters/gauges/histograms.
 	Metrics *obs.Registry
-	// Tracer, when set, emits catalog.load / catalog.batch spans.
+	// Tracer, when set, emits catalog.load spans.
 	Tracer *trace.Tracer
 }
 
 func (o Options) withDefaults() Options {
 	if o.Capacity <= 0 {
 		o.Capacity = 8
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 8
 	}
 	return o
 }
@@ -104,8 +93,6 @@ type Stats struct {
 	Evictions  uint64 `json:"evictions"`
 	Loads      uint64 `json:"loads"`
 	LoadErrors uint64 `json:"load_errors"`
-	Batches    uint64 `json:"batches"`
-	BatchTasks uint64 `json:"batch_tasks"`
 }
 
 // Catalog is the tenant-aware planner cache. All methods are safe for
@@ -125,8 +112,6 @@ type Catalog struct {
 	evictions  atomic.Uint64
 	loads      atomic.Uint64
 	loadErrors atomic.Uint64
-	batches    atomic.Uint64
-	batchTasks atomic.Uint64
 
 	mHits      *obs.Counter
 	mMisses    *obs.Counter
@@ -135,8 +120,6 @@ type Catalog struct {
 	mLoadErrs  *obs.Counter
 	mEntries   *obs.Gauge
 	hLoad      *obs.Histogram
-	mBatches   *obs.Counter
-	mBatchTask *obs.Counter
 }
 
 // loadCall is one in-flight single-flight load. done is closed exactly once,
@@ -167,17 +150,13 @@ func New(opts Options) *Catalog {
 		c.mLoadErrs = m.Counter("catalog_load_errors_total")
 		c.mEntries = m.Gauge("catalog_entries")
 		c.hLoad = m.Histogram("catalog_load_seconds", obs.DefaultLatencyBuckets)
-		c.mBatches = m.Counter("catalog_batches_total")
-		c.mBatchTask = m.Counter("catalog_batch_tasks_total")
 		m.SetHelp("catalog_hits_total", "Planner catalog cache hits.")
 		m.SetHelp("catalog_misses_total", "Planner catalog cache misses (each waiter on a cold key counts once).")
 		m.SetHelp("catalog_evictions_total", "Planner entries evicted by LRU pressure or grid replacement.")
 		m.SetHelp("catalog_loads_total", "Completed planner loads (single-flight: one per cold key).")
 		m.SetHelp("catalog_load_errors_total", "Planner loads that failed.")
 		m.SetHelp("catalog_entries", "Resident planner entries.")
-		m.SetHelp("catalog_load_seconds", "Planner load latency (model resolve + planner build).")
-		m.SetHelp("catalog_batches_total", "Micro-batch rounds executed across all planner entries.")
-		m.SetHelp("catalog_batch_tasks_total", "Decide tasks executed through micro-batching.")
+		m.SetHelp("catalog_load_seconds", "Planner entry load latency (model resolve).")
 	}
 	return c
 }
@@ -306,8 +285,8 @@ func (c *Catalog) Acquire(ctx context.Context, key Key) (*Entry, error) {
 	}
 }
 
-// load resolves the model, builds the pooled planner, and publishes the
-// entry (or the error) to every waiter. Runs in its own goroutine.
+// load resolves the model and publishes the entry (or the error) to every
+// waiter. Runs in its own goroutine.
 func (c *Catalog) load(key Key, g *grid.Grid, call *loadCall) {
 	span := c.opts.Tracer.Start("catalog.load",
 		trace.String("grid", key.Grid), trace.String("model", key.Model))
@@ -329,17 +308,11 @@ func (c *Catalog) load(key Key, g *grid.Grid, call *loadCall) {
 			artifact: art.ArtifactID,
 			loadedAt: time.Now(),
 		}
-		ent.batch = &batcher{
-			ent:     ent,
-			planner: approx.NewPlanner(art.Model, art.Ext, 0),
-			window:  c.opts.BatchWindow,
-			max:     c.opts.MaxBatch,
-		}
 	}
 
 	c.mu.Lock()
 	// The grid may have been replaced while we were loading; serve the
-	// current one so the entry never pairs a fresh planner with a stale map.
+	// current one so the entry never pairs a fresh model with a stale map.
 	if err == nil {
 		if cur, ok := c.grids[key.Grid]; ok {
 			ent.grid = cur
@@ -445,8 +418,6 @@ func (c *Catalog) Stats() Stats {
 		Evictions:  c.evictions.Load(),
 		Loads:      c.loads.Load(),
 		LoadErrors: c.loadErrors.Load(),
-		Batches:    c.batches.Load(),
-		BatchTasks: c.batchTasks.Load(),
 	}
 }
 
@@ -462,12 +433,6 @@ type EntrySnapshot struct {
 	AgeSeconds float64   `json:"age_seconds"`
 }
 
-// BatchConfig reports the micro-batching knobs in a Snapshot.
-type BatchConfig struct {
-	WindowMS float64 `json:"window_ms"`
-	MaxBatch int     `json:"max_batch"`
-}
-
 // Snapshot is the JSON document served by GET /debug/catalog.
 type Snapshot struct {
 	Capacity int             `json:"capacity"`
@@ -475,7 +440,6 @@ type Snapshot struct {
 	Entries  []EntrySnapshot `json:"entries"`
 	Loading  []Key           `json:"loading"`
 	Stats    Stats           `json:"stats"`
-	Batch    BatchConfig     `json:"batch"`
 }
 
 // Snapshot captures the catalog state for debugging.
@@ -487,19 +451,7 @@ func (c *Catalog) Snapshot() Snapshot {
 		Capacity: c.opts.Capacity,
 		Entries:  make([]EntrySnapshot, 0, c.lru.Len()),
 		Loading:  make([]Key, 0, len(c.loading)),
-		Batch: BatchConfig{
-			WindowMS: float64(c.opts.BatchWindow) / float64(time.Millisecond),
-			MaxBatch: c.opts.MaxBatch,
-		},
-		Stats: Stats{
-			Hits:       c.hits.Load(),
-			Misses:     c.misses.Load(),
-			Evictions:  c.evictions.Load(),
-			Loads:      c.loads.Load(),
-			LoadErrors: c.loadErrors.Load(),
-			Batches:    c.batches.Load(),
-			BatchTasks: c.batchTasks.Load(),
-		},
+		Stats:    c.Stats(),
 	}
 	snap.Grids = make([]string, 0, len(c.grids))
 	for name := range c.grids {

@@ -319,9 +319,9 @@ func missionActions(t *testing.T, sc sim.Scenario, pl *approx.Planner) []sim.Act
 	return acts
 }
 
-// TestBatchedMatchesUnbatched pins the determinism contract: plans computed
-// through the micro-batch runner are byte-identical to plans from fresh
-// planners, at any batch size and window.
+// TestBatchedMatchesUnbatched pins the determinism contract: missions run
+// concurrently through Entry.Do, each on its own planner, are
+// byte-identical to missions on fresh planners run one at a time.
 func TestBatchedMatchesUnbatched(t *testing.T) {
 	fx := trained(t)
 	seeds := []int64{3, 5, 7, 9}
@@ -331,73 +331,159 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 		want[s] = missionActions(t, fx.sc, approx.NewPlanner(fx.model, fx.ext, s))
 	}
 
-	for _, cfg := range []struct {
-		name   string
-		window time.Duration
-		max    int
-	}{
-		{"unbatched", 0, 1},
-		{"batch4", 2 * time.Millisecond, 4},
-		{"batch2-window", 5 * time.Millisecond, 2},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
-			c := New(Options{
-				Capacity:    2,
-				BatchWindow: cfg.window,
-				MaxBatch:    cfg.max,
-				LoadModel: func(context.Context, string) (*ModelArtifact, error) {
-					return &ModelArtifact{Model: fx.model, Ext: fx.ext, Source: "test"}, nil
-				},
+	c := New(Options{
+		Capacity: 2,
+		LoadModel: func(context.Context, string) (*ModelArtifact, error) {
+			return &ModelArtifact{Model: fx.model, Ext: fx.ext, Source: "test"}, nil
+		},
+	})
+	c.InstallGrid("g", fx.g)
+
+	got := make(map[int64][]sim.Action, len(seeds))
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for _, s := range seeds {
+		wg.Add(1)
+		go func(s int64) {
+			defer wg.Done()
+			ent, err := c.Acquire(context.Background(), Key{Grid: "g"})
+			if err != nil {
+				t.Errorf("Acquire: %v", err)
+				return
+			}
+			defer ent.Release()
+			err = ent.Do(context.Background(), s, func(_ context.Context, p *approx.Planner) error {
+				acts := missionActions(t, fx.sc, p)
+				mu.Lock()
+				got[s] = acts
+				mu.Unlock()
+				return nil
 			})
-			c.InstallGrid("g", fx.g)
-
-			got := make(map[int64][]sim.Action, len(seeds))
-			var mu sync.Mutex
-			var wg sync.WaitGroup
-			for _, s := range seeds {
-				wg.Add(1)
-				go func(s int64) {
-					defer wg.Done()
-					ent, err := c.Acquire(context.Background(), Key{Grid: "g"})
-					if err != nil {
-						t.Errorf("Acquire: %v", err)
-						return
-					}
-					defer ent.Release()
-					err = ent.Do(context.Background(), s, func(_ context.Context, p *approx.Planner) error {
-						acts := missionActions(t, fx.sc, p)
-						mu.Lock()
-						got[s] = acts
-						mu.Unlock()
-						return nil
-					})
-					if err != nil {
-						t.Errorf("Do: %v", err)
-					}
-				}(s)
+			if err != nil {
+				t.Errorf("Do: %v", err)
 			}
-			wg.Wait()
+		}(s)
+	}
+	wg.Wait()
 
-			for _, s := range seeds {
-				if len(got[s]) != len(want[s]) {
-					t.Fatalf("seed %d: %d actions, want %d", s, len(got[s]), len(want[s]))
-				}
-				for i := range want[s] {
-					if got[s][i] != want[s][i] {
-						t.Fatalf("seed %d action %d: batched %+v != unbatched %+v", s, i, got[s][i], want[s][i])
-					}
-				}
+	for _, s := range seeds {
+		if len(got[s]) != len(want[s]) {
+			t.Fatalf("seed %d: %d actions, want %d", s, len(got[s]), len(want[s]))
+		}
+		for i := range want[s] {
+			if got[s][i] != want[s][i] {
+				t.Fatalf("seed %d action %d: concurrent %+v != fresh %+v", s, i, got[s][i], want[s][i])
 			}
-			if st := c.Stats(); st.BatchTasks != uint64(len(seeds)) {
-				t.Fatalf("batch tasks = %d, want %d", st.BatchTasks, len(seeds))
+		}
+	}
+}
+
+// acquireAlpha returns a catalog with one grid and a held entry for it.
+func acquireAlpha(t *testing.T) (*Catalog, *Entry) {
+	t.Helper()
+	var calls atomic.Int64
+	c := New(Options{LoadModel: countingLoader(&calls, 0)})
+	c.InstallGrid("alpha", testGrid(t, 1))
+	ent, err := c.Acquire(context.Background(), Key{Grid: "alpha"})
+	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	return c, ent
+}
+
+// TestDoRunsConcurrently: two Do calls on one entry overlap, each with its
+// own planner. fn A waits until fn B has started, with a timeout so that Do
+// calls run one at a time fail the test instead of hanging it.
+func TestDoRunsConcurrently(t *testing.T) {
+	_, ent := acquireAlpha(t)
+	defer ent.Release()
+
+	aStarted := make(chan *approx.Planner, 1)
+	bStarted := make(chan struct{})
+	errA := make(chan error, 1)
+	go func() {
+		errA <- ent.Do(context.Background(), 1, func(_ context.Context, p *approx.Planner) error {
+			aStarted <- p
+			select {
+			case <-bStarted:
+				return nil
+			case <-time.After(5 * time.Second):
+				return errors.New("fn B did not start while fn A ran")
 			}
 		})
+	}()
+	pa := <-aStarted
+	var pb *approx.Planner
+	if err := ent.Do(context.Background(), 2, func(_ context.Context, p *approx.Planner) error {
+		pb = p
+		close(bStarted)
+		return nil
+	}); err != nil {
+		t.Fatalf("Do B: %v", err)
+	}
+	if err := <-errA; err != nil {
+		t.Fatal(err)
+	}
+	if pa == pb {
+		t.Fatalf("Do calls shared a planner (%p, %p), want one each", pa, pb)
+	}
+}
+
+// TestDoPanicReachesCaller: a panic inside fn unwinds into the caller's
+// deferred recover (where tmplar's recoverPanics and the job queue's
+// runSafely sit), and the entry keeps serving with consistent refs.
+func TestDoPanicReachesCaller(t *testing.T) {
+	c, ent := acquireAlpha(t)
+
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		_ = ent.Do(context.Background(), 1, func(context.Context, *approx.Planner) error {
+			panic("planner bug")
+		})
+		return nil
+	}()
+	if got != "planner bug" {
+		t.Fatalf("recovered %v, want the planner's panic", got)
+	}
+	ran := false
+	if err := ent.Do(context.Background(), 2, func(context.Context, *approx.Planner) error {
+		ran = true
+		return nil
+	}); err != nil || !ran {
+		t.Fatalf("Do after a panic: err=%v ran=%v, want nil and true", err, ran)
+	}
+	if refs := c.Snapshot().Entries[0].Refs; refs != 1 {
+		t.Fatalf("refs = %d while held, want 1", refs)
+	}
+	ent.Release()
+	if refs := c.Snapshot().Entries[0].Refs; refs != 0 {
+		t.Fatalf("refs = %d after Release, want 0", refs)
+	}
+	if ent.Closed() {
+		t.Fatal("resident entry closed after a panic")
+	}
+}
+
+// TestDoDoneContext: a Do whose context is already done returns ctx.Err()
+// and never runs fn.
+func TestDoDoneContext(t *testing.T) {
+	_, ent := acquireAlpha(t)
+	defer ent.Release()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	err := ent.Do(ctx, 1, func(context.Context, *approx.Planner) error {
+		t.Error("fn ran under a done context")
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Do under a canceled context: err = %v, want context.Canceled", err)
 	}
 }
 
 func TestSnapshotShape(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Options{Capacity: 3, MaxBatch: 4, BatchWindow: time.Millisecond, LoadModel: countingLoader(&calls, 0)})
+	c := New(Options{Capacity: 3, LoadModel: countingLoader(&calls, 0)})
 	c.InstallGrid("alpha", testGrid(t, 1))
 	ent, err := c.Acquire(context.Background(), Key{Grid: "alpha", Model: "seed:5"})
 	if err != nil {
@@ -415,9 +501,6 @@ func TestSnapshotShape(t *testing.T) {
 	e := snap.Entries[0]
 	if e.Grid != "alpha" || e.Model != "seed:5" || e.Refs != 1 || e.Source != "fake" {
 		t.Fatalf("entry snapshot wrong: %+v", e)
-	}
-	if snap.Batch.MaxBatch != 4 || snap.Batch.WindowMS != 1 {
-		t.Fatalf("batch config wrong: %+v", snap.Batch)
 	}
 }
 

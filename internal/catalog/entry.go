@@ -3,17 +3,15 @@ package catalog
 import (
 	"container/list"
 	"context"
-	"sync"
 	"time"
 
 	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/features"
 	"github.com/routeplanning/mamorl/internal/grid"
-	"github.com/routeplanning/mamorl/internal/trace"
 )
 
-// Entry is a resident (grid, model) planner pair. Obtained from Acquire;
-// callers run inference through Do and must call Release exactly once.
+// Entry is a resident (grid, model) pair. Obtained from Acquire; callers
+// run missions through Do and must call Release exactly once.
 type Entry struct {
 	key      Key
 	grid     *grid.Grid
@@ -31,8 +29,6 @@ type Entry struct {
 	hits    uint64
 	evicted bool
 	closed  bool
-
-	batch *batcher
 }
 
 // Key returns the entry's cache key.
@@ -55,150 +51,39 @@ func (e *Entry) Source() string { return e.source }
 func (e *Entry) ArtifactID() string { return e.artifact }
 
 // Release drops the caller's reference. When the last reference to an
-// already-evicted entry is dropped, the entry's pooled planner resources are
-// released deterministically (not left to the garbage collector's whim).
+// already-evicted entry is dropped, the entry closes and Do rejects further
+// work.
 func (e *Entry) Release() {
 	e.cat.mu.Lock()
 	e.cat.releaseLocked(e)
 	e.cat.mu.Unlock()
 }
 
-// Closed reports whether the entry's resources have been released. Only an
-// evicted entry with no outstanding references closes.
+// Closed reports whether the entry has shut down. Only an evicted entry
+// with no outstanding references closes.
 func (e *Entry) Closed() bool {
 	e.cat.mu.Lock()
 	defer e.cat.mu.Unlock()
 	return e.closed
 }
 
-// closeLocked releases the pooled planner. Called with cat.mu held, only
-// when refs == 0, so no batch task can be running on the planner.
+// closeLocked marks the entry dead. Called with cat.mu held, only when
+// refs == 0.
 func (e *Entry) closeLocked() {
 	e.closed = true
-	e.batch.close()
 }
 
-// Do schedules fn onto the entry's micro-batch runner. fn receives the
-// entry's pooled planner, freshly Reset to seed; tasks in a batch execute
-// serially, so fn may use the planner without further locking but must not
-// retain it after returning. Do blocks until fn has run (or ctx expired
-// before its turn).
+// Do runs fn on the caller's goroutine with a planner built for this
+// request, approx.NewPlanner(model, ext, seed). The planner belongs to fn
+// alone, so concurrent Do calls on one entry run in parallel and a panic in
+// fn unwinds into the caller. Do returns ErrClosed for a closed entry and
+// ctx.Err() for a done context without running fn.
 func (e *Entry) Do(ctx context.Context, seed int64, fn func(ctx context.Context, p *approx.Planner) error) error {
-	return e.batch.do(ctx, seed, fn)
-}
-
-// task is one queued Decide awaiting a batch round.
-type task struct {
-	ctx  context.Context
-	seed int64
-	fn   func(context.Context, *approx.Planner) error
-	err  error
-	done chan struct{}
-}
-
-// batcher coalesces concurrent Do calls against one pooled planner. A single
-// runner goroutine (spawned lazily, exits when the queue drains) takes up to
-// max tasks per round, optionally waiting window for stragglers, and executes
-// them serially with Planner.Reset(seed) before each — preserving
-// byte-identical results vs. unbatched execution.
-type batcher struct {
-	ent     *Entry
-	planner *approx.Planner
-	window  time.Duration
-	max     int
-
-	mu      sync.Mutex
-	pending []*task
-	running bool
-	closed  bool
-}
-
-func (b *batcher) do(ctx context.Context, seed int64, fn func(context.Context, *approx.Planner) error) error {
-	t := &task{ctx: ctx, seed: seed, fn: fn, done: make(chan struct{})}
-	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	if e.Closed() {
 		return ErrClosed
 	}
-	b.pending = append(b.pending, t)
-	if !b.running {
-		b.running = true
-		go b.run()
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-	b.mu.Unlock()
-	<-t.done
-	return t.err
-}
-
-// close marks the batcher dead. Safe to call with cat.mu held: the runner
-// goroutine never touches cat.mu, and close only runs once refs == 0, i.e.
-// after every Do has returned and the queue is empty.
-func (b *batcher) close() {
-	b.mu.Lock()
-	b.closed = true
-	pend := b.pending
-	b.pending = nil
-	b.planner = nil
-	b.mu.Unlock()
-	for _, t := range pend {
-		t.err = ErrClosed
-		close(t.done)
-	}
-}
-
-func (b *batcher) run() {
-	for {
-		b.mu.Lock()
-		if len(b.pending) == 0 || b.closed {
-			b.running = false
-			b.mu.Unlock()
-			return
-		}
-		if b.window > 0 && len(b.pending) < b.max {
-			b.mu.Unlock()
-			time.Sleep(b.window)
-			b.mu.Lock()
-			if b.closed {
-				b.running = false
-				b.mu.Unlock()
-				return
-			}
-		}
-		n := len(b.pending)
-		if n > b.max {
-			n = b.max
-		}
-		batch := make([]*task, n)
-		copy(batch, b.pending)
-		rest := copy(b.pending, b.pending[n:])
-		for i := rest; i < len(b.pending); i++ {
-			b.pending[i] = nil
-		}
-		b.pending = b.pending[:rest]
-		planner := b.planner
-		b.mu.Unlock()
-
-		cat := b.ent.cat
-		span := cat.opts.Tracer.Start("catalog.batch",
-			trace.String("grid", b.ent.key.Grid),
-			trace.String("model", b.ent.key.Model),
-			trace.Int("size", int64(n)))
-		cat.batches.Add(1)
-		cat.batchTasks.Add(uint64(n))
-		if cat.mBatches != nil {
-			cat.mBatches.Inc()
-			cat.mBatchTask.Add(uint64(n))
-		}
-		for _, t := range batch {
-			if t.ctx != nil && t.ctx.Err() != nil {
-				t.err = t.ctx.Err()
-				close(t.done)
-				continue
-			}
-			planner.Reset(t.seed)
-			t.err = t.fn(t.ctx, planner)
-			close(t.done)
-		}
-		span.End()
-	}
+	return fn(ctx, approx.NewPlanner(e.model, e.ext, seed))
 }

@@ -96,7 +96,7 @@ func DashHandlerFull(streamPath, sloPath, profPath string) http.Handler {
 // endpoint (tmplar's /debug/catalog). When catalogPath is non-empty the page
 // polls the catalog snapshot and renders a tenants panel: resident (grid,
 // model) planner entries with refs/hits/age, plus the hit/miss/eviction
-// counters and the micro-batch configuration.
+// counters.
 func DashHandlerAll(streamPath, sloPath, profPath, catalogPath string) http.Handler {
 	page := strings.Replace(dashHTML, "__STREAM_PATH__", streamPath, 1)
 	page = strings.Replace(page, "__SLO_PATH__", sloPath, 1)
@@ -330,8 +330,7 @@ async function pollCatalog() {
   catBox.innerHTML = "<table><caption>planner catalog &middot; " +
     (snap.entries || []).length + "/" + snap.capacity + " entries &middot; hit rate " + rate +
     " &middot; evictions " + (st.evictions || 0) + " &middot; loading " +
-    (snap.loading || []).length + " &middot; batch " + snap.batch.max_batch + "&times;" +
-    snap.batch.window_ms + "ms</caption>" +
+    (snap.loading || []).length + "</caption>" +
     "<tr><th>grid</th><th>model</th><th>source</th><th>refs</th><th>hits</th><th>age</th></tr>" +
     rows + "</table>";
 }

@@ -1,15 +1,19 @@
 package tmplar
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
-	"time"
 
+	"github.com/routeplanning/mamorl/internal/approx"
+	"github.com/routeplanning/mamorl/internal/catalog"
 	"github.com/routeplanning/mamorl/internal/grid"
+	"github.com/routeplanning/mamorl/internal/jobs"
 	"github.com/routeplanning/mamorl/internal/registry"
 )
 
@@ -155,51 +159,125 @@ func TestPlanUnknownModel404(t *testing.T) {
 	}
 }
 
-// TestBatchedPlanByteIdentical fires concurrent identical plans at a server
-// with micro-batching enabled and compares every response byte-for-byte
-// against an unbatched server — batching must be invisible in the output.
+// TestBatchedPlanByteIdentical fires concurrent approx and approx-pk
+// requests with distinct seeds at one tenant and compares every response
+// byte-for-byte against the same request served alone: requests sharing a
+// catalog entry must not see each other in their output.
 func TestBatchedPlanByteIdentical(t *testing.T) {
-	plain := derivedServer(t, Options{})
-	batched := derivedServer(t, Options{
-		CatalogBatchWindow: 2 * time.Millisecond,
-		CatalogMaxBatch:    4,
-	})
-
-	req := opsPlanRequest()
-	want := do(t, plain.Handler(), "POST", "/api/plan", req)
-	if want.Code != http.StatusOK {
-		t.Fatalf("unbatched plan: %d %s", want.Code, want.Body.String())
+	s := derivedServer(t, Options{})
+	h := s.Handler()
+	g, _ := s.lookupGrid("ops-area")
+	dp := g.Pos(140)
+	r := 3 * g.AvgEdgeWeight()
+	var reqs []PlanRequest
+	for seed := int64(1); seed <= 4; seed++ {
+		req := opsPlanRequest()
+		req.Seed = seed
+		reqs = append(reqs, req)
+		req.Algorithm = "approx-pk"
+		req.Region = &RegionSpec{MinX: dp.X - r, MinY: dp.Y - r, MaxX: dp.X + r, MaxY: dp.Y + r}
+		reqs = append(reqs, req)
 	}
 
-	const n = 8
-	h := batched.Handler()
-	bodies := make([]string, n)
-	codes := make([]int, n)
+	want := make([]string, len(reqs))
+	for i, req := range reqs {
+		rec := do(t, h, "POST", "/api/plan", req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s seed %d alone: %d %s", algoLabel(req.Algorithm), req.Seed, rec.Code, rec.Body.String())
+		}
+		want[i] = rec.Body.String()
+	}
+
+	got := make([]string, len(reqs))
+	codes := make([]int, len(reqs))
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i, req := range reqs {
 		wg.Add(1)
-		go func() {
+		go func(i int, req PlanRequest) {
 			defer wg.Done()
 			rec := do(t, h, "POST", "/api/plan", req)
-			codes[i], bodies[i] = rec.Code, rec.Body.String()
-		}()
+			codes[i], got[i] = rec.Code, rec.Body.String()
+		}(i, req)
 	}
 	wg.Wait()
-	for i := 0; i < n; i++ {
+	for i, req := range reqs {
 		if codes[i] != http.StatusOK {
-			t.Fatalf("batched plan %d: %d %s", i, codes[i], bodies[i])
+			t.Fatalf("%s seed %d concurrent: %d %s", algoLabel(req.Algorithm), req.Seed, codes[i], got[i])
 		}
-		if bodies[i] != want.Body.String() {
-			t.Fatalf("batched plan %d differs from unbatched:\n%s\nvs\n%s", i, bodies[i], want.Body.String())
+		if got[i] != want[i] {
+			t.Fatalf("%s seed %d differs when served concurrently:\n%s\nvs alone\n%s", algoLabel(req.Algorithm), req.Seed, got[i], want[i])
 		}
 	}
-	// The batcher actually ran: every task is accounted, across >= 1 batch.
-	m := batched.Metrics()
-	if got := m.CounterValue("catalog_batch_tasks_total"); got != n {
-		t.Errorf("catalog_batch_tasks_total = %d, want %d", got, n)
+}
+
+// panicModel wraps a served model and panics in PredictLM while armed.
+type panicModel struct {
+	approx.Model
+	armed *atomic.Bool
+}
+
+func (m panicModel) PredictLM(x []float64) float64 {
+	if m.armed.Load() {
+		panic("planner bug")
 	}
-	if got := m.CounterValue("catalog_batches_total"); got == 0 {
-		t.Error("catalog_batches_total = 0, want at least one batch")
+	return m.Model.PredictLM(x)
+}
+
+// TestPlannerPanicIsRecovered: a panic inside a planner unwinds into the
+// request's own goroutine, so POST /api/plan answers recoverPanics' JSON 500
+// and POST /api/jobs/plan ends failed, and the process keeps serving.
+func TestPlannerPanicIsRecovered(t *testing.T) {
+	s := jobServer(t, 1, 4)
+	var armed atomic.Bool
+	armed.Store(true)
+	g, _ := s.lookupGrid("ops-area")
+	s.cat = catalog.New(catalog.Options{
+		LoadModel: func(ctx context.Context, sel string) (*catalog.ModelArtifact, error) {
+			art, err := s.models.resolve(ctx, sel)
+			if err != nil {
+				return nil, err
+			}
+			wrapped := *art
+			wrapped.Model = panicModel{Model: art.Model, armed: &armed}
+			return &wrapped, nil
+		},
+		Metrics: s.opts.Metrics,
+	})
+	s.InstallGrid(g)
+	h := s.Handler()
+
+	rec := do(t, h, "POST", "/api/plan", opsPlanRequest())
+	if rec.Code != http.StatusInternalServerError {
+		t.Fatalf("plan with a panicking planner: %d %s, want 500", rec.Code, rec.Body.String())
+	}
+	var body errorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || !strings.Contains(body.Error, "planner bug") {
+		t.Fatalf("500 body = %s (%v), want a JSON error naming the panic", rec.Body.String(), err)
+	}
+
+	rec = do(t, h, "POST", "/api/jobs/plan", opsPlanRequest())
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("job submit: %d %s", rec.Code, rec.Body.String())
+	}
+	var v jobs.View
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatal(err)
+	}
+	if final := pollJob(t, h, v.ID); final.State != jobs.StateFailed || !strings.Contains(final.Error, "planner bug") {
+		t.Fatalf("job with a panicking planner settled %s (%q), want failed naming the panic", final.State, final.Error)
+	}
+
+	armed.Store(false)
+	rec = do(t, h, "POST", "/api/plan", opsPlanRequest())
+	if rec.Code != http.StatusOK {
+		t.Fatalf("plan after the panics: %d %s", rec.Code, rec.Body.String())
+	}
+	want := do(t, derivedServer(t, Options{}).Handler(), "POST", "/api/plan", opsPlanRequest())
+	if rec.Body.String() != want.Body.String() {
+		t.Fatalf("plan after the panics differs from a clean server's:\n%s\nvs\n%s", rec.Body.String(), want.Body.String())
+	}
+	if snap := s.cat.Snapshot(); len(snap.Entries) != 1 || snap.Entries[0].Refs != 0 {
+		t.Fatalf("catalog entries after the panics = %+v, want one with no refs", snap.Entries)
 	}
 }
 

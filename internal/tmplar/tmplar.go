@@ -9,10 +9,11 @@
 // as JSON or installed programmatically) and referenced by name in planning
 // requests. Planning is tenant-aware: every request selects a (grid,
 // model_id) pair, resolved through the planner catalog — an LRU-bounded
-// cache of pooled planners with single-flight loading and Decide
-// micro-batching. The default model (empty model_id) is trained at startup
-// exactly as in Section 4.2; alternative models resolve from the registry
-// by artifact ID, "seed:<n>", or "name:<grid>".
+// cache of loaded models with single-flight loading — and runs its mission
+// on the request's own goroutine with a planner built for that request.
+// The default model (empty model_id) is trained at startup exactly as in
+// Section 4.2; alternative models resolve from the registry by artifact
+// ID, "seed:<n>", or "name:<grid>".
 package tmplar
 
 import (
@@ -139,13 +140,6 @@ type Options struct {
 	// the serving catalog; LRU eviction beyond it. <= 0 selects the catalog
 	// package default (8).
 	CatalogCapacity int
-	// CatalogBatchWindow is how long a planner's micro-batch runner waits
-	// for stragglers before executing a partial batch; 0 disables the wait
-	// (concurrent requests still coalesce while a batch is executing).
-	CatalogBatchWindow time.Duration
-	// CatalogMaxBatch caps Decide tasks executed per micro-batch round;
-	// <= 0 selects the catalog package default (8).
-	CatalogMaxBatch int
 }
 
 func (o Options) withDefaults() Options {
@@ -227,12 +221,10 @@ func NewServerOpts(seed int64, opts Options) (*Server, error) {
 		return nil, err
 	}
 	cat := catalog.New(catalog.Options{
-		Capacity:    opts.CatalogCapacity,
-		BatchWindow: opts.CatalogBatchWindow,
-		MaxBatch:    opts.CatalogMaxBatch,
-		LoadModel:   models.resolve,
-		Metrics:     opts.Metrics,
-		Tracer:      tracer,
+		Capacity:  opts.CatalogCapacity,
+		LoadModel: models.resolve,
+		Metrics:   opts.Metrics,
+		Tracer:    tracer,
 	})
 	// The sampler folds Go runtime telemetry into the registry on every tick,
 	// so the dashboard shows heap/GC/goroutine series alongside service ones.
@@ -1303,8 +1295,8 @@ func algoLabel(algo string) string {
 // the run at the next epoch.
 //
 // The (grid, model_id) pair resolves through the planner catalog: the entry
-// is ref-counted for the duration of the request, and approx decisions run
-// on the entry's pooled planner via its micro-batch lane.
+// is ref-counted for the duration of the request, and approx missions run
+// on this goroutine with a planner Entry.Do builds for the request.
 func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budget) (*PlanResponse, int, error) {
 	sp := trace.SpanFromContext(ctx).Child("plan",
 		trace.String("grid", req.Grid),
@@ -1359,8 +1351,8 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 	}
 
 	// runMission simulates sc under planner and folds the step stream into
-	// per-asset routes. Shared by the direct (baseline) path and the
-	// catalog-batched (approx) path.
+	// per-asset routes. Shared by the baseline paths and the catalog
+	// (approx) path.
 	runMission := func(ctx context.Context, planner sim.Planner, collision sim.CollisionPolicy) (*PlanResponse, int, error) {
 		routes := make([]AssetRoute, len(team))
 		for i := range routes {
@@ -1431,10 +1423,9 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 		if req.Algorithm == "approx-pk" && req.Region == nil {
 			return nil, http.StatusBadRequest, fmt.Errorf("approx-pk requires a region")
 		}
-		// The mission runs inside the entry's micro-batch lane: the pooled
-		// planner is Reset to the request seed before fn runs, and tasks on
-		// one entry execute serially, so results are byte-identical to a
-		// freshly constructed planner regardless of batching.
+		// Entry.Do hands fn a fresh planner seeded with the request seed,
+		// so the plan is byte-identical however many requests share the
+		// entry.
 		var (
 			resp   *PlanResponse
 			status int

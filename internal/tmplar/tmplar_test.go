@@ -485,11 +485,9 @@ func derivedServer(t *testing.T, opts Options) *Server {
 		modelArtifact: base.modelArtifact,
 	}
 	s.cat = catalog.New(catalog.Options{
-		Capacity:    opts.CatalogCapacity,
-		BatchWindow: opts.CatalogBatchWindow,
-		MaxBatch:    opts.CatalogMaxBatch,
-		LoadModel:   base.models.resolve,
-		Metrics:     opts.Metrics,
+		Capacity:  opts.CatalogCapacity,
+		LoadModel: base.models.resolve,
+		Metrics:   opts.Metrics,
 	})
 	g, ok := base.lookupGrid("ops-area")
 	if !ok {

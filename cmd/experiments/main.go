@@ -247,8 +247,8 @@ func main() {
 		rc := obs.NewRuntimeCollector(metrics)
 		sampler := obs.NewSampler(metrics, obs.SamplerOptions{OnTick: []func(){rc.Collect}})
 		mux := http.NewServeMux()
-		mux.Handle("GET /debug/dash", obs.DashHandler("/debug/metrics/stream"))
-		mux.Handle("GET /debug/metrics/stream", obs.StreamHandler(sampler))
+		mux.Handle("GET /debug/dash", obs.DashHandler("/debug/metrics/stream", "", "", ""))
+		mux.Handle("GET /debug/metrics/stream", obs.StreamHandler(sampler, 0))
 		mux.Handle("GET /metrics", obs.Handler(metrics))
 		dashSrv := &http.Server{Addr: *dashAddr, Handler: mux, ReadHeaderTimeout: 10 * time.Second}
 		go func() {

@@ -145,42 +145,15 @@ func cmdPlan(args []string) error {
 		return err
 	}
 
-	var model *mamorl.Model
-	if *algorithm == "approx" || *algorithm == "approx-pk" {
+	planner, opts, err := mamorl.PlannerFor(*algorithm, sc, *seed, func() (*mamorl.Model, error) {
 		if *modelPath != "" {
-			model, err = mamorl.LoadModel(*modelPath)
-		} else {
-			fmt.Println("no -model given; training in-process...")
-			model, err = mamorl.Train(mamorl.TrainConfig{Seed: *seed})
+			return mamorl.LoadModel(*modelPath)
 		}
-		if err != nil {
-			return err
-		}
-	}
-
-	var planner mamorl.Planner
-	opts := mamorl.RunOptions{}
-	switch *algorithm {
-	case "approx":
-		planner = model.NewPlanner(*seed)
-	case "approx-pk":
-		d := g.Pos(sc.Dest)
-		r := 3 * g.AvgEdgeWeight()
-		region := mamorl.NewRect(
-			mamorl.Point{X: d.X - r, Y: d.Y - r}, mamorl.Point{X: d.X + r, Y: d.Y + r})
-		planner, err = model.NewPartialKnowledgePlanner(sc, region, *seed)
-		if err != nil {
-			return err
-		}
-	case "baseline1":
-		planner = mamorl.NewBaseline1(*seed)
-	case "baseline2":
-		planner = mamorl.NewBaseline2(*seed)
-		opts.Collision = mamorl.AbortOnCollision
-	case "random":
-		planner = mamorl.NewRandomWalk(*seed)
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algorithm)
+		fmt.Println("no -model given; training in-process...")
+		return mamorl.Train(mamorl.TrainConfig{Seed: *seed})
+	})
+	if err != nil {
+		return err
 	}
 
 	var trace *mamorl.Trace

@@ -87,6 +87,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	b2, b2opts, err := mamorl.PlannerFor("baseline2", sc, 7, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	planners := []struct {
 		name string
@@ -96,7 +100,7 @@ func main() {
 		{"Approx-MaMoRL", model.NewPlanner(7), mamorl.RunOptions{}},
 		{"Approx-MaMoRL + partial knowledge", pk, mamorl.RunOptions{}},
 		{"Baseline-1 (round robin)", mamorl.NewBaseline1(7), mamorl.RunOptions{}},
-		{"Baseline-2 (independent)", mamorl.NewBaseline2(7), mamorl.RunOptions{Collision: mamorl.AbortOnCollision}},
+		{"Baseline-2 (independent)", b2, b2opts},
 		{"Random walk", mamorl.NewRandomWalk(7), mamorl.RunOptions{}},
 	}
 

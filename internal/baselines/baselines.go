@@ -23,7 +23,6 @@ import (
 
 	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/grid"
-	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
 )
 
@@ -66,7 +65,6 @@ func greedyExplore(m *sim.Mission, i int, blocked func(grid.NodeID) bool,
 // RoundRobin is Baseline-1. A RoundRobin serves one mission at a time (it
 // keeps a per-asset previous-position memory for frontier detours).
 type RoundRobin struct {
-	weights rewardfn.Weights
 	rng     *rand.Rand
 	prevPos map[int]grid.NodeID
 	nav     *sim.Navigator
@@ -77,15 +75,9 @@ type RoundRobin struct {
 	blockedFn func(grid.NodeID) bool
 }
 
-// NewRoundRobin builds Baseline-1 with the given scalarization weights
-// (zero value selects the defaults; the weights are kept for API symmetry
-// with the other planners — the Section 3.1.1 rule fixes the trade-off).
-func NewRoundRobin(weights rewardfn.Weights, seed int64) *RoundRobin {
-	if weights == (rewardfn.Weights{}) {
-		weights = rewardfn.DefaultWeights()
-	}
+// NewRoundRobin builds Baseline-1.
+func NewRoundRobin(seed int64) *RoundRobin {
 	b := &RoundRobin{
-		weights: weights.Normalized(),
 		rng:     rand.New(rand.NewSource(seed)),
 		prevPos: make(map[int]grid.NodeID),
 		nav:     sim.NewNavigator(),
@@ -127,19 +119,14 @@ func (b *RoundRobin) Decide(m *sim.Mission, i int) sim.Action {
 // Independent is Baseline-2: per-asset greedy reward maximization with no
 // teammate awareness whatsoever.
 type Independent struct {
-	weights rewardfn.Weights
 	rng     *rand.Rand
 	prevPos map[int]grid.NodeID
 	nav     *sim.Navigator
 }
 
 // NewIndependent builds Baseline-2.
-func NewIndependent(weights rewardfn.Weights, seed int64) *Independent {
-	if weights == (rewardfn.Weights{}) {
-		weights = rewardfn.DefaultWeights()
-	}
+func NewIndependent(seed int64) *Independent {
 	return &Independent{
-		weights: weights.Normalized(),
 		rng:     rand.New(rand.NewSource(seed)),
 		prevPos: make(map[int]grid.NodeID),
 		nav:     sim.NewNavigator(),

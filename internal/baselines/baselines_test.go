@@ -5,7 +5,6 @@ import (
 
 	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/grid"
-	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
 	"github.com/routeplanning/mamorl/internal/vessel"
 )
@@ -25,7 +24,7 @@ func scenario(t *testing.T, seed int64, assets int) sim.Scenario {
 
 func TestRoundRobinFindsDestination(t *testing.T) {
 	sc := scenario(t, 5, 2)
-	res, err := sim.Run(sc, NewRoundRobin(rewardfn.Weights{}, 1), sim.RunOptions{})
+	res, err := sim.Run(sc, NewRoundRobin(1), sim.RunOptions{})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -39,7 +38,7 @@ func TestRoundRobinFindsDestination(t *testing.T) {
 
 func TestRoundRobinOnlyOneMoverPerEpoch(t *testing.T) {
 	sc := scenario(t, 7, 3)
-	p := NewRoundRobin(rewardfn.Weights{}, 2)
+	p := NewRoundRobin(2)
 	m, err := sim.NewMission(sc, sim.RunOptions{})
 	if err != nil {
 		t.Fatalf("NewMission: %v", err)
@@ -66,11 +65,11 @@ func TestRoundRobinSlowerThanParallelSearch(t *testing.T) {
 	// The paper's prediction: Baseline-1 trades time for fuel. Its T_total
 	// should exceed a parallel explorer's on the same instance.
 	sc := scenario(t, 9, 3)
-	rr, err := sim.Run(sc, NewRoundRobin(rewardfn.Weights{}, 3), sim.RunOptions{})
+	rr, err := sim.Run(sc, NewRoundRobin(3), sim.RunOptions{})
 	if err != nil {
 		t.Fatalf("Run RR: %v", err)
 	}
-	ind, err := sim.Run(sc, NewIndependent(rewardfn.Weights{}, 3), sim.RunOptions{})
+	ind, err := sim.Run(sc, NewIndependent(3), sim.RunOptions{})
 	if err != nil {
 		t.Fatalf("Run Ind: %v", err)
 	}
@@ -89,7 +88,7 @@ func TestIndependentCollidesOften(t *testing.T) {
 	const runs = 10
 	for s := int64(0); s < runs; s++ {
 		sc := scenario(t, 100+s, 4)
-		res, err := sim.Run(sc, NewIndependent(rewardfn.Weights{}, s), sim.RunOptions{})
+		res, err := sim.Run(sc, NewIndependent(s), sim.RunOptions{})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -108,7 +107,7 @@ func TestIndependentAbortsUnderTable6Policy(t *testing.T) {
 	aborted := false
 	for s := int64(0); s < 10 && !aborted; s++ {
 		sc := scenario(t, 200+s, 4)
-		res, err := sim.Run(sc, NewIndependent(rewardfn.Weights{}, s), sim.RunOptions{Collision: sim.AbortOnCollision})
+		res, err := sim.Run(sc, NewIndependent(s), sim.RunOptions{Collision: sim.AbortOnCollision})
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -140,7 +139,7 @@ func TestRandomWalkWorseThanGreedy(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run RW: %v", err)
 	}
-	ind, err := sim.Run(sc, NewIndependent(rewardfn.Weights{}, 8), sim.RunOptions{})
+	ind, err := sim.Run(sc, NewIndependent(8), sim.RunOptions{})
 	if err != nil {
 		t.Fatalf("Run Ind: %v", err)
 	}
@@ -153,10 +152,10 @@ func TestRandomWalkWorseThanGreedy(t *testing.T) {
 }
 
 func TestNames(t *testing.T) {
-	if NewRoundRobin(rewardfn.Weights{}, 0).Name() != "Baseline-1" {
+	if NewRoundRobin(0).Name() != "Baseline-1" {
 		t.Error("RoundRobin name")
 	}
-	if NewIndependent(rewardfn.Weights{}, 0).Name() != "Baseline-2" {
+	if NewIndependent(0).Name() != "Baseline-2" {
 		t.Error("Independent name")
 	}
 	if NewRandomWalk(0).Name() != "Random Walk" {
@@ -187,8 +186,8 @@ func TestBaselinesRespectObstacles(t *testing.T) {
 		t.Fatalf("scenario: %v", err)
 	}
 	planners := []sim.Planner{
-		NewRoundRobin(rewardfn.Weights{}, 1),
-		NewIndependent(rewardfn.Weights{}, 1),
+		NewRoundRobin(1),
+		NewIndependent(1),
 		NewRandomWalk(1),
 	}
 	for _, p := range planners {

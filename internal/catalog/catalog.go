@@ -4,12 +4,12 @@
 // training/registry load no matter how many requests race), and ref-counts
 // entries so an in-use entry is never torn down mid-mission.
 //
-// Determinism contract: Entry.Do runs each request on the caller's
-// goroutine with its own planner, approx.NewPlanner(model, ext, seed), so
-// concurrent missions on one entry share only the read-only model and
-// extractor. A plan computed through the catalog is therefore
-// byte-identical to one computed on a freshly constructed planner with the
-// same seed, however many requests run at once.
+// Determinism contract: an entry holds only read-only state (the grid, the
+// model and its feature extractor), and the server builds each request's
+// planner from it through the algo table. A plan is therefore
+// byte-identical to one on a freshly constructed planner with the same
+// seed, however many requests run at once. Entry.Do builds an Approx-MaMoRL
+// planner the same way; only the benchmark's traced replay calls it.
 package catalog
 
 import (

@@ -11,7 +11,7 @@ import (
 )
 
 // Entry is a resident (grid, model) pair. Obtained from Acquire; callers
-// run missions through Do and must call Release exactly once.
+// must call Release exactly once.
 type Entry struct {
 	key      Key
 	grid     *grid.Grid
@@ -37,8 +37,7 @@ func (e *Entry) Key() Key { return e.key }
 // Grid returns the grid this entry serves.
 func (e *Entry) Grid() *grid.Grid { return e.grid }
 
-// Model returns the underlying inference model (for code paths that build
-// their own planner variant, e.g. partial-knowledge wrappers).
+// Model returns the inference model planners for this entry are built on.
 func (e *Entry) Model() approx.Model { return e.model }
 
 // Ext returns the feature extractor the model was trained with.

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/routeplanning/mamorl/internal/algo"
 	"github.com/routeplanning/mamorl/internal/approx"
-	"github.com/routeplanning/mamorl/internal/baselines"
 	"github.com/routeplanning/mamorl/internal/core"
 	"github.com/routeplanning/mamorl/internal/obs"
 	"github.com/routeplanning/mamorl/internal/partial"
@@ -306,12 +306,13 @@ func collectStats(algo string, p Params, outcomes []runOutcome) (RunStats, error
 // runOne executes a single seeded run of an algorithm, returning the
 // mission result, the planner CPU time, and the planner memory footprint.
 // The mission aborts between epochs when ctx is cancelled.
-func (h *Harness) runOne(ctx context.Context, algo string, sc sim.Scenario, p Params, run int, sp *trace.Span) (sim.Result, time.Duration, float64, error) {
+func (h *Harness) runOne(ctx context.Context, title string, sc sim.Scenario, p Params, run int, sp *trace.Span) (sim.Result, time.Duration, float64, error) {
 	seed := runSeed(p, run)
 	opts := sim.RunOptions{TraceParent: sp, Budget: p.Budget}
 	start := time.Now()
-	switch algo {
-	case AlgoMaMoRL:
+	// Exact MaMoRL trains on each instance and reports its Lemma 2 table
+	// size; it is never served, so the planner table does not list it.
+	if title == AlgoMaMoRL {
 		pl, err := core.NewPlanner(sc, core.Config{Episodes: p.Episodes, Seed: seed, Budget: p.Budget}, rewardfn.DefaultWeights())
 		if err != nil {
 			return sim.Result{}, 0, 0, err
@@ -322,43 +323,28 @@ func (h *Harness) runOne(ctx context.Context, algo string, sc sim.Scenario, p Pa
 		res, err := sim.RunContext(ctx, sc, pl, opts)
 		st := pl.TableStats()
 		return res, time.Since(start), st.DenseQBytes, err
-
-	case AlgoApprox:
-		pl := approx.NewPlanner(h.Linear, h.Pipe.Extractor, seed)
-		pl.SetBudget(p.Budget)
-		res, err := sim.RunContext(ctx, sc, pl, opts)
-		return res, time.Since(start), float64(pl.MemoryBytes(len(sc.Team))), err
-
-	case AlgoApproxPK:
-		inner := approx.NewPlanner(h.Linear, h.Pipe.Extractor, seed)
-		inner.SetBudget(p.Budget)
-		pl, err := partial.NewPlanner(sc, regionFor(sc), inner)
-		if err != nil {
-			return sim.Result{}, 0, 0, err
-		}
-		res, err := sim.RunContext(ctx, sc, pl, opts)
-		return res, time.Since(start), float64(inner.MemoryBytes(len(sc.Team))), err
-
-	case AlgoBaseline1:
-		pl := baselines.NewRoundRobin(rewardfn.Weights{}, seed)
-		res, err := sim.RunContext(ctx, sc, pl, opts)
-		return res, time.Since(start), baselineStateBytes(len(sc.Team)), err
-
-	case AlgoBaseline2:
-		pl := baselines.NewIndependent(rewardfn.Weights{}, seed)
-		res, err := sim.RunContext(ctx, sc, pl, sim.RunOptions{Collision: sim.AbortOnCollision, TraceParent: sp, Budget: p.Budget})
-		return res, time.Since(start), baselineStateBytes(len(sc.Team)), err
-
-	case AlgoRandomWalk:
+	}
+	alg, err := algo.ByTitle(title)
+	if err != nil {
+		return sim.Result{}, 0, 0, fmt.Errorf("experiments: %w", err)
+	}
+	if title == AlgoRandomWalk {
 		// A random walk's hitting time is orders of magnitude beyond a
 		// directed search (that is Table 6's point: T_total in the
 		// thousands); give it the step budget to actually finish.
 		sc.MaxSteps = sc.Grid.NumNodes() * 150
-		pl := baselines.NewRandomWalk(seed)
-		res, err := sim.RunContext(ctx, sc, pl, opts)
-		return res, time.Since(start), baselineStateBytes(len(sc.Team)), err
-
-	default:
-		return sim.Result{}, 0, 0, fmt.Errorf("experiments: unknown algorithm %q", algo)
 	}
+	pl, err := alg.New(algo.Inputs{Scenario: sc, Model: h.Linear, Ext: h.Pipe.Extractor,
+		Region: partial.DestRegion(sc), Seed: seed, Budget: p.Budget})
+	if err != nil {
+		return sim.Result{}, 0, 0, err
+	}
+	opts.Collision = alg.Collision
+	res, err := sim.RunContext(ctx, sc, pl, opts)
+	mem := baselineStateBytes(len(sc.Team))
+	if alg.NeedsModel {
+		// approx.Planner.MemoryBytes: the learned weights, per asset.
+		mem = float64(len(sc.Team) * h.Linear.Bytes())
+	}
+	return res, time.Since(start), mem, err
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"github.com/routeplanning/mamorl/internal/approx"
-	"github.com/routeplanning/mamorl/internal/geo"
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/obs"
@@ -133,14 +132,4 @@ func scenarioFor(p Params, run int) (sim.Scenario, error) {
 	}
 	sc.CommRange = p.CommRange
 	return sc, nil
-}
-
-// regionFor builds the partial-knowledge bounding box for a scenario: a box
-// centered on the destination, a few average edge lengths wide (the paper
-// does not publish its region sizes; this keeps the region a small fraction
-// of the grid).
-func regionFor(sc sim.Scenario) geo.Rect {
-	d := sc.Grid.Pos(sc.Dest)
-	r := 3 * sc.Grid.AvgEdgeWeight()
-	return geo.NewRect(geo.Point{X: d.X - r, Y: d.Y - r}, geo.Point{X: d.X + r, Y: d.Y + r})
 }

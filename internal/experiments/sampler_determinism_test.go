@@ -52,7 +52,7 @@ func TestSamplerDeterminism(t *testing.T) {
 	defer cancel()
 	go sampler.Run(ctx)
 
-	srv := httptest.NewServer(obs.StreamHandler(sampler))
+	srv := httptest.NewServer(obs.StreamHandler(sampler, 0))
 	defer srv.Close()
 	req, err := http.NewRequestWithContext(ctx, "GET", srv.URL, nil)
 	if err != nil {

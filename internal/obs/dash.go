@@ -15,19 +15,13 @@ import (
 //	id: <seq>
 //	data: {"seq":..,"t":..,"series":{...}}
 //
-// frame per sample, with keep-alive comments at DefaultKeepAliveInterval
-// while idle. The handler holds the connection until the client
-// disconnects.
-func StreamHandler(s *Sampler) http.Handler {
-	return StreamHandlerOpts(s, DefaultKeepAliveInterval)
-}
-
-// StreamHandlerOpts is StreamHandler with an explicit keep-alive interval
-// (0 selects the default, negative disables keep-alives). The sampler
+// frame per sample. The handler holds the connection until the client
+// disconnects. While idle it writes keep-alive comments every keepAlive (0
+// selects DefaultKeepAliveInterval, negative disables them): the sampler
 // normally emits a frame every SamplerOptions.Interval, but a paused
 // sampler — or one with a long interval — would otherwise leave the
 // connection silent long enough for intermediaries to drop it.
-func StreamHandlerOpts(s *Sampler, keepAlive time.Duration) http.Handler {
+func StreamHandler(s *Sampler, keepAlive time.Duration) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		st, ok := NewSSEStream(w)
 		if !ok {
@@ -69,35 +63,13 @@ func StreamHandlerOpts(s *Sampler, keepAlive time.Duration) http.Handler {
 // DashHandler serves the live dashboard: one self-contained HTML page
 // (inline CSS/JS, SVG sparklines, zero external asset fetches) that
 // subscribes to the SSE stream at streamPath and renders every series as a
-// tile with its latest value and recent history.
-func DashHandler(streamPath string) http.Handler {
-	return DashHandlerOpts(streamPath, "")
-}
-
-// DashHandlerOpts is DashHandler plus an optional SLO report endpoint
-// (tmplar's /debug/slo). When sloPath is non-empty the page polls it and
-// renders an objectives panel above the metric tiles: state, burn rates,
-// budget consumed, and — when an objective knows its most recent violating
-// request — a link into /debug/traces for that exemplar's trace ID.
-func DashHandlerOpts(streamPath, sloPath string) http.Handler {
-	return DashHandlerFull(streamPath, sloPath, "")
-}
-
-// DashHandlerFull is DashHandlerOpts plus an optional continuous-profiler
-// endpoint (tmplar's /debug/prof). When profPath is non-empty the page polls
-// the capture list and renders a hot-functions panel from the newest
-// finished capture's CPU table (falling back to heap when the CPU window
-// caught no samples), linking each capture to its full table.
-func DashHandlerFull(streamPath, sloPath, profPath string) http.Handler {
-	return DashHandlerAll(streamPath, sloPath, profPath, "")
-}
-
-// DashHandlerAll is DashHandlerFull plus an optional planner-catalog
-// endpoint (tmplar's /debug/catalog). When catalogPath is non-empty the page
-// polls the catalog snapshot and renders a tenants panel: resident (grid,
-// model) planner entries with refs/hits/age, plus the hit/miss/eviction
-// counters.
-func DashHandlerAll(streamPath, sloPath, profPath, catalogPath string) http.Handler {
+// tile with its latest value and recent history. Each other path names a
+// tmplar endpoint the page polls for one panel; an empty path leaves that
+// panel out. sloPath (/debug/slo) adds the objectives with burn rates,
+// budget consumed and exemplar links into /debug/traces; profPath
+// (/debug/prof) the newest capture's hot functions; catalogPath
+// (/debug/catalog) the resident (grid, model) entries and their counters.
+func DashHandler(streamPath, sloPath, profPath, catalogPath string) http.Handler {
 	page := strings.Replace(dashHTML, "__STREAM_PATH__", streamPath, 1)
 	page = strings.Replace(page, "__SLO_PATH__", sloPath, 1)
 	page = strings.Replace(page, "__PROF_PATH__", profPath, 1)

@@ -59,7 +59,7 @@ func TestStreamHandler(t *testing.T) {
 	clk.Advance(time.Second)
 	s.Tick()
 
-	srv := httptest.NewServer(StreamHandler(s))
+	srv := httptest.NewServer(StreamHandler(s, 0))
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -137,7 +137,7 @@ func TestStreamHandlerRequiresFlusher(t *testing.T) {
 	s := NewSampler(New(), SamplerOptions{})
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/debug/metrics/stream", nil)
-	StreamHandler(s).ServeHTTP(noFlushWriter{rec}, req)
+	StreamHandler(s, 0).ServeHTTP(noFlushWriter{rec}, req)
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("code = %d, want 500 for a non-flushable writer", rec.Code)
 	}
@@ -146,7 +146,7 @@ func TestStreamHandlerRequiresFlusher(t *testing.T) {
 func TestDashHandler(t *testing.T) {
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest("GET", "/debug/dash", nil)
-	DashHandler("/custom/stream").ServeHTTP(rec, req)
+	DashHandler("/custom/stream", "", "", "").ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("code = %d", rec.Code)
 	}
@@ -173,9 +173,9 @@ func TestDashHandler(t *testing.T) {
 	}
 }
 
-func TestDashHandlerOptsSLOPanel(t *testing.T) {
+func TestDashHandlerSLOPanel(t *testing.T) {
 	rec := httptest.NewRecorder()
-	DashHandlerOpts("/s", "/debug/slo").ServeHTTP(rec, httptest.NewRequest("GET", "/debug/dash", nil))
+	DashHandler("/s", "/debug/slo", "", "").ServeHTTP(rec, httptest.NewRequest("GET", "/debug/dash", nil))
 	body := rec.Body.String()
 	if !strings.Contains(body, `SLO_PATH = "/debug/slo"`) {
 		t.Error("SLO path not substituted into the page")

@@ -106,6 +106,15 @@ func NewPlanner(sc sim.Scenario, region geo.Rect, inner Maskable) (*Planner, err
 	return p, nil
 }
 
+// DestRegion is the known region the experiments and the mamorl CLI use: a
+// box a few average edge lengths wide centered on the destination, a small
+// fraction of the grid (the paper does not publish its region sizes).
+func DestRegion(sc sim.Scenario) geo.Rect {
+	d := sc.Grid.Pos(sc.Dest)
+	r := 3 * sc.Grid.AvgEdgeWeight()
+	return geo.NewRect(geo.Point{X: d.X - r, Y: d.Y - r}, geo.Point{X: d.X + r, Y: d.Y + r})
+}
+
 // Name implements sim.Planner.
 func (p *Planner) Name() string { return "Approx-MaMoRL+PK" }
 

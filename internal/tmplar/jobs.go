@@ -74,6 +74,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{"no assets"})
 		return
 	}
+	if _, err := algorithmFor(req.PlanRequest); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
+		return
+	}
 
 	var traceID trace.TraceID
 	if sp := trace.SpanFromContext(r.Context()); sp != nil {

@@ -101,6 +101,19 @@ func TestJobSubmitValidatesSynchronously(t *testing.T) {
 	if rec := do(t, h, "POST", "/api/jobs/plan", "{broken"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage body: %d", rec.Code)
 	}
+	// A plan that cannot run is refused with the synchronous plane's body.
+	quantum := opsPlanRequest()
+	quantum.Algorithm = "quantum"
+	noRegion := opsPlanRequest()
+	noRegion.Algorithm = "approx-pk"
+	for _, req := range []PlanRequest{quantum, noRegion} {
+		want := do(t, h, "POST", "/api/plan", req)
+		rec := do(t, h, "POST", "/api/jobs/plan", req)
+		if rec.Code != http.StatusBadRequest || want.Code != http.StatusBadRequest || rec.Body.String() != want.Body.String() {
+			t.Fatalf("algorithm %q: jobs plane %d %s, plan plane %d %s",
+				req.Algorithm, rec.Code, rec.Body.String(), want.Code, want.Body.String())
+		}
+	}
 	if rec := do(t, h, "GET", "/api/jobs/j-99999999", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", rec.Code)
 	}

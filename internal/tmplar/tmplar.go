@@ -10,10 +10,10 @@
 // requests. Planning is tenant-aware: every request selects a (grid,
 // model_id) pair, resolved through the planner catalog — an LRU-bounded
 // cache of loaded models with single-flight loading — and runs its mission
-// on the request's own goroutine with a planner built for that request.
-// The default model (empty model_id) is trained at startup exactly as in
-// Section 4.2; alternative models resolve from the registry by artifact
-// ID, "seed:<n>", or "name:<grid>".
+// on the request's own goroutine with a planner the algo table builds for
+// that request. The default model (empty model_id) is trained at startup
+// exactly as in Section 4.2; alternative models resolve from the registry
+// by artifact ID, "seed:<n>", or "name:<grid>".
 package tmplar
 
 import (
@@ -28,8 +28,8 @@ import (
 	"sync"
 	"time"
 
+	"github.com/routeplanning/mamorl/internal/algo"
 	"github.com/routeplanning/mamorl/internal/approx"
-	"github.com/routeplanning/mamorl/internal/baselines"
 	"github.com/routeplanning/mamorl/internal/catalog"
 	"github.com/routeplanning/mamorl/internal/features"
 	"github.com/routeplanning/mamorl/internal/geo"
@@ -37,7 +37,6 @@ import (
 	"github.com/routeplanning/mamorl/internal/jobs"
 	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/obs"
-	"github.com/routeplanning/mamorl/internal/partial"
 	"github.com/routeplanning/mamorl/internal/prof"
 	"github.com/routeplanning/mamorl/internal/registry"
 	"github.com/routeplanning/mamorl/internal/rewardfn"
@@ -78,10 +77,9 @@ type Options struct {
 	// at GET /debug/traces. <= 0 selects DefaultTraceBuffer.
 	TraceBuffer int
 	// SampleInterval is the tick of the time-series sampler feeding
-	// GET /debug/metrics/stream and /debug/dash; SampleCapacity is its
-	// history ring size. <= 0 selects the obs package defaults.
+	// GET /debug/metrics/stream and /debug/dash. <= 0 selects the obs
+	// package default.
 	SampleInterval time.Duration
-	SampleCapacity int
 	// ModelDir, when non-empty, enables the persistent model registry at
 	// that directory: the server warm-starts from the latest matching
 	// artifact instead of retraining, and registers a freshly trained
@@ -106,10 +104,6 @@ type Options struct {
 	// memory for the life of the process.
 	JobRetention  time.Duration
 	JobMaxRecords int
-	// JobWeights biases the weighted-fair dequeue across idempotency-key
-	// namespaces (the prefix before the first '/'); unlisted namespaces
-	// weigh 1. nil keeps every namespace equal.
-	JobWeights map[string]int
 	// MaxNodes / MaxSamples / MaxBytes bound one planning request's
 	// resource budget: nodes expanded by planners, training samples
 	// drawn, and approximate bytes allocated for mission state. A request
@@ -270,7 +264,6 @@ func NewServerOpts(seed int64, opts Options) (*Server, error) {
 	}
 	sampler := obs.NewSampler(opts.Metrics, obs.SamplerOptions{
 		Interval: opts.SampleInterval,
-		Capacity: opts.SampleCapacity,
 		OnTick:   onTick,
 	})
 	queue := jobs.New(jobs.Options{
@@ -279,7 +272,6 @@ func NewServerOpts(seed int64, opts Options) (*Server, error) {
 		DefaultTimeout: opts.JobTimeout,
 		Retention:      opts.JobRetention,
 		MaxTerminal:    opts.JobMaxRecords,
-		Weights:        opts.JobWeights,
 		Metrics:        opts.Metrics,
 		Tracer:         tracer,
 	})
@@ -624,7 +616,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /debug/slo", s.sloEng.Handler())
 	mux.Handle("GET /debug/prof", s.profiler.ListHandler())
 	mux.Handle("GET /debug/prof/{id}", s.profiler.GetHandler())
-	mux.Handle("GET /debug/dash", obs.DashHandlerAll("/debug/metrics/stream", "/debug/slo", "/debug/prof", "/debug/catalog"))
+	mux.Handle("GET /debug/dash", obs.DashHandler("/debug/metrics/stream", "/debug/slo", "/debug/prof", "/debug/catalog"))
 	return s.instrument(recoverPanics(mux))
 }
 
@@ -856,8 +848,9 @@ type PlanRequest struct {
 	Assets      []AssetSpec `json:"assets"`
 	Destination int32       `json:"destination"`
 	CommEvery   int         `json:"comm_every"`
-	// Algorithm: "approx" (default), "approx-pk" (requires region),
-	// "baseline1", "baseline2", "random".
+	// Algorithm is a wire name from the algo table: "approx" (the default
+	// when empty), "approx-pk" (requires Region), "baseline1", "baseline2"
+	// or "random". Both plan planes answer any other name with 400.
 	Algorithm string      `json:"algorithm"`
 	Region    *RegionSpec `json:"region,omitempty"`
 	// Obstacles lists node IDs no asset may enter (reefs, exclusion zones).
@@ -1024,7 +1017,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{"metrics sampler not available"})
 		return
 	}
-	obs.StreamHandlerOpts(s.sampler, s.opts.SSEKeepAlive).ServeHTTP(w, r)
+	obs.StreamHandler(s.sampler, s.opts.SSEKeepAlive).ServeHTTP(w, r)
 }
 
 // gridInfo summarizes a registered grid.
@@ -1294,9 +1287,9 @@ func algoLabel(algo string) string {
 // the planner and the mission loop so a planner-latched violation aborts
 // the run at the next epoch.
 //
-// The (grid, model_id) pair resolves through the planner catalog: the entry
-// is ref-counted for the duration of the request, and approx missions run
-// on this goroutine with a planner Entry.Do builds for the request.
+// The (grid, model_id) pair resolves through the planner catalog, whose
+// entry is ref-counted for the duration of the request. The mission runs
+// on this goroutine with a planner the algo table builds for the request.
 func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budget) (*PlanResponse, int, error) {
 	sp := trace.SpanFromContext(ctx).Child("plan",
 		trace.String("grid", req.Grid),
@@ -1349,118 +1342,95 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 	if err := sc.Validate(); err != nil {
 		return nil, http.StatusBadRequest, err
 	}
-
-	// runMission simulates sc under planner and folds the step stream into
-	// per-asset routes. Shared by the baseline paths and the catalog
-	// (approx) path.
-	runMission := func(ctx context.Context, planner sim.Planner, collision sim.CollisionPolicy) (*PlanResponse, int, error) {
-		routes := make([]AssetRoute, len(team))
-		for i := range routes {
-			routes[i].Asset = i
-		}
-		record := func(m *sim.Mission, acts []sim.Action) {
-			for i, a := range acts {
-				cur := m.Cur(i)
-				var leg RouteLeg
-				if a.IsWait() {
-					leg = RouteLeg{From: int32(cur), To: int32(cur), Wait: true, Time: rewardfn.WaitTime}
-				} else {
-					// Post-step, Cur is the destination; reconstruct the move
-					// from the recorded previous leg end (or the source).
-					from := team[i].Source
-					if n := len(routes[i].Legs); n > 0 {
-						from = grid.NodeID(routes[i].Legs[n-1].To)
-					}
-					w, err := m.Grid().EdgeWeight(from, cur)
-					if err != nil {
-						w = m.Grid().Distance(from, cur)
-					}
-					leg = RouteLeg{
-						From:  int32(from),
-						To:    int32(cur),
-						Speed: a.Speed,
-						Time:  vessel.MoveTime(w, float64(a.Speed)),
-						Fuel:  vessel.MoveFuel(w, float64(a.Speed)),
-					}
-				}
-				routes[i].Legs = append(routes[i].Legs, leg)
-				routes[i].Time += leg.Time
-				routes[i].Fuel += leg.Fuel
-			}
-		}
-		res, err := sim.RunContext(ctx, sc, planner,
-			sim.RunOptions{Collision: collision, OnStep: record, TraceParent: sp, Budget: budget})
-		s.recordBudget(sp, budget, err, req.Grid)
-		if err != nil {
-			if sp.Enabled() {
-				sp.SetAttrs(trace.String("error", err.Error()))
-			}
-			var ob *limits.ErrOverBudget
-			if errors.As(err, &ob) {
-				return nil, http.StatusTooManyRequests, err
-			}
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				return nil, http.StatusServiceUnavailable, err
-			}
-			return nil, http.StatusInternalServerError, err
-		}
-		if sp.Enabled() {
-			sp.SetAttrs(trace.Bool("found", res.Found), trace.Int("steps", int64(res.Steps)))
-		}
-		return &PlanResponse{
-			Found:      res.Found,
-			FoundBy:    res.FoundBy,
-			Steps:      res.Steps,
-			TTotal:     res.TTotal,
-			FTotal:     res.FTotal,
-			Collisions: res.Collisions,
-			Routes:     routes,
-		}, http.StatusOK, nil
+	alg, err := algorithmFor(req)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, http.StatusServiceUnavailable, err
+	}
+	in := algo.Inputs{Scenario: sc, Model: ent.Model(), Ext: ent.Ext(), Seed: req.Seed, Budget: budget}
+	if req.Region != nil {
+		in.Region = geo.Rect(*req.Region)
+	}
+	planner, err := alg.New(in)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
 	}
 
-	switch req.Algorithm {
-	case "", "approx", "approx-pk":
-		if req.Algorithm == "approx-pk" && req.Region == nil {
-			return nil, http.StatusBadRequest, fmt.Errorf("approx-pk requires a region")
-		}
-		// Entry.Do hands fn a fresh planner seeded with the request seed,
-		// so the plan is byte-identical however many requests share the
-		// entry.
-		var (
-			resp   *PlanResponse
-			status int
-			perr   error
-		)
-		doErr := ent.Do(ctx, req.Seed, func(ctx context.Context, ap *approx.Planner) error {
-			ap.SetBudget(budget)
-			var planner sim.Planner = ap
-			if req.Algorithm == "approx-pk" {
-				pk, err := partial.NewPlanner(sc, geo.Rect(*req.Region), ap)
+	// Fold the step stream into per-asset routes.
+	routes := make([]AssetRoute, len(team))
+	for i := range routes {
+		routes[i].Asset = i
+	}
+	record := func(m *sim.Mission, acts []sim.Action) {
+		for i, a := range acts {
+			cur := m.Cur(i)
+			var leg RouteLeg
+			if a.IsWait() {
+				leg = RouteLeg{From: int32(cur), To: int32(cur), Wait: true, Time: rewardfn.WaitTime}
+			} else {
+				// Post-step, Cur is the destination; reconstruct the move
+				// from the recorded previous leg end (or the source).
+				from := team[i].Source
+				if n := len(routes[i].Legs); n > 0 {
+					from = grid.NodeID(routes[i].Legs[n-1].To)
+				}
+				w, err := m.Grid().EdgeWeight(from, cur)
 				if err != nil {
-					status, perr = http.StatusBadRequest, err
-					return nil
+					w = m.Grid().Distance(from, cur)
 				}
-				planner = pk
+				leg = RouteLeg{
+					From:  int32(from),
+					To:    int32(cur),
+					Speed: a.Speed,
+					Time:  vessel.MoveTime(w, float64(a.Speed)),
+					Fuel:  vessel.MoveFuel(w, float64(a.Speed)),
+				}
 			}
-			resp, status, perr = runMission(ctx, planner, sim.RecordCollisions)
-			return nil
-		})
-		if doErr != nil {
-			if errors.Is(doErr, context.DeadlineExceeded) || errors.Is(doErr, context.Canceled) {
-				return nil, http.StatusServiceUnavailable, doErr
-			}
-			return nil, http.StatusInternalServerError, doErr
+			routes[i].Legs = append(routes[i].Legs, leg)
+			routes[i].Time += leg.Time
+			routes[i].Fuel += leg.Fuel
 		}
-		return resp, status, perr
-	case "baseline1":
-		return runMission(ctx, baselines.NewRoundRobin(rewardfn.Weights{}, req.Seed), sim.RecordCollisions)
-	case "baseline2":
-		return runMission(ctx, baselines.NewIndependent(rewardfn.Weights{}, req.Seed), sim.AbortOnCollision)
-	case "random":
-		return runMission(ctx, baselines.NewRandomWalk(req.Seed), sim.RecordCollisions)
-	default:
-		return nil, http.StatusBadRequest, fmt.Errorf("unknown algorithm %q", req.Algorithm)
 	}
+	res, err := sim.RunContext(ctx, sc, planner,
+		sim.RunOptions{Collision: alg.Collision, OnStep: record, TraceParent: sp, Budget: budget})
+	s.recordBudget(sp, budget, err, req.Grid)
+	if err != nil {
+		if sp.Enabled() {
+			sp.SetAttrs(trace.String("error", err.Error()))
+		}
+		var ob *limits.ErrOverBudget
+		if errors.As(err, &ob) {
+			return nil, http.StatusTooManyRequests, err
+		}
+		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+			return nil, http.StatusServiceUnavailable, err
+		}
+		return nil, http.StatusInternalServerError, err
+	}
+	if sp.Enabled() {
+		sp.SetAttrs(trace.Bool("found", res.Found), trace.Int("steps", int64(res.Steps)))
+	}
+	return &PlanResponse{
+		Found:      res.Found,
+		FoundBy:    res.FoundBy,
+		Steps:      res.Steps,
+		TTotal:     res.TTotal,
+		FTotal:     res.FTotal,
+		Collisions: res.Collisions,
+		Routes:     routes,
+	}, http.StatusOK, nil
+}
+
+// algorithmFor resolves a request's algorithm in the planner table. Both
+// plan planes answer its errors with 400.
+func algorithmFor(req PlanRequest) (algo.Entry, error) {
+	alg, err := algo.Lookup(algoLabel(req.Algorithm))
+	if err == nil && alg.NeedsRegion && req.Region == nil {
+		err = fmt.Errorf("%s requires a region", alg.Name)
+	}
+	return alg, err
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {

@@ -237,18 +237,27 @@ func TestPlanErrors(t *testing.T) {
 		name string
 		body interface{}
 		code int
+		resp string // the exact body; "" leaves it unchecked
 	}{
-		{"bad json", "{oops", http.StatusBadRequest},
-		{"unknown grid", PlanRequest{Grid: "nowhere", Assets: []AssetSpec{{Source: 0, SensingRadius: 1, MaxSpeed: 1}}}, http.StatusNotFound},
-		{"no assets", PlanRequest{Grid: "ops-area"}, http.StatusBadRequest},
-		{"bad dest", PlanRequest{Grid: "ops-area", Assets: []AssetSpec{{Source: 0, SensingRadius: 1, MaxSpeed: 1}}, Destination: 9999}, http.StatusBadRequest},
-		{"unknown algorithm", PlanRequest{Grid: "ops-area", Assets: []AssetSpec{{Source: 0, SensingRadius: 1, MaxSpeed: 1}}, Destination: 5, Algorithm: "quantum"}, http.StatusBadRequest},
-		{"pk without region", PlanRequest{Grid: "ops-area", Assets: []AssetSpec{{Source: 0, SensingRadius: 1, MaxSpeed: 1}}, Destination: 5, Algorithm: "approx-pk"}, http.StatusBadRequest},
+		{"bad json", "{oops", http.StatusBadRequest, ""},
+		{"unknown grid", PlanRequest{Grid: "nowhere", Assets: []AssetSpec{{Source: 0, SensingRadius: 1, MaxSpeed: 1}}}, http.StatusNotFound, ""},
+		{"no assets", PlanRequest{Grid: "ops-area"}, http.StatusBadRequest, ""},
+		{"bad dest", PlanRequest{Grid: "ops-area", Assets: []AssetSpec{{Source: 0, SensingRadius: 1, MaxSpeed: 1}}, Destination: 9999}, http.StatusBadRequest, ""},
+		{"unknown algorithm", PlanRequest{Grid: "ops-area", Assets: []AssetSpec{{Source: 0, SensingRadius: 1, MaxSpeed: 1}}, Destination: 5, Algorithm: "quantum"}, http.StatusBadRequest,
+			`{"error":"unknown algorithm \"quantum\""}` + "\n"},
+		// Table 6 titles are not wire names.
+		{"title as algorithm", PlanRequest{Grid: "ops-area", Assets: []AssetSpec{{Source: 0, SensingRadius: 1, MaxSpeed: 1}}, Destination: 5, Algorithm: "Baseline-1"}, http.StatusBadRequest,
+			`{"error":"unknown algorithm \"Baseline-1\""}` + "\n"},
+		{"pk without region", PlanRequest{Grid: "ops-area", Assets: []AssetSpec{{Source: 0, SensingRadius: 1, MaxSpeed: 1}}, Destination: 5, Algorithm: "approx-pk"}, http.StatusBadRequest,
+			`{"error":"approx-pk requires a region"}` + "\n"},
 	}
 	for _, c := range cases {
 		rec := do(t, h, "POST", "/api/plan", c.body)
 		if rec.Code != c.code {
 			t.Errorf("%s: code %d, want %d (%s)", c.name, rec.Code, c.code, rec.Body.String())
+		}
+		if c.resp != "" && rec.Body.String() != c.resp {
+			t.Errorf("%s: body %q, want %q", c.name, rec.Body.String(), c.resp)
 		}
 	}
 }

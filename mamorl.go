@@ -35,6 +35,7 @@ import (
 	"errors"
 	"io"
 
+	"github.com/routeplanning/mamorl/internal/algo"
 	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/baselines"
 	"github.com/routeplanning/mamorl/internal/core"
@@ -333,13 +334,35 @@ func ExactTableBytes(g *Grid, team Team) (pBytes, qBytes float64) {
 // --- Baselines ----------------------------------------------------------------
 
 // NewBaseline1 returns the round-robin baseline (one asset moves per epoch).
-func NewBaseline1(seed int64) Planner { return baselines.NewRoundRobin(rewardfn.Weights{}, seed) }
+func NewBaseline1(seed int64) Planner { return baselines.NewRoundRobin(seed) }
 
 // NewBaseline2 returns the independent, collision-prone baseline.
-func NewBaseline2(seed int64) Planner { return baselines.NewIndependent(rewardfn.Weights{}, seed) }
+func NewBaseline2(seed int64) Planner { return baselines.NewIndependent(seed) }
 
 // NewRandomWalk returns the uniform random baseline.
 func NewRandomWalk(seed int64) Planner { return baselines.NewRandomWalk(seed) }
+
+// PlannerFor builds the planner the TMPLAR service calls name ("approx",
+// "approx-pk", "baseline1", "baseline2" or "random") for one mission on sc,
+// with the collision policy the paper evaluates it under. loadModel is
+// called only for the Approx-MaMoRL planners; the partial-knowledge one
+// searches a box a few average edge lengths wide around the destination.
+func PlannerFor(name string, sc Scenario, seed int64, loadModel func() (*Model, error)) (Planner, RunOptions, error) {
+	alg, err := algo.Lookup(name)
+	if err != nil {
+		return nil, RunOptions{}, err
+	}
+	in := algo.Inputs{Scenario: sc, Seed: seed, Region: partial.DestRegion(sc)}
+	if alg.NeedsModel {
+		m, err := loadModel()
+		if err != nil {
+			return nil, RunOptions{}, err
+		}
+		in.Model, in.Ext = m.linear, m.ext
+	}
+	pl, err := alg.New(in)
+	return pl, RunOptions{Collision: alg.Collision}, err
+}
 
 // --- Routing utilities ----------------------------------------------------------
 

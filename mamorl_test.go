@@ -77,6 +77,62 @@ func TestPartialKnowledgeFlow(t *testing.T) {
 	}
 }
 
+// TestPlannerFor checks the facade's planner lookup: only the
+// Approx-MaMoRL planners load a model, only Baseline-2 aborts on collision,
+// and approx-pk plans as the partial-knowledge planner on the destination
+// box does.
+func TestPlannerFor(t *testing.T) {
+	g, err := mamorl.GenerateSyntheticGrid(mamorl.SyntheticConfig{
+		Nodes: 200, Edges: 430, MaxOutDegree: 8, Seed: 2,
+	})
+	if err != nil {
+		t.Fatalf("grid: %v", err)
+	}
+	sc, err := mamorl.NewScenario(g, 2, 1.2, 3, 3)
+	if err != nil {
+		t.Fatalf("scenario: %v", err)
+	}
+	loads := 0
+	load := func() (*mamorl.Model, error) { loads++; return model(t), nil }
+	for _, name := range []string{"approx", "approx-pk", "baseline1", "baseline2", "random"} {
+		before := loads
+		if _, opts, err := mamorl.PlannerFor(name, sc, 3, load); err != nil {
+			t.Errorf("%s: %v", name, err)
+		} else if got, want := opts.Collision == mamorl.AbortOnCollision, name == "baseline2"; got != want {
+			t.Errorf("%s: aborts on collision = %v, want %v", name, got, want)
+		}
+		if got, want := loads > before, name == "approx" || name == "approx-pk"; got != want {
+			t.Errorf("%s: loaded a model = %v, want %v", name, got, want)
+		}
+	}
+	if _, _, err := mamorl.PlannerFor("quantum", sc, 3, load); err == nil || err.Error() != `unknown algorithm "quantum"` {
+		t.Errorf("unknown algorithm: err = %v", err)
+	}
+
+	pk, opts, err := mamorl.PlannerFor("approx-pk", sc, 3, load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := g.Pos(sc.Dest)
+	r := 3 * g.AvgEdgeWeight()
+	want, err := model(t).NewPartialKnowledgePlanner(sc,
+		mamorl.NewRect(mamorl.Point{X: d.X - r, Y: d.Y - r}, mamorl.Point{X: d.X + r, Y: d.Y + r}), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mamorl.Run(sc, pk, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := mamorl.Run(sc, want, mamorl.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != ref {
+		t.Errorf("approx-pk via PlannerFor: %+v, want %+v", got, ref)
+	}
+}
+
 func TestExactRefusesLargeInstance(t *testing.T) {
 	g, err := mamorl.GenerateSyntheticGrid(mamorl.SyntheticConfig{
 		Nodes: 400, Edges: 846, MaxOutDegree: 9, Seed: 3,

@@ -5,7 +5,7 @@ BENCH_OLD ?= BENCH_7.json
 BENCH_NEW ?= $(BENCH_OUT)
 BENCH_THRESHOLD ?= 15
 
-.PHONY: build vet fmt-check test race race-exec loadgen-smoke planbench-test check bench bench-compare
+.PHONY: build vet fmt-check test race race-exec loadgen-smoke bench-smoke planbench-test check bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -28,16 +28,23 @@ race:
 # metrics sampler/SSE fan-out, the SLO burn-rate engine, the async job
 # queue, the resource-budget accounting, the model registry, the
 # data-parallel training stack (neural/linreg worker pools, flat sample
-# tensors), the continuous profiler's capture ring, and the tenant-aware
-# planner catalog (single-flight loads, LRU eviction, concurrent Do) —
-# the packages with real concurrency.
+# tensors), the continuous profiler's capture ring, the tenant-aware
+# planner catalog (single-flight loads, LRU eviction, concurrent Do), and
+# the grid's sensing-ball tables (lazily filled on first query by whichever
+# request gets there, published with atomic stores, tables added
+# copy-on-write under a mutex) — the packages with real concurrency.
 race-exec:
-	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/...
+	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/... ./internal/grid/...
 
 # loadgen-smoke drives a short open-loop run (2s at 20 rps) against an
 # in-process tmplard and fails if any default SLO breaches.
 loadgen-smoke:
 	$(GO) test ./cmd/loadgen/ -run 'TestSmoke|TestMultiTenantSmoke|TestFailsOnInducedBreach' -v
+
+# bench-smoke runs the hot-path micro-benchmarks once each, so benchmark
+# set-up that panics fails the build.
+bench-smoke:
+	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ApproxDecide' -benchtime 1x .
 
 # planbench-test vets and tests the benchmark's own module, which the root
 # `go test ./...` does not reach; it compiles against the root packages.
@@ -45,7 +52,7 @@ planbench-test:
 	cd planbench && $(GO) vet ./... && $(GO) test ./...
 
 # check is what CI runs (.github/workflows/ci.yml).
-check: build vet fmt-check test race loadgen-smoke planbench-test
+check: build vet fmt-check test race bench-smoke loadgen-smoke planbench-test
 
 # bench runs the full suite and writes a machine-readable report (ns/op,
 # B/op, allocs/op and every custom metric) to $(BENCH_OUT).

@@ -11,6 +11,7 @@ import (
 
 	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/experiments"
+	"github.com/routeplanning/mamorl/internal/graphalg"
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/sim"
@@ -32,30 +33,34 @@ func harnessT(t *testing.T) *experiments.Harness {
 func allocFixture(t *testing.T) (*sim.Mission, *approx.Planner, int) {
 	t.Helper()
 	h := harnessT(t)
+	m := decisionMission(t)
+	return m, approx.NewPlanner(h.Linear, h.Pipe.Extractor, 1), m.NumAssets()
+}
+
+// decisionMission is a fresh 4-asset mission on a 400-node synthetic grid,
+// the fixture of the Decide alloc pins and of BenchmarkFrontierStep.
+func decisionMission(tb testing.TB) *sim.Mission {
+	tb.Helper()
 	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 400, Edges: 846, MaxOutDegree: 9, Seed: 2})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	sc, err := approx.TrainingScenario(g, 4, 5, 1.2, 3)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	pl := approx.NewPlanner(h.Linear, h.Pipe.Extractor, 1)
 	m, err := sim.NewMission(sc, sim.RunOptions{})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	return m, pl, len(sc.Team)
+	return m
 }
 
-// TestDecideAllocs: a warmed planner must average at most ~2 allocations per
-// Decide call (the sensing query's exact-size result copy is the only
-// remaining steady-state allocation; the frontier fallback path may add a
-// handful on rare calls).
+// TestDecideAllocs: a warmed planner must not allocate per Decide call. The
+// scratch buffers, the memoized sensing balls and the planner's frontier
+// search are all reused, and after 64 warm-up calls at a fixed mission state
+// the stall watchdog routes every call through the frontier fallback too.
 func TestDecideAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool bypass its cache, inflating the count")
-	}
 	m, pl, n := allocFixture(t)
 	for i := 0; i < 64; i++ { // warm scratch buffers across all assets
 		_ = pl.Decide(m, i%n)
@@ -65,9 +70,54 @@ func TestDecideAllocs(t *testing.T) {
 		_ = pl.Decide(m, i%n)
 		i++
 	})
-	if avg > 2.5 {
-		t.Fatalf("Decide allocates %.2f objects/call on average, want <= 2.5 (was ~36 before the scratch rework)", avg)
+	if avg != 0 {
+		t.Fatalf("Decide allocates %.2f objects/call on average, want 0 (was ~36 before the scratch rework)", avg)
 	}
+}
+
+// TestDecideFrontierAllocs: a Decide forced onto the frontier fallback must
+// not allocate either. Every asset believes every node sensed except the one
+// farthest from asset 0, so no candidate move senses anything new and the
+// frontier search crosses most of the grid on each call.
+func TestDecideFrontierAllocs(t *testing.T) {
+	m, pl, n := allocFixture(t)
+	senseAllBut(m, farthestFrom(m.Grid(), m.Cur(0)))
+	for i := 0; i < 64; i++ {
+		_ = pl.Decide(m, i%n)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(256, func() {
+		_ = pl.Decide(m, i%n)
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("frontier-path Decide allocates %.2f objects/call on average, want 0", avg)
+	}
+}
+
+// senseAllBut rewrites every asset's knowledge so that all nodes except
+// keep are sensed: a mission deep into its search, built without playing
+// one out.
+func senseAllBut(m *sim.Mission, keep grid.NodeID) {
+	for i := 0; i < m.NumAssets(); i++ {
+		k := m.Knowledge(i)
+		for v := range k.Sensed {
+			k.Sensed[v] = grid.NodeID(v) != keep
+		}
+		k.SensedCount = len(k.Sensed) - 1
+	}
+}
+
+// farthestFrom returns the node with the largest hop distance from v.
+func farthestFrom(g *grid.Grid, v grid.NodeID) grid.NodeID {
+	hops := graphalg.HopDistances(g, v)
+	far := v
+	for u, d := range hops {
+		if d > hops[far] {
+			far = grid.NodeID(u)
+		}
+	}
+	return far
 }
 
 // TestDecideWithBudgetAllocs: attaching a resource budget must add zero
@@ -75,9 +125,6 @@ func TestDecideAllocs(t *testing.T) {
 // preallocated object, with the nil-receiver fast path covering the
 // no-budget configuration (pinned separately in internal/limits).
 func TestDecideWithBudgetAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector makes sync.Pool bypass its cache, inflating the count")
-	}
 	m, pl, n := allocFixture(t)
 	pl.SetBudget(limits.New(limits.Limits{Nodes: 1 << 40}))
 	for i := 0; i < 64; i++ {
@@ -88,8 +135,8 @@ func TestDecideWithBudgetAllocs(t *testing.T) {
 		_ = pl.Decide(m, i%n)
 		i++
 	})
-	if avg > 2.5 {
-		t.Fatalf("budgeted Decide allocates %.2f objects/call on average, want <= 2.5 (same pin as unbudgeted)", avg)
+	if avg != 0 {
+		t.Fatalf("budgeted Decide allocates %.2f objects/call on average, want 0 (same pin as unbudgeted)", avg)
 	}
 }
 
@@ -108,8 +155,10 @@ func TestAppendLegalActionsForAllocs(t *testing.T) {
 	}
 }
 
-// TestSensingQueryAllocs: WithinRadius must allocate only its exact-size
-// result (the traversal scratch is pooled), and the ForEach variant nothing.
+// TestSensingQueryAllocs: once one pass over all nodes has filled the
+// grid's ball table, ForEachWithinRadius must not allocate and WithinRadius
+// must allocate only its exact-size result. A radius past the table limit
+// scans the spatial index instead, also without allocating.
 func TestSensingQueryAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector makes sync.Pool bypass its cache, inflating the count")
@@ -120,6 +169,9 @@ func TestSensingQueryAllocs(t *testing.T) {
 	}
 	r := 1.5 * g.AvgEdgeWeight()
 	n := g.NumNodes()
+	for v := 0; v < n; v++ {
+		g.ForEachWithinRadius(grid.NodeID(v), r, func(grid.NodeID) {})
+	}
 
 	i := 0
 	avg := testing.AllocsPerRun(256, func() {
@@ -137,5 +189,19 @@ func TestSensingQueryAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("ForEachWithinRadius allocates %.2f objects/call, want 0", avg)
+	}
+
+	// Three more radii fill the grid's table limit; a fifth falls back.
+	for k := 2; k <= 4; k++ {
+		g.ForEachWithinRadius(0, float64(k)*g.AvgEdgeWeight(), func(grid.NodeID) {})
+	}
+	fallback := 1.25 * g.AvgEdgeWeight()
+	i = 0
+	avg = testing.AllocsPerRun(256, func() {
+		g.ForEachWithinRadius(grid.NodeID(i%n), fallback, func(grid.NodeID) {})
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("ForEachWithinRadius past the table limit allocates %.2f objects/call, want 0", avg)
 	}
 }

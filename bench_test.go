@@ -12,6 +12,7 @@ package mamorl_test
 import (
 	"context"
 	"flag"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -387,16 +388,84 @@ func BenchmarkDijkstraCaribbean(b *testing.B) {
 }
 
 // BenchmarkSensingQuery measures the WithinRadius spatial query issued by
-// every asset at every epoch.
+// every asset at every epoch, in the three states of the grid's ball memo:
+// warm (every ball filled), cold (each query is its node's first on a fresh
+// grid, so it fills the ball) and fallback (a radius past the memo's table
+// limit, answered by a spatial-index scan).
 func BenchmarkSensingQuery(b *testing.B) {
+	fresh := func(b *testing.B) (*grid.Grid, float64) {
+		g, err := grid.CaribbeanGrid(5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g, 1.5 * g.AvgEdgeWeight()
+	}
+	b.Run("warm", func(b *testing.B) {
+		g, r := fresh(b)
+		for v := 0; v < g.NumNodes(); v++ {
+			_ = g.WithinRadius(grid.NodeID(v), r)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = g.WithinRadius(grid.NodeID(i%g.NumNodes()), r)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		g, r := fresh(b)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i > 0 && i%g.NumNodes() == 0 {
+				b.StopTimer()
+				g, r = fresh(b)
+				b.StartTimer()
+			}
+			_ = g.WithinRadius(grid.NodeID(i%g.NumNodes()), r)
+		}
+	})
+	b.Run("fallback", func(b *testing.B) {
+		g, r := fresh(b)
+		for k := 2; k <= 5; k++ { // four other radii take every table
+			_ = g.WithinRadius(0, float64(k)*g.AvgEdgeWeight())
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = g.WithinRadius(grid.NodeID(i%g.NumNodes()), r)
+		}
+	})
+}
+
+// BenchmarkScenarioValidate measures the scenario check a plan request
+// passes twice (at the service edge and in sim.NewMission) on the Caribbean
+// mesh with 6 assets.
+func BenchmarkScenarioValidate(b *testing.B) {
 	g, err := grid.CaribbeanGrid(5)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := 1.5 * g.AvgEdgeWeight()
+	sc, err := approx.TrainingScenario(g, 6, 3, 1.2, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = g.WithinRadius(grid.NodeID(i%g.NumNodes()), r)
+		if err := sc.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFrontierStep measures one frontier search, the fallback every
+// cooperative planner takes when no move senses anything new, on a planner's
+// reused scratch. Every node but the one farthest from asset 0 is sensed,
+// so each search crosses most of the 400-node grid.
+func BenchmarkFrontierStep(b *testing.B) {
+	m := decisionMission(b)
+	senseAllBut(m, farthestFrom(m.Grid(), m.Cur(0)))
+	rng := rand.New(rand.NewSource(1))
+	var f sim.FrontierSearch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = f.Step(m, i%m.NumAssets(), nil, nil, grid.None, rng, true)
 	}
 }
 

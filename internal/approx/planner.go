@@ -67,6 +67,7 @@ type Planner struct {
 	tmmCtx    features.NodeContext
 	actBuf    []sim.Action
 	featBuf   []float64
+	frontier  sim.FrontierSearch
 }
 
 // stallPatience is how many epochs without sensing progress a planner
@@ -137,6 +138,7 @@ func (p *Planner) clone() *Planner {
 	cp.lmCtx = features.NodeContext{}
 	cp.tmmCtx = features.NodeContext{}
 	cp.actBuf, cp.featBuf = nil, nil
+	cp.frontier = sim.FrontierSearch{}
 	cp.blockedFn = cp.blocked.Has
 	return &cp
 }
@@ -336,14 +338,7 @@ func (p *Planner) blockHopBall(g *grid.Grid, v grid.NodeID, radius int) {
 // Voronoi-partitioned against believed teammate positions
 // (sim.FrontierStep), avoiding the nodes collected in p.blocked.
 func (p *Planner) frontierAction(m *sim.Mission, i int) (sim.Action, bool) {
-	return sim.FrontierStep(m, i, p.blockedFn, p.ext.Mask, p.prevPos[i], p.rng, !p.opts.NoVoronoi)
-}
-
-// FrontierStep is re-exported from sim for planner implementations built on
-// this package (the baselines use it).
-func FrontierStep(m *sim.Mission, i int, blocked func(grid.NodeID) bool, mask func(grid.NodeID) bool,
-	prev grid.NodeID, rng *rand.Rand, voronoi bool) (sim.Action, bool) {
-	return sim.FrontierStep(m, i, blocked, mask, prev, rng, voronoi)
+	return p.frontier.Step(m, i, p.blockedFn, p.ext.Mask, p.prevPos[i], p.rng, !p.opts.NoVoronoi)
 }
 
 // CruiseSpeed is re-exported from vessel: the Table 2 speed rule.

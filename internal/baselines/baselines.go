@@ -28,8 +28,9 @@ import (
 
 // greedyExplore is the shared Section 3.1.1 rule. blocked is a predicate
 // for nodes never to enter (nil blocks nothing); voronoi controls whether
-// the frontier search coordinates with believed teammate positions.
-func greedyExplore(m *sim.Mission, i int, blocked func(grid.NodeID) bool,
+// the frontier search, run on the caller's scratch f, coordinates with
+// believed teammate positions.
+func greedyExplore(m *sim.Mission, i int, f *sim.FrontierSearch, blocked func(grid.NodeID) bool,
 	prev grid.NodeID, rng *rand.Rand, voronoi bool) sim.Action {
 
 	g := m.Grid()
@@ -56,7 +57,7 @@ func greedyExplore(m *sim.Mission, i int, blocked func(grid.NodeID) bool,
 		e := g.Neighbors(cur)[bestN]
 		return sim.Action{Neighbor: bestN, Speed: approx.CruiseSpeed(e.Weight, maxSpeed)}
 	}
-	if a, ok := approx.FrontierStep(m, i, blocked, nil, prev, rng, voronoi); ok {
+	if a, ok := f.Step(m, i, blocked, nil, prev, rng, voronoi); ok {
 		return a
 	}
 	return sim.Wait
@@ -73,6 +74,7 @@ type RoundRobin struct {
 	// closure per call.
 	blocked   grid.NodeSet
 	blockedFn func(grid.NodeID) bool
+	frontier  sim.FrontierSearch
 }
 
 // NewRoundRobin builds Baseline-1.
@@ -113,15 +115,16 @@ func (b *RoundRobin) Decide(m *sim.Mission, i int) sim.Action {
 			b.blocked.Add(m.Cur(j))
 		}
 	}
-	return greedyExplore(m, i, b.blockedFn, b.prevPos[i], b.rng, true)
+	return greedyExplore(m, i, &b.frontier, b.blockedFn, b.prevPos[i], b.rng, true)
 }
 
 // Independent is Baseline-2: per-asset greedy reward maximization with no
 // teammate awareness whatsoever.
 type Independent struct {
-	rng     *rand.Rand
-	prevPos map[int]grid.NodeID
-	nav     *sim.Navigator
+	rng      *rand.Rand
+	prevPos  map[int]grid.NodeID
+	nav      *sim.Navigator
+	frontier sim.FrontierSearch
 }
 
 // NewIndependent builds Baseline-2.
@@ -146,7 +149,7 @@ func (b *Independent) Decide(m *sim.Mission, i int) sim.Action {
 			return a
 		}
 	}
-	return greedyExplore(m, i, nil, b.prevPos[i], b.rng, false)
+	return greedyExplore(m, i, &b.frontier, nil, b.prevPos[i], b.rng, false)
 }
 
 // RandomWalk draws the action and speed uniformly at random (Section

@@ -47,6 +47,8 @@ type Planner struct {
 	// nav transits assets to the destination once it is broadcast
 	// (rendezvous missions).
 	nav *sim.Navigator
+	// frontier is the frontier fallback's search scratch.
+	frontier sim.FrontierSearch
 	// lastSensed/stall are the liveness watchdog (DESIGN.md §2): sparse Q
 	// tables alias believed states, and greedy V-following can cycle; after
 	// stallPatience epochs without sensing progress the asset heads for the
@@ -148,8 +150,8 @@ func (pl *Planner) Name() string { return "MaMoRL" }
 //
 // The learned p/q tables are intentionally shared (they are the point of
 // the composition); everything per-mission — watchdog maps, navigator,
-// rng — is fresh, so the masked copy and the original can each run a
-// mission without corrupting the other's state.
+// rng, frontier scratch — is fresh, so the masked copy and the original
+// can each run a mission without corrupting the other's state.
 func (pl *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner {
 	cp := *pl
 	cp.mask = mask
@@ -157,6 +159,7 @@ func (pl *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner {
 	cp.lastSensed = make(map[int]int)
 	cp.stall = make(map[int]int)
 	cp.nav = sim.NewNavigator()
+	cp.frontier = sim.FrontierSearch{}
 	cp.rng = rand.New(rand.NewSource(pl.cfg.Seed + 1))
 	return &cp
 }
@@ -305,7 +308,7 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	// resets only on sensing progress, so frontier mode persists until the
 	// asset actually senses something new.
 	if !pl.training && (!anySensed || pl.stall[i] >= stallPatience) {
-		if a, ok := sim.FrontierStep(m, i, func(v grid.NodeID) bool { return blocked[v] }, pl.mask, pl.prevPos[i], pl.rng, true); ok {
+		if a, ok := pl.frontier.Step(m, i, func(v grid.NodeID) bool { return blocked[v] }, pl.mask, pl.prevPos[i], pl.rng, true); ok {
 			pl.prevPos[i] = m.Cur(i)
 			return a
 		}

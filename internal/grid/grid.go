@@ -7,7 +7,9 @@
 // The grid is a directed weighted graph. The weight of an edge v_p -> v_q is
 // the distance between the endpoint positions under the grid's metric, so
 // weights are always consistent with geometry. Grids are immutable once
-// built; planners and simulations share them freely across goroutines.
+// built, except for a bounded memo of sensing balls that radius queries
+// fill on first use and publish atomically; planners and simulations share
+// them freely across goroutines.
 package grid
 
 import (
@@ -33,7 +35,8 @@ type Edge struct {
 }
 
 // Grid is an immutable directed weighted graph embedded in the plane or on
-// the globe. Construct one with a Builder or a generator.
+// the globe. Construct one with a Builder or a generator. Its only mutable
+// state is the sensing-ball memo, which is safe for concurrent use.
 type Grid struct {
 	name   string
 	metric geo.Metric
@@ -50,6 +53,7 @@ type Grid struct {
 	maxEdgeW     float64
 	bounds       geo.Rect
 	index        *spatialIndex
+	balls        ballMemo
 }
 
 // MaxEdgeWeight returns the largest arc weight: an upper bound on the
@@ -118,9 +122,10 @@ func (g *Grid) Distance(v, w NodeID) float64 {
 	return g.metric.Distance(g.pos[v], g.pos[w])
 }
 
-// radiusScratch pools the gather buffer of WithinRadius. Grids are shared
-// read-only across concurrently executing runs (the parallel experiment
-// executor), so the scratch cannot live on the Grid itself.
+// radiusScratch pools the gather buffer of WithinRadius and of ball
+// fills. Grids are shared across concurrently executing runs (the parallel
+// experiment executor, concurrent plan requests), so the scratch cannot
+// live on the Grid itself.
 var radiusScratch = sync.Pool{
 	New: func() any { return &[]NodeID{} },
 }
@@ -128,14 +133,16 @@ var radiusScratch = sync.Pool{
 // WithinRadius returns all nodes whose position lies within distance r of
 // the position of node v, including v itself. This is the sensing primitive:
 // an asset at v with sensing radius r observes exactly these nodes
-// (Section 2.2). Results are sorted by NodeID for determinism.
+// (Section 2.2). Results are sorted by NodeID for determinism. It reads the
+// same memoized ball as ForEachWithinRadius; once that ball is filled, the
+// result is its only allocation.
 func (g *Grid) WithinRadius(v NodeID, r float64) []NodeID {
 	// Gather into a pooled scratch buffer, then copy into a single
 	// exact-size result: one traversal, one allocation, and safe for
 	// callers to retain the result.
 	scratch := radiusScratch.Get().(*[]NodeID)
 	buf := (*scratch)[:0]
-	g.index.forEachWithinRadius(g, g.pos[v], r, func(u NodeID) { buf = append(buf, u) })
+	g.ForEachWithinRadius(v, r, func(u NodeID) { buf = append(buf, u) })
 	var out []NodeID
 	if len(buf) > 0 {
 		slices.Sort(buf)
@@ -147,11 +154,22 @@ func (g *Grid) WithinRadius(v NodeID, r float64) []NodeID {
 	return out
 }
 
-// ForEachWithinRadius visits every node within distance r of node v without
-// allocating. Simulation sensing and planner feature extraction issue this
-// query for every asset and candidate move at every epoch; order is
-// unspecified (use WithinRadius when determinism of order matters).
+// ForEachWithinRadius visits every node within distance r of node v.
+// Simulation sensing and planner feature extraction issue this query for
+// every asset and candidate move at every epoch, so the grid memoizes each
+// node's ball per radius: the first query of v at r scans the spatial
+// index and publishes the ball, and later queries read it without
+// allocating. Every query visits the ball in the scan's order; use
+// WithinRadius for an order sorted by NodeID. The memo holds at most a few
+// radii and a bounded number of node IDs per grid; past either limit, and
+// for a negative or NaN r, the query scans without allocating.
 func (g *Grid) ForEachWithinRadius(v NodeID, r float64, fn func(NodeID)) {
+	if ball, ok := g.ball(v, r); ok {
+		for _, u := range ball {
+			fn(u)
+		}
+		return
+	}
 	g.index.forEachWithinRadius(g, g.pos[v], r, fn)
 }
 

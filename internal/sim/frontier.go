@@ -28,8 +28,30 @@ import (
 //
 // blocked is a predicate (nil means nothing is blocked) so that planners
 // can back it with a reusable grid.NodeSet instead of allocating a map per
-// decision.
+// decision. FrontierStep allocates its search scratch per call; planners
+// keep a FrontierSearch instead.
 func FrontierStep(m *Mission, i int, blocked func(grid.NodeID) bool, mask func(grid.NodeID) bool,
+	prev grid.NodeID, rng *rand.Rand, voronoi bool) (Action, bool) {
+	return new(FrontierSearch).Step(m, i, blocked, mask, prev, rng, voronoi)
+}
+
+// FrontierSearch is FrontierStep with reusable scratch, so a planner's
+// frontier fallback allocates nothing after warm-up. The zero value is
+// ready. A FrontierSearch is not safe for concurrent use; give each planner
+// its own.
+type FrontierSearch struct {
+	// seen marks the nodes the BFS has reached; parent[v] is valid only
+	// for those.
+	seen   grid.NodeSet
+	parent []grid.NodeID
+	// queue is the BFS queue, consumed by index rather than re-sliced.
+	queue []grid.NodeID
+	// open lists the unblocked neighbor indices a detour may take.
+	open []int
+}
+
+// Step is FrontierStep on the search's scratch.
+func (f *FrontierSearch) Step(m *Mission, i int, blocked func(grid.NodeID) bool, mask func(grid.NodeID) bool,
 	prev grid.NodeID, rng *rand.Rand, voronoi bool) (Action, bool) {
 
 	g := m.Grid()
@@ -53,20 +75,25 @@ func FrontierStep(m *Mission, i int, blocked func(grid.NodeID) bool, mask func(g
 		return true
 	}
 
-	parent := map[grid.NodeID]grid.NodeID{start: grid.None}
-	queue := []grid.NodeID{start}
+	f.seen.Reset(g.NumNodes())
+	if len(f.parent) < g.NumNodes() {
+		f.parent = make([]grid.NodeID, g.NumNodes())
+	}
+	f.seen.Add(start)
+	f.parent[start] = grid.None
+	f.queue = append(f.queue[:0], start)
 	goal, anyGoal := grid.None, grid.None
-	for len(queue) > 0 && goal == grid.None {
-		v := queue[0]
-		queue = queue[1:]
+	for head := 0; head < len(f.queue) && goal == grid.None; head++ {
+		v := f.queue[head]
 		for _, e := range g.Neighbors(v) {
-			if _, seen := parent[e.To]; seen {
+			if f.seen.Has(e.To) {
 				continue
 			}
 			if m.Obstacle(e.To) {
 				continue // impassable: neither a goal nor a corridor
 			}
-			parent[e.To] = v
+			f.seen.Add(e.To)
+			f.parent[e.To] = v
 			if !know.Sensed[e.To] && (mask == nil || mask(e.To)) {
 				if anyGoal == grid.None {
 					anyGoal = e.To
@@ -76,7 +103,7 @@ func FrontierStep(m *Mission, i int, blocked func(grid.NodeID) bool, mask func(g
 					break
 				}
 			}
-			queue = append(queue, e.To)
+			f.queue = append(f.queue, e.To)
 		}
 	}
 	if goal == grid.None {
@@ -87,17 +114,17 @@ func FrontierStep(m *Mission, i int, blocked func(grid.NodeID) bool, mask func(g
 	}
 	// Walk back to the first hop.
 	hop := goal
-	for parent[hop] != start {
-		hop = parent[hop]
+	for f.parent[hop] != start {
+		hop = f.parent[hop]
 	}
 	if blocked != nil && blocked(hop) {
 		bestN, bestD := -1, g.Metric().Distance(g.Pos(start), g.Pos(goal))
-		var open []int
+		f.open = f.open[:0]
 		for n, e := range g.Neighbors(start) {
 			if (blocked != nil && blocked(e.To)) || m.Obstacle(e.To) {
 				continue
 			}
-			open = append(open, n)
+			f.open = append(f.open, n)
 			if e.To == prev {
 				continue
 			}
@@ -106,8 +133,8 @@ func FrontierStep(m *Mission, i int, blocked func(grid.NodeID) bool, mask func(g
 			}
 		}
 		if bestN < 0 {
-			if len(open) > 0 && rng.Float64() < 0.5 {
-				bestN = open[rng.Intn(len(open))]
+			if len(f.open) > 0 && rng.Float64() < 0.5 {
+				bestN = f.open[rng.Intn(len(f.open))]
 			} else {
 				return Wait, true
 			}

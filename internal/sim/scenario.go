@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"github.com/routeplanning/mamorl/internal/graphalg"
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/trace"
@@ -79,6 +78,9 @@ func (sc Scenario) obstacleSet() map[grid.NodeID]bool {
 // Validate checks the scenario: a valid team on valid nodes, a destination
 // inside the grid, obstacles that block neither sources nor destination,
 // and obstacle-avoiding reachability of the destination from every source.
+// Reachability is one reverse BFS from the destination over in-edges,
+// shared by the whole team; errors are reported in obstacle order, then
+// team order.
 func (sc Scenario) Validate() error {
 	if sc.Grid == nil {
 		return fmt.Errorf("scenario: nil grid")
@@ -90,24 +92,35 @@ func (sc Scenario) Validate() error {
 	if sc.Dest < 0 || sc.Dest >= n {
 		return fmt.Errorf("scenario: destination %d outside grid of %d nodes", sc.Dest, n)
 	}
-	obstacles := sc.obstacleSet()
-	for v := range obstacles {
+	obstacle := make([]bool, n)
+	for _, v := range sc.Obstacles {
 		if v < 0 || v >= n {
 			return fmt.Errorf("scenario: obstacle %d outside grid", v)
 		}
+		obstacle[v] = true
 	}
-	if obstacles[sc.Dest] {
+	if obstacle[sc.Dest] {
 		return fmt.Errorf("scenario: destination %d is an obstacle", sc.Dest)
 	}
-	avoid := func(v grid.NodeID) bool { return obstacles[v] }
+	reaches := make([]bool, n)
+	reaches[sc.Dest] = true
+	queue := append(make([]grid.NodeID, 0, n), sc.Dest)
+	for head := 0; head < len(queue); head++ {
+		for _, e := range sc.Grid.InEdges(queue[head]) {
+			if !reaches[e.To] && !obstacle[e.To] {
+				reaches[e.To] = true
+				queue = append(queue, e.To)
+			}
+		}
+	}
 	for _, a := range sc.Team {
 		if a.Source >= n {
 			return fmt.Errorf("scenario: asset %d source %d outside grid", a.ID, a.Source)
 		}
-		if obstacles[a.Source] {
+		if obstacle[a.Source] {
 			return fmt.Errorf("scenario: asset %d starts on obstacle %d", a.ID, a.Source)
 		}
-		if !graphalg.ReachableAvoiding(sc.Grid, a.Source, sc.Dest, avoid) {
+		if !reaches[a.Source] {
 			return fmt.Errorf("scenario: destination %d unreachable from asset %d at %d (obstacles considered)",
 				sc.Dest, a.ID, a.Source)
 		}

@@ -14,6 +14,7 @@ package vessel
 
 import (
 	"fmt"
+	"math"
 
 	"github.com/routeplanning/mamorl/internal/grid"
 )
@@ -80,8 +81,11 @@ type Asset struct {
 
 // Validate reports configuration errors.
 func (a Asset) Validate() error {
-	if a.SensingRadius < 0 {
-		return fmt.Errorf("asset %d: negative sensing radius %v", a.ID, a.SensingRadius)
+	// NaN passes a plain "< 0" test, and an asset with it senses nothing,
+	// not even its own node; an infinite radius has no finite cell window
+	// in the grid's spatial index.
+	if !(a.SensingRadius >= 0) || math.IsInf(a.SensingRadius, 1) {
+		return fmt.Errorf("asset %d: sensing radius %v is not finite and non-negative", a.ID, a.SensingRadius)
 	}
 	if a.MaxSpeed < 1 {
 		return fmt.Errorf("asset %d: max speed %d < 1", a.ID, a.MaxSpeed)

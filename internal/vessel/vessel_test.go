@@ -100,6 +100,9 @@ func TestAssetValidate(t *testing.T) {
 		{ID: 0, SensingRadius: -1, MaxSpeed: 3, Source: 0},
 		{ID: 0, SensingRadius: 1, MaxSpeed: 0, Source: 0},
 		{ID: 0, SensingRadius: 1, MaxSpeed: 3, Source: -1},
+		{ID: 0, SensingRadius: math.NaN(), MaxSpeed: 3, Source: 0},
+		{ID: 0, SensingRadius: math.Inf(1), MaxSpeed: 3, Source: 0},
+		{ID: 0, SensingRadius: math.Inf(-1), MaxSpeed: 3, Source: 0},
 	}
 	for i, a := range bad {
 		if err := a.Validate(); err == nil {

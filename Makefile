@@ -1,11 +1,13 @@
 GO ?= go
-BENCH_OUT ?= BENCH_8.json
+# make bench writes its report under the ignored .bench_build/, so it never
+# overwrites a stored BENCH_*.json baseline.
+BENCH_OUT ?= .bench_build/bench.json
 # bench-compare inputs: the stored baseline and the report to vet against it.
-BENCH_OLD ?= BENCH_7.json
+BENCH_OLD ?= BENCH_8.json
 BENCH_NEW ?= $(BENCH_OUT)
 BENCH_THRESHOLD ?= 15
 
-.PHONY: build vet fmt-check test race race-exec loadgen-smoke bench-smoke planbench-test check bench bench-compare
+.PHONY: build vet fmt-check test race race-exec loadgen-smoke bench-smoke experiments-smoke planbench-test check bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -46,17 +48,24 @@ loadgen-smoke:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ApproxDecide' -benchtime 1x .
 
+# experiments-smoke runs every experiment driver but the sweeps once at
+# quick scale through the CLI, which has no tests of its own; it exits 1 if
+# any driver fails.
+experiments-smoke:
+	$(GO) run ./cmd/experiments -only table6,fig3,fig4,rendezvous,commrange,ablation,fig8 -nn-epochs 20 -quiet -parallel 2
+
 # planbench-test vets and tests the benchmark's own module, which the root
 # `go test ./...` does not reach; it compiles against the root packages.
 planbench-test:
 	cd planbench && $(GO) vet ./... && $(GO) test ./...
 
 # check is what CI runs (.github/workflows/ci.yml).
-check: build vet fmt-check test race bench-smoke loadgen-smoke planbench-test
+check: build vet fmt-check test race bench-smoke experiments-smoke loadgen-smoke planbench-test
 
 # bench runs the full suite and writes a machine-readable report (ns/op,
 # B/op, allocs/op and every custom metric) to $(BENCH_OUT).
 bench:
+	@mkdir -p $(dir $(BENCH_OUT))
 	$(GO) test -bench=. -benchmem -run '^$$' . | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
 
 # bench-compare diffs two bench reports and fails on ns/op regressions

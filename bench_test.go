@@ -487,10 +487,10 @@ func BenchmarkAblation(b *testing.B) {
 		}
 		for _, r := range results {
 			if r.Variant == "full" {
-				b.ReportMetric(float64(r.FoundRuns)/float64(r.Runs), "full_found_rate")
+				b.ReportMetric(float64(r.Stats.FoundRuns)/float64(r.Stats.Runs), "full_found_rate")
 			}
 			if r.Variant == "no-frontier" {
-				b.ReportMetric(float64(r.FoundRuns)/float64(r.Runs), "no_frontier_found_rate")
+				b.ReportMetric(float64(r.Stats.FoundRuns)/float64(r.Stats.Runs), "no_frontier_found_rate")
 			}
 		}
 	}

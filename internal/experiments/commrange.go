@@ -30,11 +30,7 @@ func (h *Harness) RunCommRange(ctx context.Context, p Params, factors []float64)
 		factors = []float64{0, 8, 4, 2}
 	}
 	lim := limiterFor(p)
-	type ptOut struct {
-		pt  CommRangePoint
-		err error
-	}
-	pts := fanIndexed(lim, len(factors), func(k int) ptOut {
+	return fanIndexed(lim, len(factors), func(k int) (CommRangePoint, error) {
 		factor := factors[k]
 		pv, cell := startCell(p, "cell.commrange", trace.Float("factor", factor))
 		defer cell.End()
@@ -43,24 +39,16 @@ func (h *Harness) RunCommRange(ctx context.Context, p Params, factors []float64)
 			// shape (all runs share the shape, only seeds differ).
 			sc, err := scenarioFor(pv, 0)
 			if err != nil {
-				return ptOut{err: err}
+				return CommRangePoint{}, err
 			}
 			pv.CommRange = factor * sc.Grid.AvgEdgeWeight()
 		}
 		rs, err := h.evaluateWith(ctx, AlgoApprox, pv, lim)
 		if err != nil {
-			return ptOut{err: fmt.Errorf("comm range %v: %w", factor, err)}
+			return CommRangePoint{}, fmt.Errorf("comm range %v: %w", factor, err)
 		}
-		return ptOut{pt: CommRangePoint{RangeFactor: factor, Subject: rs}}
+		return CommRangePoint{RangeFactor: factor, Subject: rs}, nil
 	})
-	out := make([]CommRangePoint, 0, len(pts))
-	for _, po := range pts {
-		if po.err != nil {
-			return nil, po.err
-		}
-		out = append(out, po.pt)
-	}
-	return out, nil
 }
 
 // FormatCommRange renders the study.

@@ -9,8 +9,8 @@ import "sync"
 //
 // The concurrency budget is a single limiter derived from Params.Parallel
 // and shared by a whole driver invocation. Only leaf mission runs — the
-// per-seed executions inside evaluateWith, where all the CPU time is spent
-// — consume budget tokens; coordination-level fan-out (a Table 6 cell, a
+// per-seed executions inside runCell, where all the CPU time is spent —
+// consume budget tokens; coordination-level fan-out (a Table 6 cell, a
 // sweep point) runs unbudgeted goroutines that spend their life waiting on
 // their leaf runs. Taking tokens at both levels would deadlock as soon as
 // cells outnumber the budget: every token would be held by a coordinator
@@ -18,10 +18,10 @@ import "sync"
 //
 // Determinism contract: results are written to fixed indices, so the output
 // is identical whatever the completion order, and every leaf run derives
-// its randomness from runSeed(p, run) alone. PerRun[i] therefore holds the
-// same bytes at Parallel=8 as at Parallel=1 (TestParallelDeterminism pins
-// this), which is what keeps PR 1's seed-paired t-tests valid under
-// parallel execution.
+// its randomness from its run index alone, through its driver's seed
+// schedule. PerRun[i] therefore holds the same bytes at Parallel=8 as at
+// Parallel=1 (the *ParallelDeterminism tests pin this), which is what keeps
+// the seed-paired t-tests valid under parallel execution.
 
 // limiter bounds concurrent leaf runs. A nil limiter means serial: the
 // caller's loop runs inline with zero goroutines, exactly the pre-parallel
@@ -64,23 +64,31 @@ func runIndexed[T any](lim limiter, n int, fn func(int) T) []T {
 
 // fanIndexed evaluates coordination-level cells concurrently without
 // consuming budget tokens (see the package comment above for why). With a
-// nil limiter, cells run serially in index order.
-func fanIndexed[T any](lim limiter, n int, fn func(int) T) []T {
+// nil limiter, cells run serially in index order. Every cell runs; the
+// first error in cell order, whatever order the cells finished in, is
+// returned in place of the results.
+func fanIndexed[T any](lim limiter, n int, fn func(int) (T, error)) ([]T, error) {
 	out := make([]T, n)
+	errs := make([]error, n)
 	if lim == nil {
 		for i := 0; i < n; i++ {
-			out[i] = fn(i)
+			out[i], errs[i] = fn(i)
 		}
-		return out
+	} else {
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				out[i], errs[i] = fn(i)
+			}(i)
+		}
+		wg.Wait()
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			out[i] = fn(i)
-		}(i)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
-	wg.Wait()
-	return out
+	return out, nil
 }

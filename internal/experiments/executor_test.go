@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -56,14 +57,40 @@ func TestFanIndexedDoesNotConsumeBudget(t *testing.T) {
 	// coordinators would hold both tokens and their leaf runs would
 	// deadlock. Completion of this test is the assertion.
 	lim := limiterFor(Params{Parallel: 2})
-	cells := fanIndexed(lim, 8, func(c int) []int {
-		return runIndexed(lim, 4, func(i int) int { return c*10 + i })
+	cells, err := fanIndexed(lim, 8, func(c int) ([]int, error) {
+		return runIndexed(lim, 4, func(i int) int { return c*10 + i }), nil
 	})
+	if err != nil {
+		t.Fatalf("fanIndexed: %v", err)
+	}
 	for c, rs := range cells {
 		for i, v := range rs {
 			if v != c*10+i {
 				t.Fatalf("cell %d item %d = %d", c, i, v)
 			}
+		}
+	}
+}
+
+func TestFanIndexedReturnsFirstErrorInCellOrder(t *testing.T) {
+	for _, parallel := range []int{1, 4} {
+		lim := limiterFor(Params{Parallel: parallel})
+		var ran atomic.Int32
+		out, err := fanIndexed(lim, 8, func(c int) (int, error) {
+			ran.Add(1)
+			if c == 2 || c == 5 {
+				return 0, fmt.Errorf("cell %d failed", c)
+			}
+			return c, nil
+		})
+		if err == nil || err.Error() != "cell 2 failed" {
+			t.Errorf("parallel %d: err = %v, want cell 2's error", parallel, err)
+		}
+		if out != nil {
+			t.Errorf("parallel %d: results %v returned alongside the error", parallel, out)
+		}
+		if n := ran.Load(); n != 8 {
+			t.Errorf("parallel %d: %d of 8 cells ran", parallel, n)
 		}
 	}
 }
@@ -267,11 +294,10 @@ func TestAblationParallelDeterminism(t *testing.T) {
 		t.Fatalf("parallel RunAblation: %v", err)
 	}
 	for i := range serial {
-		s, q := serial[i], parallel[i]
-		s.CPUPerRun, q.CPUPerRun = 0, 0
-		if !reflect.DeepEqual(s, q) {
-			t.Errorf("ablation %s diverges:\nserial:   %+v\nparallel: %+v", serial[i].Variant, s, q)
+		if serial[i].Variant != parallel[i].Variant {
+			t.Fatalf("variant %d order differs", i)
 		}
+		requireSameStats(t, "ablation "+serial[i].Variant, serial[i].Stats, parallel[i].Stats)
 	}
 }
 

@@ -275,8 +275,23 @@ func TestRunFigure8Quick(t *testing.T) {
 		t.Fatalf("want 4 transfer cells, got %d", len(r.Cells))
 	}
 	for _, c := range r.Cells {
-		if c.Stats.FoundRuns == 0 {
+		rs := c.Stats
+		if rs.FoundRuns == 0 {
 			t.Errorf("cell %s->%s found nothing", c.TrainedOn, c.EvaluatedOn)
+		}
+		// RunStats' contract: objective slices hold the found runs only,
+		// and an unfound run's PerRun entry carries no objective values.
+		if len(rs.TTotal) != rs.FoundRuns || len(rs.FTotal) != rs.FoundRuns {
+			t.Errorf("cell %s->%s: %d T and %d F values for %d found runs",
+				c.TrainedOn, c.EvaluatedOn, len(rs.TTotal), len(rs.FTotal), rs.FoundRuns)
+		}
+		for i, rv := range rs.PerRun {
+			if rv.Seed != 7+int64(i) {
+				t.Errorf("cell %s->%s PerRun[%d].Seed = %d, want %d", c.TrainedOn, c.EvaluatedOn, i, rv.Seed, 7+i)
+			}
+			if !rv.Found && (rv.TTotal != 0 || rv.FTotal != 0) {
+				t.Errorf("cell %s->%s: unfound run %d carries T=%v F=%v", c.TrainedOn, c.EvaluatedOn, i, rv.TTotal, rv.FTotal)
+			}
 		}
 	}
 	if !strings.Contains(FormatFigure8(r), "transfer learning") {
@@ -295,9 +310,9 @@ func TestRunAblationQuick(t *testing.T) {
 	if len(results) != len(AblationVariants()) {
 		t.Fatalf("got %d variants", len(results))
 	}
-	byName := map[string]AblationResult{}
+	byName := map[string]RunStats{}
 	for _, r := range results {
-		byName[r.Variant] = r
+		byName[r.Variant] = r.Stats
 	}
 	full := byName["full"]
 	if full.FoundRuns != full.Runs {

@@ -35,10 +35,8 @@ type Figure3Result struct {
 // RunFigure3 fits both models on the harness's samples (Section 4.2) and
 // evaluates them on the given parameter setting. nnOpts controls the SGD
 // budget; the zero value selects Table 5's batch 1000 / 10000 epochs. seed
-// seeds the neural fit; both evaluations use the shared Evaluate machinery,
-// so their PerRun records are seed-paired run for run (an earlier
-// hand-rolled loop used a different seed schedule and recorded objective
-// values even for runs that never found the destination).
+// seeds the neural fit; both arms run through the shared run loop with the
+// runSeed schedule, so their PerRun records are seed-paired run for run.
 func (h *Harness) RunFigure3(ctx context.Context, p Params, nnOpts neural.TrainOptions, seed int64) (Figure3Result, error) {
 	out := Figure3Result{LinearTrainTime: h.LinearTrainTime}
 	nnModel, nnDur, err := approx.FitNeural(h.Pipe.Data, nnOpts, seed)
@@ -54,21 +52,24 @@ func (h *Harness) RunFigure3(ctx context.Context, p Params, nnOpts neural.TrainO
 	lim := limiterFor(p)
 	cp, cell := startCell(p, "cell.figure3")
 	defer cell.End()
-	lin, err := h.evaluateWith(ctx, AlgoApprox, cp, lim)
-	if err != nil {
+	if out.Linear, err = h.evaluateWith(ctx, AlgoApprox, cp, lim); err != nil {
 		return out, err
 	}
-	out.Linear = lin
-
-	nn, err := evaluateCustom(ctx, "NN-Approx-MaMoRL", cp, lim, func(run int, sc sim.Scenario) (sim.Planner, float64) {
-		pl := approx.NewPlanner(nnModel, h.Pipe.Extractor, runSeed(cp, run))
-		return pl, float64(pl.MemoryBytes(len(sc.Team)))
-	})
-	if err != nil {
-		return out, err
-	}
-	out.Neural = nn
-	return out, nil
+	const nnName = "NN-Approx-MaMoRL"
+	out.Neural, err = collectStats(nnName, runCell(ctx, cp, lim, nnName, func(run int, sp *trace.Span) runOutcome {
+		seed := runSeed(cp, run)
+		sc, err := scenarioFor(cp, run)
+		if err != nil {
+			return runOutcome{seed: seed, err: err}
+		}
+		start := time.Now()
+		pl := approx.NewPlanner(nnModel, h.Pipe.Extractor, seed)
+		pl.SetBudget(cp.Budget)
+		res, err := sim.RunContext(ctx, sc, pl, sim.RunOptions{TraceParent: sp, Budget: cp.Budget})
+		return runOutcome{seed: seed, res: res, cpu: time.Since(start),
+			mem: float64(pl.MemoryBytes(len(sc.Team))), err: err}
+	}))
+	return out, err
 }
 
 // FormatFigure3 renders the comparison.
@@ -107,26 +108,21 @@ func (h *Harness) RunFigure4(ctx context.Context, p Params) (Figure4Result, erro
 		FrontShare: make(map[string]int),
 	}
 	lim := limiterFor(p)
-	type algoOut struct {
-		rs  RunStats
-		err error
-	}
-	results := fanIndexed(lim, len(Figure4Algorithms), func(k int) algoOut {
+	results, err := fanIndexed(lim, len(Figure4Algorithms), func(k int) (RunStats, error) {
 		cp, cell := startCell(p, "cell.figure4", trace.String("algorithm", Figure4Algorithms[k]))
 		defer cell.End()
-		rs, err := h.evaluateWith(ctx, Figure4Algorithms[k], cp, lim)
-		return algoOut{rs, err}
+		return h.evaluateWith(ctx, Figure4Algorithms[k], cp, lim)
 	})
+	if err != nil {
+		return out, err
+	}
 	// The union is assembled serially in algorithm order, so the front is
 	// identical whatever order the evaluations finished in.
 	var union []stats.Point2
-	for k, r := range results {
-		if r.err != nil {
-			return out, r.err
-		}
+	for k, rs := range results {
 		algo := Figure4Algorithms[k]
-		for i := range r.rs.TTotal {
-			pt := stats.Point2{X: r.rs.FTotal[i], Y: r.rs.TTotal[i], Tag: algo}
+		for i := range rs.TTotal {
+			pt := stats.Point2{X: rs.FTotal[i], Y: rs.TTotal[i], Tag: algo}
 			out.Points[algo] = append(out.Points[algo], pt)
 			union = append(union, pt)
 		}
@@ -248,15 +244,10 @@ func (h *Harness) RunSweeps(ctx context.Context, subject string, base Params, qu
 	var out []SweepResult
 	for _, spec := range Sweeps(quick) {
 		spec := spec
-		sr := SweepResult{Param: spec.Param}
-		type ptOut struct {
-			pt  SweepPoint
-			err error
-		}
 		// Sweep points are independent cells; fan them out against the
 		// shared budget. (The episodes sweep additionally retrains a
 		// pipeline per point — bounded coordination-level work.)
-		pts := fanIndexed(lim, len(spec.Values), func(k int) ptOut {
+		pts, err := fanIndexed(lim, len(spec.Values), func(k int) (SweepPoint, error) {
 			v := spec.Values[k]
 			pv := spec.Apply(p, v)
 			hv := h
@@ -272,22 +263,19 @@ func (h *Harness) RunSweeps(ctx context.Context, subject string, base Params, qu
 					Tracer: p.Tracer,
 				})
 				if err != nil {
-					return ptOut{err: fmt.Errorf("sweep episodes=%d: harness: %w", v, err)}
+					return SweepPoint{}, fmt.Errorf("sweep episodes=%d: harness: %w", v, err)
 				}
 			}
 			pt, err := hv.sweepPoint(ctx, subject, pv, v, lim)
 			if err != nil {
-				return ptOut{err: fmt.Errorf("sweep %s=%d: %w", spec.Param, v, err)}
+				return SweepPoint{}, fmt.Errorf("sweep %s=%d: %w", spec.Param, v, err)
 			}
-			return ptOut{pt: pt}
+			return pt, nil
 		})
-		for _, po := range pts {
-			if po.err != nil {
-				return nil, po.err
-			}
-			sr.Points = append(sr.Points, po.pt)
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, sr)
+		out = append(out, SweepResult{Param: spec.Param, Points: pts})
 	}
 	return out, nil
 }
@@ -299,20 +287,13 @@ func (h *Harness) sweepPoint(ctx context.Context, subject string, p Params, valu
 	defer cell.End()
 	// The three algorithms of one point are themselves independent cells.
 	algos := []string{subject, AlgoBaseline1, AlgoRandomWalk}
-	type algoOut struct {
-		rs  RunStats
-		err error
-	}
-	results := fanIndexed(lim, len(algos), func(k int) algoOut {
-		rs, err := h.evaluateWith(ctx, algos[k], cp, lim)
-		return algoOut{rs, err}
+	results, err := fanIndexed(lim, len(algos), func(k int) (RunStats, error) {
+		return h.evaluateWith(ctx, algos[k], cp, lim)
 	})
-	for _, r := range results {
-		if r.err != nil {
-			return pt, r.err
-		}
+	if err != nil {
+		return pt, err
 	}
-	subj, b1, rw := results[0].rs, results[1].rs, results[2].rs
+	subj, b1, rw := results[0], results[1], results[2]
 	pt.Subject, pt.B1, pt.RW = subj, b1, rw
 	pt.RITimeVsB1 = stats.RelativeImprovement(b1.MeanT(), subj.MeanT())
 	pt.RIFuelVsB1 = stats.RelativeImprovement(b1.MeanF(), subj.MeanF())
@@ -375,18 +356,13 @@ type Figure8Result struct {
 	Cells []TransferCell
 }
 
-// TransferGridSize truncates the ocean meshes for quick runs; 0 keeps the
-// full Table 3 sizes.
+// Figure8Options configures the transfer study.
 type Figure8Options struct {
+	// Runs is the number of seeded missions per transfer cell (0 selects
+	// 10); run `run` seeds its planner with Seed + run.
 	Runs int
+	// Seed seeds both basin pipelines and the evaluation runs.
 	Seed int64
-	// TrainRegionSize is the subregion carved from each basin to host the
-	// exact-MaMoRL sample source (default 50 nodes, the paper's training
-	// grid size).
-	TrainRegionSize int
-	// EvalAssets, EvalMaxSpeed configure the evaluation missions.
-	EvalAssets   int
-	EvalMaxSpeed int
 	// Parallel caps concurrent evaluation runs across all four transfer
 	// cells (0 or 1 = serial), mirroring Params.Parallel.
 	Parallel int
@@ -396,21 +372,14 @@ type Figure8Options struct {
 	Progress *Progress
 }
 
-func (o Figure8Options) withDefaults() Figure8Options {
-	if o.Runs == 0 {
-		o.Runs = 10
-	}
-	if o.TrainRegionSize == 0 {
-		o.TrainRegionSize = 50
-	}
-	if o.EvalAssets == 0 {
-		o.EvalAssets = 2
-	}
-	if o.EvalMaxSpeed == 0 {
-		o.EvalMaxSpeed = 3
-	}
-	return o
-}
+const (
+	// trainRegionSize is the subregion carved from each basin to host the
+	// exact-MaMoRL sample source: the paper's 50-node training grid.
+	trainRegionSize = 50
+	// evalAssets and evalMaxSpeed configure the evaluation missions.
+	evalAssets   = 2
+	evalMaxSpeed = 3
+)
 
 // RunFigure8 reproduces the transfer-learning study: a policy trained on
 // the Caribbean grid plans on the North America Shore grid and vice versa,
@@ -419,114 +388,66 @@ func (o Figure8Options) withDefaults() Figure8Options {
 // 50-node connected subregion of it — the same size as the paper's
 // training grid.
 func RunFigure8(ctx context.Context, carib, naShore *grid.Grid, opts Figure8Options) (Figure8Result, error) {
-	opts = opts.withDefaults()
+	if opts.Runs == 0 {
+		opts.Runs = 10
+	}
 	basins := []struct {
 		name string
 		g    *grid.Grid
 	}{{"caribbean", carib}, {"north-america-shore", naShore}}
-	lim := limiterFor(Params{Parallel: opts.Parallel})
+	p := Params{Runs: opts.Runs, Seed: opts.Seed, Parallel: opts.Parallel,
+		Tracer: opts.Tracer, Progress: opts.Progress}
+	lim := limiterFor(p)
 
 	// Train one pipeline per basin; the two trainings are independent
 	// coordination-level cells.
-	type modelOut struct {
-		h   *Harness
-		err error
-	}
-	trainings := fanIndexed(lim, len(basins), func(b int) modelOut {
+	models, err := fanIndexed(lim, len(basins), func(b int) (*Harness, error) {
 		basin := basins[b]
 		start := basin.g.NearestNode(basin.g.Bounds().Center())
-		region := grid.Neighborhood(basin.g, start, opts.TrainRegionSize)
+		region := grid.Neighborhood(basin.g, start, trainRegionSize)
 		sub, err := grid.Subgraph(basin.g, region, basin.name+"-train")
 		if err != nil {
-			return modelOut{err: fmt.Errorf("figure 8: %s training region: %w", basin.name, err)}
+			return nil, fmt.Errorf("figure 8: %s training region: %w", basin.name, err)
 		}
-		h, err := NewHarness(approx.TrainConfig{Grid: sub, Seed: opts.Seed, MaxSpeed: opts.EvalMaxSpeed, Tracer: opts.Tracer})
+		h, err := NewHarness(approx.TrainConfig{Grid: sub, Seed: opts.Seed, MaxSpeed: evalMaxSpeed, Tracer: opts.Tracer})
 		if err != nil {
-			return modelOut{err: fmt.Errorf("figure 8: %s pipeline: %w", basin.name, err)}
+			return nil, fmt.Errorf("figure 8: %s pipeline: %w", basin.name, err)
 		}
-		return modelOut{h: h}
+		return h, nil
 	})
-	models := make(map[string]*Harness)
-	for b, t := range trainings {
-		if t.err != nil {
-			return Figure8Result{}, t.err
-		}
-		models[basins[b].name] = t.h
+	if err != nil {
+		return Figure8Result{}, err
 	}
 
 	// The four train×eval cells fan out, each running its seeded missions
 	// through the leaf-level budget at fixed run indices.
-	type cellOut struct {
-		cell TransferCell
-		err  error
-	}
-	cells := fanIndexed(lim, len(basins)*len(basins), func(c int) cellOut {
-		trained, eval := basins[c/len(basins)], basins[c%len(basins)]
-		h := models[trained.name]
-		cell := opts.Tracer.Start("cell.figure8",
-			trace.String("trained_on", trained.name), trace.String("evaluated_on", eval.name))
+	cells, err := fanIndexed(lim, len(basins)*len(basins), func(c int) (TransferCell, error) {
+		trained, eval := c/len(basins), c%len(basins)
+		h := models[trained]
+		cp, cell := startCell(p, "cell.figure8",
+			trace.String("trained_on", basins[trained].name), trace.String("evaluated_on", basins[eval].name))
 		defer cell.End()
-		opts.Progress.Expect(opts.Runs)
-		type f8Out struct {
-			res sim.Result
-			cpu time.Duration
-			err error
-		}
-		outs := runIndexed(lim, opts.Runs, func(run int) f8Out {
-			sp := cell.Child("run",
-				trace.Int("run", int64(run)), trace.Int("seed", opts.Seed+int64(run)))
-			defer func() {
-				sp.End()
-				opts.Progress.RunDone()
-			}()
-			if err := ctx.Err(); err != nil {
-				return f8Out{err: err}
-			}
-			sc, err := missionOnGrid(eval.g, opts, run)
+		rs, err := collectStats(AlgoApprox, runCell(ctx, cp, lim, AlgoApprox, func(run int, sp *trace.Span) runOutcome {
+			seed := opts.Seed + int64(run)
+			sc, err := missionOnGrid(basins[eval].g, run)
 			if err != nil {
-				return f8Out{err: err}
+				return runOutcome{seed: seed, err: err}
 			}
-			pl := approx.NewPlanner(h.Linear, h.Pipe.Extractor, opts.Seed+int64(run))
+			pl := approx.NewPlanner(h.Linear, h.Pipe.Extractor, seed)
 			start := time.Now()
 			res, err := sim.RunContext(ctx, sc, pl, sim.RunOptions{TraceParent: sp})
-			if sp.Enabled() && err == nil {
-				sp.SetAttrs(trace.Bool("found", res.Found), trace.Int("steps", int64(res.Steps)))
-			}
-			return f8Out{res: res, cpu: time.Since(start), err: err}
-		})
-		rs := RunStats{Algorithm: AlgoApprox, Runs: opts.Runs}
-		for run, o := range outs {
-			if o.err != nil {
-				return cellOut{err: o.err}
-			}
-			rs.CPUTime += o.cpu
-			if o.res.Found {
-				rs.FoundRuns++
-			}
-			rs.PerRun = append(rs.PerRun, RunValue{
-				Seed: opts.Seed + int64(run), Found: o.res.Found,
-				TTotal: o.res.TTotal, FTotal: o.res.FTotal,
-			})
-			rs.TTotal = append(rs.TTotal, o.res.TTotal)
-			rs.FTotal = append(rs.FTotal, o.res.FTotal)
-		}
-		return cellOut{cell: TransferCell{TrainedOn: trained.name, EvaluatedOn: eval.name, Stats: rs}}
+			return runOutcome{seed: seed, res: res, cpu: time.Since(start), err: err}
+		}))
+		return TransferCell{TrainedOn: basins[trained].name, EvaluatedOn: basins[eval].name, Stats: rs}, err
 	})
-	var out Figure8Result
-	for _, c := range cells {
-		if c.err != nil {
-			return out, c.err
-		}
-		out.Cells = append(out.Cells, c.cell)
-	}
-	return out, nil
+	return Figure8Result{Cells: cells}, err
 }
 
 // missionOnGrid builds a seeded evaluation mission on an arbitrary grid:
 // team spread from a seeded start, destination at the farthest node.
-func missionOnGrid(g *grid.Grid, opts Figure8Options, run int) (sim.Scenario, error) {
+func missionOnGrid(g *grid.Grid, run int) (sim.Scenario, error) {
 	// Vary the team placement per run by rotating source selection.
-	sc, err := approx.TrainingScenario(g, opts.EvalAssets, opts.EvalMaxSpeed, 1.2, 3)
+	sc, err := approx.TrainingScenario(g, evalAssets, evalMaxSpeed, 1.2, 3)
 	if err != nil {
 		return sim.Scenario{}, err
 	}

@@ -116,24 +116,21 @@ func (r RunStats) MeanF() float64 { return stats.Mean(r.FTotal) }
 // of bytes, reported honestly rather than copied from the paper.
 func baselineStateBytes(nAssets int) float64 { return float64(256 + 48*nAssets) }
 
-// runOutcome carries one seeded run's results through the (possibly
-// parallel) evaluation loop.
+// runOutcome is what a leaf returns for one seeded run: the seed its
+// planner got, the mission result, the planner's CPU time and memory
+// footprint, or the error that stopped the run.
 type runOutcome struct {
-	res sim.Result
-	cpu time.Duration
-	mem float64
-	err error
+	seed int64
+	res  sim.Result
+	cpu  time.Duration
+	mem  float64
+	err  error
 }
 
-// runSeed is the planner seed of run index `run` under p: the single place
-// the seed schedule lives, so PerRun records and re-runs agree on it.
+// runSeed is the planner seed of run index `run` under p: the seed schedule
+// of the named algorithms and Figure 3's neural arm.
 func runSeed(p Params, run int) int64 { return p.Seed + int64(run)*104729 }
 
-// instrumentRun wraps one leaf run with the whole observability surface:
-// the in-flight gauge, the per-run span (handed to fn so the mission can
-// nest under it), the runs_total counter, and the progress tick. With no
-// tracer/metrics/progress configured every branch is a nil check and fn
-// runs untouched — determinism never depends on instrumentation.
 // RegisterMetricsHelp documents the experiment metric names for the
 // Prometheus exposition (# HELP lines). Drivers that hand a registry to
 // Params.Metrics call it once up front.
@@ -144,40 +141,46 @@ func RegisterMetricsHelp(m *obs.Registry) {
 	m.SetHelp("trace_spans_total", "Spans completed by the suite tracer, by span name.")
 }
 
-func instrumentRun(p Params, algo string, run int, fn func(sp *trace.Span) runOutcome) runOutcome {
-	if p.Metrics != nil {
-		g := p.Metrics.Gauge("experiments_inflight_runs")
-		g.Inc()
-		defer g.Dec()
-	}
-	var sp *trace.Span
-	if p.traceParent != nil {
-		sp = p.traceParent.Child("run")
-	} else if p.Tracer.Enabled() {
-		sp = p.Tracer.Start("run")
-	}
-	if sp.Enabled() {
-		sp.SetAttrs(
-			trace.String("algorithm", algo),
-			trace.Int("run", int64(run)),
-			trace.Int("seed", runSeed(p, run)))
-	}
-	out := fn(sp)
-	if sp.Enabled() {
-		if out.err != nil {
-			sp.SetAttrs(trace.String("error", out.err.Error()))
-		} else {
-			sp.SetAttrs(
-				trace.Bool("found", out.res.Found),
-				trace.Int("steps", int64(out.res.Steps)))
+// runCell is the one seeded run loop every driver goes through: it calls
+// leaf for each of a cell's p.Runs runs under the shared budget and returns
+// the outcomes at their run indices, whatever order they completed in. A
+// leaf builds one run's mission and planner from its run index alone, runs
+// it with the mission nested under the run span it is handed, and reports
+// the seed its planner got. Around each run the loop skips the leaf once
+// ctx is done, keeps the in-flight gauge, records the run span (tagged with
+// that seed), counts experiments_runs_total by name and ticks the progress
+// reporter. With no tracer, metrics or progress configured every branch is
+// a nil check — determinism never depends on instrumentation.
+func runCell(ctx context.Context, p Params, lim limiter, name string, leaf func(run int, sp *trace.Span) runOutcome) []runOutcome {
+	p.Progress.Expect(p.Runs)
+	return runIndexed(lim, p.Runs, func(run int) runOutcome {
+		if p.Metrics != nil {
+			g := p.Metrics.Gauge("experiments_inflight_runs")
+			g.Inc()
+			defer g.Dec()
 		}
-		sp.End()
-	}
-	if p.Metrics != nil {
-		p.Metrics.Counter("experiments_runs_total", "algorithm", algo).Inc()
-	}
-	p.Progress.RunDone()
-	return out
+		_, sp := startCell(p, "run", trace.String("algorithm", name), trace.Int("run", int64(run)))
+		out := runOutcome{err: ctx.Err()}
+		if out.err == nil {
+			out = leaf(run, sp)
+			sp.SetAttrs(trace.Int("seed", out.seed))
+		}
+		if sp.Enabled() {
+			if out.err != nil {
+				sp.SetAttrs(trace.String("error", out.err.Error()))
+			} else {
+				sp.SetAttrs(
+					trace.Bool("found", out.res.Found),
+					trace.Int("steps", int64(out.res.Steps)))
+			}
+			sp.End()
+		}
+		if p.Metrics != nil {
+			p.Metrics.Counter("experiments_runs_total", "algorithm", name).Inc()
+		}
+		p.Progress.RunDone()
+		return out
+	})
 }
 
 // Evaluate runs one algorithm over p.Runs seeded instances, in parallel if
@@ -191,76 +194,30 @@ func (h *Harness) Evaluate(ctx context.Context, algo string, p Params) (RunStats
 }
 
 // evaluateWith is Evaluate against a caller-owned run budget, so that a
-// driver fanning out many cells (Table 6, the sweeps, Figure 8) shares one
-// limiter across all of their inner run loops instead of multiplying
-// p.Parallel by the cell count.
-func (h *Harness) evaluateWith(ctx context.Context, algo string, p Params, lim limiter) (RunStats, error) {
-	p.Progress.Expect(p.Runs)
-	outcomes := runIndexed(lim, p.Runs, func(run int) runOutcome {
-		return instrumentRun(p, algo, run, func(sp *trace.Span) runOutcome {
-			if err := ctx.Err(); err != nil {
-				return runOutcome{err: err}
-			}
-			sc, err := scenarioFor(p, run)
-			if err != nil {
-				return runOutcome{err: err}
-			}
-			res, cpu, mem, err := h.runOne(ctx, algo, sc, p, run, sp)
-			if err != nil && errors.Is(err, core.ErrMemoryBudget) {
-				numActions := core.InstanceActions(sc.Grid, sc.Team)
-				return runOutcome{
-					err: err,
-					mem: core.QTableBytes(sc.Grid.NumNodes(), len(sc.Team), numActions, sc.Team.MaxSpeedOver()),
-				}
-			}
-			return runOutcome{res: res, cpu: cpu, mem: mem, err: err}
-		})
-	})
-	return collectStats(algo, p, outcomes)
+// driver fanning out many cells (Table 6, the sweeps, Figure 4) shares one
+// limiter across all of their run loops instead of multiplying p.Parallel
+// by the cell count.
+func (h *Harness) evaluateWith(ctx context.Context, title string, p Params, lim limiter) (RunStats, error) {
+	return collectStats(title, runCell(ctx, p, lim, title, func(run int, sp *trace.Span) runOutcome {
+		return h.runOne(ctx, title, p, run, sp)
+	}))
 }
 
-// evaluateCustom runs an ad-hoc planner (one not named in AllAlgorithms)
-// over the same seeded scenarios, run loop, and aggregation as Evaluate, so
-// custom comparisons (Figure 3's neural model) stay seed-paired with the
-// named algorithms instead of hand-rolling a drifting copy of the loop.
-// mk constructs the run's planner and reports its memory footprint.
-func evaluateCustom(ctx context.Context, name string, p Params, lim limiter,
-	mk func(run int, sc sim.Scenario) (sim.Planner, float64)) (RunStats, error) {
-
-	p.Progress.Expect(p.Runs)
-	outcomes := runIndexed(lim, p.Runs, func(run int) runOutcome {
-		return instrumentRun(p, name, run, func(sp *trace.Span) runOutcome {
-			if err := ctx.Err(); err != nil {
-				return runOutcome{err: err}
-			}
-			sc, err := scenarioFor(p, run)
-			if err != nil {
-				return runOutcome{err: err}
-			}
-			start := time.Now()
-			pl, mem := mk(run, sc)
-			if ap, ok := pl.(*approx.Planner); ok {
-				ap.SetBudget(p.Budget)
-			}
-			res, err := sim.RunContext(ctx, sc, pl, sim.RunOptions{TraceParent: sp, Budget: p.Budget})
-			return runOutcome{res: res, cpu: time.Since(start), mem: mem, err: err}
-		})
-	})
-	return collectStats(name, p, outcomes)
-}
-
-// collectStats folds per-run outcomes (in run order, whatever order they
-// completed in) into RunStats.
-func collectStats(algo string, p Params, outcomes []runOutcome) (RunStats, error) {
-	rs := RunStats{Algorithm: algo, Runs: p.Runs}
-	rs.PerRun = make([]RunValue, p.Runs)
+// collectStats is the one fold of run outcomes (in run order) into
+// RunStats. Every PerRun entry carries the seed its run's planner got; only
+// runs that found the destination without a collision abort contribute
+// objective values.
+func collectStats(name string, outcomes []runOutcome) (RunStats, error) {
+	runs := len(outcomes)
+	rs := RunStats{Algorithm: name, Runs: runs}
+	rs.PerRun = make([]RunValue, runs)
 	for run, out := range outcomes {
-		rs.PerRun[run] = RunValue{Seed: runSeed(p, run)}
+		rs.PerRun[run] = RunValue{Seed: out.seed}
 		if out.err != nil {
 			if errors.Is(out.err, core.ErrMemoryBudget) {
 				return RunStats{
-					Algorithm:   algo,
-					Runs:        p.Runs,
+					Algorithm:   name,
+					Runs:        runs,
 					NA:          true,
 					NAReason:    "exceeds memory budget",
 					MemoryBytes: out.mem,
@@ -292,10 +249,10 @@ func collectStats(algo string, p Params, outcomes []runOutcome) (RunStats, error
 	if len(rs.TTotal) == 0 {
 		rs.NA = true
 		switch {
-		case rs.AbortedRuns == p.Runs:
-			rs.NAReason = fmt.Sprintf("collisions aborted all %d runs", p.Runs)
+		case rs.AbortedRuns == runs:
+			rs.NAReason = fmt.Sprintf("collisions aborted all %d runs", runs)
 		case rs.AbortedRuns > 0:
-			rs.NAReason = fmt.Sprintf("collisions aborted %d/%d runs, rest timed out", rs.AbortedRuns, p.Runs)
+			rs.NAReason = fmt.Sprintf("collisions aborted %d/%d runs, rest timed out", rs.AbortedRuns, runs)
 		default:
 			rs.NAReason = "no run discovered the destination"
 		}
@@ -303,11 +260,16 @@ func collectStats(algo string, p Params, outcomes []runOutcome) (RunStats, error
 	return rs, nil
 }
 
-// runOne executes a single seeded run of an algorithm, returning the
-// mission result, the planner CPU time, and the planner memory footprint.
-// The mission aborts between epochs when ctx is cancelled.
-func (h *Harness) runOne(ctx context.Context, title string, sc sim.Scenario, p Params, run int, sp *trace.Span) (sim.Result, time.Duration, float64, error) {
+// runOne is the leaf of a named algorithm: it builds run `run`'s seeded
+// instance, constructs the planner with runSeed(p, run) and runs the
+// mission, reporting the planner's CPU time and memory footprint. The
+// mission aborts between epochs when ctx is cancelled.
+func (h *Harness) runOne(ctx context.Context, title string, p Params, run int, sp *trace.Span) runOutcome {
 	seed := runSeed(p, run)
+	sc, err := scenarioFor(p, run)
+	if err != nil {
+		return runOutcome{seed: seed, err: err}
+	}
 	opts := sim.RunOptions{TraceParent: sp, Budget: p.Budget}
 	start := time.Now()
 	// Exact MaMoRL trains on each instance and reports its Lemma 2 table
@@ -315,18 +277,22 @@ func (h *Harness) runOne(ctx context.Context, title string, sc sim.Scenario, p P
 	if title == AlgoMaMoRL {
 		pl, err := core.NewPlanner(sc, core.Config{Episodes: p.Episodes, Seed: seed, Budget: p.Budget}, rewardfn.DefaultWeights())
 		if err != nil {
-			return sim.Result{}, 0, 0, err
+			out := runOutcome{seed: seed, err: err}
+			if errors.Is(err, core.ErrMemoryBudget) {
+				numActions := core.InstanceActions(sc.Grid, sc.Team)
+				out.mem = core.QTableBytes(sc.Grid.NumNodes(), len(sc.Team), numActions, sc.Team.MaxSpeedOver())
+			}
+			return out
 		}
 		if err := pl.Train(); err != nil {
-			return sim.Result{}, 0, 0, err
+			return runOutcome{seed: seed, err: err}
 		}
 		res, err := sim.RunContext(ctx, sc, pl, opts)
-		st := pl.TableStats()
-		return res, time.Since(start), st.DenseQBytes, err
+		return runOutcome{seed: seed, res: res, cpu: time.Since(start), mem: pl.TableStats().DenseQBytes, err: err}
 	}
 	alg, err := algo.ByTitle(title)
 	if err != nil {
-		return sim.Result{}, 0, 0, fmt.Errorf("experiments: %w", err)
+		return runOutcome{seed: seed, err: fmt.Errorf("experiments: %w", err)}
 	}
 	if title == AlgoRandomWalk {
 		// A random walk's hitting time is orders of magnitude beyond a
@@ -337,7 +303,7 @@ func (h *Harness) runOne(ctx context.Context, title string, sc sim.Scenario, p P
 	pl, err := alg.New(algo.Inputs{Scenario: sc, Model: h.Linear, Ext: h.Pipe.Extractor,
 		Region: partial.DestRegion(sc), Seed: seed, Budget: p.Budget})
 	if err != nil {
-		return sim.Result{}, 0, 0, err
+		return runOutcome{seed: seed, err: err}
 	}
 	opts.Collision = alg.Collision
 	res, err := sim.RunContext(ctx, sc, pl, opts)
@@ -346,5 +312,5 @@ func (h *Harness) runOne(ctx context.Context, title string, sc sim.Scenario, p P
 		// approx.Planner.MemoryBytes: the learned weights, per asset.
 		mem = float64(len(sc.Team) * h.Linear.Bytes())
 	}
-	return res, time.Since(start), mem, err
+	return runOutcome{seed: seed, res: res, cpu: time.Since(start), mem: mem, err: err}
 }

@@ -141,3 +141,43 @@ func TestTracingDeterminism(t *testing.T) {
 		t.Fatalf("progress never painted: %q", sb.String())
 	}
 }
+
+// TestAblationRunSpansReportPlannerSeed pins that each run span names the
+// seed its planner got: the ablation seeds run `run` with Seed + 31·run,
+// not the runSeed schedule of the named algorithms.
+func TestAblationRunSpansReportPlannerSeed(t *testing.T) {
+	h := harness(t)
+	p := smallParams()
+	p.Runs = 2
+	ring := trace.NewRing(1024)
+	p.Tracer = trace.New(ring)
+	rows, err := h.RunAblation(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs int
+	for _, s := range ring.Snapshot() {
+		if s.Name != "run" {
+			continue
+		}
+		runs++
+		run, okRun := trace.GetAttr(s.Attrs, "run")
+		seed, okSeed := trace.GetAttr(s.Attrs, "seed")
+		if !okRun || !okSeed {
+			t.Fatalf("run span lacks run or seed attr: %+v", s.Attrs)
+		}
+		if want := p.Seed + 31*run.IntVal(); seed.IntVal() != want {
+			t.Errorf("run %d span seed = %d, want %d", run.IntVal(), seed.IntVal(), want)
+		}
+	}
+	if want := p.Runs * len(AblationVariants()); runs != want {
+		t.Fatalf("%d run spans, want %d", runs, want)
+	}
+	for _, r := range rows {
+		for i, rv := range r.Stats.PerRun {
+			if want := p.Seed + 31*int64(i); rv.Seed != want {
+				t.Errorf("%s PerRun[%d].Seed = %d, want %d", r.Variant, i, rv.Seed, want)
+			}
+		}
+	}
+}

@@ -3,7 +3,10 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
+
+	"github.com/routeplanning/mamorl/internal/sim"
 )
 
 // mkStats builds a RunStats whose PerRun marks exactly the given run
@@ -149,5 +152,43 @@ func TestEvaluateCancellation(t *testing.T) {
 	_, err := h.Evaluate(ctx, AlgoApprox, smallParams())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestCollectStatsContract pins the one fold every driver shares: each
+// PerRun entry carries its run's seed, objective values come only from
+// runs that found the destination without a collision abort (an unfound
+// run keeps zero T and F), and NA names why nothing was found.
+func TestCollectStatsContract(t *testing.T) {
+	outs := []runOutcome{
+		{seed: 10, res: sim.Result{Found: true, TTotal: 5, FTotal: 50}},
+		{seed: 11, res: sim.Result{TTotal: 9, FTotal: 90}}, // timed out
+		{seed: 12, res: sim.Result{Found: true, Aborted: true, Collisions: 1, TTotal: 7, FTotal: 70}},
+		{seed: 13, res: sim.Result{Found: true, Collisions: 2, TTotal: 6, FTotal: 60}},
+	}
+	rs, err := collectStats("x", outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := RunStats{
+		Algorithm: "x", Runs: 4,
+		PerRun: []RunValue{
+			{Seed: 10, Found: true, TTotal: 5, FTotal: 50},
+			{Seed: 11}, {Seed: 12},
+			{Seed: 13, Found: true, TTotal: 6, FTotal: 60},
+		},
+		TTotal: []float64{5, 6}, FTotal: []float64{50, 60},
+		FoundRuns: 2, CollidedRuns: 2, AbortedRuns: 1,
+	}
+	if !reflect.DeepEqual(rs, want) {
+		t.Fatalf("fold:\n got %+v\nwant %+v", rs, want)
+	}
+
+	rs, err = collectStats("x", outs[1:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rs.NA || rs.NAReason != "collisions aborted 1/2 runs, rest timed out" || rs.TTotal != nil {
+		t.Fatalf("no found run: NA=%v reason=%q T=%v", rs.NA, rs.NAReason, rs.TTotal)
 	}
 }

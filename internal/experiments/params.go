@@ -70,12 +70,16 @@ type Params struct {
 	// set it via startCell; it is unexported so the public API stays
 	// Tracer-only.
 	traceParent *trace.Span
+	// rendezvous makes every run's mission continue past discovery until
+	// the team gathers (Scenario.Rendezvous); only RunRendezvous sets it.
+	rendezvous bool
 }
 
-// startCell opens one cell span named name under p's tracer (or under an
-// enclosing cell), returning Params whose leaf runs parent under it. The
-// caller must End the returned span; a nil tracer yields a nil span and the
-// original Params, so call sites need no conditionals.
+// startCell opens one span named name under p's tracer (or under an
+// enclosing cell), returning Params whose leaf runs parent under it; runCell
+// opens its run spans with it too. The caller must End the returned span; a
+// nil tracer yields a nil span and the original Params, so call sites need
+// no conditionals.
 func startCell(p Params, name string, attrs ...trace.Attr) (Params, *trace.Span) {
 	var sp *trace.Span
 	if p.traceParent != nil {
@@ -131,5 +135,6 @@ func scenarioFor(p Params, run int) (sim.Scenario, error) {
 		return sim.Scenario{}, err
 	}
 	sc.CommRange = p.CommRange
+	sc.Rendezvous = p.rendezvous
 	return sc, nil
 }

@@ -28,80 +28,34 @@ type RendezvousRow struct {
 func (h *Harness) RunRendezvous(ctx context.Context, p Params) ([]RendezvousRow, error) {
 	algos := []string{AlgoApprox, AlgoApproxPK, AlgoBaseline1, AlgoBaseline2}
 	lim := limiterFor(p)
-	type rowOut struct {
-		row RendezvousRow
-		err error
-	}
-	rows := fanIndexed(lim, len(algos), func(k int) rowOut {
+	p.rendezvous = true
+	return fanIndexed(lim, len(algos), func(k int) (RendezvousRow, error) {
 		algo := algos[k]
-		row := RendezvousRow{Algorithm: algo}
 		cp, cell := startCell(p, "cell.rendezvous", trace.String("algorithm", algo))
 		defer cell.End()
-		cp.Progress.Expect(cp.Runs)
-		outs := runIndexed(lim, cp.Runs, func(run int) runOutcome {
-			return instrumentRun(cp, algo, run, func(sp *trace.Span) runOutcome {
-				if err := ctx.Err(); err != nil {
-					return runOutcome{err: err}
-				}
-				sc, err := scenarioFor(cp, run)
-				if err != nil {
-					return runOutcome{err: err}
-				}
-				sc.Rendezvous = true
-				res, cpu, mem, err := h.runOne(ctx, algo, sc, cp, run, sp)
-				if err != nil {
-					return runOutcome{err: fmt.Errorf("rendezvous %s run %d: %w", algo, run, err)}
-				}
-				return runOutcome{res: res, cpu: cpu, mem: mem}
-			})
+		outs := runCell(ctx, cp, lim, algo, func(run int, sp *trace.Span) runOutcome {
+			return h.runOne(ctx, algo, cp, run, sp)
 		})
+		rs, err := collectStats(algo, outs)
+		if err != nil {
+			return RendezvousRow{}, fmt.Errorf("rendezvous %s: %w", algo, err)
+		}
+		row := RendezvousRow{Algorithm: algo, Stats: rs}
+		// The search share averages over the runs the fold counts as found;
+		// a discovery at step 0 has no share.
 		var fracSum float64
 		var fracN int
-		rs := RunStats{Algorithm: algo, Runs: p.Runs, PerRun: make([]RunValue, p.Runs)}
-		for run, o := range outs {
-			rs.PerRun[run] = RunValue{Seed: runSeed(p, run)}
-			if o.err != nil {
-				return rowOut{err: o.err}
-			}
-			rs.CPUTime += o.cpu
-			rs.MemoryBytes = o.mem
-			if o.res.Aborted {
-				rs.AbortedRuns++
-				rs.CollidedRuns++
-				continue
-			}
-			if o.res.Collisions > 0 {
-				rs.CollidedRuns++
-			}
-			if o.res.Found && o.res.Steps > 0 {
-				rs.FoundRuns++
-				rs.PerRun[run].Found = true
-				rs.PerRun[run].TTotal = o.res.TTotal
-				rs.PerRun[run].FTotal = o.res.FTotal
-				rs.TTotal = append(rs.TTotal, o.res.TTotal)
-				rs.FTotal = append(rs.FTotal, o.res.FTotal)
+		for _, o := range outs {
+			if o.res.Found && !o.res.Aborted && o.res.Steps > 0 {
 				fracSum += float64(o.res.DiscoverySteps) / float64(o.res.Steps)
 				fracN++
 			}
 		}
-		if len(rs.TTotal) == 0 {
-			rs.NA = true
-			rs.NAReason = "no completed rendezvous"
-		}
-		row.Stats = rs
 		if fracN > 0 {
 			row.MeanDiscoveryFrac = fracSum / float64(fracN)
 		}
-		return rowOut{row: row}
+		return row, nil
 	})
-	out := make([]RendezvousRow, 0, len(rows))
-	for _, r := range rows {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.row)
-	}
-	return out, nil
 }
 
 // FormatRendezvous renders the study.

@@ -51,30 +51,18 @@ func (h *Harness) RunTable6(ctx context.Context, base Params) ([]Table6Row, erro
 // runTable6 is RunTable6 over an explicit scenario list and budget (tests
 // use reduced scenario sets).
 func (h *Harness) runTable6(ctx context.Context, scenarios []Table6Scenario, lim limiter) ([]Table6Row, error) {
-	type cellOut struct {
-		row Table6Row
-		err error
-	}
 	nAlgos := len(AllAlgorithms)
-	cells := fanIndexed(lim, len(scenarios)*nAlgos, func(c int) cellOut {
+	return fanIndexed(lim, len(scenarios)*nAlgos, func(c int) (Table6Row, error) {
 		sc, algo := scenarios[c/nAlgos], AllAlgorithms[c%nAlgos]
 		cp, cell := startCell(sc.Params, "cell.table6",
 			trace.String("scenario", sc.Label), trace.String("algorithm", algo))
 		defer cell.End()
 		rs, err := h.evaluateWith(ctx, algo, cp, lim)
 		if err != nil {
-			return cellOut{err: fmt.Errorf("table 6, %s / %s: %w", sc.Label, algo, err)}
+			return Table6Row{}, fmt.Errorf("table 6, %s / %s: %w", sc.Label, algo, err)
 		}
-		return cellOut{row: Table6Row{Scenario: sc.Label, Algorithm: algo, Stats: rs}}
+		return Table6Row{Scenario: sc.Label, Algorithm: algo, Stats: rs}, nil
 	})
-	rows := make([]Table6Row, 0, len(cells))
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, c.err
-		}
-		rows = append(rows, c.row)
-	}
-	return rows, nil
 }
 
 // FormatTable6 renders the rows the way the paper's Table 6 reads.

@@ -25,8 +25,10 @@ test:
 race:
 	$(GO) test -race ./internal/... .
 
-# race-exec focuses the detector on the parallel experiment executor, the
-# simulator it fans out over, the lock-free trace ring they emit into, the
+# race-exec focuses the detector on the parallel experiment executor and the
+# instance cache its leaf runs share (one per driver call: each seeded grid
+# built once, by the first leaf to ask, while the others wait on its once),
+# the simulator it fans out over, the lock-free trace ring they emit into, the
 # metrics sampler/SSE fan-out, the SLO burn-rate engine, the async job
 # queue, the resource-budget accounting, the model registry, the
 # data-parallel training stack (neural/linreg worker pools, flat sample
@@ -46,7 +48,7 @@ loadgen-smoke:
 # bench-smoke runs the hot-path micro-benchmarks once each, so benchmark
 # set-up that panics fails the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ApproxDecide' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ApproxDecide|ExactDecide|MissionStep|GenerateSynthetic' -benchtime 1x .
 
 # experiments-smoke runs every experiment driver but the sweeps once at
 # quick scale through the CLI, which has no tests of its own; it exits 1 if

@@ -10,10 +10,13 @@ import (
 	"testing"
 
 	"github.com/routeplanning/mamorl/internal/approx"
+	"github.com/routeplanning/mamorl/internal/baselines"
+	"github.com/routeplanning/mamorl/internal/core"
 	"github.com/routeplanning/mamorl/internal/experiments"
 	"github.com/routeplanning/mamorl/internal/graphalg"
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/limits"
+	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
 )
 
@@ -203,5 +206,59 @@ func TestSensingQueryAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("ForEachWithinRadius past the table limit allocates %.2f objects/call, want 0", avg)
+	}
+}
+
+// TestRandomWalkDecideAllocs: the random walk enumerates its legal actions
+// into a reused buffer, so a warmed Decide allocates nothing.
+func TestRandomWalkDecideAllocs(t *testing.T) {
+	m := decisionMission(t)
+	pl := baselines.NewRandomWalk(1)
+	n := m.NumAssets()
+	for i := 0; i < 64; i++ {
+		_ = pl.Decide(m, i%n)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(256, func() {
+		_ = pl.Decide(m, i%n)
+		i++
+	})
+	if avg != 0 {
+		t.Fatalf("random-walk Decide allocates %.2f objects/call, want 0", avg)
+	}
+}
+
+// TestExactDecideAllocs pins exact MaMoRL's greedy Decide on the
+// BenchmarkExactDecide fixture. Its legal actions go into a reused buffer;
+// what it still allocates per call are the believed joint state and the
+// small per-teammate slices: action counts, distributions, argmaxes and the
+// joint-action index.
+func TestExactDecideAllocs(t *testing.T) {
+	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 100, Edges: 210, MaxOutDegree: 6, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := approx.TrainingScenario(g, 2, 3, 1.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := core.NewPlanner(sc, core.Config{Seed: 1}, rewardfn.DefaultWeights())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.NewMission(sc, sim.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		_ = pl.Decide(m, i%2)
+	}
+	i := 0
+	avg := testing.AllocsPerRun(256, func() {
+		_ = pl.Decide(m, i%2)
+		i++
+	})
+	if avg > 5 {
+		t.Fatalf("exact Decide allocates %.2f objects/call, want at most 5 (6 with a fresh legal-action slice per call)", avg)
 	}
 }

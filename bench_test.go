@@ -374,6 +374,18 @@ func BenchmarkExactDecide(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateSynthetic measures one seeded grid at Table 6's largest
+// shape (704 nodes, 1550 edges, D_max 7): the instance an experiment driver
+// builds once per seeded run and shares across its algorithms.
+func BenchmarkGenerateSynthetic(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 704, Edges: 1550, MaxOutDegree: 7, Seed: int64(i%3) + 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkDijkstraCaribbean measures shortest-path computation on the
 // Caribbean mesh (the partial-knowledge transit planner's setup cost).
 func BenchmarkDijkstraCaribbean(b *testing.B) {

@@ -156,6 +156,8 @@ func (b *Independent) Decide(m *sim.Mission, i int) sim.Action {
 // 4.1.2-4).
 type RandomWalk struct {
 	rng *rand.Rand
+	// acts is Decide's legal-action scratch, reused across calls.
+	acts []sim.Action
 }
 
 // NewRandomWalk builds the random-walk baseline.
@@ -168,6 +170,6 @@ func (b *RandomWalk) Name() string { return "Random Walk" }
 
 // Decide implements sim.Planner.
 func (b *RandomWalk) Decide(m *sim.Mission, i int) sim.Action {
-	acts := m.LegalActionsFor(i)
-	return acts[b.rng.Intn(len(acts))]
+	b.acts = m.AppendLegalActionsFor(b.acts[:0], i)
+	return b.acts[b.rng.Intn(len(b.acts))]
 }

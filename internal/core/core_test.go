@@ -583,4 +583,15 @@ func TestMaskedToDoesNotShareMutableState(t *testing.T) {
 	if len(pl.prevPos) != 0 || len(pl.lastSensed) != 0 || len(pl.stall) != 0 {
 		t.Error("running the masked copy mutated the original planner")
 	}
+
+	// Action scratch is per planner too: a copy of a planner that has
+	// decided gets empty buffers, not the original's backing arrays.
+	m, err := sim.NewMission(sc, sim.RunOptions{})
+	if err != nil {
+		t.Fatalf("NewMission: %v", err)
+	}
+	_ = pl.Decide(m, 0)
+	if fresh := pl.MaskedTo(func(grid.NodeID) bool { return true }).(*Planner); fresh.actions != nil || fresh.safe != nil {
+		t.Error("masked copy shares the original's action buffers")
+	}
 }

@@ -49,6 +49,9 @@ type Planner struct {
 	nav *sim.Navigator
 	// frontier is the frontier fallback's search scratch.
 	frontier sim.FrontierSearch
+	// actions and safe are Decide's legal-action and exploreAction's
+	// safe-action scratch, reused across calls.
+	actions, safe []sim.Action
 	// lastSensed/stall are the liveness watchdog (DESIGN.md §2): sparse Q
 	// tables alias believed states, and greedy V-following can cycle; after
 	// stallPatience epochs without sensing progress the asset heads for the
@@ -150,8 +153,8 @@ func (pl *Planner) Name() string { return "MaMoRL" }
 //
 // The learned p/q tables are intentionally shared (they are the point of
 // the composition); everything per-mission — watchdog maps, navigator,
-// rng, frontier scratch — is fresh, so the masked copy and the original
-// can each run a mission without corrupting the other's state.
+// rng, frontier and action scratch — is fresh, so the masked copy and the
+// original can each run a mission without corrupting the other's state.
 func (pl *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner {
 	cp := *pl
 	cp.mask = mask
@@ -160,6 +163,7 @@ func (pl *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner {
 	cp.stall = make(map[int]int)
 	cp.nav = sim.NewNavigator()
 	cp.frontier = sim.FrontierSearch{}
+	cp.actions, cp.safe = nil, nil
 	cp.rng = rand.New(rand.NewSource(pl.cfg.Seed + 1))
 	return &cp
 }
@@ -252,7 +256,8 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 		best[j] = argmax(dists[j])
 	}
 
-	actions := m.LegalActionsFor(i)
+	pl.actions = m.AppendLegalActionsFor(pl.actions[:0], i)
+	actions := pl.actions
 	_ = pl.cfg.Budget.Charge(limits.Nodes, int64(len(actions)))
 	if pl.training && pl.rng.Float64() < pl.cfg.Epsilon {
 		return pl.exploreAction(m, i, actions)
@@ -374,7 +379,7 @@ func (pl *Planner) conditionalValue(sKey uint64, i, c, aIdx int, counts []int,
 // exploreAction picks a random non-colliding action for ε-greedy training.
 func (pl *Planner) exploreAction(m *sim.Mission, i int, actions []sim.Action) sim.Action {
 	// Reservoir-style pick over safe actions.
-	safe := actions[:0:0]
+	safe := pl.safe[:0]
 	for _, a := range actions {
 		if a.IsWait() {
 			safe = append(safe, a)
@@ -385,6 +390,7 @@ func (pl *Planner) exploreAction(m *sim.Mission, i int, actions []sim.Action) si
 			safe = append(safe, a)
 		}
 	}
+	pl.safe = safe
 	if len(safe) == 0 {
 		return sim.Wait
 	}

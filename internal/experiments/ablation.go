@@ -47,6 +47,7 @@ type AblationRow struct {
 func (h *Harness) RunAblation(ctx context.Context, p Params) ([]AblationRow, error) {
 	variants := AblationVariants()
 	lim := limiterFor(p)
+	p = withInstances(p)
 	return fanIndexed(lim, len(variants), func(k int) (AblationRow, error) {
 		v := variants[k]
 		name := "ablation/" + v.Name

@@ -30,6 +30,7 @@ func (h *Harness) RunCommRange(ctx context.Context, p Params, factors []float64)
 		factors = []float64{0, 8, 4, 2}
 	}
 	lim := limiterFor(p)
+	p = withInstances(p)
 	return fanIndexed(lim, len(factors), func(k int) (CommRangePoint, error) {
 		factor := factors[k]
 		pv, cell := startCell(p, "cell.commrange", trace.Float("factor", factor))

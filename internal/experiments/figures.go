@@ -50,7 +50,7 @@ func (h *Harness) RunFigure3(ctx context.Context, p Params, nnOpts neural.TrainO
 	}
 
 	lim := limiterFor(p)
-	cp, cell := startCell(p, "cell.figure3")
+	cp, cell := startCell(withInstances(p), "cell.figure3")
 	defer cell.End()
 	if out.Linear, err = h.evaluateWith(ctx, AlgoApprox, cp, lim); err != nil {
 		return out, err
@@ -108,6 +108,7 @@ func (h *Harness) RunFigure4(ctx context.Context, p Params) (Figure4Result, erro
 		FrontShare: make(map[string]int),
 	}
 	lim := limiterFor(p)
+	p = withInstances(p)
 	results, err := fanIndexed(lim, len(Figure4Algorithms), func(k int) (RunStats, error) {
 		cp, cell := startCell(p, "cell.figure4", trace.String("algorithm", Figure4Algorithms[k]))
 		defer cell.End()
@@ -236,9 +237,9 @@ func Sweeps(quick bool) []SweepSpec {
 // AlgoApproxPK for Figure 6) against Baseline-1 and Random Walk over every
 // sweep. The same data carries Figure 7's running-time series.
 func (h *Harness) RunSweeps(ctx context.Context, subject string, base Params, quick bool) ([]SweepResult, error) {
-	p := base
+	p := withInstances(base)
 	if quick {
-		p = base.Quick()
+		p = p.Quick()
 	}
 	lim := limiterFor(p)
 	var out []SweepResult
@@ -282,7 +283,7 @@ func (h *Harness) RunSweeps(ctx context.Context, subject string, base Params, qu
 
 func (h *Harness) sweepPoint(ctx context.Context, subject string, p Params, value int, lim limiter) (SweepPoint, error) {
 	pt := SweepPoint{Value: float64(value)}
-	cp, cell := startCell(p, "cell.sweep",
+	cp, cell := startCell(withInstances(p), "cell.sweep",
 		trace.String("subject", subject), trace.Int("value", int64(value)))
 	defer cell.End()
 	// The three algorithms of one point are themselves independent cells.

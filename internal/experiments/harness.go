@@ -190,7 +190,7 @@ func runCell(ctx context.Context, p Params, lim limiter, name string, leaf func(
 // missions (and aborts in-flight missions between epochs) and returns
 // ctx's error.
 func (h *Harness) Evaluate(ctx context.Context, algo string, p Params) (RunStats, error) {
-	return h.evaluateWith(ctx, algo, p, limiterFor(p))
+	return h.evaluateWith(ctx, algo, withInstances(p), limiterFor(p))
 }
 
 // evaluateWith is Evaluate against a caller-owned run budget, so that a

@@ -73,6 +73,9 @@ type Params struct {
 	// rendezvous makes every run's mission continue past discovery until
 	// the team gathers (Scenario.Rendezvous); only RunRendezvous sets it.
 	rendezvous bool
+	// instances is the driver call's instance cache (withInstances), from
+	// which scenarioFor takes every run's grid.
+	instances *instanceCache
 }
 
 // startCell opens one span named name under p's tracer (or under an
@@ -119,17 +122,24 @@ func (p Params) Quick() Params {
 
 // scenarioFor builds the seeded RPP instance for one run: a synthetic grid
 // of the configured shape with the team spread across it and the
-// destination at the node farthest from the team.
+// destination at the node farthest from the team. The grid comes from p's
+// instance cache, so every algorithm's run `run` plans on the same grid;
+// the Scenario around it, Team included, is built afresh for each caller.
 func scenarioFor(p Params, run int) (sim.Scenario, error) {
-	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{
+	g, err := p.instances.grid(grid.SyntheticConfig{
 		Nodes:        p.Nodes,
 		Edges:        p.Edges,
 		MaxOutDegree: p.MaxOutDegree,
 		Seed:         p.Seed + int64(run)*7919,
-	})
+	}, p)
 	if err != nil {
 		return sim.Scenario{}, fmt.Errorf("experiments: run %d grid: %w", run, err)
 	}
+	return newScenario(g, p)
+}
+
+// newScenario places p's team and destination on g.
+func newScenario(g *grid.Grid, p Params) (sim.Scenario, error) {
 	sc, err := approx.TrainingScenario(g, p.Assets, p.MaxSpeed, p.SensingRadiusFactor, p.CommEvery)
 	if err != nil {
 		return sim.Scenario{}, err

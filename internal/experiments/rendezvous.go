@@ -28,6 +28,7 @@ type RendezvousRow struct {
 func (h *Harness) RunRendezvous(ctx context.Context, p Params) ([]RendezvousRow, error) {
 	algos := []string{AlgoApprox, AlgoApproxPK, AlgoBaseline1, AlgoBaseline2}
 	lim := limiterFor(p)
+	p = withInstances(p)
 	p.rendezvous = true
 	return fanIndexed(lim, len(algos), func(k int) (RendezvousRow, error) {
 		algo := algos[k]

@@ -45,16 +45,22 @@ type Table6Row struct {
 // scenario×algorithm cells are independent, so with base.Parallel > 1 they
 // fan out concurrently, sharing one run budget with the per-cell run loops.
 func (h *Harness) RunTable6(ctx context.Context, base Params) ([]Table6Row, error) {
-	return h.runTable6(ctx, Table6Scenarios(base), limiterFor(base))
+	return h.runTable6(ctx, Table6Scenarios(withInstances(base)), limiterFor(base))
 }
 
 // runTable6 is RunTable6 over an explicit scenario list and budget (tests
-// use reduced scenario sets).
+// use reduced scenario sets). A block keeps the instance cache its Params
+// carry (RunTable6 gives every block the call's) or gets its own, before
+// its six algorithm cells fan out over it.
 func (h *Harness) runTable6(ctx context.Context, scenarios []Table6Scenario, lim limiter) ([]Table6Row, error) {
 	nAlgos := len(AllAlgorithms)
+	blocks := make([]Params, len(scenarios))
+	for i, sc := range scenarios {
+		blocks[i] = withInstances(sc.Params)
+	}
 	return fanIndexed(lim, len(scenarios)*nAlgos, func(c int) (Table6Row, error) {
 		sc, algo := scenarios[c/nAlgos], AllAlgorithms[c%nAlgos]
-		cp, cell := startCell(sc.Params, "cell.table6",
+		cp, cell := startCell(blocks[c/nAlgos], "cell.table6",
 			trace.String("scenario", sc.Label), trace.String("algorithm", algo))
 		defer cell.End()
 		rs, err := h.evaluateWith(ctx, algo, cp, lim)

@@ -2,7 +2,7 @@ package grid
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/routeplanning/mamorl/internal/geo"
 )
@@ -39,6 +39,29 @@ type buckets struct {
 	origin geo.Point
 	cells  [][]int32
 	pts    []geo.Point
+	// cands is knn's candidate scratch, reused across queries.
+	cands []knnCand
+}
+
+// knnCand is a kNN candidate point with its distance to the query point.
+type knnCand struct {
+	idx int32
+	d   float64
+}
+
+// cmpDist orders two candidate distances for slices.SortFunc. It is
+// negative exactly when a < b, and slices.SortFunc runs the same pdqsort as
+// sort.Slice with that less function, minus the reflection: equal distances
+// keep sort.Slice's order, and TestGeneratedGridsGolden pins the grids that
+// order produces.
+func cmpDist(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
 }
 
 func newBuckets(pts []geo.Point) *buckets {
@@ -74,11 +97,7 @@ func (bk *buckets) knn(i, k int) []int32 {
 	cx := clampInt(int((p.X-bk.origin.X)/bk.cell), 0, bk.cols-1)
 	cy := clampInt(int((p.Y-bk.origin.Y)/bk.cell), 0, bk.rows-1)
 
-	type cand struct {
-		idx int32
-		d   float64
-	}
-	var cands []cand
+	cands := bk.cands[:0]
 	maxR := bk.cols
 	if bk.rows > maxR {
 		maxR = bk.rows
@@ -103,7 +122,7 @@ func (bk *buckets) knn(i, k int) []int32 {
 					if int(j) == i {
 						continue
 					}
-					cands = append(cands, cand{j, geo.Euclidean(p, bk.pts[j])})
+					cands = append(cands, knnCand{j, geo.Euclidean(p, bk.pts[j])})
 				}
 			}
 		}
@@ -114,7 +133,8 @@ func (bk *buckets) knn(i, k int) []int32 {
 			enough = r + 1 // one extra ring for safety
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool { return cands[a].d < cands[b].d })
+	bk.cands = cands
+	slices.SortFunc(cands, func(a, b knnCand) int { return cmpDist(a.d, b.d) })
 	if len(cands) > k {
 		cands = cands[:k]
 	}

@@ -231,3 +231,47 @@ func TestTable3AllDatasets(t *testing.T) {
 	}
 	checkConnected(t, g)
 }
+
+// TestGeneratedGridsGolden pins the exact grids the generators produce:
+// Table 6's four synthetic shapes at seeds 1-3 and the seed-5 Caribbean
+// mesh, by Fingerprint (a SHA-256 over name, metric, node positions and
+// arcs). The experiments' seeded instances, the served benchmark grids and
+// every digest over their plans depend on these bytes, so a change to the
+// generators — even one that only reorders equal-distance candidates in a
+// sort — must show up here before it silently changes every result.
+func TestGeneratedGridsGolden(t *testing.T) {
+	synthetic := []struct {
+		nodes, edges, maxDeg int
+		seed                 int64
+		want                 string
+	}{
+		{704, 1550, 7, 1, "22932da21235a1db89333fb93120e0dcd5e6ccea7e8617c9d439ee3532dabc3a"},
+		{704, 1550, 7, 2, "663ecd780f593aa8c9eeaa43998295fdcc960381e602e8117bc645b5970c961b"},
+		{704, 1550, 7, 3, "32590543118dbd581a60ddb42b9d6f7cee5dbfc9bfe4374b14f73d7d200adab7"},
+		{400, 846, 9, 1, "54e0e22ff806e94dea4c516fdbe6517b9cf277cdae376314098c5ed430d40845"},
+		{400, 846, 9, 2, "6605f2cd0c23fe6ebee18e9220c89f8ed1afc7cf0e1c5e0c42d4eb1d99916b77"},
+		{400, 846, 9, 3, "2620ffe5cf59949cc2aa8d3880ddcde104a006c134383f1f9f70951e2a7c6e0f"},
+		{400, 846, 6, 1, "302fbd2391cdd1ce5b7e2aef902a3b1fb4a042c88000a939418164eb700889c9"},
+		{400, 846, 6, 2, "65f377f0da978a7179442b204e44db1ec3af31dbaac00a5ae582f8f00af52ca3"},
+		{400, 846, 6, 3, "326f764660f781cf8a9f4ae9b4db870ee9b23d16a48194e1def4ae8a8b5cc6fe"},
+		{200, 430, 9, 1, "95d8bbc334bc08a6154cebcd6d5c45b5dcabdaf188fbbb8eda461ef5d91346b2"},
+		{200, 430, 9, 2, "11c0ec9d5d81c61b7b14cf0935c2c81161971355a259c07f5834925991737340"},
+		{200, 430, 9, 3, "d5ad5978439ef762004f70b4c3c5d1dfc9337bdb9a2cc2ba509a48a962be86e6"},
+	}
+	for _, c := range synthetic {
+		g, err := GenerateSynthetic(SyntheticConfig{Nodes: c.nodes, Edges: c.edges, MaxOutDegree: c.maxDeg, Seed: c.seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := g.Fingerprint(); got != c.want {
+			t.Errorf("synthetic %d/%d/%d seed %d: fingerprint %s, want %s", c.nodes, c.edges, c.maxDeg, c.seed, got, c.want)
+		}
+	}
+	carib, err := CaribbeanGrid(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := carib.Fingerprint(), "991741cdfe5fb25c4c2b11d8f0438efc57814a4e82c57d5f98537957e8254121"; got != want {
+		t.Errorf("caribbean seed 5: fingerprint %s, want %s", got, want)
+	}
+}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"github.com/routeplanning/mamorl/internal/geo"
 )
@@ -138,7 +138,7 @@ func connectAndFill(b *Builder, rng *rand.Rand, neighbors [][]int32, targetEdges
 			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].d < cands[j].d })
+	slices.SortFunc(cands, func(a, b candPair) int { return cmpDist(a.d, b.d) })
 	for _, c := range cands {
 		if b.UndirectedEdgeCount() >= targetEdges {
 			break

@@ -115,3 +115,45 @@ func TestZeroRangeMeansUnlimited(t *testing.T) {
 		t.Errorf("unlimited range: asset 2 sees %d, want 1", got)
 	}
 }
+
+// TestCommunicateReusesScratch: an exchange shares sensed sets through the
+// mission's union scratch. Two radio groups in one exchange must not leak
+// into each other through it, and once the first exchange has allocated the
+// scratch, a whole-team exchange (the discovery broadcast, the unlimited
+// periodic exchange) allocates nothing.
+func TestCommunicateReusesScratch(t *testing.T) {
+	g := grid.Path("line", 30, 1)
+	sc := Scenario{
+		Grid:      g,
+		Team:      vessel.NewTeam([]grid.NodeID{0, 1, 20, 21}, 0.5, 1),
+		Dest:      10,
+		CommEvery: 1,
+		CommRange: 1.5,
+	}
+	m, err := NewMission(sc, RunOptions{})
+	if err != nil {
+		t.Fatalf("NewMission: %v", err)
+	}
+	m.communicateRanged()
+	for i, want := range []int{2, 2, 2, 2} {
+		k := m.Knowledge(i)
+		if k.SensedCount != want {
+			t.Errorf("asset %d senses %d nodes after its group's exchange, want %d", i, k.SensedCount, want)
+		}
+		far := grid.NodeID(20)
+		if i >= 2 {
+			far = 0
+		}
+		if k.Sensed[far] {
+			t.Errorf("asset %d learned node %d from the other radio group", i, far)
+		}
+	}
+
+	m.communicate()
+	if avg := testing.AllocsPerRun(100, m.communicate); avg != 0 {
+		t.Fatalf("whole-team exchange allocates %.2f objects/call, want 0", avg)
+	}
+	if k := m.Knowledge(0); k.SensedCount != 4 || !k.Sensed[20] {
+		t.Errorf("after the whole-team exchange asset 0 senses %d nodes (node 20: %v), want 4 (true)", k.SensedCount, k.Sensed[20])
+	}
+}

@@ -79,6 +79,12 @@ type Mission struct {
 	// none.
 	obstacles map[grid.NodeID]bool
 
+	// wholeTeam (the one group of every asset) and union (a group's sensed
+	// set) are communication scratch, allocated on the first exchange and
+	// reused by every later one.
+	wholeTeam [][]int
+	union     []bool
+
 	step          int
 	done          bool
 	foundBy       int
@@ -313,11 +319,14 @@ func (m *Mission) checkDiscovery() {
 // whole team: the discovery broadcast, and the periodic exchange when the
 // scenario has unlimited radio range.
 func (m *Mission) communicate() {
-	groups := [][]int{make([]int, 0, len(m.know))}
-	for i := range m.know {
-		groups[0] = append(groups[0], i)
+	if m.wholeTeam == nil {
+		all := make([]int, len(m.know))
+		for i := range all {
+			all[i] = i
+		}
+		m.wholeTeam = [][]int{all}
 	}
-	m.communicateGroups(groups)
+	m.communicateGroups(m.wholeTeam)
 }
 
 // communicateRanged runs the periodic exchange under a finite radio range:
@@ -365,7 +374,12 @@ func (m *Mission) communicateGroups(groups [][]int) {
 			}
 		}
 		// Sensed sets: union within the group.
-		union := make([]bool, m.sc.Grid.NumNodes())
+		if m.union == nil {
+			m.union = make([]bool, m.sc.Grid.NumNodes())
+		} else {
+			clear(m.union)
+		}
+		union := m.union
 		count := 0
 		for _, i := range group {
 			for v, s := range m.know[i].Sensed {

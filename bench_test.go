@@ -522,7 +522,7 @@ func BenchmarkNavigatorStep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nv := sim.NewNavigator()
+	var nv sim.Navigator
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, _ = nv.Step(m, i%3, sc.Dest)

@@ -152,59 +152,6 @@ func TestMemoryBytesScalesWithTeam(t *testing.T) {
 	}
 }
 
-func TestCruiseSpeedMatchesTable2Rule(t *testing.T) {
-	// Table 2: weight-2 edge with speeds {1,2,3} -> speed 2 minimizes the
-	// time/fuel average.
-	if got := CruiseSpeed(2, 3); got != 2 {
-		t.Errorf("CruiseSpeed(2,3) = %d, want 2", got)
-	}
-	if got := CruiseSpeed(2.24, 2); got != 2 {
-		t.Errorf("CruiseSpeed(2.24,2) = %d, want 2", got)
-	}
-	// Very long edges favor higher speeds for the time term.
-	if got := CruiseSpeed(100, 3); got < 2 {
-		t.Errorf("CruiseSpeed(100,3) = %d, want >= 2", got)
-	}
-}
-
-func TestDestHintGuidesPlanner(t *testing.T) {
-	p := pipeline(t)
-	model, _, err := FitLinear(p.Data)
-	if err != nil {
-		t.Fatalf("FitLinear: %v", err)
-	}
-	// A long line: hinted planner should sail roughly straight to the
-	// destination; unhinted must explore.
-	b := grid.NewBuilder("line", geo.Planar)
-	const n = 40
-	for i := 0; i < n; i++ {
-		b.AddNode(geo.Point{X: float64(i), Y: 0})
-	}
-	for i := 0; i < n-1; i++ {
-		b.AddEdge(grid.NodeID(i), grid.NodeID(i+1))
-	}
-	g := b.MustBuild()
-	sc := sim.Scenario{
-		Grid:      g,
-		Team:      vessel.NewTeam([]grid.NodeID{0, 3}, 1.2, 3),
-		Dest:      n - 1,
-		CommEvery: 3,
-	}
-	hinted := NewPlanner(model, p.Extractor, 9).WithDestHint(sc.Dest)
-	res, err := sim.Run(sc, hinted, sim.RunOptions{})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !res.Found {
-		t.Fatalf("hinted planner failed: %+v", res)
-	}
-	// Straight-line sailing needs ~35 hops for the lead asset; allow slack
-	// but far less than exhaustive exploration.
-	if res.Steps > 3*n {
-		t.Errorf("hinted planner took %d steps on a %d-line", res.Steps, n)
-	}
-}
-
 func TestFrontierFallbackPreventsOscillation(t *testing.T) {
 	p := pipeline(t)
 	model, _, err := FitLinear(p.Data)
@@ -392,27 +339,35 @@ func TestMaskedToReturnsIndependentCopy(t *testing.T) {
 	if base.ext.Mask != nil {
 		t.Error("MaskedTo mutated the original planner")
 	}
-	// Regression: the copy used to share prevPos/lastSensed/stall, the
+	// Regression: the copy used to share the watchdog state, the
 	// navigator, and the rng with the original (shallow struct copy), so
 	// running both corrupted each other's watchdog state.
 	mp := masked.(*Planner)
 	if mp.rng == base.rng {
 		t.Error("masked copy shares the rng")
 	}
-	if mp.nav == base.nav {
-		t.Error("masked copy shares the navigator")
+	if mp.budget != base.budget || mp.seed != base.seed+1 {
+		t.Errorf("masked copy: budget shared %v, seed %d from %d", mp.budget == base.budget, mp.seed, base.seed)
 	}
-	mp.prevPos[0] = 7
-	mp.lastSensed[0] = 42
-	mp.stall[0] = 3
-	if len(base.prevPos) != 0 || len(base.lastSensed) != 0 || len(base.stall) != 0 {
-		t.Errorf("masked copy aliases the original's watchdog maps: prevPos=%v lastSensed=%v stall=%v",
-			base.prevPos, base.lastSensed, base.stall)
+	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 60, Edges: 130, MaxOutDegree: 6, Seed: 3})
+	if err != nil {
+		t.Fatalf("grid: %v", err)
 	}
-	hinted := base.WithDestHint(5)
-	hinted.stall[1] = 9
-	if len(base.stall) != 0 {
-		t.Error("WithDestHint copy aliases the original's stall map")
+	sc, err := TrainingScenario(g, 2, 3, 1.2, 3)
+	if err != nil {
+		t.Fatalf("scenario: %v", err)
+	}
+	m, err := sim.NewMission(sc, sim.RunOptions{})
+	if err != nil {
+		t.Fatalf("NewMission: %v", err)
+	}
+	base.live.Stalled(m, 0)
+	again := base.MaskedTo(nil).(*Planner)
+	for k := 0; k < 10; k++ {
+		again.live.Stalled(m, 0)
+	}
+	if base.live.Stalled(m, 0) {
+		t.Error("masked copy aliases the original's watchdog state")
 	}
 }
 

@@ -53,12 +53,6 @@ func FitLinear(data *TrainingData) (*LinearModel, time.Duration, error) {
 	return FitLinearOpts(data, nil, 0)
 }
 
-// FitLinearBudget is FitLinear with the rows and solver workspace charged
-// against b (nil fits unlimited).
-func FitLinearBudget(data *TrainingData, b *limits.Budget) (*LinearModel, time.Duration, error) {
-	return FitLinearOpts(data, b, 0)
-}
-
 // FitLinearOpts is FitLinear with a budget and a gram-accumulation worker
 // count. Fitted weights are byte-identical at any workers value.
 func FitLinearOpts(data *TrainingData, b *limits.Budget, workers int) (*LinearModel, time.Duration, error) {

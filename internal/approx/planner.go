@@ -8,7 +8,6 @@ import (
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/sim"
-	"github.com/routeplanning/mamorl/internal/vessel"
 )
 
 // Planner plans routes with an approximated TMM and LM (Section 3.3's
@@ -29,24 +28,15 @@ import (
 type Planner struct {
 	model Model
 	ext   features.Extractor
-	// hint is a per-mission destination surrogate (e.g. the
-	// partial-knowledge region center); NoDest when absent.
-	hint features.DestArg
-	rng  *rand.Rand
-	name string
-	// prevPos remembers each asset's previous node so that frontier
-	// detours do not bounce between two nodes when hop counts and metric
-	// distances disagree about which is "closer".
-	prevPos map[int]grid.NodeID
-	// lastSensed/stall implement a liveness watchdog: a model (especially
-	// an under-trained neural one) can prefer a non-exploring move forever
-	// while exploring moves exist; after stallPatience epochs without the
-	// asset's sensed count growing, Decide forces a frontier step.
-	lastSensed map[int]int
-	stall      map[int]int
-	nav        *sim.Navigator
-	opts       Options
-	seed       int64
+	rng   *rand.Rand
+	name  string
+	// live is the shared liveness kit (DESIGN.md §2): post-discovery
+	// transit, the frontier fallback, and the stall watchdog — a model
+	// (especially an under-trained neural one) can prefer a non-exploring
+	// move forever while exploring moves exist.
+	live sim.Liveness
+	opts Options
+	seed int64
 	// budget, when non-nil, is charged one Nodes unit per candidate action
 	// evaluated (own moves and TMM teammate rollouts). The nil fast path
 	// keeps Decide at its pinned allocation count; exhaustion is observed
@@ -56,23 +46,17 @@ type Planner struct {
 	// Per-decision scratch, reused across Decide calls so the steady-state
 	// planning path allocates nothing. A planner serves one mission at a
 	// time from one goroutine (experiments give every run its own planner;
-	// the service builds one per request), and clone() resets the scratch,
-	// so reuse is safe.
-	blocked   grid.NodeSet
-	blockedFn func(grid.NodeID) bool // cached p.blocked.Has method value
-	ballSeen  grid.NodeSet
-	ballCur   []grid.NodeID
-	ballNext  []grid.NodeID
-	lmCtx     features.NodeContext
-	tmmCtx    features.NodeContext
-	actBuf    []sim.Action
-	featBuf   []float64
-	frontier  sim.FrontierSearch
+	// the service builds one per request), and a MaskedTo copy starts
+	// with empty scratch, so reuse is safe.
+	blocked  grid.NodeSet
+	ballSeen grid.NodeSet
+	ballCur  []grid.NodeID
+	ballNext []grid.NodeID
+	lmCtx    features.NodeContext
+	tmmCtx   features.NodeContext
+	actBuf   []sim.Action
+	featBuf  []float64
 }
-
-// stallPatience is how many epochs without sensing progress a planner
-// tolerates before forcing a frontier step.
-const stallPatience = 6
 
 // Options disables individual planner mechanisms for ablation studies
 // (BenchmarkAblation and `cmd/experiments -only ablation` measure what each
@@ -102,73 +86,38 @@ func NewPlanner(model Model, ext features.Extractor, seed int64) *Planner {
 // NewPlannerOpts builds a planner with mechanisms selectively disabled;
 // see Options. Used by the ablation study.
 func NewPlannerOpts(model Model, ext features.Extractor, seed int64, opts Options) *Planner {
-	p := &Planner{
-		opts:       opts,
-		model:      model,
-		ext:        ext,
-		hint:       features.NoDest,
-		rng:        rand.New(rand.NewSource(seed)),
-		name:       model.Name(),
-		prevPos:    make(map[int]grid.NodeID),
-		lastSensed: make(map[int]int),
-		stall:      make(map[int]int),
-		nav:        sim.NewNavigator(),
-		seed:       seed,
+	return &Planner{
+		opts:  opts,
+		model: model,
+		ext:   ext,
+		rng:   rand.New(rand.NewSource(seed)),
+		name:  model.Name(),
+		seed:  seed,
 	}
-	p.blockedFn = p.blocked.Has
-	return p
 }
 
-// clone returns a copy sharing the model and extractor but owning fresh
-// per-mission state: watchdog maps, navigator, scratch buffers, and a
-// derived rng. A naive struct copy would share those (maps, pointers, and
-// slice-backed scratch alias), so running the original and a copy would
-// corrupt each other's watchdog, jitter sequence, and blocked sets.
-func (p *Planner) clone() *Planner {
-	cp := *p
-	cp.prevPos = make(map[int]grid.NodeID)
-	cp.lastSensed = make(map[int]int)
-	cp.stall = make(map[int]int)
-	cp.nav = sim.NewNavigator()
-	cp.seed = p.seed + 1
-	cp.rng = rand.New(rand.NewSource(cp.seed))
-	cp.blocked = grid.NodeSet{}
-	cp.ballSeen = grid.NodeSet{}
-	cp.ballCur, cp.ballNext = nil, nil
-	cp.lmCtx = features.NodeContext{}
-	cp.tmmCtx = features.NodeContext{}
-	cp.actBuf, cp.featBuf = nil, nil
-	cp.frontier = sim.FrontierSearch{}
-	cp.blockedFn = cp.blocked.Has
-	return &cp
-}
-
-// WithDestHint returns a copy of the planner that resolves the destination
-// to the given node while the true destination is unknown.
-func (p *Planner) WithDestHint(hint features.DestArg) *Planner {
-	cp := p.clone()
-	cp.hint = hint
-	return cp
-}
-
-// WithMask returns a copy of the planner whose exploration only values
-// nodes accepted by mask: the α feature and the frontier fallback ignore
+// MaskedTo implements partial.Maskable: the returned copy only values
+// nodes accepted by mask — the α feature and the frontier fallback ignore
 // everything else. The partial-knowledge planner masks to the region known
 // to contain the destination.
-func (p *Planner) WithMask(mask func(grid.NodeID) bool) *Planner {
-	cp := p.clone()
+//
+// The copy shares the model, extractor settings and budget but owns fresh
+// per-mission state: liveness kit, scratch buffers, and a derived rng. A
+// naive struct copy would share those (slice-backed state aliases), so
+// running the original and a copy would corrupt each other's watchdog,
+// jitter sequence, and blocked sets.
+func (p *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner {
+	cp := NewPlannerOpts(p.model, p.ext, p.seed+1, p.opts)
 	cp.ext.Mask = mask
+	cp.budget = p.budget
 	return cp
 }
-
-// MaskedTo implements partial.Maskable.
-func (p *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner { return p.WithMask(mask) }
 
 // SetBudget attaches a resource budget charged for every candidate node
 // the planner expands; the same budget should be passed to the mission via
 // sim.RunOptions.Budget so exhaustion aborts the run. Copies made by
-// WithDestHint/WithMask share the budget — it is request-scoped, not
-// planner-scoped. A nil budget (the default) costs nothing.
+// MaskedTo share the budget — it is request-scoped, not planner-scoped. A
+// nil budget (the default) costs nothing.
 func (p *Planner) SetBudget(b *limits.Budget) { p.budget = b }
 
 // Name implements sim.Planner.
@@ -185,22 +134,12 @@ func (p *Planner) MemoryBytes(nAssets int) int { return nAssets * p.model.Bytes(
 
 // Decide implements sim.Planner.
 func (p *Planner) Decide(m *sim.Mission, i int) sim.Action {
-	defer func() { p.prevPos[i] = m.Cur(i) }()
-	if sensed := m.Knowledge(i).SensedCount; sensed != p.lastSensed[i] {
-		p.lastSensed[i] = sensed
-		p.stall[i] = 0
-	} else {
-		p.stall[i]++
+	defer p.live.Left(m, i)
+	stalled := p.live.Stalled(m, i) && !p.opts.NoWatchdog
+	if a, ok := p.live.Transit(m, i); ok {
+		return a
 	}
-	// Once the true destination is broadcast (rendezvous phase), search
-	// behavior is pointless: transit there by shortest path, the same
-	// reasoning as the partial-knowledge approach leg.
-	if k := m.Knowledge(i); k.DestKnown {
-		if a, ok := p.nav.Step(m, i, k.Dest); ok {
-			return a
-		}
-	}
-	dest := features.ResolveDest(m, i, p.hint)
+	dest := features.ResolveDest(m, i)
 	p.predictTeammateNodes(m, i, dest)
 
 	bestAct := sim.Wait
@@ -228,19 +167,15 @@ func (p *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	}
 
 	// Two overrides keep a mistrained or saturated model from parking:
-	// when no candidate move senses anything new, head for the frontier
-	// (this applies under a destination *hint* too — the hint is a
-	// surrogate, not the real destination; orbiting it finds nothing); and
-	// when the model ranks wait above unblocked moves, also prefer the
+	// when no candidate move senses anything new, head for the frontier;
+	// and when the model ranks wait above unblocked moves, also prefer the
 	// frontier — in this mission model waiting is only ever productive for
-	// yielding, and blocked moves were already excluded above.
-	// Note the stall counter resets only on sensing progress (above), not
-	// here: once the watchdog fires, the asset stays in frontier mode until
-	// it actually senses something new, rather than being yanked back by
-	// the model after a single frontier hop.
-	stalled := !p.opts.NoWatchdog && p.stall[i] >= stallPatience
+	// yielding, and blocked moves were already excluded above. Once the
+	// watchdog fires, the asset stays in frontier mode until it actually
+	// senses something new, rather than being yanked back by the model
+	// after a single frontier hop.
 	if !p.opts.NoFrontier && (!anyAlpha || bestAct.IsWait() || stalled) {
-		if a, ok := p.frontierAction(m, i); ok {
+		if a, ok := p.live.Frontier(m, i, p.blocked.Has, p.ext.Mask, p.rng, !p.opts.NoVoronoi); ok {
 			return a
 		}
 	}
@@ -332,16 +267,4 @@ func (p *Planner) blockHopBall(g *grid.Grid, v grid.NodeID, radius int) {
 			break
 		}
 	}
-}
-
-// frontierAction walks asset i toward the nearest unsensed node,
-// Voronoi-partitioned against believed teammate positions
-// (sim.FrontierStep), avoiding the nodes collected in p.blocked.
-func (p *Planner) frontierAction(m *sim.Mission, i int) (sim.Action, bool) {
-	return p.frontier.Step(m, i, p.blockedFn, p.ext.Mask, p.prevPos[i], p.rng, !p.opts.NoVoronoi)
-}
-
-// CruiseSpeed is re-exported from vessel: the Table 2 speed rule.
-func CruiseSpeed(weight float64, maxSpeed int) int {
-	return vessel.CruiseSpeed(weight, maxSpeed)
 }

@@ -75,18 +75,9 @@ func (d *TrainingData) LMMatrix() (*tensor.Matrix, error) {
 // — so its target is exactly 0; rewarding waits with the inverse-time/fuel
 // formulas teaches the regression that parking forever is optimal (a
 // failure mode we hit and locked out with TestWaitProxyIsZero). When the
-// destination (or a region surrogate) is known, normalized progress toward
-// it joins the target — this trains the "useful afterward" regime that the
+// destination is known, normalized progress toward it joins the target — this trains the "useful afterward" regime that the
 // β feature exists for (Section 3.3.1).
 func rewardProxy(m *sim.Mission, i int, a sim.Action, dest features.DestArg, w rewardfn.Weights) float64 {
-	return RewardProxy(m, i, a, dest, w)
-}
-
-// RewardProxy exposes the per-asset immediate reward of an action. The
-// baselines score actions with it directly ("the reward functions are
-// identical to the ones described in Section 3.1.1", Section 4.1.2), and
-// Approx-MaMoRL's regression is trained on it.
-func RewardProxy(m *sim.Mission, i int, a sim.Action, dest features.DestArg, w rewardfn.Weights) float64 {
 	if a.IsWait() {
 		return 0
 	}

@@ -21,17 +21,17 @@ package baselines
 import (
 	"math/rand"
 
-	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/sim"
+	"github.com/routeplanning/mamorl/internal/vessel"
 )
 
 // greedyExplore is the shared Section 3.1.1 rule. blocked is a predicate
 // for nodes never to enter (nil blocks nothing); voronoi controls whether
-// the frontier search, run on the caller's scratch f, coordinates with
+// the frontier fallback, run on the caller's liveness kit, coordinates with
 // believed teammate positions.
-func greedyExplore(m *sim.Mission, i int, f *sim.FrontierSearch, blocked func(grid.NodeID) bool,
-	prev grid.NodeID, rng *rand.Rand, voronoi bool) sim.Action {
+func greedyExplore(m *sim.Mission, i int, live *sim.Liveness, blocked func(grid.NodeID) bool,
+	rng *rand.Rand, voronoi bool) sim.Action {
 
 	g := m.Grid()
 	cur := m.Cur(i)
@@ -55,37 +55,26 @@ func greedyExplore(m *sim.Mission, i int, f *sim.FrontierSearch, blocked func(gr
 	}
 	if bestN >= 0 {
 		e := g.Neighbors(cur)[bestN]
-		return sim.Action{Neighbor: bestN, Speed: approx.CruiseSpeed(e.Weight, maxSpeed)}
+		return sim.Action{Neighbor: bestN, Speed: vessel.CruiseSpeed(e.Weight, maxSpeed)}
 	}
-	if a, ok := f.Step(m, i, blocked, nil, prev, rng, voronoi); ok {
+	if a, ok := live.Frontier(m, i, blocked, nil, rng, voronoi); ok {
 		return a
 	}
 	return sim.Wait
 }
 
-// RoundRobin is Baseline-1. A RoundRobin serves one mission at a time (it
-// keeps a per-asset previous-position memory for frontier detours).
+// RoundRobin is Baseline-1. A RoundRobin serves one mission at a time.
 type RoundRobin struct {
-	rng     *rand.Rand
-	prevPos map[int]grid.NodeID
-	nav     *sim.Navigator
-	// blocked is per-decision scratch (teammate positions); blockedFn is
-	// its cached Has method value, so Decide allocates no set and no
-	// closure per call.
-	blocked   grid.NodeSet
-	blockedFn func(grid.NodeID) bool
-	frontier  sim.FrontierSearch
+	rng  *rand.Rand
+	live sim.Liveness
+	// blocked is per-decision scratch (teammate positions), so Decide
+	// allocates no set per call.
+	blocked grid.NodeSet
 }
 
 // NewRoundRobin builds Baseline-1.
 func NewRoundRobin(seed int64) *RoundRobin {
-	b := &RoundRobin{
-		rng:     rand.New(rand.NewSource(seed)),
-		prevPos: make(map[int]grid.NodeID),
-		nav:     sim.NewNavigator(),
-	}
-	b.blockedFn = b.blocked.Has
-	return b
+	return &RoundRobin{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements sim.Planner.
@@ -97,11 +86,9 @@ func (b *RoundRobin) Decide(m *sim.Mission, i int) sim.Action {
 	if m.Step()%m.NumAssets() != i {
 		return sim.Wait
 	}
-	defer func() { b.prevPos[i] = m.Cur(i) }()
-	if k := m.Knowledge(i); k.DestKnown {
-		if a, ok := b.nav.Step(m, i, k.Dest); ok {
-			return a
-		}
+	defer b.live.Left(m, i)
+	if a, ok := b.live.Transit(m, i); ok {
+		return a
 	}
 
 	// Teammate locations are off limits. Baseline-1's one-at-a-time
@@ -115,25 +102,19 @@ func (b *RoundRobin) Decide(m *sim.Mission, i int) sim.Action {
 			b.blocked.Add(m.Cur(j))
 		}
 	}
-	return greedyExplore(m, i, &b.frontier, b.blockedFn, b.prevPos[i], b.rng, true)
+	return greedyExplore(m, i, &b.live, b.blocked.Has, b.rng, true)
 }
 
 // Independent is Baseline-2: per-asset greedy reward maximization with no
 // teammate awareness whatsoever.
 type Independent struct {
-	rng      *rand.Rand
-	prevPos  map[int]grid.NodeID
-	nav      *sim.Navigator
-	frontier sim.FrontierSearch
+	rng  *rand.Rand
+	live sim.Liveness
 }
 
 // NewIndependent builds Baseline-2.
 func NewIndependent(seed int64) *Independent {
-	return &Independent{
-		rng:     rand.New(rand.NewSource(seed)),
-		prevPos: make(map[int]grid.NodeID),
-		nav:     sim.NewNavigator(),
-	}
+	return &Independent{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Name implements sim.Planner.
@@ -143,13 +124,11 @@ func (b *Independent) Name() string { return "Baseline-2" }
 // frontier search ignores teammates (no Voronoi partitioning): assets
 // freely herd onto the same nodes, which is the point of this baseline.
 func (b *Independent) Decide(m *sim.Mission, i int) sim.Action {
-	defer func() { b.prevPos[i] = m.Cur(i) }()
-	if k := m.Knowledge(i); k.DestKnown {
-		if a, ok := b.nav.Step(m, i, k.Dest); ok {
-			return a
-		}
+	defer b.live.Left(m, i)
+	if a, ok := b.live.Transit(m, i); ok {
+		return a
 	}
-	return greedyExplore(m, i, &b.frontier, nil, b.prevPos[i], b.rng, false)
+	return greedyExplore(m, i, &b.live, nil, b.rng, false)
 }
 
 // RandomWalk draws the action and speed uniformly at random (Section

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,7 +141,7 @@ func asmFixture(t *testing.T) (*Planner, *sim.Mission, uint64, []int) {
 	if err != nil {
 		t.Fatalf("NewMission: %v", err)
 	}
-	locs := pl.believedState(m, 0)
+	locs := believedState(nil, m, 0)
 	sKey := pl.keyer.key(locs)
 	counts := []int{pl.actionCountAt(0, locs[0]), pl.actionCountAt(1, locs[1])}
 	if counts[0] != 7 || counts[1] != 5 {
@@ -375,10 +376,10 @@ func TestPDistributionAndQValueAccessors(t *testing.T) {
 	if !almost(sum, 1, 1e-9) {
 		t.Errorf("PDistribution sums to %v", sum)
 	}
-	locs := []grid.NodeID{1, 4}
-	q := pl.QValue(locs, []int{0, 0}, 0, 0)
+	sKey := pl.keyer.key([]grid.NodeID{1, 4})
+	q := pl.q[0][0].get(sKey, jointActionKey([]int{0, 0}, counts), qDefault(counts))
 	if !almost(q, qDefault(counts), 1e-12) {
-		t.Errorf("untrained QValue = %v, want default %v", q, qDefault(counts))
+		t.Errorf("untrained Q value = %v, want default %v", q, qDefault(counts))
 	}
 }
 
@@ -434,18 +435,40 @@ func TestObserveUpdatesTables(t *testing.T) {
 	}
 	pl.Observe(m, prev, acts, r)
 	st := pl.TableStats()
-	// Each asset's P table gains entries for the observed pre-step state
-	// (the Equation 5 update) and the post-step state (the Equation 6
-	// lookup of argmax_b P(s', b) lazily initializes it): 2 tables x 2
-	// states.
-	if st.PEntries != 4 {
-		t.Errorf("PEntries = %d, want 4", st.PEntries)
+	// Each asset's P table gains an entry for the observed pre-step state
+	// (the Equation 5 update); the Equation 6 lookup of argmax_b P(s', b)
+	// only reads the post-step state: 2 tables x 1 state.
+	if st.PEntries != 2 {
+		t.Errorf("PEntries = %d, want 2", st.PEntries)
 	}
 	if st.QEntries != 2*NumRewardComponents {
 		t.Errorf("QEntries = %d, want %d", st.QEntries, 2*NumRewardComponents)
 	}
 	if st.SparseBytesLB <= 0 || st.DenseQBytes <= st.DensePBytes {
 		t.Errorf("byte accounting odd: %+v", st)
+	}
+}
+
+func TestReadsDoNotGrowPTables(t *testing.T) {
+	pl, m, sKey, counts := asmFixture(t)
+	_ = pl.Decide(m, 0) // reads teammate 1's distribution at an unvisited state
+	if st := pl.TableStats(); st.PEntries != 0 {
+		t.Fatalf("Decide on an unvisited state stored %d P entries", st.PEntries)
+	}
+	def := pl.p[1].dist(sKey, counts[1])
+	uniform := slices.Clone(def)
+	prev := m.CurAll()
+	acts := []sim.Action{{Neighbor: 0, Speed: 1}, {Neighbor: 0, Speed: 1}}
+	r, err := m.ExecuteStep(acts)
+	if err != nil {
+		t.Fatalf("ExecuteStep: %v", err)
+	}
+	pl.Observe(m, prev, acts, r)
+	if !slices.Equal(def, uniform) {
+		t.Errorf("Observe changed the shared default: %v, want %v", def, uniform)
+	}
+	if learned := pl.p[1].dist(sKey, counts[1]); slices.Equal(learned, uniform) {
+		t.Error("Observe did not store a learned distribution")
 	}
 }
 
@@ -540,9 +563,9 @@ func TestTrainingImprovesOverUntrained(t *testing.T) {
 
 func TestMaskedToDoesNotShareMutableState(t *testing.T) {
 	// Regression: MaskedTo used to shallow-copy the planner, so the masked
-	// copy shared prevPos/lastSensed/stall, the navigator, and the rng with
-	// the original — two planners composed over the same tables corrupted
-	// each other's watchdog state mid-mission.
+	// copy shared the watchdog state, the navigator, and the rng with the
+	// original — two planners composed over the same tables corrupted each
+	// other's watchdog state mid-mission.
 	g := meshGrid(t, 5, 5)
 	team := vessel.NewTeam([]grid.NodeID{0, 24}, 1.5, 1)
 	sc := sim.Scenario{Grid: g, Team: team, Dest: 12, CommEvery: 2}
@@ -550,13 +573,16 @@ func TestMaskedToDoesNotShareMutableState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPlanner: %v", err)
 	}
+	m, err := sim.NewMission(sc, sim.RunOptions{})
+	if err != nil {
+		t.Fatalf("NewMission: %v", err)
+	}
+	// Give the original liveness state and scratch worth aliasing.
+	_ = pl.Decide(m, 0)
 	masked := pl.MaskedTo(func(grid.NodeID) bool { return true }).(*Planner)
 
 	if masked.rng == pl.rng {
 		t.Error("masked copy shares the rng")
-	}
-	if masked.nav == pl.nav {
-		t.Error("masked copy shares the navigator")
 	}
 
 	// Learned tables ARE shared — that is the point of the composition.
@@ -566,13 +592,14 @@ func TestMaskedToDoesNotShareMutableState(t *testing.T) {
 		}
 	}
 
-	// Mutating the copy's per-mission state must not leak into the original.
-	masked.prevPos[0] = 7
-	masked.lastSensed[0] = 99
-	masked.stall[0] = 3
-	if len(pl.prevPos) != 0 || len(pl.lastSensed) != 0 || len(pl.stall) != 0 {
-		t.Fatalf("masked copy aliases the original's watchdog maps: prevPos=%v lastSensed=%v stall=%v",
-			pl.prevPos, pl.lastSensed, pl.stall)
+	// Stalling the copy's asset 0 must not stall the original's: the
+	// original last saw asset 0 at this sensed count, so one more call is
+	// one epoch without progress, far below the patience.
+	for k := 0; k < 10; k++ {
+		masked.live.Stalled(m, 0)
+	}
+	if pl.live.Stalled(m, 0) {
+		t.Fatal("masked copy aliases the original's watchdog state")
 	}
 
 	// Running a full mission under the masked copy must leave the original's
@@ -580,18 +607,13 @@ func TestMaskedToDoesNotShareMutableState(t *testing.T) {
 	if _, err := sim.Run(sc, masked, sim.RunOptions{}); err != nil {
 		t.Fatalf("masked run: %v", err)
 	}
-	if len(pl.prevPos) != 0 || len(pl.lastSensed) != 0 || len(pl.stall) != 0 {
+	if pl.live.Stalled(m, 0) {
 		t.Error("running the masked copy mutated the original planner")
 	}
 
-	// Action scratch is per planner too: a copy of a planner that has
-	// decided gets empty buffers, not the original's backing arrays.
-	m, err := sim.NewMission(sc, sim.RunOptions{})
-	if err != nil {
-		t.Fatalf("NewMission: %v", err)
-	}
-	_ = pl.Decide(m, 0)
-	if fresh := pl.MaskedTo(func(grid.NodeID) bool { return true }).(*Planner); fresh.actions != nil || fresh.safe != nil {
-		t.Error("masked copy shares the original's action buffers")
+	// Scratch is per planner too: a copy of a planner that has decided
+	// gets empty buffers, not the original's backing arrays.
+	if fresh := pl.MaskedTo(func(grid.NodeID) bool { return true }).(*Planner); fresh.scratch.actions != nil || fresh.scratch.locs != nil {
+		t.Error("masked copy shares the original's scratch")
 	}
 }

@@ -42,22 +42,13 @@ type Planner struct {
 	// the tie-break and the frontier fallback ignore everything else. Set
 	// by MaskedTo for the partial-knowledge composition.
 	mask func(grid.NodeID) bool
-	// prevPos remembers each asset's previous node for frontier detours.
-	prevPos map[int]grid.NodeID
-	// nav transits assets to the destination once it is broadcast
-	// (rendezvous missions).
-	nav *sim.Navigator
-	// frontier is the frontier fallback's search scratch.
-	frontier sim.FrontierSearch
-	// actions and safe are Decide's legal-action and exploreAction's
-	// safe-action scratch, reused across calls.
-	actions, safe []sim.Action
-	// lastSensed/stall are the liveness watchdog (DESIGN.md §2): sparse Q
-	// tables alias believed states, and greedy V-following can cycle; after
-	// stallPatience epochs without sensing progress the asset heads for the
-	// frontier until it senses something new.
-	lastSensed map[int]int
-	stall      map[int]int
+	// live is the shared liveness kit (DESIGN.md §2): post-discovery
+	// transit, the frontier fallback, and the stall watchdog — sparse Q
+	// tables alias believed states, and greedy V-following can cycle. Its
+	// state carries from the training episodes into evaluation.
+	live sim.Liveness
+	// scratch is Decide's per-call working storage, reused across calls.
+	scratch decideScratch
 
 	// epReward/epQDelta/epMaxQDelta accumulate the scalarized joint reward
 	// and the total and maximum per-update |ΔQ| applied since the last
@@ -73,8 +64,18 @@ type Planner struct {
 	chargedEntries int
 }
 
-// stallPatience mirrors the approximate planner's watchdog bound.
-const stallPatience = 6
+// decideScratch is Decide's working storage: the believed joint state,
+// per-asset action counts, teammate distributions and their argmaxes, a
+// joint-action index, the legal and safe actions, and the believed-occupied
+// nodes.
+type decideScratch struct {
+	locs          []grid.NodeID
+	counts        []int
+	dists         [][]float64
+	best, idx     []int
+	actions, safe []sim.Action
+	blocked       grid.NodeSet
+}
 
 // rewardComponent extracts component c of a reward vector.
 func rewardComponent(r rewardfn.Vector, c int) float64 {
@@ -120,17 +121,13 @@ func NewPlanner(sc sim.Scenario, cfg Config, weights rewardfn.Weights) (*Planner
 		return nil, err
 	}
 	pl := &Planner{
-		cfg:        cfg,
-		sc:         sc,
-		keyer:      keyer,
-		weights:    weights.Normalized(),
-		rng:        rand.New(rand.NewSource(cfg.Seed)),
-		p:          make([]*pTable, len(sc.Team)),
-		q:          make([][]*qTable, len(sc.Team)),
-		prevPos:    make(map[int]grid.NodeID),
-		lastSensed: make(map[int]int),
-		stall:      make(map[int]int),
-		nav:        sim.NewNavigator(),
+		cfg:     cfg,
+		sc:      sc,
+		keyer:   keyer,
+		weights: weights.Normalized(),
+		rng:     rand.New(rand.NewSource(cfg.Seed)),
+		p:       make([]*pTable, len(sc.Team)),
+		q:       make([][]*qTable, len(sc.Team)),
 	}
 	for j := range pl.p {
 		pl.p[j] = newPTable()
@@ -152,18 +149,14 @@ func (pl *Planner) Name() string { return "MaMoRL" }
 // approximate one.
 //
 // The learned p/q tables are intentionally shared (they are the point of
-// the composition); everything per-mission — watchdog maps, navigator,
-// rng, frontier and action scratch — is fresh, so the masked copy and the
-// original can each run a mission without corrupting the other's state.
+// the composition); everything per-mission — liveness kit, rng and
+// scratch — is fresh, so the masked copy and the original can each run a
+// mission without corrupting the other's state.
 func (pl *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner {
 	cp := *pl
 	cp.mask = mask
-	cp.prevPos = make(map[int]grid.NodeID)
-	cp.lastSensed = make(map[int]int)
-	cp.stall = make(map[int]int)
-	cp.nav = sim.NewNavigator()
-	cp.frontier = sim.FrontierSearch{}
-	cp.actions, cp.safe = nil, nil
+	cp.live = sim.Liveness{}
+	cp.scratch = decideScratch{}
 	cp.rng = rand.New(rand.NewSource(pl.cfg.Seed + 1))
 	return &cp
 }
@@ -192,13 +185,12 @@ func (pl *Planner) actionCountAt(j int, v grid.NodeID) int {
 	return sim.ActionCount(pl.sc.Grid.OutDegree(v), pl.sc.Team[j].MaxSpeed)
 }
 
-// believedState returns asset i's belief of the joint state: its own true
-// location plus last-known teammate locations.
-func (pl *Planner) believedState(m *sim.Mission, i int) []grid.NodeID {
-	k := m.Knowledge(i)
-	locs := append([]grid.NodeID(nil), k.LastKnown...)
-	locs[i] = m.Cur(i)
-	return locs
+// believedState appends asset i's belief of the joint state to buf[:0]:
+// its own true location plus last-known teammate locations.
+func believedState(buf []grid.NodeID, m *sim.Mission, i int) []grid.NodeID {
+	buf = append(buf[:0], m.Knowledge(i).LastKnown...)
+	buf[i] = m.Cur(i)
+	return buf
 }
 
 // qDefault is the uniform initial Q value 1/Π_j |A_j(s)| from the worked
@@ -224,40 +216,36 @@ func (pl *Planner) tmmFactor(t int) float64 {
 
 // Decide implements the ASM (Equations 7-8) from asset i's local view.
 func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
-	if sensed := m.Knowledge(i).SensedCount; sensed != pl.lastSensed[i] {
-		pl.lastSensed[i] = sensed
-		pl.stall[i] = 0
-	} else {
-		pl.stall[i]++
-	}
-	if k := m.Knowledge(i); k.DestKnown && !pl.training {
-		if a, ok := pl.nav.Step(m, i, k.Dest); ok {
+	stalled := pl.live.Stalled(m, i)
+	if !pl.training {
+		if a, ok := pl.live.Transit(m, i); ok {
 			return a
 		}
 	}
-	locs := pl.believedState(m, i)
-	sKey := pl.keyer.key(locs)
+	s := &pl.scratch
 	n := len(pl.sc.Team)
-
-	counts := make([]int, n)
-	for j := 0; j < n; j++ {
+	if len(s.counts) != n {
+		s.counts, s.dists = make([]int, n), make([][]float64, n)
+		s.best, s.idx = make([]int, n), make([]int, n)
+	}
+	s.locs = believedState(s.locs, m, i)
+	locs, counts, dists, best := s.locs, s.counts, s.dists, s.best
+	sKey := pl.keyer.key(locs)
+	for j := range counts {
 		counts[j] = pl.actionCountAt(j, locs[j])
 	}
 	def := qDefault(counts)
 
 	// Teammate action distributions and their argmax A*.
-	dists := make([][]float64, n)
-	best := make([]int, n)
 	for j := 0; j < n; j++ {
-		if j == i {
-			continue
+		if j != i {
+			dists[j] = pl.p[j].dist(sKey, counts[j])
+			best[j] = argmax(dists[j])
 		}
-		dists[j] = pl.p[j].dist(sKey, counts[j])
-		best[j] = argmax(dists[j])
 	}
 
-	pl.actions = m.AppendLegalActionsFor(pl.actions[:0], i)
-	actions := pl.actions
+	s.actions = m.AppendLegalActionsFor(s.actions[:0], i)
+	actions := s.actions
 	_ = pl.cfg.Budget.Charge(limits.Nodes, int64(len(actions)))
 	if pl.training && pl.rng.Float64() < pl.cfg.Epsilon {
 		return pl.exploreAction(m, i, actions)
@@ -266,11 +254,10 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	t := m.Step() + 1 // epochs are 1-based in the paper's formulas
 	bestAct := sim.Wait
 	bestV := math.Inf(-1)
-	idxBuf := make([]int, n)
-	blocked := make(map[grid.NodeID]bool, n)
+	s.blocked.Reset(pl.sc.Grid.NumNodes())
 	for j := 0; j < n; j++ {
 		if j != i {
-			blocked[m.Knowledge(i).LastKnown[j]] = true
+			s.blocked.Add(m.Knowledge(i).LastKnown[j])
 		}
 	}
 	anySensed := false
@@ -278,7 +265,7 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 		to := m.Cur(i)
 		if !a.IsWait() {
 			to, _ = m.Apply(m.Cur(i), a)
-			if blocked[to] {
+			if s.blocked.Has(to) {
 				continue // collision avoidance: never enter a believed-occupied node
 			}
 			if pl.maskedNewly(m, i, to) > 0 {
@@ -292,7 +279,7 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 			if w == 0 {
 				continue
 			}
-			v += w * pl.conditionalValue(sKey, i, c, aIdx, counts, dists, best, def, t, idxBuf)
+			v += w * pl.conditionalValue(sKey, i, c, aIdx, counts, dists, best, def, t, s.idx)
 		}
 		// Ties dominate wherever the tables still hold defaults (unvisited
 		// believed states). Break them with the paper's own Section 2.3
@@ -307,18 +294,15 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 		}
 	}
 	// When nothing in reach is unsensed — or greedy V-following has made no
-	// sensing progress for a while (sparse Q tables alias believed states
-	// and can cycle) — head for the frontier like every other planner
-	// (DESIGN.md §2) instead of wandering on jitter. The stall counter
-	// resets only on sensing progress, so frontier mode persists until the
-	// asset actually senses something new.
-	if !pl.training && (!anySensed || pl.stall[i] >= stallPatience) {
-		if a, ok := pl.frontier.Step(m, i, func(v grid.NodeID) bool { return blocked[v] }, pl.mask, pl.prevPos[i], pl.rng, true); ok {
-			pl.prevPos[i] = m.Cur(i)
+	// sensing progress for a while — head for the frontier like every other
+	// planner (DESIGN.md §2) instead of wandering on jitter.
+	if !pl.training && (!anySensed || stalled) {
+		if a, ok := pl.live.Frontier(m, i, s.blocked.Has, pl.mask, pl.rng, true); ok {
+			pl.live.Left(m, i)
 			return a
 		}
 	}
-	pl.prevPos[i] = m.Cur(i)
+	pl.live.Left(m, i)
 	return bestAct
 }
 
@@ -379,7 +363,7 @@ func (pl *Planner) conditionalValue(sKey uint64, i, c, aIdx int, counts []int,
 // exploreAction picks a random non-colliding action for ε-greedy training.
 func (pl *Planner) exploreAction(m *sim.Mission, i int, actions []sim.Action) sim.Action {
 	// Reservoir-style pick over safe actions.
-	safe := pl.safe[:0]
+	safe := pl.scratch.safe[:0]
 	for _, a := range actions {
 		if a.IsWait() {
 			safe = append(safe, a)
@@ -390,7 +374,7 @@ func (pl *Planner) exploreAction(m *sim.Mission, i int, actions []sim.Action) si
 			safe = append(safe, a)
 		}
 	}
-	pl.safe = safe
+	pl.scratch.safe = safe
 	if len(safe) == 0 {
 		return sim.Wait
 	}
@@ -552,23 +536,10 @@ func (pl *Planner) TableStats() TableStats {
 // teammate j at i's believed state. The function-approximation trainer
 // samples these as regression targets (Section 3.3.1).
 func (pl *Planner) PDistribution(m *sim.Mission, i, j int) []float64 {
-	locs := pl.believedState(m, i)
+	locs := believedState(nil, m, i)
 	sKey := pl.keyer.key(locs)
 	d := pl.p[j].dist(sKey, pl.actionCountAt(j, locs[j]))
 	return append([]float64(nil), d...)
-}
-
-// QValue exposes asset i's Q value for a joint action at the ground-truth
-// state, per reward component. The function-approximation trainer samples
-// these as LM regression targets (Section 3.3.2).
-func (pl *Planner) QValue(locs []grid.NodeID, actIdx []int, i, c int) float64 {
-	n := len(pl.sc.Team)
-	counts := make([]int, n)
-	for j := 0; j < n; j++ {
-		counts[j] = pl.actionCountAt(j, locs[j])
-	}
-	sKey := pl.keyer.key(locs)
-	return pl.q[i][c].get(sKey, jointActionKey(actIdx, counts), qDefault(counts))
 }
 
 // Scenario returns the scenario the planner was built for.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/sim"
@@ -53,38 +54,52 @@ func jointActionKey(idx []int, counts []int) uint64 {
 // --- P table (Teammate Module storage) -------------------------------------
 //
 // P[j][sKey] is the probability distribution over teammate j's actions at
-// joint state s. Entries are created lazily at the uniform default
-// 1/|A_j(s)| (the initialization the paper's worked example uses). All
+// joint state s. States never updated read as the uniform default
+// 1/|A_j(s)| (the initialization the paper's worked example uses); only
+// update stores an entry, so the entry count is what was learned. All
 // observers see the same observations, so the per-observer P_i tables of
 // Equation 5 coincide and are stored once; Lemma 1's accounting (PTable*
 // functions below) still reports the paper's full per-reward sizes.
 type pTable struct {
 	dists map[uint64][]float64 // per teammate: sKey -> distribution
+	// uniform[n] is the read-only uniform distribution over n actions
+	// that dist returns for states never updated.
+	uniform [][]float64
 }
 
 func newPTable() *pTable {
 	return &pTable{dists: make(map[uint64][]float64)}
 }
 
-// dist returns the (lazily created) distribution over nActions actions of a
-// teammate at state sKey.
+// dist returns the distribution over nActions actions of a teammate at
+// state sKey: the learned one, or the shared uniform default. Callers must
+// not modify it.
 func (p *pTable) dist(sKey uint64, nActions int) []float64 {
-	d, ok := p.dists[sKey]
-	if !ok || len(d) != nActions {
-		d = make([]float64, nActions)
-		for i := range d {
-			d[i] = 1 / float64(nActions)
-		}
-		p.dists[sKey] = d
+	if d, ok := p.dists[sKey]; ok && len(d) == nActions {
+		return d
 	}
-	return d
+	for len(p.uniform) <= nActions {
+		p.uniform = append(p.uniform, nil)
+	}
+	if p.uniform[nActions] == nil {
+		u := make([]float64, nActions)
+		for i := range u {
+			u[i] = 1 / float64(nActions)
+		}
+		p.uniform[nActions] = u
+	}
+	return p.uniform[nActions]
 }
 
 // update applies Equation 5: the observed action index gains probability
 // mass factor * (sum of the others); every other action is scaled by
 // (1 - factor). The update preserves normalization exactly.
 func (p *pTable) update(sKey uint64, nActions, observed int, factor float64) {
-	d := p.dist(sKey, nActions)
+	d, ok := p.dists[sKey]
+	if !ok || len(d) != nActions {
+		d = slices.Clone(p.dist(sKey, nActions))
+		p.dists[sKey] = d
+	}
 	rest := 0.0
 	for i, v := range d {
 		if i != observed {

@@ -51,8 +51,8 @@ type Extractor struct {
 func New() Extractor { return Extractor{HopsM: DefaultHopsM} }
 
 // DestArg carries the destination knowledge available to the deciding
-// asset: None when unknown, a node otherwise. The partial-knowledge planner
-// passes the center of its known region as a surrogate.
+// asset: NoDest until the destination is broadcast, the destination node
+// afterwards.
 type DestArg = grid.NodeID
 
 // NoDest marks an unknown destination.
@@ -243,11 +243,10 @@ func (c *NodeContext) AppendFeatures(buf []float64, a sim.Action) []float64 {
 }
 
 // ResolveDest returns the destination argument asset i should use: the
-// known destination after discovery, the hint (e.g. the partial-knowledge
-// region's center node) if provided, else NoDest.
-func ResolveDest(m *sim.Mission, i int, hint DestArg) DestArg {
+// known destination after discovery, else NoDest.
+func ResolveDest(m *sim.Mission, i int) DestArg {
 	if k := m.Knowledge(i); k.DestKnown {
 		return k.Dest
 	}
-	return hint
+	return NoDest
 }

@@ -177,21 +177,18 @@ func TestTMMUsesLastKnownLocation(t *testing.T) {
 
 func TestResolveDest(t *testing.T) {
 	m := mission(t)
-	if got := ResolveDest(m, 0, NoDest); got != NoDest {
+	if got := ResolveDest(m, 0); got != NoDest {
 		t.Errorf("ResolveDest = %v, want NoDest", got)
 	}
-	if got := ResolveDest(m, 0, 7); got != 7 {
-		t.Errorf("ResolveDest with hint = %v, want 7", got)
-	}
-	// After discovery the true destination wins over any hint. Drive the
-	// mission until found: asset 1 walks right from 3 to 9 (senses 10).
+	// After discovery the true destination resolves. Drive the mission
+	// until found: asset 1 walks right from 3 to 9 (senses 10).
 	for !m.Done() {
 		acts := []sim.Action{sim.Wait, {Neighbor: 1, Speed: 1}}
 		if _, err := m.ExecuteStep(acts); err != nil {
 			t.Fatalf("ExecuteStep: %v", err)
 		}
 	}
-	if got := ResolveDest(m, 0, 7); got != 10 {
+	if got := ResolveDest(m, 0); got != 10 {
 		t.Errorf("ResolveDest after discovery = %v, want 10", got)
 	}
 }

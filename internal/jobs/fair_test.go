@@ -44,14 +44,14 @@ func TestNamespaceOfKey(t *testing.T) {
 	}
 }
 
-// TestWeightedFairDequeue floods one namespace while a lighter tenant
-// submits two jobs, on a single worker so the execution order is the
-// dequeue order. The deficit round-robin must interleave the tenants —
+// TestFairDequeue floods one namespace while a lighter tenant submits two
+// jobs, on a single worker so the execution order is the dequeue order.
+// The round-robin must interleave the tenants —
 // the light tenant's whole batch completes within the first four
 // post-flood executions (2x its isolated latency of two executions)
 // instead of queueing behind all nine heavy jobs.
-func TestWeightedFairDequeue(t *testing.T) {
-	q := New(Options{Workers: 1, QueueDepth: 32, Weights: map[string]int{"light": 2}})
+func TestFairDequeue(t *testing.T) {
+	q := New(Options{Workers: 1, QueueDepth: 32})
 	defer q.Close()
 
 	var mu sync.Mutex
@@ -112,8 +112,8 @@ func TestWeightedFairDequeue(t *testing.T) {
 			heavy++
 		}
 	}
-	// Weight 2 vs 1: both light jobs land in the first round-robin rounds,
-	// interleaved with exactly two heavy ones.
+	// One job per turn: both light jobs land in the first round-robin
+	// rounds, interleaved with exactly two heavy ones.
 	if light != 2 || heavy != 2 {
 		t.Fatalf("first four executions %v: want both light jobs among them", order[:4])
 	}

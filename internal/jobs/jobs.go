@@ -18,9 +18,9 @@
 // while it is in flight or done; a key whose prior job failed or was
 // canceled resubmits, so clients can retry errors with the same key.
 //
-// Dequeue is weighted-fair across namespaces (the idempotency-key prefix
-// before the first '/', or Request.Namespace): a deficit round-robin walks
-// the per-namespace FIFOs, so one tenant flooding the queue delays its own
+// Dequeue is fair across namespaces (the idempotency-key prefix before the
+// first '/', or Request.Namespace): a round-robin walks the per-namespace
+// FIFOs, one job per turn, so one tenant flooding the queue delays its own
 // backlog, not everyone else's. Terminal job records are retained for a
 // bounded time and count (Options.Retention / Options.MaxTerminal) and then
 // evicted — a long-running server's memory is bounded by its retention
@@ -109,10 +109,6 @@ type Options struct {
 	// frames (never blocking a worker); the channel close marks the
 	// terminal transition regardless.
 	WatchBuffer int
-	// Weights assigns dequeue weights to namespaces: a namespace with
-	// weight w dequeues up to w jobs per round-robin turn. Missing or < 1
-	// means weight 1. The empty key weights the default namespace.
-	Weights map[string]int
 	// Now replaces the clock (tests drive a fake one).
 	Now func() time.Time
 	// Metrics receives the queue's gauges, counters and histograms.
@@ -278,11 +274,9 @@ type Queue struct {
 	active   int     // jobs in a non-terminal state
 	execEWMA float64 // smoothed execution seconds, feeds RetryAfter
 
-	// Weighted-fair dequeue state: one FIFO per namespace, walked
-	// round-robin with per-namespace credits refilled from Options.Weights.
+	// Fair dequeue state: one FIFO per namespace, walked round-robin.
 	nsQueues map[string][]*job
 	nsOrder  []string
-	nsCredit map[string]int
 	nsIdx    int
 	queued   int // jobs occupying queue capacity (settled at dequeue)
 
@@ -303,7 +297,6 @@ func New(opts Options) *Queue {
 		jobs:       make(map[string]*job),
 		byKey:      make(map[string]string),
 		nsQueues:   make(map[string][]*job),
-		nsCredit:   make(map[string]int),
 		rootCtx:    ctx,
 		rootCancel: cancel,
 	}
@@ -430,16 +423,8 @@ func (q *Queue) enqueueLocked(j *job) {
 	q.queued++
 }
 
-// weightOf returns a namespace's dequeue weight (>= 1).
-func (q *Queue) weightOf(ns string) int {
-	if w := q.opts.Weights[ns]; w > 1 {
-		return w
-	}
-	return 1
-}
-
-// dequeueLocked pops the next job under deficit round-robin: each
-// namespace dequeues up to its weight, then the turn passes to the next.
+// dequeueLocked pops the next job under round-robin: each namespace
+// dequeues one job, then the turn passes to the next.
 // Jobs settled while queued (canceled) are dropped lazily here, releasing
 // their queue-capacity slot. Returns nil when nothing is queued. Callers
 // hold q.mu.
@@ -459,20 +444,14 @@ func (q *Queue) dequeueLocked() *job {
 			// Namespace drained: retire it from the rotation (it re-registers
 			// on its next submission).
 			delete(q.nsQueues, ns)
-			delete(q.nsCredit, ns)
 			q.nsOrder = append(q.nsOrder[:q.nsIdx], q.nsOrder[q.nsIdx+1:]...)
 			q.opts.Metrics.Gauge("jobs_fair_namespaces").Set(float64(len(q.nsOrder)))
 			continue
 		}
-		if q.nsCredit[ns] <= 0 {
-			q.nsCredit[ns] = q.weightOf(ns)
-		}
 		j := fifo[0]
 		q.nsQueues[ns] = fifo[1:]
 		q.queued--
-		if q.nsCredit[ns]--; q.nsCredit[ns] <= 0 {
-			q.nsIdx++ // credit spent: the turn passes on
-		}
+		q.nsIdx++
 		q.opts.Metrics.Counter("jobs_fair_dequeues_total", "namespace", nsLabel(ns)).Inc()
 		return j
 	}

@@ -207,7 +207,9 @@ func TestQueueFullBackpressure(t *testing.T) {
 
 	block := make(chan struct{})
 	defer close(block)
-	started := make(chan struct{})
+	// Buffered: the first blocker may reach its non-blocking send before
+	// the test waits on the channel.
+	started := make(chan struct{}, 1)
 	blocker := func(ctx context.Context) (any, error) {
 		select {
 		case started <- struct{}{}:

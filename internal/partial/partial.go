@@ -2,8 +2,9 @@
 // 4.1.2-1): the destination is known to lie inside a specified region (a
 // bounding box), but its exact location is unknown. Each asset sails the
 // Dijkstra shortest path from its source to the nearest node inside the
-// region, then searches the region with Approx-MaMoRL, using the region's
-// central node as the destination surrogate for the β feature.
+// region, then searches the region with a search planner (Approx-MaMoRL or
+// exact MaMoRL) whose exploration is masked to the region: nodes outside it
+// cannot hold the destination, so sensing them is worth nothing.
 package partial
 
 import (
@@ -146,15 +147,9 @@ func (p *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	p.stuck[i] = 0
 	for n, e := range m.Grid().Neighbors(cur) {
 		if e.To == next {
-			return sim.Action{Neighbor: n, Speed: transitSpeed(e.Weight, m.Scenario().Team[i].MaxSpeed)}
+			return sim.Action{Neighbor: n, Speed: vessel.CruiseSpeed(e.Weight, m.Scenario().Team[i].MaxSpeed)}
 		}
 	}
 	// The path edge vanished (cannot happen on immutable grids); search.
 	return p.inner.Decide(m, i)
-}
-
-// transitSpeed picks the time/fuel-balanced speed for a transit edge, the
-// same rule the toy example applies (Table 2).
-func transitSpeed(weight float64, maxSpeed int) int {
-	return vessel.CruiseSpeed(weight, maxSpeed)
 }

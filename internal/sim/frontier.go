@@ -29,7 +29,7 @@ import (
 // blocked is a predicate (nil means nothing is blocked) so that planners
 // can back it with a reusable grid.NodeSet instead of allocating a map per
 // decision. FrontierStep allocates its search scratch per call; planners
-// keep a FrontierSearch instead.
+// call Liveness.Frontier, which reuses one FrontierSearch.
 func FrontierStep(m *Mission, i int, blocked func(grid.NodeID) bool, mask func(grid.NodeID) bool,
 	prev grid.NodeID, rng *rand.Rand, voronoi bool) (Action, bool) {
 	return new(FrontierSearch).Step(m, i, blocked, mask, prev, rng, voronoi)

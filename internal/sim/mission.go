@@ -32,8 +32,9 @@ type Planner interface {
 type Learner interface {
 	Planner
 	// Observe is called once per epoch after the transition is applied.
-	// prev holds the pre-step locations; the mission exposes the post-step
-	// state.
+	// prev holds the pre-step locations (a buffer the next epoch reuses,
+	// so implementations must not retain it); the mission exposes the
+	// post-step state.
 	Observe(m *Mission, prev []grid.NodeID, acts []Action, r rewardfn.Vector)
 }
 
@@ -79,6 +80,10 @@ type Mission struct {
 	// none.
 	obstacles map[grid.NodeID]bool
 
+	// moves[i] is asset i's move in the epoch ExecuteStep last applied
+	// (LastMove).
+	moves []rewardfn.Move
+
 	// wholeTeam (the one group of every asset) and union (a group's sensed
 	// set) are communication scratch, allocated on the first exchange and
 	// reused by every later one.
@@ -121,6 +126,7 @@ func NewMission(sc Scenario, opts RunOptions) (*Mission, error) {
 		cur:           make([]grid.NodeID, n),
 		time:          make([]float64, n),
 		fuel:          make([]float64, n),
+		moves:         make([]rewardfn.Move, n),
 		teamSensed:    make([]bool, v),
 		know:          make([]Knowledge, n),
 		obstacles:     sc.obstacleSet(),
@@ -169,6 +175,12 @@ func (m *Mission) Cur(i int) grid.NodeID { return m.cur[i] }
 
 // CurAll returns a copy of all current locations (the joint state).
 func (m *Mission) CurAll() []grid.NodeID { return append([]grid.NodeID(nil), m.cur...) }
+
+// LastMove returns asset i's move in the epoch ExecuteStep last applied
+// (the zero Move before the first): its endpoints, edge weight, commanded
+// speed and weather speed factor. Its Time and Fuel are exactly what that
+// epoch added to the asset's TimeSpent and FuelSpent.
+func (m *Mission) LastMove(i int) rewardfn.Move { return m.moves[i] }
 
 // TimeSpent returns asset i's accumulated mission time.
 func (m *Mission) TimeSpent(i int) float64 { return m.time[i] }
@@ -432,7 +444,8 @@ func (m *Mission) ExecuteStep(acts []Action) (rewardfn.Vector, error) {
 	if len(acts) != len(m.sc.Team) {
 		return rewardfn.Vector{}, fmt.Errorf("sim: %d actions for %d assets", len(acts), len(m.sc.Team))
 	}
-	moves := make([]rewardfn.Move, len(acts))
+	// Check the whole joint action before recording any of it, so a
+	// rejected step leaves the mission, LastMove included, untouched.
 	for i, a := range acts {
 		from := m.cur[i]
 		if !a.IsWait() {
@@ -443,10 +456,14 @@ func (m *Mission) ExecuteStep(acts []Action) (rewardfn.Vector, error) {
 				return rewardfn.Vector{}, fmt.Errorf("sim: asset %d speed %d outside 1..%d", i, a.Speed, m.sc.Team[i].MaxSpeed)
 			}
 		}
-		to, w := m.Apply(from, a)
-		if m.obstacles[to] {
+		if to, _ := m.Apply(from, a); m.obstacles[to] {
 			return rewardfn.Vector{}, fmt.Errorf("sim: asset %d action %v enters obstacle node %d", i, a, to)
 		}
+	}
+	moves := m.moves
+	for i, a := range acts {
+		from := m.cur[i]
+		to, w := m.Apply(from, a)
 		moves[i] = rewardfn.Move{From: from, To: to, Weight: w, Speed: float64(a.Speed), Wait: a.IsWait()}
 		if m.sc.Weather != nil && !a.IsWait() {
 			moves[i].SpeedFactor = weather.ClampFactor(
@@ -576,6 +593,7 @@ func RunContext(ctx context.Context, sc Scenario, p Planner, opts RunOptions) (R
 
 	learner, _ := p.(Learner)
 	acts := make([]Action, len(sc.Team))
+	prev := make([]grid.NodeID, len(sc.Team))
 	for !m.Done() {
 		if err := ctx.Err(); err != nil {
 			return m.Result(), fmt.Errorf("sim: mission aborted at epoch %d: %w", m.Step(), err)
@@ -585,7 +603,7 @@ func RunContext(ctx context.Context, sc Scenario, p Planner, opts RunOptions) (R
 		if err := opts.Budget.Err(); err != nil {
 			return m.Result(), fmt.Errorf("sim: mission aborted at epoch %d: %w", m.Step(), err)
 		}
-		prev := m.CurAll()
+		copy(prev, m.cur)
 		var decideStart time.Time
 		if sp.Enabled() {
 			decideStart = time.Now()

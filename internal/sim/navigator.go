@@ -15,78 +15,70 @@ import (
 // partial-knowledge planner's approach leg (Section 4.1.2-1).
 //
 // Routing is backed by reverse shortest-path trees (one Dijkstra from the
-// target over the grid's in-edges yields every asset's next hop at once)
-// in a per-target memoized store:
+// target over the grid's in-edges yields every asset's next hop at once):
 //
 //   - the base tree avoids only static obstacles, so it is computed once
-//     per (mission, target) and shared by the whole team — previously every
-//     asset ran its own forward Dijkstra on every reroute;
+//     per mission and shared by the whole team;
 //   - per-asset detour trees additionally avoid believed-occupied nodes and
 //     are invalidated when the asset's beliefs about teammate locations
 //     change (communication updates them).
 //
-// A Navigator belongs to one planner instance and one mission at a time.
+// The zero value is ready. A Navigator belongs to one planner and serves
+// one mission and one target at a time; every cached route is dropped when
+// either changes.
 type Navigator struct {
 	mission *Mission
 	target  grid.NodeID
-	// trees memoizes base trees by target (the store survives re-targeting
-	// within one mission, e.g. planners probing multiple rally points).
-	trees map[grid.NodeID]*graphalg.ReverseTree
-	// detour[i] is asset i's believed-occupancy-avoiding tree; detourSig[i]
-	// is the teammate-location belief snapshot it was built for. onDetour[i]
-	// keeps the asset on its detour route until beliefs change, so base and
-	// detour trees cannot alternate into a two-node livelock.
-	detour    map[int]*graphalg.ReverseTree
-	detourSig map[int][]grid.NodeID
-	onDetour  map[int]bool
+	// base is the obstacle-avoiding tree toward target, built on first use.
+	base *graphalg.ReverseTree
+	// detour[i] is asset i's believed-occupancy-avoiding tree (nil until
+	// needed); detourSig[i] is the teammate-location belief snapshot it was
+	// built for. onDetour[i] keeps the asset on its detour route until
+	// beliefs change, so base and detour trees cannot alternate into a
+	// two-node livelock.
+	detour    []*graphalg.ReverseTree
+	detourSig [][]grid.NodeID
+	onDetour  []bool
 	// yields counts consecutive blocked epochs per asset; past a
 	// rank-staggered patience the asset retreats one hop to break mutual
 	// corridor deadlocks (two assets wanting to pass through each other
 	// across a cut vertex would otherwise wait forever).
-	yields map[int]int
+	yields []int
 }
 
-// NewNavigator returns an empty navigator.
-func NewNavigator() *Navigator {
-	return &Navigator{target: grid.None}
-}
-
-// reset clears cached state when the mission or target changes. The tree
-// store survives target changes within a mission (obstacles are static for
-// its whole lifetime); detours do not (they encode per-target routes).
+// reset drops every cached route when the mission or target changes.
 func (nv *Navigator) reset(m *Mission, target grid.NodeID) {
-	if nv.mission != m {
-		nv.mission = m
-		nv.trees = make(map[grid.NodeID]*graphalg.ReverseTree)
-	}
-	if nv.target == target && nv.detour != nil {
+	if nv.mission == m && nv.target == target {
 		return
 	}
-	nv.target = target
-	nv.detour = make(map[int]*graphalg.ReverseTree)
-	nv.detourSig = make(map[int][]grid.NodeID)
-	nv.onDetour = make(map[int]bool)
-	nv.yields = make(map[int]int)
+	n := m.NumAssets()
+	*nv = Navigator{
+		mission:   m,
+		target:    target,
+		detour:    make([]*graphalg.ReverseTree, n),
+		detourSig: make([][]grid.NodeID, n),
+		onDetour:  make([]bool, n),
+		yields:    make([]int, n),
+	}
 }
 
-// baseTree returns the memoized obstacle-avoiding reverse tree toward the
-// current target, building it on first use.
+// baseTree returns the obstacle-avoiding reverse tree toward the target,
+// building it on first use.
 func (nv *Navigator) baseTree(m *Mission) *graphalg.ReverseTree {
-	if t, ok := nv.trees[nv.target]; ok {
-		return t
+	if nv.base != nil {
+		return nv.base
 	}
 	var avoid func(grid.NodeID) bool
 	if m.HasObstacles() {
 		avoid = m.Obstacle
 	}
-	t := graphalg.ReverseTreeAvoiding(m.Grid(), nv.target, avoid)
-	nv.trees[nv.target] = t
+	nv.base = graphalg.ReverseTreeAvoiding(m.Grid(), nv.target, avoid)
 	if m.span != nil {
 		m.span.Event("reroute",
 			trace.Int("step", int64(m.Step())),
 			trace.Int("target", int64(nv.target)))
 	}
-	return t
+	return nv.base
 }
 
 // detourTree returns asset i's believed-occupancy-avoiding tree, rebuilding
@@ -97,11 +89,9 @@ func (nv *Navigator) baseTree(m *Mission) *graphalg.ReverseTree {
 func (nv *Navigator) detourTree(m *Mission, i int) (*graphalg.ReverseTree, bool) {
 	know := m.Knowledge(i)
 	sig := nv.detourSig[i]
-	fresh := false
-	if t, ok := nv.detour[i]; ok && beliefsMatch(sig, know.LastKnown, i) {
-		return t, fresh
+	if t := nv.detour[i]; t != nil && beliefsMatch(sig, know.LastKnown, i) {
+		return t, false
 	}
-	fresh = true
 	t := graphalg.ReverseTreeAvoiding(m.Grid(), nv.target, func(v grid.NodeID) bool {
 		return m.Obstacle(v) || m.BelievedOccupied(i, v)
 	})
@@ -112,7 +102,7 @@ func (nv *Navigator) detourTree(m *Mission, i int) (*graphalg.ReverseTree, bool)
 			trace.Int("step", int64(m.Step())),
 			trace.Int("asset", int64(i)))
 	}
-	return t, fresh
+	return t, true
 }
 
 // beliefsMatch reports whether the snapshot still equals the live teammate

@@ -95,7 +95,7 @@ func TestNavigatorStepsTowardTarget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMission: %v", err)
 	}
-	nv := NewNavigator()
+	var nv Navigator
 	target := grid.NodeID(5) // (5,0): far corner from asset 0
 	steps := 0
 	for g.Distance(m.Cur(0), target) > sc.Team[0].SensingRadius && steps < 20 {
@@ -141,7 +141,7 @@ func TestNavigatorYieldsToOccupiedCorridor(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMission: %v", err)
 	}
-	nv := NewNavigator()
+	var nv Navigator
 	// Asset 0's only route to node 5 runs through node 1, occupied by a
 	// teammate: the navigator must yield.
 	a, ok := nv.Step(m, 0, 5)
@@ -168,7 +168,7 @@ func TestNavigatorRoutesAroundObstacles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewMission: %v", err)
 	}
-	nv := NewNavigator()
+	var nv Navigator
 	steps := 0
 	for g.Distance(m.Cur(0), sc.Dest) > 0.9 && steps < 40 {
 		a, ok := nv.Step(m, 0, sc.Dest)

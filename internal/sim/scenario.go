@@ -146,7 +146,8 @@ type RunOptions struct {
 	// Collision selects the collision policy.
 	Collision CollisionPolicy
 	// OnStep, when non-nil, observes every epoch after it is applied:
-	// the chosen joint action and the emitted reward vector.
+	// the chosen joint action, with each asset's realized move (time and
+	// fuel included) in Mission.LastMove.
 	OnStep func(m *Mission, acts []Action)
 	// Tracer, when non-nil, records the mission as a span with per-epoch
 	// decide/step events plus communicate/found/reroute/detour events —

@@ -458,6 +458,63 @@ func TestOnStepCallback(t *testing.T) {
 	}
 }
 
+// slowField halves every crossing's effective speed.
+type slowField struct{}
+
+func (slowField) SpeedFactor(*grid.Grid, grid.NodeID, grid.NodeID, float64) float64 { return 0.5 }
+
+// TestLastMoveMatchesCharges checks that, under weather, each epoch's
+// LastMove prices exactly what the mission charged, and that a rejected
+// step leaves it untouched.
+func TestLastMoveMatchesCharges(t *testing.T) {
+	sc := toyScenario(t)
+	sc.Weather = slowField{}
+	g := sc.Grid
+	p := &scripted{seqs: [][]Action{
+		{toward(g, 0, 1)},
+		{toward(g, 9, 8), toward(g, 8, 7)},
+	}}
+	var sumT, sumF [2]float64
+	var last *Mission
+	_, err := Run(sc, p, RunOptions{OnStep: func(m *Mission, acts []Action) {
+		last = m
+		for i := range acts {
+			mv := m.LastMove(i)
+			if mv.Wait != acts[i].IsWait() || mv.To != m.Cur(i) {
+				t.Errorf("step %d asset %d: LastMove %v for action %v at %d", m.Step(), i, mv, acts[i], m.Cur(i))
+			}
+			sumT[i] += mv.Time()
+			sumF[i] += mv.Fuel()
+		}
+	}})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i := range sumT {
+		if sumT[i] != last.TimeSpent(i) || sumF[i] != last.FuelSpent(i) {
+			t.Errorf("asset %d: moves sum to %v/%v, mission charged %v/%v", i, sumT[i], sumF[i], last.TimeSpent(i), last.FuelSpent(i))
+		}
+	}
+	if want := vessel.MoveTime(1, 0.5); sumT[1] != 2*want {
+		t.Errorf("asset 1 stormy time %v, want %v", sumT[1], 2*want)
+	}
+
+	m, err := NewMission(toyScenario(t), RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ExecuteStep([]Action{toward(g, 0, 1), Wait}); err != nil {
+		t.Fatal(err)
+	}
+	before := m.LastMove(0)
+	if _, err := m.ExecuteStep([]Action{Wait, {Neighbor: 0, Speed: 9}}); err == nil {
+		t.Fatal("over-speed step accepted")
+	}
+	if m.LastMove(0) != before {
+		t.Errorf("rejected step changed LastMove(0): %v, want %v", m.LastMove(0), before)
+	}
+}
+
 func TestResultString(t *testing.T) {
 	r := Result{Found: true, FoundBy: 1, Steps: 3, TTotal: 2.5, FTotal: 10}
 	if s := r.String(); s == "" {

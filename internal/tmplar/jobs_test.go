@@ -164,7 +164,9 @@ func TestJobQueueFullReturns429(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	started := make(chan struct{})
+	// Buffered: the first blocker may reach its non-blocking send before
+	// the test waits on the channel.
+	started := make(chan struct{}, 1)
 	blocker := func(ctx context.Context) (any, error) {
 		select {
 		case started <- struct{}{}:

@@ -39,7 +39,6 @@ import (
 	"github.com/routeplanning/mamorl/internal/obs"
 	"github.com/routeplanning/mamorl/internal/prof"
 	"github.com/routeplanning/mamorl/internal/registry"
-	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
 	"github.com/routeplanning/mamorl/internal/slo"
 	"github.com/routeplanning/mamorl/internal/trace"
@@ -1364,30 +1363,10 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 		routes[i].Asset = i
 	}
 	record := func(m *sim.Mission, acts []sim.Action) {
-		for i, a := range acts {
-			cur := m.Cur(i)
-			var leg RouteLeg
-			if a.IsWait() {
-				leg = RouteLeg{From: int32(cur), To: int32(cur), Wait: true, Time: rewardfn.WaitTime}
-			} else {
-				// Post-step, Cur is the destination; reconstruct the move
-				// from the recorded previous leg end (or the source).
-				from := team[i].Source
-				if n := len(routes[i].Legs); n > 0 {
-					from = grid.NodeID(routes[i].Legs[n-1].To)
-				}
-				w, err := m.Grid().EdgeWeight(from, cur)
-				if err != nil {
-					w = m.Grid().Distance(from, cur)
-				}
-				leg = RouteLeg{
-					From:  int32(from),
-					To:    int32(cur),
-					Speed: a.Speed,
-					Time:  vessel.MoveTime(w, float64(a.Speed)),
-					Fuel:  vessel.MoveFuel(w, float64(a.Speed)),
-				}
-			}
+		for i := range acts {
+			mv := m.LastMove(i)
+			leg := RouteLeg{From: int32(mv.From), To: int32(mv.To), Speed: int(mv.Speed),
+				Time: mv.Time(), Fuel: mv.Fuel(), Wait: mv.Wait}
 			routes[i].Legs = append(routes[i].Legs, leg)
 			routes[i].Time += leg.Time
 			routes[i].Fuel += leg.Fuel

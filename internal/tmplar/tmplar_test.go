@@ -468,6 +468,28 @@ func TestPlanWithWeatherAndRendezvous(t *testing.T) {
 	if heavy.TTotal <= calm.TTotal {
 		t.Errorf("basin-wide storm should cost time: %v vs %v", heavy.TTotal, calm.TTotal)
 	}
+	// Routes are priced by the moves the mission charged, storm included:
+	// each route's totals are its legs' sums, the longest route is the
+	// makespan, and the route fuels add up to the team's fuel.
+	for name, resp := range map[string]PlanResponse{"calm": calm, "stormy": heavy} {
+		longest, fuel := 0.0, 0.0
+		for _, r := range resp.Routes {
+			legT, legF := 0.0, 0.0
+			for _, l := range r.Legs {
+				legT += l.Time
+				legF += l.Fuel
+			}
+			if legT != r.Time || legF != r.Fuel {
+				t.Errorf("%s asset %d: route time/fuel %v/%v, legs sum to %v/%v", name, r.Asset, r.Time, r.Fuel, legT, legF)
+			}
+			longest = math.Max(longest, r.Time)
+			fuel += r.Fuel
+		}
+		if longest != resp.TTotal || fuel != resp.FTotal {
+			t.Errorf("%s: longest route %v and route fuels %v, want t_total %v and f_total %v",
+				name, longest, fuel, resp.TTotal, resp.FTotal)
+		}
+	}
 
 	rv := base
 	rv.Rendezvous = true

@@ -11,12 +11,10 @@ import (
 
 	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/baselines"
-	"github.com/routeplanning/mamorl/internal/core"
 	"github.com/routeplanning/mamorl/internal/experiments"
 	"github.com/routeplanning/mamorl/internal/graphalg"
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/limits"
-	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
 )
 
@@ -235,22 +233,7 @@ func TestRandomWalkDecideAllocs(t *testing.T) {
 // distribution returns the table's shared uniform default instead of
 // storing one.
 func TestExactDecideAllocs(t *testing.T) {
-	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 100, Edges: 210, MaxOutDegree: 6, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := approx.TrainingScenario(g, 2, 3, 1.2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl, err := core.NewPlanner(sc, core.Config{Seed: 1}, rewardfn.DefaultWeights())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := sim.NewMission(sc, sim.RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pl, m := exactFixture(t)
 	for i := 0; i < 64; i++ {
 		_ = pl.Decide(m, i%2)
 	}
@@ -261,5 +244,24 @@ func TestExactDecideAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("exact Decide allocates %.2f objects/call, want 0", avg)
+	}
+}
+
+// TestExactObserveAllocs pins exact MaMoRL's LM/TMM update on the same
+// fixture at zero allocations. One step is executed and observed, which
+// stores its P and Q entries; replaying that transition then only
+// rewrites them, and Observe's joint states, action counts and indices
+// live in planner scratch.
+func TestExactObserveAllocs(t *testing.T) {
+	pl, m := exactFixture(t)
+	acts := []sim.Action{pl.Decide(m, 0), pl.Decide(m, 1)}
+	prev := m.CurAll()
+	r, err := m.ExecuteStep(acts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl.Observe(m, prev, acts, r)
+	if avg := testing.AllocsPerRun(256, func() { pl.Observe(m, prev, acts, r) }); avg != 0 {
+		t.Fatalf("exact Observe allocates %.2f objects/call, want 0", avg)
 	}
 }

@@ -350,27 +350,76 @@ func BenchmarkApproxDecide(b *testing.B) {
 	}
 }
 
-// BenchmarkExactDecide measures one ASM decision of the exact solver.
-func BenchmarkExactDecide(b *testing.B) {
+// exactFixture is an untrained two-asset exact planner on a 100-node grid
+// with a fresh mission: the fixture of BenchmarkExactDecide and of the
+// exact planner's alloc pins.
+func exactFixture(tb testing.TB) (*core.Planner, *sim.Mission) {
+	tb.Helper()
 	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 100, Edges: 210, MaxOutDegree: 6, Seed: 2})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sc, err := approx.TrainingScenario(g, 2, 3, 1.2, 3)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pl, err := core.NewPlanner(sc, core.Config{Seed: 1}, rewardfn.DefaultWeights())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	m, err := sim.NewMission(sc, sim.RunOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return pl, m
+}
+
+// BenchmarkExactDecide measures one ASM decision of the exact solver, on
+// empty tables at epoch 0 (t <= T).
+func BenchmarkExactDecide(b *testing.B) {
+	pl, m := exactFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = pl.Decide(m, i%2)
+	}
+}
+
+// BenchmarkExactTrain measures what one exact MaMoRL run of Table 6 pays
+// before it plans: building the planner and training it at Table 4's
+// defaults, on the seed-1 instance of the |V|=200 |N|=2 Dmax=9 block. Most
+// of its decisions and updates are past the threshold T, on learned
+// tables.
+func BenchmarkExactTrain(b *testing.B) {
+	var p experiments.Params
+	for _, sc := range experiments.Table6Scenarios(experiments.DefaultParams()) {
+		if sc.Label == "|V|=200 |N|=2 Dmax=9" {
+			p = sc.Params
+		}
+	}
+	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{
+		Nodes: p.Nodes, Edges: p.Edges, MaxOutDegree: p.MaxOutDegree, Seed: p.Seed})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := approx.TrainingScenario(g, p.Assets, p.MaxSpeed, p.SensingRadiusFactor, p.CommEvery)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Fill the grid's sensing-ball memo first, as the experiments'
+	// instance cache does, so the first iteration does not pay for it.
+	for v := 0; v < g.NumNodes(); v++ {
+		g.ForEachWithinRadius(grid.NodeID(v), sc.Team[0].SensingRadius, func(grid.NodeID) {})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pl, err := core.NewPlanner(sc, core.Config{Episodes: p.Episodes, Seed: p.Seed}, rewardfn.DefaultWeights())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := pl.Train(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

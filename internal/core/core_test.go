@@ -109,13 +109,13 @@ func TestTMMRepeatedObservationConverges(t *testing.T) {
 // --- LM: Equation 6 golden value (Section 3.2.2 worked example) -------------
 
 func TestLMUpdateGolden(t *testing.T) {
-	q := newQTable()
+	q := make(qTable)
 	def := 1.0 / 35 // 1/(|A| * |A'|) = 1/(7*5) = 0.0286
 	alpha, gamma, r := 0.9, 0.8, 0.5
-	old := q.get(1, 0, def)
+	old := q[1].get(0, def)[0]
 	maxQ := def // all next-state values at default
-	q.set(1, 0, (1-alpha)*old+alpha*(r+gamma*maxQ))
-	if got := q.get(1, 0, def); !almost(got, 0.47, 5e-3) {
+	q.update(1)[0] = uniform((1-alpha)*old + alpha*(r+gamma*maxQ))
+	if got := q[1].get(0, def)[0]; !almost(got, 0.47, 5e-3) {
 		t.Errorf("Q after toy update = %v, want ~0.47", got)
 	}
 }
@@ -157,20 +157,22 @@ func TestASMGolden(t *testing.T) {
 	// others at 0.1946.
 	pl.p[1].update(sKey, counts[1], 0, math.Pow(0.3, 3))
 	// Q(s, a_0, a'_0) = 0.47 for the exploration component; all else default.
-	pl.q[0][0].set(sKey, jointActionKey([]int{0, 0}, counts), 0.47)
+	def := qDefault(counts)
+	e := uniform(def)
+	e[0] = 0.47
+	pl.q[0].update(sKey)[jointActionKey([]int{0, 0}, counts)] = e
 
 	dists := [][]float64{nil, pl.p[1].dist(sKey, counts[1])}
 	best := []int{0, argmax(dists[1])}
-	def := qDefault(counts)
 	idx := make([]int, 2)
 
 	// V(a_0): 4 x 0.1946 x 0.0286 + 0.2216 x 0.47 = 0.1264.
-	v0 := pl.conditionalValue(sKey, 0, 0, 0, counts, dists, best, def, 1, idx)
+	v0 := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, 1, idx)[0]
 	if !almost(v0, 0.1264, 2e-3) {
 		t.Errorf("V(a_0) = %v, want 0.1264", v0)
 	}
 	// V(a_1): all Q at default => 0.0286.
-	v1 := pl.conditionalValue(sKey, 0, 0, 1, counts, dists, best, def, 1, idx)
+	v1 := pl.conditionalValue(pl.q[0][sKey], 0, 1, counts, dists, best, def, 1, idx)[0]
 	if !almost(v1, 0.0286, 2e-3) {
 		t.Errorf("V(a_1) = %v, want 0.0286", v1)
 	}
@@ -193,9 +195,9 @@ func TestASMPastThresholdUsesArgmax(t *testing.T) {
 	def := qDefault(counts)
 	idx := make([]int, 2)
 	// t > T (4 > 3): value is max_j P(a*_j) times the argmax-profile Q.
-	v := pl.conditionalValue(sKey, 0, 0, 0, counts, dists, best, def, 4, idx)
+	v := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, 4, idx)
 	want := dists[1][best[1]] * def
-	if !almost(v, want, 1e-12) {
+	if v != uniform(want) {
 		t.Errorf("post-threshold V = %v, want %v", v, want)
 	}
 }
@@ -377,8 +379,8 @@ func TestPDistributionAndQValueAccessors(t *testing.T) {
 		t.Errorf("PDistribution sums to %v", sum)
 	}
 	sKey := pl.keyer.key([]grid.NodeID{1, 4})
-	q := pl.q[0][0].get(sKey, jointActionKey([]int{0, 0}, counts), qDefault(counts))
-	if !almost(q, qDefault(counts), 1e-12) {
+	q := pl.q[0][sKey].get(jointActionKey([]int{0, 0}, counts), qDefault(counts))
+	if q != uniform(qDefault(counts)) {
 		t.Errorf("untrained Q value = %v, want default %v", q, qDefault(counts))
 	}
 }

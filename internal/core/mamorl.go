@@ -19,23 +19,24 @@ import (
 var ErrMemoryBudget = errors.New("core: exact MaMoRL tables exceed the memory budget")
 
 // Planner is the exact MaMoRL solver. It implements sim.Planner (the ASM)
-// and sim.Learner (TMM + LM updates), with per-asset, per-reward Q tables
-// exactly as Lemma 2 prescribes, and a per-teammate P table for the TMM.
+// and sim.Learner (TMM + LM updates), with the per-asset, per-reward Q
+// tables Lemma 2 prescribes (each asset's three stored side by side, one
+// entry per (s, a) pair) and a per-teammate P table for the TMM.
 //
 // Planner is not safe for concurrent use; run one mission at a time.
 type Planner struct {
 	cfg     Config
 	sc      sim.Scenario
 	keyer   stateKeyer
-	weights rewardfn.Weights
+	weights perReward
 	rng     *rand.Rand
 
 	// p[j] anticipates teammate j's actions. Observers share it: every
 	// asset sees the same observations during training, so the per-observer
 	// tables of Equation 5 coincide (DESIGN.md §2).
 	p []*pTable
-	// q[i][c] is asset i's Q table for reward component c.
-	q [][]*qTable
+	// q[i] is asset i's Q table, all reward components in each entry.
+	q []qTable
 
 	training bool
 	// mask, when non-nil, confines exploration value to accepted nodes:
@@ -47,8 +48,9 @@ type Planner struct {
 	// tables alias believed states, and greedy V-following can cycle. Its
 	// state carries from the training episodes into evaluation.
 	live sim.Liveness
-	// scratch is Decide's per-call working storage, reused across calls.
-	scratch decideScratch
+	// scratch is Decide's and Observe's per-call working storage, reused
+	// across calls.
+	scratch stepScratch
 
 	// epReward/epQDelta/epMaxQDelta accumulate the scalarized joint reward
 	// and the total and maximum per-update |ΔQ| applied since the last
@@ -64,40 +66,28 @@ type Planner struct {
 	chargedEntries int
 }
 
-// decideScratch is Decide's working storage: the believed joint state,
-// per-asset action counts, teammate distributions and their argmaxes, a
-// joint-action index, the legal and safe actions, and the believed-occupied
-// nodes.
-type decideScratch struct {
-	locs          []grid.NodeID
-	counts        []int
-	dists         [][]float64
-	best, idx     []int
-	actions, safe []sim.Action
-	blocked       grid.NodeSet
+// stepScratch is the working storage of Decide and Observe. locs is a joint
+// state (Decide's believed one, Observe's post-step one); counts, dists and
+// best are the per-asset action counts, teammate action distributions and
+// their argmaxes there; idx is a joint-action index. Observe adds the
+// pre-step action counts and the observed joint action. Decide adds the
+// legal and safe actions and the believed-occupied nodes.
+type stepScratch struct {
+	locs               []grid.NodeID
+	counts             []int
+	dists              [][]float64
+	best, idx          []int
+	prevCounts, actIdx []int
+	actions, safe      []sim.Action
+	blocked            grid.NodeSet
 }
 
-// rewardComponent extracts component c of a reward vector.
-func rewardComponent(r rewardfn.Vector, c int) float64 {
-	switch c {
-	case 0:
-		return r.Explore
-	case 1:
-		return r.Time
-	default:
-		return r.Fuel
-	}
-}
-
-// weightComponent extracts component c of the scalarization weights.
-func weightComponent(w rewardfn.Weights, c int) float64 {
-	switch c {
-	case 0:
-		return w.Explore
-	case 1:
-		return w.Time
-	default:
-		return w.Fuel
+// size gives every per-asset slice length n.
+func (s *stepScratch) size(n int) {
+	if len(s.counts) != n {
+		s.counts, s.dists = make([]int, n), make([][]float64, n)
+		s.best, s.idx = make([]int, n), make([]int, n)
+		s.prevCounts, s.actIdx = make([]int, n), make([]int, n)
 	}
 }
 
@@ -120,21 +110,19 @@ func NewPlanner(sc sim.Scenario, cfg Config, weights rewardfn.Weights) (*Planner
 	if err != nil {
 		return nil, err
 	}
+	w := weights.Normalized()
 	pl := &Planner{
 		cfg:     cfg,
 		sc:      sc,
 		keyer:   keyer,
-		weights: weights.Normalized(),
+		weights: perReward{w.Explore, w.Time, w.Fuel},
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		p:       make([]*pTable, len(sc.Team)),
-		q:       make([][]*qTable, len(sc.Team)),
+		q:       make([]qTable, len(sc.Team)),
 	}
 	for j := range pl.p {
 		pl.p[j] = newPTable()
-		pl.q[j] = make([]*qTable, NumRewardComponents)
-		for c := range pl.q[j] {
-			pl.q[j][c] = newQTable()
-		}
+		pl.q[j] = make(qTable)
 	}
 	return pl, nil
 }
@@ -156,7 +144,7 @@ func (pl *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner {
 	cp := *pl
 	cp.mask = mask
 	cp.live = sim.Liveness{}
-	cp.scratch = decideScratch{}
+	cp.scratch = stepScratch{}
 	cp.rng = rand.New(rand.NewSource(pl.cfg.Seed + 1))
 	return &cp
 }
@@ -224,10 +212,7 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	}
 	s := &pl.scratch
 	n := len(pl.sc.Team)
-	if len(s.counts) != n {
-		s.counts, s.dists = make([]int, n), make([][]float64, n)
-		s.best, s.idx = make([]int, n), make([]int, n)
-	}
+	s.size(n)
 	s.locs = believedState(s.locs, m, i)
 	locs, counts, dists, best := s.locs, s.counts, s.dists, s.best
 	sKey := pl.keyer.key(locs)
@@ -260,7 +245,12 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 			s.blocked.Add(m.Knowledge(i).LastKnown[j])
 		}
 	}
+	row := pl.q[i][sKey]
 	anySensed := false
+	// A neighbour's speed variants share one destination, and what a
+	// destination would sense cannot change during the call, so a run of
+	// actions with one destination counts its newly sensed nodes once.
+	lastTo, newly := grid.NodeID(-1), 0
 	for _, a := range actions {
 		to := m.Cur(i)
 		if !a.IsWait() {
@@ -268,25 +258,27 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 			if s.blocked.Has(to) {
 				continue // collision avoidance: never enter a believed-occupied node
 			}
-			if pl.maskedNewly(m, i, to) > 0 {
-				anySensed = true
-			}
+		}
+		if to != lastTo {
+			lastTo, newly = to, pl.maskedNewly(m, i, to)
+		}
+		if !a.IsWait() && newly > 0 {
+			anySensed = true
 		}
 		aIdx := sim.EncodeActionAt(a, pl.sc.Grid.OutDegree(locs[i]), pl.sc.Team[i].MaxSpeed)
+		vals := pl.conditionalValue(row, i, aIdx, counts, dists, best, def, t, s.idx)
 		v := 0.0
-		for c := 0; c < NumRewardComponents; c++ {
-			w := weightComponent(pl.weights, c)
-			if w == 0 {
-				continue
+		for c, w := range pl.weights {
+			if w != 0 {
+				v += w * vals[c]
 			}
-			v += w * pl.conditionalValue(sKey, i, c, aIdx, counts, dists, best, def, t, s.idx)
 		}
 		// Ties dominate wherever the tables still hold defaults (unvisited
 		// believed states). Break them with the paper's own Section 2.3
 		// intuition — prefer moves sensing more unexplored nodes — plus a
 		// vanishing jitter so residual ties do not lock into oscillation.
 		// Both terms are orders of magnitude below any learned Q signal.
-		v += tieBreakScale * float64(pl.maskedNewly(m, i, to))
+		v += tieBreakScale * float64(newly)
 		v += tieBreakScale * 1e-3 * pl.rng.Float64()
 		if v > bestV {
 			bestV = v
@@ -311,25 +303,24 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 // actions.
 const tieBreakScale = 1e-7
 
-// conditionalValue computes V(a_i | A*) per Equation 8 for one reward
-// component. For t <= T it takes, for each teammate j, the expectation of Q
-// over j's anticipated action distribution with every other teammate pinned
-// to its argmax action; for t > T it collapses to the argmax profile scaled
-// by the strongest teammate belief. With |N| = 2 both forms reduce exactly
-// to the paper's worked example.
-func (pl *Planner) conditionalValue(sKey uint64, i, c, aIdx int, counts []int,
-	dists [][]float64, best []int, def float64, t int, idx []int) float64 {
+// conditionalValue computes V(a_i | A*) per Equation 8 for every reward
+// component, from asset i's Q row at the believed state. For t <= T it
+// takes, for each teammate j, the expectation of Q over j's anticipated
+// action distribution with every other teammate pinned to its argmax
+// action; for t > T it collapses to the argmax profile scaled by the
+// strongest teammate belief. With |N| = 2 both forms reduce exactly to the
+// paper's worked example. Each component is summed on its own, in the same
+// order as a single-component table would be.
+func (pl *Planner) conditionalValue(row qRow, i, aIdx int, counts []int,
+	dists [][]float64, best []int, def float64, t int, idx []int) perReward {
 
 	n := len(counts)
-	q := pl.q[i][c]
 	// Base profile: own action + teammates at argmax.
-	for j := 0; j < n; j++ {
-		idx[j] = best[j]
-	}
+	copy(idx, best)
 	idx[i] = aIdx
 
 	if n == 1 {
-		return q.get(sKey, jointActionKey(idx, counts), def)
+		return row.get(jointActionKey(idx, counts), def)
 	}
 
 	if t > pl.cfg.IterT {
@@ -342,10 +333,14 @@ func (pl *Planner) conditionalValue(sKey uint64, i, c, aIdx int, counts []int,
 				maxP = p
 			}
 		}
-		return maxP * q.get(sKey, jointActionKey(idx, counts), def)
+		v := row.get(jointActionKey(idx, counts), def)
+		for c := range v {
+			v[c] = maxP * v[c]
+		}
+		return v
 	}
 
-	v := 0.0
+	var v perReward
 	for j := 0; j < n; j++ {
 		if j == i {
 			continue
@@ -353,7 +348,10 @@ func (pl *Planner) conditionalValue(sKey uint64, i, c, aIdx int, counts []int,
 		save := idx[j]
 		for aj, pj := range dists[j] {
 			idx[j] = aj
-			v += pj * q.get(sKey, jointActionKey(idx, counts), def)
+			q := row.get(jointActionKey(idx, counts), def)
+			for c := range v {
+				v[c] += pj * q[c]
+			}
 		}
 		idx[j] = save
 	}
@@ -385,12 +383,13 @@ func (pl *Planner) exploreAction(m *sim.Mission, i int, actions []sim.Action) si
 // the LM update (Equation 6), using the ground-truth pre-step state
 // (centralized training, decentralized execution).
 func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action, r rewardfn.Vector) {
+	s := &pl.scratch
 	n := len(pl.sc.Team)
+	s.size(n)
 	sKey := pl.keyer.key(prev)
-	counts := make([]int, n)
-	actIdx := make([]int, n)
+	prevCounts, actIdx := s.prevCounts, s.actIdx
 	for j := 0; j < n; j++ {
-		counts[j] = pl.actionCountAt(j, prev[j])
+		prevCounts[j] = pl.actionCountAt(j, prev[j])
 		actIdx[j] = sim.EncodeActionAt(acts[j], pl.sc.Grid.OutDegree(prev[j]), pl.sc.Team[j].MaxSpeed)
 	}
 
@@ -398,52 +397,60 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 	// transition, so the transition's epoch is m.Step()).
 	factor := pl.tmmFactor(m.Step())
 	for j := 0; j < n; j++ {
-		pl.p[j].update(sKey, counts[j], actIdx[j], factor)
+		pl.p[j].update(sKey, prevCounts[j], actIdx[j], factor)
 	}
 
 	// LM: Equation 6, per asset and reward component.
-	cur := m.CurAll()
-	sNext := pl.keyer.key(cur)
-	countsNext := make([]int, n)
+	s.locs = s.locs[:0]
 	for j := 0; j < n; j++ {
-		countsNext[j] = pl.actionCountAt(j, cur[j])
+		s.locs = append(s.locs, m.Cur(j))
 	}
-	defPrev := qDefault(counts)
-	defNext := qDefault(countsNext)
-	aKey := jointActionKey(actIdx, counts)
+	next, counts, nextBest, idx := s.locs, s.counts, s.best, s.idx
+	sNext := pl.keyer.key(next)
+	for j := 0; j < n; j++ {
+		counts[j] = pl.actionCountAt(j, next[j])
+	}
+	defPrev := qDefault(prevCounts)
+	defNext := qDefault(counts)
+	aKey := jointActionKey(actIdx, prevCounts)
 
 	// Teammates' anticipated next actions a'_j = argmax_b P(s', b).
-	nextBest := make([]int, n)
 	for j := 0; j < n; j++ {
-		nextBest[j] = argmax(pl.p[j].dist(sNext, countsNext[j]))
+		nextBest[j] = argmax(pl.p[j].dist(sNext, counts[j]))
 	}
 
-	idx := make([]int, n)
+	rv := perReward{r.Explore, r.Time, r.Fuel}
 	for i := 0; i < n; i++ {
-		for c := 0; c < NumRewardComponents; c++ {
-			q := pl.q[i][c]
-			// max over own next action with teammates at their argmax.
-			copy(idx, nextBest)
-			maxQ := math.Inf(-1)
-			for ai := 0; ai < countsNext[i]; ai++ {
-				idx[i] = ai
-				if v := q.get(sNext, jointActionKey(idx, countsNext), defNext); v > maxQ {
-					maxQ = v
+		// max over own next action with teammates at their argmax, per
+		// component; every read precedes the write below, as with one
+		// table per component.
+		rowNext := pl.q[i][sNext]
+		copy(idx, nextBest)
+		maxQ := uniform(math.Inf(-1))
+		for ai := 0; ai < counts[i]; ai++ {
+			idx[i] = ai
+			q := rowNext.get(jointActionKey(idx, counts), defNext)
+			for c := range maxQ {
+				if q[c] > maxQ[c] {
+					maxQ[c] = q[c]
 				}
 			}
-			old := q.get(sKey, aKey, defPrev)
-			rc := rewardComponent(r, c)
-			next := (1-pl.cfg.Alpha)*old + pl.cfg.Alpha*(rc+pl.cfg.Gamma*maxQ)
-			q.set(sKey, aKey, next)
-			d := math.Abs(next - old)
+		}
+		row := pl.q[i].update(sKey)
+		old := row.get(aKey, defPrev)
+		var upd perReward
+		for c := range upd {
+			upd[c] = (1-pl.cfg.Alpha)*old[c] + pl.cfg.Alpha*(rv[c]+pl.cfg.Gamma*maxQ[c])
+			d := math.Abs(upd[c] - old[c])
 			pl.epQDelta += d
 			if d > pl.epMaxQDelta {
 				pl.epMaxQDelta = d
 			}
 		}
+		row[aKey] = upd
 	}
-	for c := 0; c < NumRewardComponents; c++ {
-		pl.epReward += weightComponent(pl.weights, c) * rewardComponent(r, c)
+	for c, w := range pl.weights {
+		pl.epReward += w * rv[c]
 	}
 }
 
@@ -520,10 +527,8 @@ func (pl *Planner) TableStats() TableStats {
 	for _, p := range pl.p {
 		st.PEntries += p.entries()
 	}
-	for _, qs := range pl.q {
-		for _, q := range qs {
-			st.QEntries += q.entries()
-		}
+	for _, q := range pl.q {
+		st.QEntries += q.entries()
 	}
 	numActions := InstanceActions(pl.sc.Grid, pl.sc.Team)
 	st.DensePBytes = PTableBytes(pl.sc.Grid.NumNodes(), len(pl.sc.Team), numActions, pl.sc.Team.MaxSpeedOver())

@@ -120,47 +120,65 @@ func (p *pTable) entries() int { return len(p.dists) }
 
 // --- Q table (Learning Module storage) -------------------------------------
 //
-// One qTable per reward component (Lemma 2). Q[sKey][aKey] with the lazy
-// uniform default 1/Π_i |A_i(s)| from the worked example in Section 3.2.2.
-type qTable struct {
-	vals map[uint64]map[uint64]float64
-}
+// Each asset has one qTable that holds Lemma 2's per-reward tables side by
+// side: the entry Q[sKey][aKey] carries every reward component of one
+// (s, a) pair, because the LM update (Equation 6) always writes them
+// together. Readers look a state's row up once and then index it by joint
+// action, so one joint state costs one hash however many components and
+// joint actions are read. Unseen pairs read as the lazy uniform default
+// 1/Π_i |A_i(s)| from the worked example in Section 3.2.2.
+type qTable map[uint64]qRow
 
-func newQTable() *qTable { return &qTable{vals: make(map[uint64]map[uint64]float64)} }
+// qRow holds one joint state's entries, keyed by joint action. The nil row
+// of a state never updated reads as all defaults.
+type qRow map[uint64]perReward
 
-// get returns Q(s, a), falling back to the default for unseen pairs.
-func (q *qTable) get(sKey, aKey uint64, def float64) float64 {
-	if m, ok := q.vals[sKey]; ok {
-		if v, ok := m[aKey]; ok {
-			return v
-		}
+// perReward holds one value per reward component (exploration, time,
+// fuel): a Q entry, a reward vector, or the scalarization weights.
+type perReward [NumRewardComponents]float64
+
+// uniform returns a perReward with every component at v.
+func uniform(v float64) perReward {
+	var r perReward
+	for c := range r {
+		r[c] = v
 	}
-	return def
+	return r
 }
 
-// set stores Q(s, a).
-func (q *qTable) set(sKey, aKey uint64, v float64) {
-	m, ok := q.vals[sKey]
+// get returns Q(s, a) for the row's state s, with every component at def
+// for a pair never updated.
+func (r qRow) get(aKey uint64, def float64) perReward {
+	if v, ok := r[aKey]; ok {
+		return v
+	}
+	return uniform(def)
+}
+
+// update returns sKey's row for writing, creating it if absent.
+func (q qTable) update(sKey uint64) qRow {
+	r, ok := q[sKey]
 	if !ok {
-		m = make(map[uint64]float64)
-		q.vals[sKey] = m
+		r = make(qRow)
+		q[sKey] = r
 	}
-	m[aKey] = v
+	return r
 }
 
-// entries counts stored (s, a) pairs.
-func (q *qTable) entries() int {
+// entries counts stored values, NumRewardComponents per stored (s, a)
+// pair: what Lemma 2's separate per-reward tables would hold.
+func (q qTable) entries() int {
 	n := 0
-	for _, m := range q.vals {
-		n += len(m)
+	for _, r := range q {
+		n += len(r)
 	}
-	return n
+	return n * NumRewardComponents
 }
 
 // --- Lemma 1 & 2: theoretical dense table sizes -----------------------------
 
-// NumRewardComponents is the number of objectives, and thus of P and Q
-// tables (exploration, time, fuel).
+// NumRewardComponents is the number of objectives (exploration, time,
+// fuel), and thus of the per-reward P and Q tables Lemmata 1-2 count.
 const NumRewardComponents = 3
 
 // bytesPerEntry is the size of one stored table value.

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/routeplanning/mamorl/internal/grid"
+	"github.com/routeplanning/mamorl/internal/trace"
 	"github.com/routeplanning/mamorl/internal/vessel"
 )
 
@@ -155,5 +157,51 @@ func TestCommunicateReusesScratch(t *testing.T) {
 	}
 	if k := m.Knowledge(0); k.SensedCount != 4 || !k.Sensed[20] {
 		t.Errorf("after the whole-team exchange asset 0 senses %d nodes (node 20: %v), want 4 (true)", k.SensedCount, k.Sensed[20])
+	}
+}
+
+// TestRangedExchangeOrder: a ranged exchange runs its radio groups in order
+// of their lowest member, so a mission emits the same communicate events on
+// every run, and once its scratch is allocated it allocates nothing.
+func TestRangedExchangeOrder(t *testing.T) {
+	g := grid.Path("line", 30, 1)
+	sc := Scenario{
+		Grid: g,
+		// Assets 0, 2 and 4 relay along 20-21-22; assets 1 and 3 link at 0-1.
+		Team:      vessel.NewTeam([]grid.NodeID{20, 0, 21, 1, 22}, 0.5, 1),
+		Dest:      10,
+		CommEvery: 1,
+		CommRange: 1.5,
+	}
+	want := []int64{3, 2} // group {0, 2, 4}, then group {1, 3}
+	for run := 0; run < 20; run++ {
+		m, err := NewMission(sc, RunOptions{})
+		if err != nil {
+			t.Fatalf("NewMission: %v", err)
+		}
+		m.span = trace.New().Start("mission")
+		m.communicateRanged()
+		var got []int64
+		for _, e := range m.span.EventsNamed("communicate") {
+			a, _ := e.Attr("group")
+			got = append(got, a.IntVal())
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d: communicate events for groups of %v, want %v", run, got, want)
+		}
+	}
+
+	m, err := NewMission(sc, RunOptions{})
+	if err != nil {
+		t.Fatalf("NewMission: %v", err)
+	}
+	m.communicateRanged()
+	if avg := testing.AllocsPerRun(100, m.communicateRanged); avg != 0 {
+		t.Fatalf("ranged exchange allocates %.2f objects/call, want 0", avg)
+	}
+	for _, i := range []int{0, 2, 4} {
+		if k := m.Knowledge(i); k.SensedCount != 3 || k.Sensed[0] {
+			t.Errorf("asset %d senses %d nodes (node 0: %v) after its group's exchange, want 3 (false)", i, k.SensedCount, k.Sensed[0])
+		}
 	}
 }

@@ -84,11 +84,14 @@ type Mission struct {
 	// (LastMove).
 	moves []rewardfn.Move
 
-	// wholeTeam (the one group of every asset) and union (a group's sensed
-	// set) are communication scratch, allocated on the first exchange and
-	// reused by every later one.
-	wholeTeam [][]int
-	union     []bool
+	// wholeTeam (the one group of every asset), union (a group's sensed
+	// set), and radio and radioGroups (a ranged exchange's union-find and
+	// groups) are communication scratch, allocated on the first exchange of
+	// their kind and reused by every later one.
+	wholeTeam   [][]int
+	union       []bool
+	radio       commUF
+	radioGroups [][]int
 
 	step          int
 	done          bool
@@ -344,10 +347,18 @@ func (m *Mission) communicate() {
 // communicateRanged runs the periodic exchange under a finite radio range:
 // assets within CommRange form links, links form transitive groups (a chain
 // of assets relays), and each group shares locations and sensed sets
-// internally.
+// internally. Groups run in order of their lowest member, so a mission
+// emits its communicate events in the same order on every run.
 func (m *Mission) communicateRanged() {
 	n := len(m.know)
-	uf := newCommUF(n)
+	if m.radioGroups == nil {
+		m.radioGroups = make([][]int, n)
+		for g := range m.radioGroups {
+			m.radioGroups[g] = make([]int, 0, n)
+		}
+	}
+	uf := &m.radio
+	uf.reset(n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if m.sc.Grid.Distance(m.cur[i], m.cur[j]) <= m.sc.CommRange {
@@ -355,13 +366,19 @@ func (m *Mission) communicateRanged() {
 			}
 		}
 	}
-	byRoot := make(map[int][]int)
-	for i := 0; i < n; i++ {
-		r := uf.find(i)
-		byRoot[r] = append(byRoot[r], i)
-	}
-	groups := make([][]int, 0, len(byRoot))
-	for _, g := range byRoot {
+	// A group's root is its lowest member: scanning roots in order lists
+	// the groups by lowest member, each with its members ascending.
+	groups := m.radioGroups[:0]
+	for r := 0; r < n; r++ {
+		if uf.find(r) != r {
+			continue
+		}
+		g := m.radioGroups[len(groups)][:0]
+		for i := r; i < n; i++ {
+			if uf.find(i) == r {
+				g = append(g, i)
+			}
+		}
 		groups = append(groups, g)
 	}
 	m.communicateGroups(groups)
@@ -408,15 +425,18 @@ func (m *Mission) communicateGroups(groups [][]int) {
 	}
 }
 
-// commUF is a small union-find for radio groups.
+// commUF is a small union-find for radio groups. union keeps the lower
+// root, so a set's root is its lowest member.
 type commUF struct{ parent []int }
 
-func newCommUF(n int) *commUF {
-	uf := &commUF{parent: make([]int, n)}
+// reset makes each of n assets its own set.
+func (uf *commUF) reset(n int) {
+	if len(uf.parent) != n {
+		uf.parent = make([]int, n)
+	}
 	for i := range uf.parent {
 		uf.parent[i] = i
 	}
-	return uf
 }
 
 func (uf *commUF) find(x int) int {
@@ -429,6 +449,9 @@ func (uf *commUF) find(x int) int {
 
 func (uf *commUF) union(a, b int) {
 	ra, rb := uf.find(a), uf.find(b)
+	if ra > rb {
+		ra, rb = rb, ra
+	}
 	if ra != rb {
 		uf.parent[rb] = ra
 	}

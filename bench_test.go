@@ -517,17 +517,59 @@ func BenchmarkScenarioValidate(b *testing.B) {
 
 // BenchmarkFrontierStep measures one frontier search, the fallback every
 // cooperative planner takes when no move senses anything new, on a planner's
-// reused scratch. Every node but the one farthest from asset 0 is sensed,
-// so each search crosses most of the 400-node grid.
+// reused scratch with the Voronoi test on. The planar case runs on the
+// 400-node synthetic grid of the Decide alloc pins: every node but the one
+// farthest from asset 0 is sensed, so each search crosses most of the grid
+// and tests one candidate. The geodesic case runs on the 710-node
+// Caribbean mesh, where the Voronoi test compares great-circle distances:
+// asset 0 has sensed exactly its own Voronoi cell, so its search crosses
+// the cell and tests every unsensed node it meets against each teammate,
+// finding none of them its own.
 func BenchmarkFrontierStep(b *testing.B) {
-	m := decisionMission(b)
-	senseAllBut(m, farthestFrom(m.Grid(), m.Cur(0)))
-	rng := rand.New(rand.NewSource(1))
-	var f sim.FrontierSearch
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, _ = f.Step(m, i%m.NumAssets(), nil, nil, grid.None, rng, true)
-	}
+	b.Run("planar", func(b *testing.B) {
+		m := decisionMission(b)
+		senseAllBut(m, farthestFrom(m.Grid(), m.Cur(0)))
+		rng := rand.New(rand.NewSource(1))
+		var f sim.FrontierSearch
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, _ = f.Step(m, i%m.NumAssets(), nil, nil, grid.None, rng, true)
+		}
+	})
+	b.Run("geodesic", func(b *testing.B) {
+		g, err := grid.CaribbeanGrid(5)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc, err := approx.TrainingScenario(g, 4, 5, 1.2, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := sim.NewMission(sc, sim.RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		k := m.Knowledge(0)
+		k.SensedCount = 0
+		for v := range k.Sensed {
+			u := grid.NodeID(v)
+			k.Sensed[v] = true
+			for j := 1; j < m.NumAssets(); j++ {
+				if g.Distance(k.LastKnown[j], u) < g.Distance(m.Cur(0), u) {
+					k.Sensed[v] = false
+				}
+			}
+			if k.Sensed[v] {
+				k.SensedCount++
+			}
+		}
+		rng := rand.New(rand.NewSource(1))
+		var f sim.FrontierSearch
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_, _ = f.Step(m, 0, nil, nil, grid.None, rng, true)
+		}
+	})
 }
 
 // BenchmarkAblation runs the deployment-mechanism ablation study: the full

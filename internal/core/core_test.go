@@ -167,12 +167,13 @@ func TestASMGolden(t *testing.T) {
 	idx := make([]int, 2)
 
 	// V(a_0): 4 x 0.1946 x 0.0286 + 0.2216 x 0.47 = 0.1264.
-	v0 := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, 1, idx)[0]
+	maxP := strongestBelief(0, dists, best)
+	v0 := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, maxP, 1, idx)[0]
 	if !almost(v0, 0.1264, 2e-3) {
 		t.Errorf("V(a_0) = %v, want 0.1264", v0)
 	}
 	// V(a_1): all Q at default => 0.0286.
-	v1 := pl.conditionalValue(pl.q[0][sKey], 0, 1, counts, dists, best, def, 1, idx)[0]
+	v1 := pl.conditionalValue(pl.q[0][sKey], 0, 1, counts, dists, best, def, maxP, 1, idx)[0]
 	if !almost(v1, 0.0286, 2e-3) {
 		t.Errorf("V(a_1) = %v, want 0.0286", v1)
 	}
@@ -195,7 +196,7 @@ func TestASMPastThresholdUsesArgmax(t *testing.T) {
 	def := qDefault(counts)
 	idx := make([]int, 2)
 	// t > T (4 > 3): value is max_j P(a*_j) times the argmax-profile Q.
-	v := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, 4, idx)
+	v := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, strongestBelief(0, dists, best), 4, idx)
 	want := dists[1][best[1]] * def
 	if v != uniform(want) {
 		t.Errorf("post-threshold V = %v, want %v", v, want)

@@ -245,7 +245,14 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 			s.blocked.Add(m.Knowledge(i).LastKnown[j])
 		}
 	}
+	maxP := strongestBelief(i, dists, best)
 	row := pl.q[i][sKey]
+	// Without a row every entry reads def, so no candidate action changes
+	// the value: take it once.
+	var rowless perReward
+	if row == nil {
+		rowless = pl.conditionalValue(nil, i, 0, counts, dists, best, def, maxP, t, s.idx)
+	}
 	anySensed := false
 	// A neighbour's speed variants share one destination, and what a
 	// destination would sense cannot change during the call, so a run of
@@ -265,8 +272,11 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 		if !a.IsWait() && newly > 0 {
 			anySensed = true
 		}
-		aIdx := sim.EncodeActionAt(a, pl.sc.Grid.OutDegree(locs[i]), pl.sc.Team[i].MaxSpeed)
-		vals := pl.conditionalValue(row, i, aIdx, counts, dists, best, def, t, s.idx)
+		vals := rowless
+		if row != nil {
+			aIdx := sim.EncodeActionAt(a, pl.sc.Grid.OutDegree(locs[i]), pl.sc.Team[i].MaxSpeed)
+			vals = pl.conditionalValue(row, i, aIdx, counts, dists, best, def, maxP, t, s.idx)
+		}
 		v := 0.0
 		for c, w := range pl.weights {
 			if w != 0 {
@@ -307,12 +317,12 @@ const tieBreakScale = 1e-7
 // component, from asset i's Q row at the believed state. For t <= T it
 // takes, for each teammate j, the expectation of Q over j's anticipated
 // action distribution with every other teammate pinned to its argmax
-// action; for t > T it collapses to the argmax profile scaled by the
-// strongest teammate belief. With |N| = 2 both forms reduce exactly to the
-// paper's worked example. Each component is summed on its own, in the same
-// order as a single-component table would be.
+// action; for t > T it collapses to the argmax profile scaled by maxP, the
+// strongest teammate belief (strongestBelief). With |N| = 2 both forms
+// reduce exactly to the paper's worked example. Each component is summed on
+// its own, in the same order as a single-component table would be.
 func (pl *Planner) conditionalValue(row qRow, i, aIdx int, counts []int,
-	dists [][]float64, best []int, def float64, t int, idx []int) perReward {
+	dists [][]float64, best []int, def, maxP float64, t int, idx []int) perReward {
 
 	n := len(counts)
 	// Base profile: own action + teammates at argmax.
@@ -324,15 +334,6 @@ func (pl *Planner) conditionalValue(row qRow, i, aIdx int, counts []int,
 	}
 
 	if t > pl.cfg.IterT {
-		maxP := 0.0
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			if p := dists[j][best[j]]; p > maxP {
-				maxP = p
-			}
-		}
 		v := row.get(jointActionKey(idx, counts), def)
 		for c := range v {
 			v[c] = maxP * v[c]
@@ -356,6 +357,22 @@ func (pl *Planner) conditionalValue(row qRow, i, aIdx int, counts []int,
 		idx[j] = save
 	}
 	return v
+}
+
+// strongestBelief returns max_j P(a*_j) over asset i's teammates: the
+// largest probability any teammate's anticipated distribution puts on its
+// argmax action. It scales Equation 8's value past the threshold T.
+func strongestBelief(i int, dists [][]float64, best []int) float64 {
+	maxP := 0.0
+	for j := range dists {
+		if j == i {
+			continue
+		}
+		if p := dists[j][best[j]]; p > maxP {
+			maxP = p
+		}
+	}
+	return maxP
 }
 
 // exploreAction picks a random non-colliding action for ε-greedy training.
@@ -423,16 +440,19 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 	for i := 0; i < n; i++ {
 		// max over own next action with teammates at their argmax, per
 		// component; every read precedes the write below, as with one
-		// table per component.
-		rowNext := pl.q[i][sNext]
-		copy(idx, nextBest)
-		maxQ := uniform(math.Inf(-1))
-		for ai := 0; ai < counts[i]; ai++ {
-			idx[i] = ai
-			q := rowNext.get(jointActionKey(idx, counts), defNext)
-			for c := range maxQ {
-				if q[c] > maxQ[c] {
-					maxQ[c] = q[c]
+		// table per component. Without a row for s' every entry reads
+		// defNext, and so does the max.
+		maxQ := uniform(defNext)
+		if rowNext := pl.q[i][sNext]; rowNext != nil {
+			copy(idx, nextBest)
+			maxQ = uniform(math.Inf(-1))
+			for ai := 0; ai < counts[i]; ai++ {
+				idx[i] = ai
+				q := rowNext.get(jointActionKey(idx, counts), defNext)
+				for c := range maxQ {
+					if q[c] > maxQ[c] {
+						maxQ[c] = q[c]
+					}
 				}
 			}
 		}

@@ -75,18 +75,27 @@ func Euclidean(a, b Point) float64 {
 // Haversine returns the great-circle distance between a and b in nautical
 // miles, interpreting X as longitude and Y as latitude in degrees.
 func Haversine(a, b Point) float64 {
-	lat1 := a.Y * math.Pi / 180
-	lat2 := b.Y * math.Pi / 180
-	dLat := lat2 - lat1
-	dLon := (b.X - a.X) * math.Pi / 180
-
-	sinLat := math.Sin(dLat / 2)
-	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	h := HaversineTerm(a, b, CosLat(a), CosLat(b))
 	if h > 1 {
 		h = 1
 	}
 	return 2 * EarthRadiusNM * math.Asin(math.Sqrt(h))
+}
+
+// CosLat returns the cosine of p's latitude, the per-point factor of
+// HaversineTerm. Geodesic grids cache it for every node.
+func CosLat(p Point) float64 { return math.Cos(p.Y * math.Pi / 180) }
+
+// HaversineTerm returns the haversine term h of a and b, the squared sine
+// of half their central angle, given cosA = CosLat(a) and cosB = CosLat(b).
+// Haversine is 2R·asin(√min(h, 1)), which never decreases as h grows, so
+// comparing terms orders great-circle distances without the inverse trig.
+func HaversineTerm(a, b Point, cosA, cosB float64) float64 {
+	dLat := b.Y*math.Pi/180 - a.Y*math.Pi/180
+	dLon := (b.X - a.X) * math.Pi / 180
+	sinLat := math.Sin(dLat / 2)
+	sinLon := math.Sin(dLon / 2)
+	return sinLat*sinLat + cosA*cosB*sinLon*sinLon
 }
 
 // Rect is an axis-aligned rectangle, used to describe the bounding box of a

@@ -1,6 +1,9 @@
 package geo
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,5 +161,35 @@ func TestPointString(t *testing.T) {
 	p := Point{X: 1.23456, Y: -7.1}
 	if got := p.String(); got != "(1.2346, -7.1000)" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestHaversineBitsPinned pins the exact bits of Haversine over seeded point
+// pairs: local pairs a few degrees apart (ocean-mesh scale), global pairs
+// anywhere on the sphere, coincident points and antipodes. Grid edge
+// weights, sensing balls and every planner's distance comparisons are
+// built on these bits, so a refactor of the formula must leave them as
+// they are.
+func TestHaversineBitsPinned(t *testing.T) {
+	const want = "f40060279b6fcf3abcb78cf7625266b3cf9671ded4bf5df52ddcc55531c9fbff"
+	rng := rand.New(rand.NewSource(20221))
+	h := sha256.New()
+	var buf [8]byte
+	add := func(a, b Point) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(Haversine(a, b)))
+		h.Write(buf[:])
+	}
+	for k := 0; k < 20000; k++ {
+		a := Point{X: -90 + 30*rng.Float64(), Y: 8 + 20*rng.Float64()}
+		b := Point{X: a.X + 4*(rng.Float64()-0.5), Y: a.Y + 4*(rng.Float64()-0.5)}
+		add(a, b)
+		g1 := Point{X: 360*rng.Float64() - 180, Y: 180*rng.Float64() - 90}
+		g2 := Point{X: 360*rng.Float64() - 180, Y: 180*rng.Float64() - 90}
+		add(g1, g2)
+		add(a, a)
+		add(g1, Point{X: g1.X + 180, Y: -g1.Y})
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Haversine bits digest %s, want %s", got, want)
 	}
 }

@@ -54,6 +54,9 @@ type Grid struct {
 	bounds       geo.Rect
 	index        *spatialIndex
 	balls        ballMemo
+	// cosLat[v] is geo.CosLat of node v on a geodesic grid (nil on a planar
+	// one), so a distance key costs no cosine.
+	cosLat []float64
 }
 
 // MaxEdgeWeight returns the largest arc weight: an upper bound on the
@@ -120,6 +123,42 @@ func (g *Grid) Bounds() geo.Rect { return g.bounds }
 // Distance returns the metric distance between the positions of two nodes.
 func (g *Grid) Distance(v, w NodeID) float64 {
 	return g.metric.Distance(g.pos[v], g.pos[w])
+}
+
+// DistKey is a node pair's distance key: a number that grows with the
+// pair's Distance, cheaper to take than the distance itself. On a geodesic
+// grid it is the haversine term, from cached latitude cosines; on a planar
+// grid it is the squared length. Compare keys with Shorter.
+type DistKey struct {
+	from, to NodeID
+	key      float64
+}
+
+// DistKey returns the distance key of the pair (v, w).
+func (g *Grid) DistKey(v, w NodeID) DistKey {
+	p, q := g.pos[v], g.pos[w]
+	if g.cosLat != nil {
+		return DistKey{v, w, geo.HaversineTerm(p, q, g.cosLat[v], g.cosLat[w])}
+	}
+	dx, dy := p.X-q.X, p.Y-q.Y
+	return DistKey{v, w, dx*dx + dy*dy}
+}
+
+// nearTie is the relative gap between two distance keys below which
+// Shorter compares the distances themselves.
+const nearTie = 1e-9
+
+// Shorter reports whether the Distance of x's pair is less than that of
+// y's pair, with exactly the answer comparing the two Distance calls gives.
+// Keys further apart than a relative nearTie decide it: a gap that wide
+// survives the square root, the arcsine and their rounding. Near-ties, and
+// negative or NaN keys (a latitude beyond ±90° can make rounding push a
+// haversine term below 0), fall back to the two Distance calls.
+func (g *Grid) Shorter(x, y DistKey) bool {
+	if x.key >= 0 && y.key >= 0 && math.Abs(x.key-y.key) > nearTie*math.Max(x.key, y.key) {
+		return x.key < y.key
+	}
+	return g.Distance(x.from, x.to) < g.Distance(y.from, y.to)
 }
 
 // radiusScratch pools the gather buffer of WithinRadius and of ball
@@ -308,6 +347,12 @@ func (b *Builder) Build() (*Grid, error) {
 	// extra sort.
 	g.bounds = geo.Bound(g.pos)
 	g.index = newSpatialIndex(g)
+	if g.metric == geo.Geodesic {
+		g.cosLat = make([]float64, len(g.pos))
+		for v, p := range g.pos {
+			g.cosLat[v] = geo.CosLat(p)
+		}
+	}
 	return g, nil
 }
 

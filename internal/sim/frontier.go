@@ -17,7 +17,9 @@ import (
 // When voronoi is set, frontier nodes are partitioned against believed
 // teammate positions: the asset prefers unsensed nodes at least as close to
 // itself as to any teammate, so that teammates sharing the same knowledge
-// fan out instead of racing to one frontier node. If the chosen first hop
+// fan out instead of racing to one frontier node. The test compares grid
+// distance keys (Grid.DistKey, Grid.Shorter), which answer exactly as
+// comparing the distances would, without their trig. If the chosen first hop
 // is blocked, the asset detours through an unblocked neighbor that gets it
 // closer to the goal (avoiding prev, the node it just left; hop counts and
 // metric distances can disagree, producing two-node bounce cycles without
@@ -63,12 +65,9 @@ func (f *FrontierSearch) Step(m *Mission, i int, blocked func(grid.NodeID) bool,
 		if !voronoi {
 			return true
 		}
-		d := g.Metric().Distance(g.Pos(start), g.Pos(u))
-		for j := range know.LastKnown {
-			if j == i {
-				continue
-			}
-			if g.Metric().Distance(g.Pos(know.LastKnown[j]), g.Pos(u)) < d {
+		d := g.DistKey(start, u)
+		for j, b := range know.LastKnown {
+			if j != i && g.Shorter(g.DistKey(b, u), d) {
 				return false
 			}
 		}

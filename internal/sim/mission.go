@@ -84,10 +84,17 @@ type Mission struct {
 	// (LastMove).
 	moves []rewardfn.Move
 
-	// wholeTeam (the one group of every asset), union (a group's sensed
-	// set), and radio and radioGroups (a ranged exchange's union-find and
-	// groups) are communication scratch, allocated on the first exchange of
-	// their kind and reused by every later one.
+	// fresh[i] lists the nodes asset i's own sensing added to its Sensed
+	// since the last whole-team exchange. A node an asset holds beyond that
+	// exchange's union reached the team through someone's sensing, so it
+	// sits in the list of the asset that sensed it first: the next
+	// whole-team exchange only has to add the other members' lists.
+	fresh [][]grid.NodeID
+
+	// wholeTeam (the one group of every asset), union (a ranged group's
+	// sensed set), and radio and radioGroups (a ranged exchange's
+	// union-find and groups) are communication scratch, allocated on the
+	// first exchange of their kind and reused by every later one.
 	wholeTeam   [][]int
 	union       []bool
 	radio       commUF
@@ -116,10 +123,12 @@ func NewMission(sc Scenario, opts RunOptions) (*Mission, error) {
 	n := len(sc.Team)
 	v := sc.Grid.NumNodes()
 	// Mission state is the dominant per-episode allocation: per-asset
-	// Knowledge (a sensed bitmap plus last-known vectors) and the shared
-	// team-sensed bitmap. Charge the estimate up front so a budget too
-	// small for the scenario fails before any planning work happens.
-	stateBytes := int64(v)*int64(n+1) + 16*int64(n)*int64(n)
+	// Knowledge (a sensed bitmap plus last-known vectors), the shared
+	// team-sensed bitmap, and the per-asset fresh lists, each up to |V|
+	// node IDs between whole-team exchanges. Charge the estimate up front
+	// so a budget too small for the scenario fails before any planning
+	// work happens.
+	stateBytes := int64(v)*int64(n+1) + 16*int64(n)*int64(n) + 4*int64(v)*int64(n)
 	if err := opts.Budget.Charge(limits.Bytes, stateBytes); err != nil {
 		return nil, fmt.Errorf("sim: mission state over budget: %w", err)
 	}
@@ -132,6 +141,7 @@ func NewMission(sc Scenario, opts RunOptions) (*Mission, error) {
 		moves:         make([]rewardfn.Move, n),
 		teamSensed:    make([]bool, v),
 		know:          make([]Knowledge, n),
+		fresh:         make([][]grid.NodeID, n),
 		obstacles:     sc.obstacleSet(),
 		foundBy:       -1,
 		discoveryStep: -1,
@@ -283,6 +293,7 @@ func (m *Mission) senseFrom(i int) int {
 		if !m.know[i].Sensed[u] {
 			m.know[i].Sensed[u] = true
 			m.know[i].SensedCount++
+			m.fresh[i] = append(m.fresh[i], u)
 		}
 	})
 	return newly
@@ -402,7 +413,14 @@ func (m *Mission) communicateGroups(groups [][]int) {
 				m.know[i].LastKnownStep[j] = m.step
 			}
 		}
-		// Sensed sets: union within the group.
+		// Sensed sets: union within the group. A radio group that leaves
+		// someone out may hold sets from different exchanges, so it scans
+		// them whole; what it spreads came from its members' sets, and so
+		// already sits in fresh lists.
+		if len(group) == len(m.know) {
+			m.shareWholeTeam()
+			continue
+		}
 		if m.union == nil {
 			m.union = make([]bool, m.sc.Grid.NumNodes())
 		} else {
@@ -422,6 +440,31 @@ func (m *Mission) communicateGroups(groups [][]int) {
 			copy(m.know[i].Sensed, union)
 			m.know[i].SensedCount = count
 		}
+	}
+}
+
+// shareWholeTeam unions the sensed sets of the whole team. Each asset
+// holds the last whole-team union, and every node anyone holds beyond it
+// sits in some fresh list, so adding the other assets' lists to an
+// asset's set gives it the team's union. Afterwards every asset holds that
+// union, and the lists start over.
+func (m *Mission) shareWholeTeam() {
+	for i := range m.know {
+		k := &m.know[i]
+		for j, fresh := range m.fresh {
+			if j == i {
+				continue
+			}
+			for _, v := range fresh {
+				if !k.Sensed[v] {
+					k.Sensed[v] = true
+					k.SensedCount++
+				}
+			}
+		}
+	}
+	for i := range m.fresh {
+		m.fresh[i] = m.fresh[i][:0]
 	}
 }
 

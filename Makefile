@@ -48,7 +48,7 @@ loadgen-smoke:
 # bench-smoke runs the hot-path micro-benchmarks once each, so benchmark
 # set-up that panics fails the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic' -benchtime 1x .
 
 # experiments-smoke runs every experiment driver but the sweeps once at
 # quick scale through the CLI, which has no tests of its own; it exits 1 if

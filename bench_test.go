@@ -21,6 +21,7 @@ import (
 	"github.com/routeplanning/mamorl/internal/catalog"
 	"github.com/routeplanning/mamorl/internal/core"
 	"github.com/routeplanning/mamorl/internal/experiments"
+	"github.com/routeplanning/mamorl/internal/features"
 	"github.com/routeplanning/mamorl/internal/graphalg"
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/neural"
@@ -520,11 +521,14 @@ func BenchmarkScenarioValidate(b *testing.B) {
 // reused scratch with the Voronoi test on. The planar case runs on the
 // 400-node synthetic grid of the Decide alloc pins: every node but the one
 // farthest from asset 0 is sensed, so each search crosses most of the grid
-// and tests one candidate. The geodesic case runs on the 710-node
-// Caribbean mesh, where the Voronoi test compares great-circle distances:
-// asset 0 has sensed exactly its own Voronoi cell, so its search crosses
-// the cell and tests every unsensed node it meets against each teammate,
-// finding none of them its own.
+// and tests one candidate. The geodesic cases run on the 710-node
+// Caribbean mesh, where the Voronoi test compares great-circle distances,
+// and asset 0 has sensed exactly its own Voronoi cell. In the geodesic case
+// the search meets an unsensed node outside the cell, finds no unsensed
+// node left in the cell, and stops there. In the geodesic-cell case the
+// cell's node farthest in hops from asset 0 is unsensed too, so the search
+// cannot stop early and runs on, testing every unsensed node it meets
+// against each teammate, until it reaches that node.
 func BenchmarkFrontierStep(b *testing.B) {
 	b.Run("planar", func(b *testing.B) {
 		m := decisionMission(b)
@@ -536,40 +540,90 @@ func BenchmarkFrontierStep(b *testing.B) {
 			_, _ = f.Step(m, i%m.NumAssets(), nil, nil, grid.None, rng, true)
 		}
 	})
-	b.Run("geodesic", func(b *testing.B) {
-		g, err := grid.CaribbeanGrid(5)
-		if err != nil {
-			b.Fatal(err)
+	for _, farCandidate := range []bool{false, true} {
+		name := "geodesic"
+		if farCandidate {
+			name = "geodesic-cell"
 		}
-		sc, err := approx.TrainingScenario(g, 4, 5, 1.2, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := sim.NewMission(sc, sim.RunOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		k := m.Knowledge(0)
-		k.SensedCount = 0
-		for v := range k.Sensed {
-			u := grid.NodeID(v)
-			k.Sensed[v] = true
-			for j := 1; j < m.NumAssets(); j++ {
-				if g.Distance(k.LastKnown[j], u) < g.Distance(m.Cur(0), u) {
-					k.Sensed[v] = false
+		b.Run(name, func(b *testing.B) {
+			m := cellSensedMission(b)
+			if farCandidate {
+				k := m.Knowledge(0)
+				hops := graphalg.HopDistances(m.Grid(), m.Cur(0))
+				far := m.Cur(0)
+				for u, d := range hops {
+					if k.Sensed[u] && d > hops[far] {
+						far = grid.NodeID(u)
+					}
 				}
+				k.Sensed[far] = false
+				k.SensedCount--
 			}
-			if k.Sensed[v] {
-				k.SensedCount++
+			rng := rand.New(rand.NewSource(1))
+			var f sim.FrontierSearch
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, _ = f.Step(m, 0, nil, nil, grid.None, rng, true)
+			}
+		})
+	}
+}
+
+// cellSensedMission is a fresh 4-asset mission on the Caribbean mesh in
+// which asset 0 has sensed exactly its own Voronoi cell: the nodes no
+// teammate's believed position is closer to.
+func cellSensedMission(b *testing.B) *sim.Mission {
+	g, err := grid.CaribbeanGrid(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := approx.TrainingScenario(g, 4, 5, 1.2, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := sim.NewMission(sc, sim.RunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	k := m.Knowledge(0)
+	k.SensedCount = 0
+	for v := range k.Sensed {
+		u := grid.NodeID(v)
+		k.Sensed[v] = true
+		for j := 1; j < m.NumAssets(); j++ {
+			if g.Distance(k.LastKnown[j], u) < g.Distance(m.Cur(0), u) {
+				k.Sensed[v] = false
 			}
 		}
-		rng := rand.New(rand.NewSource(1))
-		var f sim.FrontierSearch
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, _ = f.Step(m, 0, nil, nil, grid.None, rng, true)
+		if k.Sensed[v] {
+			k.SensedCount++
 		}
-	})
+	}
+	return m
+}
+
+// BenchmarkThetaContext measures priming one LM feature context, whose
+// cost is θ's hop search over the other assets' believed nodes, for a
+// 6-asset team at its sources on the Caribbean mesh.
+func BenchmarkThetaContext(b *testing.B) {
+	g, err := grid.CaribbeanGrid(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := approx.TrainingScenario(g, 6, 3, 1.2, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := sim.NewMission(sc, sim.RunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ext := features.New()
+	var c features.NodeContext
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = ext.LMContextInto(&c, m, i%len(sc.Team), features.NoDest)
+	}
 }
 
 // BenchmarkAblation runs the deployment-mechanism ablation study: the full

@@ -214,7 +214,7 @@ func (p *Planner) predictTeammateNodes(m *sim.Mission, i int, dest features.Dest
 		// of vj. If those balls cannot intersect, j is irrelevant this
 		// epoch — skip the hop-ball and the TMM model entirely. This keeps
 		// per-decision cost flat as teams spread out.
-		if g.Metric().Distance(g.Pos(m.Cur(i)), g.Pos(vj)) > float64(stale+2)*g.MaxEdgeWeight() {
+		if g.Distance(m.Cur(i), vj) > float64(stale+2)*g.MaxEdgeWeight() {
 			continue
 		}
 		if j < i && !p.opts.NoRightOfWay {

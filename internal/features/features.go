@@ -73,8 +73,9 @@ func (e Extractor) LM(m *sim.Mission, i int, a sim.Action, dest DestArg) []float
 // NodeContext caches the expensive per-node feature components — θ's hop
 // search and α's sensing query — so that scoring every action at a node
 // (planners do this every epoch for every asset and anticipated teammate)
-// costs one BFS and one radius query per *target node* instead of per
-// (target, speed) pair.
+// costs one hop search per context, covering every other asset at once,
+// and one radius query per *target node* instead of per (target, speed)
+// pair.
 //
 // A NodeContext is reusable: planners keep one per decision loop and
 // re-prime it with LMContextInto/TMMContextInto, so the steady-state
@@ -94,7 +95,9 @@ type NodeContext struct {
 	// map and reuses its backing arrays across re-priming.
 	alphaTo  []grid.NodeID
 	alphaVal []float64
-	hops     graphalg.HopSearcher
+	// others holds θ's targets, the other assets' believed nodes.
+	others []grid.NodeID
+	hops   graphalg.HopSearcher
 }
 
 // TMMContext prepares feature extraction for teammate j's actions at its
@@ -130,6 +133,7 @@ func (e Extractor) primeContext(c *NodeContext, m *sim.Mission, i, j int, v grid
 	c.alphaTo = c.alphaTo[:0]
 	c.alphaVal = c.alphaVal[:0]
 	// θ(v, s): another asset within m hops of v (believed locations).
+	c.others = c.others[:0]
 	for k := range sc.Team {
 		if k == j {
 			continue
@@ -138,10 +142,10 @@ func (e Extractor) primeContext(c *NodeContext, m *sim.Mission, i, j int, v grid
 		if k == i {
 			other = m.Cur(i)
 		}
-		if c.hops.WithinHops(g, v, other, e.HopsM) {
-			c.theta = 1
-			break
-		}
+		c.others = append(c.others, other)
+	}
+	if c.hops.AnyWithinHops(g, v, c.others, e.HopsM) {
+		c.theta = 1
 	}
 	return c
 }

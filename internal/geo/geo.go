@@ -75,7 +75,17 @@ func Euclidean(a, b Point) float64 {
 // Haversine returns the great-circle distance between a and b in nautical
 // miles, interpreting X as longitude and Y as latitude in degrees.
 func Haversine(a, b Point) float64 {
-	h := HaversineTerm(a, b, CosLat(a), CosLat(b))
+	return HaversineCos(a, b, CosLat(a), CosLat(b))
+}
+
+// HaversineCos is Haversine given cosA = CosLat(a) and cosB = CosLat(b),
+// bit for bit, for callers that cache the cosines (geodesic grids do).
+func HaversineCos(a, b Point, cosA, cosB float64) float64 {
+	dLat := b.Y*math.Pi/180 - a.Y*math.Pi/180
+	dLon := (b.X - a.X) * math.Pi / 180
+	sinLat := math.Sin(dLat / 2)
+	sinLon := math.Sin(dLon / 2)
+	h := sinLat*sinLat + cosA*cosB*sinLon*sinLon
 	if h > 1 {
 		h = 1
 	}
@@ -83,20 +93,8 @@ func Haversine(a, b Point) float64 {
 }
 
 // CosLat returns the cosine of p's latitude, the per-point factor of
-// HaversineTerm. Geodesic grids cache it for every node.
+// HaversineCos.
 func CosLat(p Point) float64 { return math.Cos(p.Y * math.Pi / 180) }
-
-// HaversineTerm returns the haversine term h of a and b, the squared sine
-// of half their central angle, given cosA = CosLat(a) and cosB = CosLat(b).
-// Haversine is 2R·asin(√min(h, 1)), which never decreases as h grows, so
-// comparing terms orders great-circle distances without the inverse trig.
-func HaversineTerm(a, b Point, cosA, cosB float64) float64 {
-	dLat := b.Y*math.Pi/180 - a.Y*math.Pi/180
-	dLon := (b.X - a.X) * math.Pi / 180
-	sinLat := math.Sin(dLat / 2)
-	sinLon := math.Sin(dLon / 2)
-	return sinLat*sinLat + cosA*cosB*sinLon*sinLon
-}
 
 // Rect is an axis-aligned rectangle, used to describe the bounding box of a
 // grid and the "specified region" of the partial-knowledge setting

@@ -2,6 +2,7 @@ package graphalg
 
 import (
 	"container/heap"
+	"slices"
 
 	"github.com/routeplanning/mamorl/internal/grid"
 )
@@ -96,18 +97,24 @@ func (t *ReverseTree) PathFrom(v grid.NodeID) []grid.NodeID {
 	return path
 }
 
-// HopSearcher answers WithinHops queries with reusable scratch, so the hot
-// planning path (the θ feature probes every teammate every epoch) performs
-// no per-query allocation after warm-up. The zero value is ready.
+// HopSearcher answers hop-radius queries with reusable scratch, so the hot
+// planning path (the θ feature asks one per feature context every epoch)
+// performs no per-query allocation after warm-up. The zero value is ready.
 type HopSearcher struct {
 	seen      grid.NodeSet
 	cur, next []grid.NodeID
 }
 
-// WithinHops reports whether target is within m hops of source, like the
-// package-level WithinHops but without allocating.
-func (h *HopSearcher) WithinHops(g *grid.Grid, source, target grid.NodeID, m int) bool {
-	if source == target {
+// AnyWithinHops reports whether any of targets is within m hops of source:
+// the package-level WithinHops for each target, answered by one
+// breadth-first search. Targets is a short list (the θ feature passes the
+// other assets' believed nodes), scanned linearly at every node the search
+// reaches.
+func (h *HopSearcher) AnyWithinHops(g *grid.Grid, source grid.NodeID, targets []grid.NodeID, m int) bool {
+	if len(targets) == 0 {
+		return false
+	}
+	if slices.Contains(targets, source) {
 		return true
 	}
 	if m <= 0 {
@@ -120,11 +127,14 @@ func (h *HopSearcher) WithinHops(g *grid.Grid, source, target grid.NodeID, m int
 		h.next = h.next[:0]
 		for _, v := range h.cur {
 			for _, e := range g.Neighbors(v) {
-				if e.To == target {
+				if h.seen.Has(e.To) {
+					continue
+				}
+				if slices.Contains(targets, e.To) {
 					return true
 				}
-				if !h.seen.Has(e.To) {
-					h.seen.Add(e.To)
+				h.seen.Add(e.To)
+				if hop < m { // the last hop's nodes are never expanded
 					h.next = append(h.next, e.To)
 				}
 			}

@@ -2,6 +2,7 @@ package graphalg
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/routeplanning/mamorl/internal/grid"
@@ -148,19 +149,60 @@ func TestReverseTreePathFrom(t *testing.T) {
 	}
 }
 
-// TestHopSearcherMatchesWithinHops cross-checks the zero-alloc variant
-// against the allocating package function.
+// TestHopSearcherMatchesWithinHops cross-checks the set search against
+// the package-level WithinHops of every target: seeded target sets of 0 to
+// 5 nodes (an empty set is a one-asset team's θ), half of them drawn from
+// within 3 hops of the source, with m from 0 to 3, on the Caribbean mesh
+// and a planar synthetic grid, through one searcher reused across both.
 func TestHopSearcherMatchesWithinHops(t *testing.T) {
-	g := mustSynthetic(t, 8)
+	caribbean, err := grid.CaribbeanGrid(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	planar, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 400, Edges: 846, MaxOutDegree: 9, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var h HopSearcher
-	for src := 0; src < g.NumNodes(); src += 3 {
-		for dst := 0; dst < g.NumNodes(); dst += 5 {
-			for m := 0; m <= 3; m++ {
-				want := WithinHops(g, grid.NodeID(src), grid.NodeID(dst), m)
-				got := h.WithinHops(g, grid.NodeID(src), grid.NodeID(dst), m)
-				if want != got {
-					t.Fatalf("WithinHops(%d, %d, %d): searcher %v, package %v", src, dst, m, got, want)
+	for _, g := range []*grid.Grid{caribbean, planar, caribbean} {
+		rng := rand.New(rand.NewSource(int64(g.NumNodes())))
+		var targets []grid.NodeID
+		outcomes := map[[2]int]int{} // (m, answer) -> count
+		for k := 0; k < 2000; k++ {
+			src := grid.NodeID(rng.Intn(g.NumNodes()))
+			var near []grid.NodeID
+			for v, d := range HopDistances(g, src) {
+				if d >= 0 && d <= 3 {
+					near = append(near, grid.NodeID(v))
 				}
+			}
+			targets = targets[:0]
+			for n := rng.Intn(6); n > 0; n-- {
+				if rng.Intn(2) == 0 {
+					targets = append(targets, near[rng.Intn(len(near))])
+				} else {
+					targets = append(targets, grid.NodeID(rng.Intn(g.NumNodes())))
+				}
+			}
+			for m := 0; m <= 3; m++ {
+				want := false
+				for _, tg := range targets {
+					want = want || WithinHops(g, src, tg, m)
+				}
+				got := h.AnyWithinHops(g, src, targets, m)
+				if got != want {
+					t.Fatalf("%s: AnyWithinHops(%d, %v, %d) = %v, WithinHops says %v", g.Name(), src, targets, m, got, want)
+				}
+				answer := 0
+				if got {
+					answer = 1
+				}
+				outcomes[[2]int{m, answer}]++
+			}
+		}
+		for m := 0; m <= 3; m++ {
+			if outcomes[[2]int{m, 0}] == 0 || outcomes[[2]int{m, 1}] == 0 {
+				t.Fatalf("%s: m=%d reached only one answer: %v", g.Name(), m, outcomes)
 			}
 		}
 	}

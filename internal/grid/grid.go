@@ -54,9 +54,11 @@ type Grid struct {
 	bounds       geo.Rect
 	index        *spatialIndex
 	balls        ballMemo
-	// cosLat[v] is geo.CosLat of node v on a geodesic grid (nil on a planar
-	// one), so a distance key costs no cosine.
+	// cosLat[v] is geo.CosLat of node v and unit[v] its position as a unit
+	// vector on a geodesic grid (both nil on a planar one), so Distance
+	// costs no cosine and a distance key no trig at all.
 	cosLat []float64
+	unit   [][3]float64
 }
 
 // MaxEdgeWeight returns the largest arc weight: an upper bound on the
@@ -121,14 +123,20 @@ func (g *Grid) HasEdge(v, w NodeID) bool {
 func (g *Grid) Bounds() geo.Rect { return g.bounds }
 
 // Distance returns the metric distance between the positions of two nodes.
+// On a geodesic grid it reads the cached latitude cosines; its bits equal
+// those of geo.Haversine.
 func (g *Grid) Distance(v, w NodeID) float64 {
-	return g.metric.Distance(g.pos[v], g.pos[w])
+	if g.cosLat != nil {
+		return geo.HaversineCos(g.pos[v], g.pos[w], g.cosLat[v], g.cosLat[w])
+	}
+	return geo.Euclidean(g.pos[v], g.pos[w])
 }
 
 // DistKey is a node pair's distance key: a number that grows with the
-// pair's Distance, cheaper to take than the distance itself. On a geodesic
-// grid it is the haversine term, from cached latitude cosines; on a planar
-// grid it is the squared length. Compare keys with Shorter.
+// pair's Distance and costs no trig to take. On a geodesic grid it is the
+// squared chord between the two nodes' cached unit vectors, 4× the
+// haversine term in exact arithmetic; on a planar grid it is the squared
+// length. Compare keys with Shorter.
 type DistKey struct {
 	from, to NodeID
 	key      float64
@@ -136,29 +144,45 @@ type DistKey struct {
 
 // DistKey returns the distance key of the pair (v, w).
 func (g *Grid) DistKey(v, w NodeID) DistKey {
-	p, q := g.pos[v], g.pos[w]
-	if g.cosLat != nil {
-		return DistKey{v, w, geo.HaversineTerm(p, q, g.cosLat[v], g.cosLat[w])}
+	if g.unit != nil {
+		p, q := &g.unit[v], &g.unit[w]
+		dx, dy, dz := p[0]-q[0], p[1]-q[1], p[2]-q[2]
+		return DistKey{v, w, dx*dx + dy*dy + dz*dz}
 	}
+	p, q := g.pos[v], g.pos[w]
 	dx, dy := p.X-q.X, p.Y-q.Y
 	return DistKey{v, w, dx*dx + dy*dy}
 }
 
-// nearTie is the relative gap between two distance keys below which
-// Shorter compares the distances themselves.
-const nearTie = 1e-9
+const (
+	// keyFloor is the smallest key Shorter decides from: a chord of 1e-5
+	// Earth radii, about 64 m.
+	keyFloor = 1e-10
+	// nearTie is the relative gap between two distance keys below which
+	// Shorter compares the distances themselves.
+	nearTie = 1e-9
+)
 
 // Shorter reports whether the Distance of x's pair is less than that of
 // y's pair, with exactly the answer comparing the two Distance calls gives.
-// Keys further apart than a relative nearTie decide it: a gap that wide
-// survives the square root, the arcsine and their rounding. Near-ties, and
-// negative or NaN keys (a latitude beyond ±90° can make rounding push a
-// haversine term below 0), fall back to the two Distance calls.
+// Keys decide it only when both exceed keyFloor and they differ by more
+// than a relative nearTie; otherwise Shorter compares the two Distance
+// calls. Each unit-vector component is off by a few ulps, so a computed
+// chord² is off by about 1e-15·chord in absolute terms: above the floor
+// its relative error is below 1e-10, an order of magnitude inside nearTie,
+// and a gap that wide also survives the rounding of the haversine, its
+// square root and its arcsine. Planar keys are exact up to one rounding of
+// the squares and their sum.
 func (g *Grid) Shorter(x, y DistKey) bool {
-	if x.key >= 0 && y.key >= 0 && math.Abs(x.key-y.key) > nearTie*math.Max(x.key, y.key) {
+	if decisive(x.key, y.key) {
 		return x.key < y.key
 	}
 	return g.Distance(x.from, x.to) < g.Distance(y.from, y.to)
+}
+
+// decisive reports whether keys x and y alone order their distances.
+func decisive(x, y float64) bool {
+	return x > keyFloor && y > keyFloor && math.Abs(x-y) > nearTie*math.Max(x, y)
 }
 
 // radiusScratch pools the gather buffer of WithinRadius and of ball
@@ -296,11 +320,21 @@ func (b *Builder) OutDegree(v NodeID) int { return len(b.adj[v]) }
 func (b *Builder) UndirectedEdgeCount() int { return b.edges }
 
 // Build finalizes the grid. Edge weights are computed from node positions
-// under the metric. Build returns an error if the grid has no nodes or any
-// node has no outgoing edge (an asset there could only wait forever).
+// under the metric. Build returns an error if the grid has no nodes, a
+// coordinate is not finite, a geodesic latitude lies outside ±90°, an edge
+// weight is not finite, or any node has no outgoing edge (an asset there
+// could only wait forever).
 func (b *Builder) Build() (*Grid, error) {
 	if len(b.pos) == 0 {
 		return nil, fmt.Errorf("grid %q: no nodes", b.name)
+	}
+	for v, p := range b.pos {
+		if !finite(p.X) || !finite(p.Y) {
+			return nil, fmt.Errorf("grid %q: node %d has a non-finite coordinate %v", b.name, v, p)
+		}
+		if b.metric == geo.Geodesic && (p.Y < -90 || p.Y > 90) {
+			return nil, fmt.Errorf("grid %q: node %d has latitude %g outside ±90°", b.name, v, p.Y)
+		}
 	}
 	g := &Grid{
 		name:   b.name,
@@ -315,6 +349,9 @@ func (b *Builder) Build() (*Grid, error) {
 		edges := make([]Edge, 0, len(m))
 		for w := range m {
 			weight := b.metric.Distance(b.pos[v], b.pos[w])
+			if !finite(weight) {
+				return nil, fmt.Errorf("grid %q: arc %d -> %d has non-finite weight %g", b.name, v, w, weight)
+			}
 			if weight <= 0 {
 				// Coincident nodes produce zero-weight edges, which break the
 				// time model (weight / speed = 0 time). Nudge to a tiny
@@ -349,12 +386,21 @@ func (b *Builder) Build() (*Grid, error) {
 	g.index = newSpatialIndex(g)
 	if g.metric == geo.Geodesic {
 		g.cosLat = make([]float64, len(g.pos))
+		g.unit = make([][3]float64, len(g.pos))
 		for v, p := range g.pos {
 			g.cosLat[v] = geo.CosLat(p)
+			// Reducing the longitude first is exact and keeps the radian
+			// conversion's rounding a few ulps wherever the input lies.
+			lon := math.Mod(p.X, 360) * math.Pi / 180
+			c := g.cosLat[v]
+			g.unit[v] = [3]float64{c * math.Cos(lon), c * math.Sin(lon), math.Sin(p.Y * math.Pi / 180)}
 		}
 	}
 	return g, nil
 }
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
 // MustBuild is Build that panics on error, for generators whose construction
 // is guaranteed valid and for tests.

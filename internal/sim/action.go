@@ -12,7 +12,7 @@
 package sim
 
 import (
-	"fmt"
+	"strconv"
 
 	"github.com/routeplanning/mamorl/internal/grid"
 )
@@ -32,12 +32,33 @@ var Wait = Action{Neighbor: -1, Speed: 0}
 // IsWait reports whether the action is a wait.
 func (a Action) IsWait() bool { return a.Neighbor < 0 }
 
-// String implements fmt.Stringer.
+// String implements fmt.Stringer: "wait" or "n<neighbor>@s<speed>".
 func (a Action) String() string {
+	var buf [24]byte
+	return string(a.appendText(buf[:0]))
+}
+
+// appendText appends the String form of a to buf.
+func (a Action) appendText(buf []byte) []byte {
 	if a.IsWait() {
-		return "wait"
+		return append(buf, "wait"...)
 	}
-	return fmt.Sprintf("n%d@s%d", a.Neighbor, a.Speed)
+	buf = append(buf, 'n')
+	buf = strconv.AppendInt(buf, int64(a.Neighbor), 10)
+	buf = append(buf, "@s"...)
+	return strconv.AppendInt(buf, int64(a.Speed), 10)
+}
+
+// appendActions appends a joint action rendered as "n1@s2|wait|n0@s1" to
+// buf: one Action.String per asset, |-separated. ParseActions inverts it.
+func appendActions(buf []byte, acts []Action) []byte {
+	for i, a := range acts {
+		if i > 0 {
+			buf = append(buf, '|')
+		}
+		buf = a.appendText(buf)
+	}
+	return buf
 }
 
 // ActionCount returns |A_i(s)| for an asset at a node with the given

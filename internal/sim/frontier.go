@@ -16,17 +16,24 @@ import (
 //
 // When voronoi is set, frontier nodes are partitioned against believed
 // teammate positions: the asset prefers unsensed nodes at least as close to
-// itself as to any teammate, so that teammates sharing the same knowledge
-// fan out instead of racing to one frontier node. The test compares grid
-// distance keys (Grid.DistKey, Grid.Shorter), which answer exactly as
-// comparing the distances would, without their trig. If the chosen first hop
-// is blocked, the asset detours through an unblocked neighbor that gets it
-// closer to the goal (avoiding prev, the node it just left; hop counts and
-// metric distances can disagree, producing two-node bounce cycles without
-// this), occasionally takes a random unblocked step so mutual blocking
-// cannot deadlock, and only waits as a last resort. mask, when non-nil,
-// restricts which unsensed nodes are worth visiting. The boolean result
-// reports whether a frontier exists at all.
+// itself as to any teammate (its Voronoi cell), so that teammates sharing
+// the same knowledge fan out instead of racing to one frontier node, and
+// takes the nearest unsensed node outside the cell only when the cell holds
+// none it can reach. The test compares grid distance keys (Grid.DistKey,
+// Grid.Shorter), which answer exactly as comparing the distances would,
+// without trig. The search stops as soon as its answer is settled: at the
+// first unsensed node in the cell, or, when it meets its first one outside
+// the cell, right there if one pass over the nodes it has not reached finds
+// no unsensed node in the cell.
+//
+// If the chosen first hop is blocked, the asset detours through an
+// unblocked neighbor that gets it closer to the goal (avoiding prev, the
+// node it just left; hop counts and metric distances can disagree,
+// producing two-node bounce cycles without this), occasionally takes a
+// random unblocked step so mutual blocking cannot deadlock, and only waits
+// as a last resort. mask, when non-nil, restricts which unsensed nodes are
+// worth visiting. The boolean result reports whether a frontier exists at
+// all.
 //
 // blocked is a predicate (nil means nothing is blocked) so that planners
 // can back it with a reusable grid.NodeSet instead of allocating a map per
@@ -60,7 +67,13 @@ func (f *FrontierSearch) Step(m *Mission, i int, blocked func(grid.NodeID) bool,
 	start := m.Cur(i)
 	know := m.Knowledge(i)
 	maxSpeed := m.Scenario().Team[i].MaxSpeed
+	obstacles := m.HasObstacles()
 
+	// candidate reports whether u is worth visiting: unsensed and accepted
+	// by the mask. mine reports whether u lies in the asset's Voronoi cell.
+	candidate := func(u grid.NodeID) bool {
+		return !know.Sensed[u] && (mask == nil || mask(u))
+	}
 	mine := func(u grid.NodeID) bool {
 		if !voronoi {
 			return true
@@ -72,6 +85,19 @@ func (f *FrontierSearch) Step(m *Mission, i int, blocked func(grid.NodeID) bool,
 			}
 		}
 		return true
+	}
+	// cellLeft reports whether a node the BFS has not reached is a
+	// passable candidate in the cell. If none is, the search can end with
+	// no goal in the cell however far it runs: every reached node was
+	// tested on arrival.
+	cellLeft := func() bool {
+		for v := range g.NumNodes() {
+			u := grid.NodeID(v)
+			if !f.seen.Has(u) && candidate(u) && !(obstacles && m.Obstacle(u)) && mine(u) {
+				return true
+			}
+		}
+		return false
 	}
 
 	f.seen.Reset(g.NumNodes())
@@ -88,18 +114,22 @@ func (f *FrontierSearch) Step(m *Mission, i int, blocked func(grid.NodeID) bool,
 			if f.seen.Has(e.To) {
 				continue
 			}
-			if m.Obstacle(e.To) {
+			if obstacles && m.Obstacle(e.To) {
 				continue // impassable: neither a goal nor a corridor
 			}
 			f.seen.Add(e.To)
 			f.parent[e.To] = v
-			if !know.Sensed[e.To] && (mask == nil || mask(e.To)) {
-				if anyGoal == grid.None {
-					anyGoal = e.To
-				}
+			if candidate(e.To) {
 				if mine(e.To) {
 					goal = e.To
 					break
+				}
+				if anyGoal == grid.None {
+					anyGoal = e.To
+					if !cellLeft() {
+						goal = anyGoal
+						break
+					}
 				}
 			}
 			f.queue = append(f.queue, e.To)
@@ -117,17 +147,17 @@ func (f *FrontierSearch) Step(m *Mission, i int, blocked func(grid.NodeID) bool,
 		hop = f.parent[hop]
 	}
 	if blocked != nil && blocked(hop) {
-		bestN, bestD := -1, g.Metric().Distance(g.Pos(start), g.Pos(goal))
+		bestN, bestD := -1, g.Distance(start, goal)
 		f.open = f.open[:0]
 		for n, e := range g.Neighbors(start) {
-			if (blocked != nil && blocked(e.To)) || m.Obstacle(e.To) {
+			if blocked(e.To) || (obstacles && m.Obstacle(e.To)) {
 				continue
 			}
 			f.open = append(f.open, n)
 			if e.To == prev {
 				continue
 			}
-			if d := g.Metric().Distance(g.Pos(e.To), g.Pos(goal)); d < bestD {
+			if d := g.Distance(e.To, goal); d < bestD {
 				bestN, bestD = n, d
 			}
 		}

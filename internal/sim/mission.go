@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/routeplanning/mamorl/internal/grid"
@@ -660,6 +659,7 @@ func RunContext(ctx context.Context, sc Scenario, p Planner, opts RunOptions) (R
 	learner, _ := p.(Learner)
 	acts := make([]Action, len(sc.Team))
 	prev := make([]grid.NodeID, len(sc.Team))
+	var actText []byte // the step event's rendering of acts, reused
 	for !m.Done() {
 		if err := ctx.Err(); err != nil {
 			return m.Result(), fmt.Errorf("sim: mission aborted at epoch %d: %w", m.Step(), err)
@@ -688,10 +688,11 @@ func RunContext(ctx context.Context, sc Scenario, p Planner, opts RunOptions) (R
 		}
 		if sp.Enabled() {
 			// Epoch that was just executed (Step has advanced past it).
+			actText = appendActions(actText[:0], acts)
 			sp.Event("step",
 				trace.Int("epoch", int64(m.Step()-1)),
 				trace.Int("sensed", int64(m.TeamSensedCount())),
-				trace.String("actions", actionsString(acts)))
+				trace.String("actions", string(actText)))
 		}
 		if learner != nil {
 			learner.Observe(m, prev, acts, r)
@@ -701,17 +702,4 @@ func RunContext(ctx context.Context, sc Scenario, p Planner, opts RunOptions) (R
 		}
 	}
 	return m.Result(), nil
-}
-
-// actionsString renders a joint action as "n1@s2|wait|n0@s1" — one
-// Action.String per asset, |-separated. ParseActions inverts it.
-func actionsString(acts []Action) string {
-	var b strings.Builder
-	for i, a := range acts {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(a.String())
-	}
-	return b.String()
 }

@@ -32,7 +32,7 @@ func ParseAction(s string) (Action, error) {
 	return Action{Neighbor: n, Speed: sp}, nil
 }
 
-// ParseActions inverts actionsString: |-separated per-asset actions.
+// ParseActions inverts appendActions: |-separated per-asset actions.
 func ParseActions(s string) ([]Action, error) {
 	parts := strings.Split(s, "|")
 	acts := make([]Action, len(parts))

@@ -2,7 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/routeplanning/mamorl/internal/trace"
@@ -137,6 +141,47 @@ func TestParseAction(t *testing.T) {
 	for _, bad := range []string{"", "n1", "n@s1", "n1@s0", "n-1@s1", "x1@s1", "n1@sx"} {
 		if _, err := ParseAction(bad); err == nil {
 			t.Errorf("ParseAction(%q) accepted", bad)
+		}
+	}
+}
+
+// TestActionTextMatchesFmt pins the strconv rendering of the step event's
+// actions byte for byte against the fmt rendering it replaced, for every
+// action up to degree 16 × speed 8 plus wait, and round-trips seeded joint
+// actions through ParseActions.
+func TestActionTextMatchesFmt(t *testing.T) {
+	all := []Action{Wait}
+	want := []string{"wait"}
+	for n := 0; n < 16; n++ {
+		for s := 1; s <= 8; s++ {
+			all = append(all, Action{Neighbor: n, Speed: s})
+			want = append(want, fmt.Sprintf("n%d@s%d", n, s))
+		}
+	}
+	for k, a := range all {
+		if got := a.String(); got != want[k] {
+			t.Fatalf("Action%+v.String() = %q, want %q", a, got, want[k])
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	var buf []byte
+	for k := 0; k < 1000; k++ {
+		acts := make([]Action, 1+rng.Intn(8))
+		parts := make([]string, len(acts))
+		for i := range acts {
+			j := rng.Intn(len(all))
+			acts[i], parts[i] = all[j], want[j]
+		}
+		buf = appendActions(buf[:0], acts)
+		if got := string(buf); got != strings.Join(parts, "|") {
+			t.Fatalf("appendActions(%v) = %q, want %q", acts, got, strings.Join(parts, "|"))
+		}
+		back, err := ParseActions(string(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(back, acts) {
+			t.Fatalf("ParseActions(%q) = %v, want %v", buf, back, acts)
 		}
 	}
 }

@@ -109,6 +109,27 @@ func TestUploadGridRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestUploadGridRejectsInvalidCoordinates: a grid Build refuses, here a
+// geodesic latitude beyond ±90° and a planar arc whose length overflows,
+// answers 400 and is not installed.
+func TestUploadGridRejectsInvalidCoordinates(t *testing.T) {
+	s := server(t)
+	for _, body := range []string{
+		`{"name":"beyond-pole","metric":"geodesic","nodes":[{"x":-75.25,"y":91.7236},{"x":104.75,"y":88.2764}],"arcs":[[0,1],[1,0]]}`,
+		`{"name":"overflow","metric":"planar","nodes":[{"x":-1e200,"y":0},{"x":1e200,"y":0}],"arcs":[[0,1],[1,0]]}`,
+	} {
+		rec := do(t, s.Handler(), "POST", "/api/grids", body)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("upload %s: %d %s", body, rec.Code, rec.Body.String())
+		}
+	}
+	for _, name := range []string{"beyond-pole", "overflow"} {
+		if _, ok := s.lookupGrid(name); ok {
+			t.Errorf("rejected grid %q was installed", name)
+		}
+	}
+}
+
 func TestPlanGlobal(t *testing.T) {
 	s := server(t)
 	req := PlanRequest{

@@ -7,7 +7,7 @@ BENCH_OLD ?= BENCH_8.json
 BENCH_NEW ?= $(BENCH_OUT)
 BENCH_THRESHOLD ?= 15
 
-.PHONY: build vet fmt-check test race race-exec loadgen-smoke bench-smoke experiments-smoke planbench-test check bench bench-compare
+.PHONY: build vet fmt-check test race race-exec loadgen-smoke bench-smoke fuzz-smoke experiments-smoke planbench-test check bench bench-compare
 
 build:
 	$(GO) build ./...
@@ -48,7 +48,15 @@ loadgen-smoke:
 # bench-smoke runs the hot-path micro-benchmarks once each, so benchmark
 # set-up that panics fails the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON' -benchtime 1x .
+
+# fuzz-smoke runs each fuzz target for 10 s: the plan response encoder
+# against encoding/json, and grid.Decode and grid.Subgraph on arbitrary
+# input. -fuzz takes one target per invocation.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzPlanResponseJSON$$' -fuzztime 10s ./internal/tmplar
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/grid
+	$(GO) test -run '^$$' -fuzz '^FuzzSubgraph$$' -fuzztime 10s ./internal/grid
 
 # experiments-smoke runs every experiment driver but the sweeps once at
 # quick scale through the CLI, which has no tests of its own; it exits 1 if
@@ -62,7 +70,7 @@ planbench-test:
 	cd planbench && $(GO) vet ./... && $(GO) test ./...
 
 # check is what CI runs (.github/workflows/ci.yml).
-check: build vet fmt-check test race bench-smoke experiments-smoke loadgen-smoke planbench-test
+check: build vet fmt-check test race bench-smoke fuzz-smoke experiments-smoke loadgen-smoke planbench-test
 
 # bench runs the full suite and writes a machine-readable report (ns/op,
 # B/op, allocs/op and every custom metric) to $(BENCH_OUT).

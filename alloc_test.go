@@ -207,6 +207,31 @@ func TestSensingQueryAllocs(t *testing.T) {
 	}
 }
 
+// TestScenarioValidateAllocs: without obstacles on a strongly connected
+// grid, Validate needs no reachability BFS, so it allocates nothing; the
+// check a served plan request passes two or three times costs no garbage.
+func TestScenarioValidateAllocs(t *testing.T) {
+	g, err := grid.CaribbeanGrid(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := approx.TrainingScenario(g, 6, 3, 1.2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.StronglyConnected() || len(sc.Obstacles) > 0 {
+		t.Fatal("fixture must be an obstacle-free scenario on a strongly connected grid")
+	}
+	avg := testing.AllocsPerRun(256, func() {
+		if err := sc.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("Validate allocates %.2f objects/call, want 0", avg)
+	}
+}
+
 // TestRandomWalkDecideAllocs: the random walk enumerates its legal actions
 // into a reused buffer, so a warmed Decide allocates nothing.
 func TestRandomWalkDecideAllocs(t *testing.T) {

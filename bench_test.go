@@ -27,6 +27,7 @@ import (
 	"github.com/routeplanning/mamorl/internal/neural"
 	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
+	"github.com/routeplanning/mamorl/internal/tmplar"
 	"github.com/routeplanning/mamorl/internal/vessel"
 	"github.com/routeplanning/mamorl/internal/weather"
 )
@@ -498,7 +499,9 @@ func BenchmarkSensingQuery(b *testing.B) {
 
 // BenchmarkScenarioValidate measures the scenario check a plan request
 // passes twice (at the service edge and in sim.NewMission) on the Caribbean
-// mesh with 6 assets.
+// mesh with 6 assets. The mesh is strongly connected, so without obstacles
+// Validate only checks that every source lies in the grid; the obstacles
+// case blocks five nodes, which puts it on the reverse reachability BFS.
 func BenchmarkScenarioValidate(b *testing.B) {
 	g, err := grid.CaribbeanGrid(5)
 	if err != nil {
@@ -508,12 +511,72 @@ func BenchmarkScenarioValidate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := sc.Validate(); err != nil {
-			b.Fatal(err)
+	blocked := sc
+	for v := grid.NodeID(1); len(blocked.Obstacles) < 5; v += 97 {
+		if v != sc.Dest && v%grid.NodeID(g.NumNodes()/6) != 0 {
+			blocked.Obstacles = append(blocked.Obstacles, v)
 		}
 	}
+	for _, c := range []struct {
+		name string
+		sc   sim.Scenario
+	}{{"caribbean", sc}, {"obstacles", blocked}} {
+		b.Run(c.name, func(b *testing.B) {
+			if err := c.sc.Validate(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.sc.Validate(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkPlanResponseJSON measures encoding one served plan body into a
+// warmed buffer, as tmplar's servePlan does. The response folds a 2-asset
+// Approx-MaMoRL mission on the Caribbean mesh into routes the way the
+// service does: 23 KB, near the 20 KB a plan-hot response averages.
+func BenchmarkPlanResponseJSON(b *testing.B) {
+	h := harness(b)
+	g, err := grid.CaribbeanGrid(5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc, err := approx.TrainingScenario(g, 2, 3, 1.2, 3)
+	if err != nil {
+		b.Fatal(err)
+	}
+	routes := make([]tmplar.AssetRoute, len(sc.Team))
+	record := func(m *sim.Mission, acts []sim.Action) {
+		for i := range acts {
+			mv := m.LastMove(i)
+			leg := tmplar.RouteLeg{From: int32(mv.From), To: int32(mv.To), Speed: int(mv.Speed),
+				Time: mv.Time(), Fuel: mv.Fuel(), Wait: mv.Wait}
+			routes[i].Asset = i
+			routes[i].Legs = append(routes[i].Legs, leg)
+			routes[i].Time += leg.Time
+			routes[i].Fuel += leg.Fuel
+		}
+	}
+	res, err := sim.Run(sc, approx.NewPlanner(h.Linear, h.Pipe.Extractor, 1), sim.RunOptions{OnStep: record})
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp := tmplar.PlanResponse{Found: res.Found, FoundBy: res.FoundBy, Steps: res.Steps,
+		TTotal: res.TTotal, FTotal: res.FTotal, Collisions: res.Collisions, Routes: routes}
+	buf, err := resp.AppendJSON(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(len(buf)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf, _ = resp.AppendJSON(buf[:0])
+	}
+	b.ReportMetric(float64(len(buf))/1024, "resp_KiB")
 }
 
 // BenchmarkFrontierStep measures one frontier search, the fallback every

@@ -196,10 +196,9 @@ func (p *Planner) Decide(m *sim.Mission, i int) sim.Action {
 // still step onto a silent waiter — but residual collisions are rare; the
 // experiment suite tracks the rate against Baseline-2's near-100%.)
 func (p *Planner) predictTeammateNodes(m *sim.Mission, i int, dest features.DestArg) {
-	sc := m.Scenario()
 	g := m.Grid()
 	p.blocked.Reset(g.NumNodes())
-	for j := range sc.Team {
+	for j := range m.NumAssets() {
 		if j == i {
 			continue
 		}
@@ -227,7 +226,7 @@ func (p *Planner) predictTeammateNodes(m *sim.Mission, i int, dest features.Dest
 		bestP := math.Inf(-1)
 		bestTo := vj
 		ctx := p.ext.TMMContextInto(&p.tmmCtx, m, i, j, dest)
-		p.actBuf = sim.AppendLegalActions(p.actBuf[:0], g, vj, sc.Team[j].MaxSpeed)
+		p.actBuf = sim.AppendLegalActions(p.actBuf[:0], g, vj, m.Asset(j).MaxSpeed)
 		_ = p.budget.Charge(limits.Nodes, int64(len(p.actBuf)))
 		for _, a := range p.actBuf {
 			p.featBuf = ctx.AppendFeatures(p.featBuf[:0], a)

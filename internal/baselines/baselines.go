@@ -35,7 +35,7 @@ func greedyExplore(m *sim.Mission, i int, live *sim.Liveness, blocked func(grid.
 
 	g := m.Grid()
 	cur := m.Cur(i)
-	maxSpeed := m.Scenario().Team[i].MaxSpeed
+	maxSpeed := m.Asset(i).MaxSpeed
 
 	bestN := -1
 	bestScore := 0.0

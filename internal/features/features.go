@@ -80,7 +80,9 @@ func (e Extractor) LM(m *sim.Mission, i int, a sim.Action, dest DestArg) []float
 // A NodeContext is reusable: planners keep one per decision loop and
 // re-prime it with LMContextInto/TMMContextInto, so the steady-state
 // planning path performs no per-epoch allocation (its α cache and hop
-// scratch persist across reuse).
+// scratch persist across reuse). Priming also reads the subject's spec
+// once, its maximum speed (as the float64 sp divides by) and its sensing
+// radius, so scoring an action copies no Scenario.
 type NodeContext struct {
 	e      Extractor
 	m      *sim.Mission
@@ -90,6 +92,9 @@ type NodeContext struct {
 	lm     bool
 	degree float64
 	theta  float64
+	// maxSpeed and radius are subject j's MaxSpeed and SensingRadius.
+	maxSpeed float64
+	radius   float64
 	// α cache, keyed by target node. Targets are out-neighbors of v (at
 	// most D_max of them), so a linear scan over parallel slices beats a
 	// map and reuses its backing arrays across re-priming.
@@ -126,15 +131,16 @@ func (e Extractor) LMContext(m *sim.Mission, i int, dest DestArg) *NodeContext {
 
 func (e Extractor) primeContext(c *NodeContext, m *sim.Mission, i, j int, v grid.NodeID, dest DestArg, lm bool) *NodeContext {
 	g := m.Grid()
-	sc := m.Scenario()
 	c.e, c.m, c.i, c.j, c.v, c.dest, c.lm = e, m, i, j, v, dest, lm
+	subject := m.Asset(j)
+	c.maxSpeed, c.radius = float64(subject.MaxSpeed), subject.SensingRadius
 	c.degree = float64(g.OutDegree(v)) / float64(g.MaxOutDegree())
 	c.theta = 0
 	c.alphaTo = c.alphaTo[:0]
 	c.alphaVal = c.alphaVal[:0]
 	// θ(v, s): another asset within m hops of v (believed locations).
 	c.others = c.others[:0]
-	for k := range sc.Team {
+	for k := range m.NumAssets() {
 		if k == j {
 			continue
 		}
@@ -163,7 +169,7 @@ func (c *NodeContext) alphaAt(to grid.NodeID) float64 {
 	newly := 0
 	sensed := c.m.Knowledge(c.i).Sensed
 	mask := c.e.Mask
-	g.ForEachWithinRadius(to, c.m.Scenario().Team[c.j].SensingRadius, func(u grid.NodeID) {
+	g.ForEachWithinRadius(to, c.radius, func(u grid.NodeID) {
 		if sensed[u] {
 			return
 		}
@@ -194,7 +200,6 @@ func (c *NodeContext) Features(a sim.Action) []float64 {
 // makes per-action extraction allocation-free.
 func (c *NodeContext) AppendFeatures(buf []float64, a sim.Action) []float64 {
 	g := c.m.Grid()
-	sc := c.m.Scenario()
 	out := append(buf, c.degree, c.theta)
 
 	// Resolve the action target.
@@ -229,7 +234,7 @@ func (c *NodeContext) AppendFeatures(buf []float64, a sim.Action) []float64 {
 	// (0 for wait).
 	sp := 0.0
 	if !a.IsWait() {
-		sp = float64(a.Speed) / float64(sc.Team[c.j].MaxSpeed)
+		sp = float64(a.Speed) / c.maxSpeed
 	}
 	out = append(out, sp)
 

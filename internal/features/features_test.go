@@ -175,6 +175,36 @@ func TestTMMUsesLastKnownLocation(t *testing.T) {
 	}
 }
 
+// TestTMMUsesTeammateSpec: a TMM context scores the teammate's actions
+// with the teammate's own spec. sp divides by its maximum speed, and α
+// counts the nodes its sensing radius would cover that the deciding asset
+// has not sensed, not the nodes the deciding asset's radius would.
+func TestTMMUsesTeammateSpec(t *testing.T) {
+	g := lineGrid(t, 14)
+	sc := sim.Scenario{Grid: g, Dest: 13, CommEvery: 3, Team: vessel.Team{
+		{ID: 0, Source: 2, SensingRadius: 1.5, MaxSpeed: 2},
+		{ID: 1, Source: 6, SensingRadius: 2.5, MaxSpeed: 4},
+	}}
+	m, err := sim.NewMission(sc, sim.RunOptions{})
+	if err != nil {
+		t.Fatalf("NewMission: %v", err)
+	}
+	f := New().TMM(m, 0, 1, sim.Action{Neighbor: 1, Speed: 2}, NoDest) // 6 -> 7
+	if f[4] != 0.5 {
+		t.Errorf("teammate speed feature = %v, want 2/4", f[4])
+	}
+	sensed := m.Knowledge(0).Sensed
+	newly := 0
+	for u := range sensed {
+		if math.Abs(float64(u-7)) <= 2.5 && !sensed[u] {
+			newly++
+		}
+	}
+	if want := float64(newly) / float64(g.MaxOutDegree()); f[2] != want {
+		t.Errorf("teammate α = %v, want %v (%d nodes within its radius of node 7)", f[2], want, newly)
+	}
+}
+
 func TestResolveDest(t *testing.T) {
 	m := mission(t)
 	if got := ResolveDest(m, 0); got != NoDest {

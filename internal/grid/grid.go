@@ -59,6 +59,8 @@ type Grid struct {
 	// costs no cosine and a distance key no trig at all.
 	cosLat []float64
 	unit   [][3]float64
+	// strong records that every node reaches every other along arcs.
+	strong bool
 }
 
 // MaxEdgeWeight returns the largest arc weight: an upper bound on the
@@ -86,6 +88,14 @@ func (g *Grid) NumArcs() int { return g.arcs }
 // MaxOutDegree returns D_max, the maximum out-degree over all nodes. It is
 // the normalizer of the exploration reward (Equation 1).
 func (g *Grid) MaxOutDegree() int { return g.maxOutDegree }
+
+// StronglyConnected reports whether every node reaches every other node
+// along arcs. Build decides it once with two BFS from node 0, one over
+// out-arcs and one over in-arcs. On such a grid every source reaches every
+// destination unless obstacles cut the way, so sim.Scenario.Validate runs
+// its reachability BFS only for scenarios with obstacles or on grids where
+// this is false (uploads with one-way arcs).
+func (g *Grid) StronglyConnected() bool { return g.strong }
 
 // Pos returns the position of node v.
 func (g *Grid) Pos(v NodeID) geo.Point { return g.pos[v] }
@@ -180,9 +190,11 @@ func (g *Grid) Shorter(x, y DistKey) bool {
 	return g.Distance(x.from, x.to) < g.Distance(y.from, y.to)
 }
 
-// decisive reports whether keys x and y alone order their distances.
+// decisive reports whether keys x and y alone order their distances. It
+// takes the builtin max, which inlines where math.Max does not; both keys
+// are above keyFloor by then, so NaN and signed zeros never reach it.
 func decisive(x, y float64) bool {
-	return x > keyFloor && y > keyFloor && math.Abs(x-y) > nearTie*math.Max(x, y)
+	return x > keyFloor && y > keyFloor && math.Abs(x-y) > nearTie*max(x, y)
 }
 
 // radiusScratch pools the gather buffer of WithinRadius and of ball
@@ -382,6 +394,7 @@ func (b *Builder) Build() (*Grid, error) {
 	// Out-edges are sorted by To and visited in node order, so each in-edge
 	// list is already sorted by predecessor ID — deterministic without an
 	// extra sort.
+	g.strong = reachesAll(g.adj) && reachesAll(g.in)
 	g.bounds = geo.Bound(g.pos)
 	g.index = newSpatialIndex(g)
 	if g.metric == geo.Geodesic {
@@ -397,6 +410,23 @@ func (b *Builder) Build() (*Grid, error) {
 		}
 	}
 	return g, nil
+}
+
+// reachesAll reports whether a BFS from node 0 along the lists of adj
+// reaches every node.
+func reachesAll(adj [][]Edge) bool {
+	seen := make([]bool, len(adj))
+	seen[0] = true
+	queue := append(make([]NodeID, 0, len(adj)), 0)
+	for head := 0; head < len(queue); head++ {
+		for _, e := range adj[queue[head]] {
+			if !seen[e.To] {
+				seen[e.To] = true
+				queue = append(queue, e.To)
+			}
+		}
+	}
+	return len(queue) == len(adj)
 }
 
 // finite reports whether x is neither infinite nor NaN.

@@ -63,7 +63,7 @@ func NewPlanner(sc sim.Scenario, region geo.Rect, inner Maskable) (*Planner, err
 	if len(inRegion) == 0 {
 		return nil, fmt.Errorf("partial: region contains no grid nodes")
 	}
-	inSet := make(map[grid.NodeID]bool, len(inRegion))
+	inSet := make([]bool, sc.Grid.NumNodes())
 	for _, v := range inRegion {
 		inSet[v] = true
 	}
@@ -147,7 +147,7 @@ func (p *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	p.stuck[i] = 0
 	for n, e := range m.Grid().Neighbors(cur) {
 		if e.To == next {
-			return sim.Action{Neighbor: n, Speed: vessel.CruiseSpeed(e.Weight, m.Scenario().Team[i].MaxSpeed)}
+			return sim.Action{Neighbor: n, Speed: vessel.CruiseSpeed(e.Weight, m.Asset(i).MaxSpeed)}
 		}
 	}
 	// The path edge vanished (cannot happen on immutable grids); search.

@@ -66,7 +66,7 @@ func (f *FrontierSearch) Step(m *Mission, i int, blocked func(grid.NodeID) bool,
 	g := m.Grid()
 	start := m.Cur(i)
 	know := m.Knowledge(i)
-	maxSpeed := m.Scenario().Team[i].MaxSpeed
+	maxSpeed := m.Asset(i).MaxSpeed
 	obstacles := m.HasObstacles()
 
 	// candidate reports whether u is worth visiting: unsensed and accepted

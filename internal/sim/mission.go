@@ -9,6 +9,7 @@ import (
 	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/trace"
+	"github.com/routeplanning/mamorl/internal/vessel"
 	"github.com/routeplanning/mamorl/internal/weather"
 )
 
@@ -173,6 +174,10 @@ func (m *Mission) Grid() *grid.Grid { return m.sc.Grid }
 
 // NumAssets returns |N|.
 func (m *Mission) NumAssets() int { return len(m.sc.Team) }
+
+// Asset returns asset i's spec: its source, sensing radius and maximum
+// speed. Decision loops read it instead of copying the whole Scenario.
+func (m *Mission) Asset(i int) vessel.Asset { return m.sc.Team[i] }
 
 // Step returns the current epoch number.
 func (m *Mission) Step() int { return m.step }

@@ -131,12 +131,12 @@ func snapshotBeliefs(buf []grid.NodeID, lastKnown []grid.NodeID, i int) []grid.N
 func (nv *Navigator) inboundNeighbor(m *Mission, i int) bool {
 	g := m.Grid()
 	cur := m.Cur(i)
-	for j := range m.Scenario().Team {
+	for j := range m.NumAssets() {
 		if j == i {
 			continue
 		}
 		vj := m.Knowledge(i).LastKnown[j]
-		if g.Distance(vj, nv.target) <= m.Scenario().Team[j].SensingRadius {
+		if g.Distance(vj, nv.target) <= m.Asset(j).SensingRadius {
 			continue // already arrived; not inbound
 		}
 		if g.HasEdge(cur, vj) {
@@ -161,7 +161,7 @@ func (nv *Navigator) Step(m *Mission, i int, target grid.NodeID) (Action, bool) 
 	// while free in-zone nodes closer to the target exist, and steps
 	// sideways to any free in-zone node when an inbound teammate is
 	// believed adjacent.
-	radius := m.Scenario().Team[i].SensingRadius
+	radius := m.Asset(i).SensingRadius
 	if curD := g.Distance(cur, target); curD <= radius {
 		bestN, bestD := -1, curD
 		var lateral = -1
@@ -181,7 +181,7 @@ func (nv *Navigator) Step(m *Mission, i int, target grid.NodeID) (Action, bool) 
 		}
 		if bestN >= 0 {
 			e := g.Neighbors(cur)[bestN]
-			return Action{Neighbor: bestN, Speed: vessel.CruiseSpeed(e.Weight, m.Scenario().Team[i].MaxSpeed)}, true
+			return Action{Neighbor: bestN, Speed: vessel.CruiseSpeed(e.Weight, m.Asset(i).MaxSpeed)}, true
 		}
 		if lateral >= 0 && nv.inboundNeighbor(m, i) {
 			return Action{Neighbor: lateral, Speed: 1}, true
@@ -238,7 +238,7 @@ func (nv *Navigator) Step(m *Mission, i int, target grid.NodeID) (Action, bool) 
 	nv.yields[i] = 0
 	for n, e := range g.Neighbors(cur) {
 		if e.To == next {
-			return Action{Neighbor: n, Speed: vessel.CruiseSpeed(e.Weight, m.Scenario().Team[i].MaxSpeed)}, true
+			return Action{Neighbor: n, Speed: vessel.CruiseSpeed(e.Weight, m.Asset(i).MaxSpeed)}, true
 		}
 	}
 	return Wait, false

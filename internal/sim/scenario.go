@@ -78,9 +78,11 @@ func (sc Scenario) obstacleSet() map[grid.NodeID]bool {
 // Validate checks the scenario: a valid team on valid nodes, a destination
 // inside the grid, obstacles that block neither sources nor destination,
 // and obstacle-avoiding reachability of the destination from every source.
-// Reachability is one reverse BFS from the destination over in-edges,
-// shared by the whole team; errors are reported in obstacle order, then
-// team order.
+// Errors are reported in obstacle order, then team order. Without
+// obstacles on a strongly connected grid every source reaches the
+// destination, so Validate checks only that each source lies in the grid
+// and allocates nothing; otherwise reachability is one reverse BFS from
+// the destination over in-edges, shared by the whole team.
 func (sc Scenario) Validate() error {
 	if sc.Grid == nil {
 		return fmt.Errorf("scenario: nil grid")
@@ -91,6 +93,14 @@ func (sc Scenario) Validate() error {
 	n := grid.NodeID(sc.Grid.NumNodes())
 	if sc.Dest < 0 || sc.Dest >= n {
 		return fmt.Errorf("scenario: destination %d outside grid of %d nodes", sc.Dest, n)
+	}
+	if len(sc.Obstacles) == 0 && sc.Grid.StronglyConnected() {
+		for _, a := range sc.Team {
+			if a.Source >= n {
+				return fmt.Errorf("scenario: asset %d source %d outside grid", a.ID, a.Source)
+			}
+		}
+		return nil
 	}
 	obstacle := make([]bool, n)
 	for _, v := range sc.Obstacles {

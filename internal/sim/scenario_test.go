@@ -67,10 +67,13 @@ func randomArcGrid(rng *rand.Rand, n int) *grid.Grid {
 // TestValidateMatchesPerSourceOracle checks the one-pass Validate against
 // the per-source BFS on random grids (one-way arcs and symmetric synthetic
 // ones) with random obstacles, sources and destinations: the same error,
-// message included, or nil on both sides.
+// message included, or nil on both sides. Every fourth trial drops its
+// obstacles, so both of Validate's reachability branches are covered: the
+// fast path (no obstacles on a strongly connected grid) and the BFS.
 func TestValidateMatchesPerSourceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	kinds := map[string]int{}
+	branches := map[string]int{}
 	for trial := 0; trial < 400; trial++ {
 		var g *grid.Grid
 		if trial%3 == 0 {
@@ -102,6 +105,16 @@ func TestValidateMatchesPerSourceOracle(t *testing.T) {
 			sources[rng.Intn(len(sources))] = grid.NodeID(n + rng.Intn(3))
 		}
 		sc.Team = vessel.NewTeam(sources, 1, 2)
+		if trial%4 == 1 {
+			sc.Obstacles = nil
+		}
+		if sc.Team.Validate() == nil && sc.Dest >= 0 && int(sc.Dest) < n {
+			if len(sc.Obstacles) == 0 && g.StronglyConnected() {
+				branches["fast"]++
+			} else {
+				branches["bfs"]++
+			}
+		}
 
 		got, want := sc.Validate(), validateOracle(sc)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -116,10 +129,15 @@ func TestValidateMatchesPerSourceOracle(t *testing.T) {
 			kinds["other"]++
 		}
 	}
-	t.Logf("outcomes: %v", kinds)
+	t.Logf("outcomes: %v, reachability branches: %v", kinds, branches)
 	for _, k := range []string{"ok", "unreachable", "other"} {
 		if kinds[k] < 20 {
 			t.Errorf("only %d trials ended %q; the generator no longer covers that case (%v)", kinds[k], k, kinds)
+		}
+	}
+	for _, k := range []string{"fast", "bfs"} {
+		if branches[k] < 20 {
+			t.Errorf("only %d trials took Validate's %s branch (%v)", branches[k], k, branches)
 		}
 	}
 }

@@ -943,7 +943,10 @@ type AssetRoute struct {
 	Fuel  float64    `json:"fuel"`
 }
 
-// PlanResponse is the planning result (both views).
+// PlanResponse is the planning result (both views). It is encoded by
+// hand (AppendJSON, also behind MarshalJSON), not by reflection: a field
+// added here, or to AssetRoute or RouteLeg, must be added to the encoder
+// too, and TestPlanResponseJSONMatchesReflection fails until it is.
 type PlanResponse struct {
 	Found      bool         `json:"found"`
 	FoundBy    int          `json:"found_by"`
@@ -1233,6 +1236,19 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, req PlanReque
 	start := time.Now()
 	resp, status, err := s.plan(ctx, req, s.newBudget())
 	elapsed := time.Since(start)
+	// The plan is encoded before it is counted, so a response the encoder
+	// refuses counts as a failed plan and answers 500.
+	var body *bodyBuffer
+	if err == nil {
+		body = bodyPool.Get().(*bodyBuffer)
+		defer releaseBody(body)
+		var b []byte
+		b, err = resp.AppendJSON(*body)
+		*body = append(b, '\n')
+		if err != nil {
+			status, err = http.StatusInternalServerError, fmt.Errorf("encode response: %w", err)
+		}
+	}
 
 	m := s.opts.Metrics
 	outcome := "ok"
@@ -1268,7 +1284,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, req PlanReque
 	}
 	m.Counter("tmplar_plan_completed_total", "algorithm", algoLabel(req.Algorithm)).Inc()
 	m.Counter("tmplar_plan_steps_total").Add(uint64(resp.Steps))
-	writeJSON(w, http.StatusOK, resp)
+	sendBody(w, http.StatusOK, *body)
 }
 
 // algoLabel normalizes the algorithm metric label ("" means the default).
@@ -1412,8 +1428,51 @@ func algorithmFor(req PlanRequest) (algo.Entry, error) {
 	return alg, err
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
+// bodyPool recycles response buffers. releaseBody drops a buffer that grew
+// past maxPooledBody (a long served random walk can), so one huge response
+// does not stay resident for every later one.
+var bodyPool = sync.Pool{New: func() any { return new(bodyBuffer) }}
+
+const maxPooledBody = 1 << 20
+
+// bodyBuffer is a response body under construction; its Write lets a
+// json.Encoder append to it.
+type bodyBuffer []byte
+
+func (b *bodyBuffer) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+func releaseBody(b *bodyBuffer) {
+	if cap(*b) <= maxPooledBody {
+		*b = (*b)[:0]
+		bodyPool.Put(b)
+	}
+}
+
+// writeJSON answers with status and v's JSON encoding, the bytes
+// json.NewEncoder(w).Encode(v) writes. The body is encoded into a pooled
+// buffer first and sent in one Write with its Content-Length, so a value
+// encoding/json refuses (a NaN or infinity anywhere in it) answers 500
+// with the encoder's error instead of its status and an empty body.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := bodyPool.Get().(*bodyBuffer)
+	defer releaseBody(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		writeJSON(w, http.StatusInternalServerError, errorResponse{"encode response: " + err.Error()})
+		return
+	}
+	sendBody(w, status, *buf)
+}
+
+// sendBody writes an encoded JSON body with status and its Content-Length,
+// in one Write.
+func sendBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	// A failed write means the client has gone; there is no one to tell.
+	_, _ = w.Write(body)
 }

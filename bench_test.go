@@ -386,12 +386,15 @@ func BenchmarkExactDecide(b *testing.B) {
 	}
 }
 
-// BenchmarkExactTrain measures what one exact MaMoRL run of Table 6 pays
-// before it plans: building the planner and training it at Table 4's
-// defaults, on the seed-1 instance of the |V|=200 |N|=2 Dmax=9 block. Most
-// of its decisions and updates are past the threshold T, on learned
-// tables.
-func BenchmarkExactTrain(b *testing.B) {
+// exactTrainRun returns one exact MaMoRL run of Table 6 before it plans:
+// building the planner and training it at Table 4's defaults, on the seed-1
+// instance of the |V|=200 |N|=2 Dmax=9 block. Most of its decisions and
+// updates are past the threshold T, on learned tables. The grid's
+// sensing-ball memo is filled first, as the experiments' instance cache
+// does, so the first run does not pay for it. It is the fixture of
+// BenchmarkExactTrain and of TestExactTrainAllocs.
+func exactTrainRun(tb testing.TB) func() {
+	tb.Helper()
 	var p experiments.Params
 	for _, sc := range experiments.Table6Scenarios(experiments.DefaultParams()) {
 		if sc.Label == "|V|=200 |N|=2 Dmax=9" {
@@ -401,37 +404,49 @@ func BenchmarkExactTrain(b *testing.B) {
 	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{
 		Nodes: p.Nodes, Edges: p.Edges, MaxOutDegree: p.MaxOutDegree, Seed: p.Seed})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sc, err := approx.TrainingScenario(g, p.Assets, p.MaxSpeed, p.SensingRadiusFactor, p.CommEvery)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	// Fill the grid's sensing-ball memo first, as the experiments'
-	// instance cache does, so the first iteration does not pay for it.
 	for v := 0; v < g.NumNodes(); v++ {
 		g.ForEachWithinRadius(grid.NodeID(v), sc.Team[0].SensingRadius, func(grid.NodeID) {})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		pl, err := core.NewPlanner(sc, core.Config{Episodes: p.Episodes, Seed: p.Seed}, rewardfn.DefaultWeights())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := pl.Train(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkGenerateSynthetic measures one seeded grid at Table 6's largest
-// shape (704 nodes, 1550 edges, D_max 7): the instance an experiment driver
+// BenchmarkExactTrain measures one exactTrainRun.
+func BenchmarkExactTrain(b *testing.B) {
+	run := exactTrainRun(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// table6Largest is Table 6's largest synthetic shape (704 nodes, 1550
+// edges, D_max 7) at the given seed: the instance an experiment driver
 // builds once per seeded run and shares across its algorithms.
+func table6Largest(seed int64) grid.SyntheticConfig {
+	return grid.SyntheticConfig{Nodes: 704, Edges: 1550, MaxOutDegree: 7, Seed: seed}
+}
+
+// BenchmarkGenerateSynthetic measures one table6Largest grid, cycling
+// through seeds 1-3.
 func BenchmarkGenerateSynthetic(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 704, Edges: 1550, MaxOutDegree: 7, Seed: int64(i%3) + 1}); err != nil {
+		if _, err := grid.GenerateSynthetic(table6Largest(int64(i%3) + 1)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,16 +11,20 @@ import (
 // benchDelta is the comparison of one benchmark across two reports.
 type benchDelta struct {
 	Name string
-	// OldNs/NewNs are ns/op; OldAllocs/NewAllocs are allocs/op. A metric
-	// absent from either report leaves the pair at NaN-free zero and the
-	// delta unset (has* false).
+	// OldNs/NewNs are ns/op; OldAllocs/NewAllocs are allocs/op: medians
+	// for folded repeats. A metric absent from either report leaves the
+	// pair at NaN-free zero and the delta unset (has* false).
 	OldNs, NewNs          float64
 	OldAllocs, NewAllocs  float64
 	hasNs, hasAllocs      bool
 	NsDeltaPct, AllocsPct float64
+	// NsSpread is the larger of the two sides' ns/op max − min; zero
+	// where neither side folded repeats.
+	NsSpread float64
 }
 
-// loadReport reads a benchjson -o report file.
+// loadReport reads a benchjson -o report file, folding any repeated
+// entries: reports written before -o folded them hold one per line.
 func loadReport(path string) (Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -31,7 +35,19 @@ func loadReport(path string) (Report, error) {
 	if err := json.NewDecoder(f).Decode(&rep); err != nil {
 		return Report{}, fmt.Errorf("parse %s: %w", path, err)
 	}
+	rep.Benchmarks = foldRepeats(rep.Benchmarks)
 	return rep, nil
+}
+
+// spread returns a benchmark's max − min of one metric, zero for a single
+// run.
+func spread(b Benchmark, unit string) float64 {
+	lo, ok1 := b.Min[unit]
+	hi, ok2 := b.Max[unit]
+	if !ok1 || !ok2 {
+		return 0
+	}
+	return hi - lo
 }
 
 // pct is the relative change from old to new, in percent. A zero old value
@@ -62,6 +78,7 @@ func compareReports(oldRep, newRep Report) []benchDelta {
 			if newNs, ok2 := nb.Metrics["ns/op"]; ok2 {
 				d.OldNs, d.NewNs, d.hasNs = oldNs, newNs, true
 				d.NsDeltaPct = pct(oldNs, newNs)
+				d.NsSpread = max(spread(ob, "ns/op"), spread(nb, "ns/op"))
 			}
 		}
 		if oldA, ok1 := ob.Metrics["allocs/op"]; ok1 {
@@ -76,42 +93,49 @@ func compareReports(oldRep, newRep Report) []benchDelta {
 	return out
 }
 
-// countRegressions counts deltas whose ns/op worsened beyond threshold
-// percent. Alloc growth alone is reported but does not trip the gate: alloc
-// counts are exact and a deliberate +1 on a tiny benchmark would read as a
-// huge percentage.
+// regressed reports whether d's median ns/op worsened beyond both
+// threshold percent and the two sides' spread. Alloc growth alone is
+// reported but does not trip the gate: alloc counts are exact and a
+// deliberate +1 on a tiny benchmark would read as a huge percentage.
+func (d benchDelta) regressed(threshold float64) bool {
+	return d.hasNs && d.NsDeltaPct > threshold && d.NewNs-d.OldNs > d.NsSpread
+}
+
+// countRegressions counts the deltas that regressed beyond threshold.
 func countRegressions(deltas []benchDelta, threshold float64) int {
 	n := 0
 	for _, d := range deltas {
-		if d.hasNs && d.NsDeltaPct > threshold {
+		if d.regressed(threshold) {
 			n++
 		}
 	}
 	return n
 }
 
-// writeCompare renders the delta table.
+// writeCompare renders the delta table. The spread column is NsSpread as a
+// percentage of the old median.
 func writeCompare(w io.Writer, deltas []benchDelta, threshold float64) {
-	fmt.Fprintf(w, "%-40s %14s %14s %9s %12s %9s\n",
-		"benchmark", "old ns/op", "new ns/op", "Δns/op", "allocs/op", "Δallocs")
+	fmt.Fprintf(w, "%-40s %14s %14s %9s %8s %12s %9s\n",
+		"benchmark", "old ns/op", "new ns/op", "Δns/op", "spread", "allocs/op", "Δallocs")
 	for _, d := range deltas {
 		mark := " "
-		if d.hasNs && d.NsDeltaPct > threshold {
+		if d.regressed(threshold) {
 			mark = "!"
 		}
-		ns, allocs, dNs, dAllocs := "-", "-", "-", "-"
+		ns, allocs, dNs, dAllocs, spr := "-", "-", "-", "-", "-"
 		oldNs := "-"
 		if d.hasNs {
 			oldNs = fmt.Sprintf("%.1f", d.OldNs)
 			ns = fmt.Sprintf("%.1f", d.NewNs)
 			dNs = fmt.Sprintf("%+.1f%%", d.NsDeltaPct)
+			spr = fmt.Sprintf("%.1f%%", pct(d.OldNs, d.OldNs+d.NsSpread))
 		}
 		if d.hasAllocs {
 			allocs = fmt.Sprintf("%.0f→%.0f", d.OldAllocs, d.NewAllocs)
 			dAllocs = fmt.Sprintf("%+.1f%%", d.AllocsPct)
 		}
-		fmt.Fprintf(w, "%-40s %14s %14s %9s %12s %9s %s\n",
-			d.Name, oldNs, ns, dNs, allocs, dAllocs, mark)
+		fmt.Fprintf(w, "%-40s %14s %14s %9s %8s %12s %9s %s\n",
+			d.Name, oldNs, ns, dNs, spr, allocs, dAllocs, mark)
 	}
 }
 

@@ -124,3 +124,117 @@ func TestRunCompare(t *testing.T) {
 		t.Errorf("disjoint output: %s", out.String())
 	}
 }
+
+// TestFoldRepeats folds the lines `go test -count=5` prints for one
+// benchmark into a single entry with each metric's median, min and max,
+// keeps a benchmark seen once as it was, and keeps first-appearance order.
+func TestFoldRepeats(t *testing.T) {
+	lines := []string{
+		"BenchmarkTrain-2   16   67937102 ns/op   4879467 B/op   12226 allocs/op",
+		"BenchmarkOnce-2   100   500 ns/op",
+		"BenchmarkTrain-2   19   62242521 ns/op   4889719 B/op   12227 allocs/op",
+		"BenchmarkTrain-2   18   50000000 ns/op   4889710 B/op   12226 allocs/op",
+		"BenchmarkTrain-2   18   70000000 ns/op   4889710 B/op   12228 allocs/op",
+		"BenchmarkTrain-2   17   64000000 ns/op   4889700 B/op   12226 allocs/op",
+		"BenchmarkTrain-4   30   33000000 ns/op   4889700 B/op   12226 allocs/op",
+	}
+	var bs []Benchmark
+	for _, l := range lines {
+		b, ok := parseLine(l)
+		if !ok {
+			t.Fatalf("unparsed: %q", l)
+		}
+		bs = append(bs, b)
+	}
+	got := foldRepeats(bs)
+	if len(got) != 3 || got[0].Name != "Train" || got[0].Procs != 2 || got[1].Name != "Once" || got[2].Procs != 4 {
+		t.Fatalf("folded entries: %+v", got)
+	}
+	train := got[0]
+	if train.Runs != 5 || train.Iterations != 88 {
+		t.Errorf("Train runs=%d iterations=%d, want 5 and 88", train.Runs, train.Iterations)
+	}
+	if m := train.Metrics["ns/op"]; m != 64000000 {
+		t.Errorf("median ns/op = %v, want 64000000", m)
+	}
+	if lo, hi := train.Min["ns/op"], train.Max["ns/op"]; lo != 50000000 || hi != 70000000 {
+		t.Errorf("ns/op range = [%v, %v], want [50000000, 70000000]", lo, hi)
+	}
+	if m := train.Metrics["allocs/op"]; m != 12226 {
+		t.Errorf("median allocs/op = %v, want 12226", m)
+	}
+	if once := got[1]; once.Runs != 0 || once.Min != nil || once.Metrics["ns/op"] != 500 {
+		t.Errorf("a single run changed in the fold: %+v", once)
+	}
+	if m := median([]float64{1, 2, 3, 4}); m != 2.5 {
+		t.Errorf("even-count median = %v, want 2.5", m)
+	}
+}
+
+// foldedFixture is a report of one benchmark folded from repeats with the
+// given ns/op median and range.
+func foldedFixture(name string, med, lo, hi float64) Report {
+	return Report{Benchmarks: []Benchmark{{
+		Name: name, Iterations: 50, Runs: 5,
+		Metrics: map[string]float64{"ns/op": med},
+		Min:     map[string]float64{"ns/op": lo},
+		Max:     map[string]float64{"ns/op": hi},
+	}}}
+}
+
+// TestCompareSpread: a median ns/op rise past the threshold regresses only
+// when it also exceeds the larger of the two sides' max − min.
+func TestCompareSpread(t *testing.T) {
+	// +20% against a 30% swing on the old side: noise.
+	noisy := compareReports(foldedFixture("Train", 100, 85, 115), foldedFixture("Train", 120, 110, 125))
+	if n := countRegressions(noisy, 15); n != 0 {
+		t.Errorf("a rise within the old side's spread regressed: %+v", noisy)
+	}
+	if noisy[0].NsSpread != 30 {
+		t.Errorf("spread = %v, want 30 (the old side's, the larger)", noisy[0].NsSpread)
+	}
+	// +20% against swings of 5 and 8: a regression.
+	steady := compareReports(foldedFixture("Train", 100, 97, 102), foldedFixture("Train", 120, 115, 123))
+	if n := countRegressions(steady, 15); n != 1 {
+		t.Errorf("a rise beyond both spreads did not regress: %+v", steady)
+	}
+	// Beyond the spread but within the threshold: no regression either.
+	if n := countRegressions(steady, 25); n != 0 {
+		t.Errorf("a rise within the threshold regressed: %+v", steady)
+	}
+	var out strings.Builder
+	writeCompare(&out, noisy, 15)
+	if !strings.Contains(out.String(), "+20.0%") || !strings.Contains(out.String(), "30.0%") || strings.Contains(out.String(), "!") {
+		t.Errorf("table output:\n%s", out.String())
+	}
+}
+
+// TestRunCompareFoldsOldRepeats: a report written before -o folded repeats
+// holds one entry per line; -compare folds it on load, so the old side is
+// the median of its repeats rather than whichever came last, and the new
+// side gets one row.
+func TestRunCompareFoldsOldRepeats(t *testing.T) {
+	dir := t.TempDir()
+	unfolded := Report{}
+	for _, ns := range []float64{1000, 900, 1100, 2000} {
+		unfolded.Benchmarks = append(unfolded.Benchmarks,
+			Benchmark{Name: "Plan", Iterations: 10, Metrics: map[string]float64{"ns/op": ns}})
+	}
+	oldPath := writeReport(t, dir, "old.json", unfolded)
+	newPath := writeReport(t, dir, "new.json", unfolded)
+	var out strings.Builder
+	n, err := runCompare(&out, oldPath, newPath, 15)
+	if err != nil || n != 0 {
+		t.Fatalf("n=%d err=%v", n, err)
+	}
+	if rows := strings.Count(out.String(), "Plan"); rows != 1 {
+		t.Errorf("%d Plan rows, want 1:\n%s", rows, out.String())
+	}
+	rep, err := loadReport(oldPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b := rep.Benchmarks; len(b) != 1 || b[0].Metrics["ns/op"] != 1050 || b[0].Runs != 4 {
+		t.Errorf("loaded fold = %+v, want the median 1050 over 4 runs", b)
+	}
+}

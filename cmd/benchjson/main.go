@@ -11,14 +11,18 @@
 //	benchjson -profdiff old-capture.json new-capture.json
 //	benchjson -profdiff -kind heap -prof-threshold 3 old.pb.gz new.pb.gz
 //
-// Each "BenchmarkName-P  N  v1 unit1  v2 unit2 ..." line becomes one entry
-// with every reported metric keyed by its unit (ns/op, B/op, allocs/op and
-// any b.ReportMetric custom units).
+// Each "BenchmarkName-P  N  v1 unit1  v2 unit2 ..." line is parsed with
+// every reported metric keyed by its unit (ns/op, B/op, allocs/op and any
+// b.ReportMetric custom units). The repeats of one benchmark that `go test
+// -count=N` prints fold into one entry holding each metric's median, min
+// and max, so a report carries its own spread.
 //
 // In -compare mode the command diffs two reports instead: for every
-// benchmark present in both files it prints the ns/op and allocs/op deltas,
-// and exits nonzero when any ns/op regression exceeds -threshold percent —
-// a CI tripwire against silent performance drift.
+// benchmark present in both files it prints the median ns/op and allocs/op
+// deltas, and exits nonzero when any ns/op regression exceeds both
+// -threshold percent and the two sides' spread (each side's max − min) — a
+// CI tripwire against silent performance drift that a noisy host's
+// run-to-run swing does not trip.
 //
 // In -profdiff mode the command diffs two profiles: each side may be a raw
 // pprof protobuf (a /debug/prof ?format=raw download, a -cpuprofile file) or
@@ -35,16 +39,24 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 )
 
-// Benchmark is one parsed result line.
+// Benchmark is one benchmark's result: a parsed line, or the fold of its
+// repeated lines. Metrics holds each metric's value, for a fold its median.
+// A fold of Runs > 1 lines also records each metric's Min and Max, and
+// Iterations totals its lines'; reports written before folding have one
+// line per entry and none of these fields.
 type Benchmark struct {
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs,omitempty"`
 	Iterations int64              `json:"iterations"`
+	Runs       int                `json:"runs,omitempty"`
 	Metrics    map[string]float64 `json:"metrics"`
+	Min        map[string]float64 `json:"min,omitempty"`
+	Max        map[string]float64 `json:"max,omitempty"`
 }
 
 // Report is the whole run.
@@ -121,6 +133,7 @@ func main() {
 	if err := sc.Err(); err != nil {
 		log.Fatalf("benchjson: read: %v", err)
 	}
+	rep.Benchmarks = foldRepeats(rep.Benchmarks)
 
 	f, err := os.Create(*out)
 	if err != nil {
@@ -133,6 +146,60 @@ func main() {
 		log.Fatalf("benchjson: write: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+}
+
+// foldRepeats merges the entries that share a name and procs into one, in
+// order of first appearance: Metrics becomes each metric's median over the
+// entries, Min and Max its extremes. A benchmark seen once keeps its entry
+// unchanged.
+func foldRepeats(bs []Benchmark) []Benchmark {
+	type key struct {
+		name  string
+		procs int
+	}
+	groups := map[key][]Benchmark{}
+	var order []key
+	for _, b := range bs {
+		k := key{b.Name, b.Procs}
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], b)
+	}
+	out := make([]Benchmark, 0, len(order))
+	for _, k := range order {
+		g := groups[k]
+		if len(g) == 1 {
+			out = append(out, g[0])
+			continue
+		}
+		f := Benchmark{Name: k.name, Procs: k.procs, Runs: len(g), Metrics: map[string]float64{},
+			Min: map[string]float64{}, Max: map[string]float64{}}
+		samples := map[string][]float64{}
+		for _, b := range g {
+			f.Iterations += b.Iterations
+			for unit, v := range b.Metrics {
+				samples[unit] = append(samples[unit], v)
+			}
+		}
+		for unit, vs := range samples {
+			sort.Float64s(vs)
+			f.Metrics[unit] = median(vs)
+			f.Min[unit], f.Max[unit] = vs[0], vs[len(vs)-1]
+		}
+		out = append(out, f)
+	}
+	return out
+}
+
+// median returns the middle value of the sorted vs (the mean of the two
+// middle ones for an even count).
+func median(vs []float64) float64 {
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseLine parses "BenchmarkFoo-8   123   45.6 ns/op   7 B/op ...".

@@ -114,7 +114,7 @@ func TestLMUpdateGolden(t *testing.T) {
 	alpha, gamma, r := 0.9, 0.8, 0.5
 	old := q[1].get(0, def)[0]
 	maxQ := def // all next-state values at default
-	q.update(1)[0] = uniform((1-alpha)*old + alpha*(r+gamma*maxQ))
+	q.set(1, q[1], 0, uniform((1-alpha)*old+alpha*(r+gamma*maxQ)))
 	if got := q[1].get(0, def)[0]; !almost(got, 0.47, 5e-3) {
 		t.Errorf("Q after toy update = %v, want ~0.47", got)
 	}
@@ -160,20 +160,19 @@ func TestASMGolden(t *testing.T) {
 	def := qDefault(counts)
 	e := uniform(def)
 	e[0] = 0.47
-	pl.q[0].update(sKey)[jointActionKey([]int{0, 0}, counts)] = e
+	pl.q[0].set(sKey, pl.q[0][sKey], jointActionKey([]int{0, 0}, counts), e)
 
 	dists := [][]float64{nil, pl.p[1].dist(sKey, counts[1])}
 	best := []int{0, argmax(dists[1])}
 	idx := make([]int, 2)
 
 	// V(a_0): 4 x 0.1946 x 0.0286 + 0.2216 x 0.47 = 0.1264.
-	maxP := strongestBelief(0, dists, best)
-	v0 := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, maxP, 1, idx)[0]
+	v0 := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, idx)[0]
 	if !almost(v0, 0.1264, 2e-3) {
 		t.Errorf("V(a_0) = %v, want 0.1264", v0)
 	}
 	// V(a_1): all Q at default => 0.0286.
-	v1 := pl.conditionalValue(pl.q[0][sKey], 0, 1, counts, dists, best, def, maxP, 1, idx)[0]
+	v1 := pl.conditionalValue(pl.q[0][sKey], 0, 1, counts, dists, best, def, idx)[0]
 	if !almost(v1, 0.0286, 2e-3) {
 		t.Errorf("V(a_1) = %v, want 0.0286", v1)
 	}
@@ -189,17 +188,40 @@ func TestASMGolden(t *testing.T) {
 }
 
 func TestASMPastThresholdUsesArgmax(t *testing.T) {
-	pl, _, sKey, counts := asmFixture(t)
+	pl, m, sKey, counts := asmFixture(t)
 	pl.p[1].update(sKey, counts[1], 2, 0.3)
 	dists := [][]float64{nil, pl.p[1].dist(sKey, counts[1])}
 	best := []int{0, argmax(dists[1])}
 	def := qDefault(counts)
-	idx := make([]int, 2)
-	// t > T (4 > 3): value is max_j P(a*_j) times the argmax-profile Q.
-	v := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, strongestBelief(0, dists, best), 4, idx)
-	want := dists[1][best[1]] * def
-	if v != uniform(want) {
-		t.Errorf("post-threshold V = %v, want %v", v, want)
+	// Own action 3 is strong with the teammate at its argmax; own action 0
+	// is far stronger with the teammate at action 4, which only the t <= T
+	// expectation weighs.
+	strong, offArgmax := uniform(def), uniform(def)
+	strong[0], offArgmax[0] = 0.9, 50
+	pl.q[0].set(sKey, pl.q[0][sKey], jointActionKey([]int{3, best[1]}, counts), strong)
+	pl.q[0].set(sKey, pl.q[0][sKey], jointActionKey([]int{0, 4}, counts), offArgmax)
+
+	if a := pl.Decide(m, 0); sim.EncodeActionAt(a, 2, 3) != 0 {
+		t.Fatalf("t <= T: Decide picked %v, want action index 0", a)
+	}
+	for m.Step() < pl.cfg.IterT {
+		if _, err := m.ExecuteStep([]sim.Action{sim.Wait, sim.Wait}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// t > T (4 > 3): each value is max_j P(a*_j) times the argmax-profile Q.
+	if a := pl.Decide(m, 0); sim.EncodeActionAt(a, 2, 3) != 3 {
+		t.Fatalf("t > T: Decide picked %v, want action index 3", a)
+	}
+	maxP := dists[1][best[1]]
+	for a, v := range pl.scratch.own {
+		want := uniform(maxP * def)
+		if a == 3 {
+			want = perReward{maxP * 0.9, maxP * def, maxP * def}
+		}
+		if v != want {
+			t.Errorf("post-threshold V(a_%d) = %v, want %v", a, v, want)
+		}
 	}
 }
 

@@ -69,14 +69,16 @@ type Planner struct {
 // stepScratch is the working storage of Decide and Observe. locs is a joint
 // state (Decide's believed one, Observe's post-step one); counts, dists and
 // best are the per-asset action counts, teammate action distributions and
-// their argmaxes there; idx is a joint-action index. Observe adds the
-// pre-step action counts and the observed joint action. Decide adds the
-// legal and safe actions and the believed-occupied nodes.
+// their argmaxes there; idx is a joint-action index; own holds one Q row's
+// values per own action with the teammates at best (qRow.ownValues).
+// Observe adds the pre-step action counts and the observed joint action.
+// Decide adds the legal and safe actions and the believed-occupied nodes.
 type stepScratch struct {
 	locs               []grid.NodeID
 	counts             []int
 	dists              [][]float64
 	best, idx          []int
+	own                []perReward
 	prevCounts, actIdx []int
 	actions, safe      []sim.Action
 	blocked            grid.NodeSet
@@ -245,14 +247,29 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 			s.blocked.Add(m.Knowledge(i).LastKnown[j])
 		}
 	}
-	maxP := strongestBelief(i, dists, best)
 	row := pl.q[i][sKey]
-	// Without a row every entry reads def, so no candidate action changes
-	// the value: take it once.
+	// Alone, or past the threshold T, Equation 8 reads one entry per own
+	// action (teammates at their argmax, scaled by the strongest teammate
+	// belief): load them from the row at once. Otherwise, without a row
+	// every entry reads def, so no candidate action changes the value:
+	// take it once.
+	argmaxOnly := n == 1 || t > pl.cfg.IterT
 	var rowless perReward
-	if row == nil {
-		rowless = pl.conditionalValue(nil, i, 0, counts, dists, best, def, maxP, t, s.idx)
+	switch {
+	case argmaxOnly:
+		s.own = row.ownValues(s.own, i, best, counts, def)
+		if n > 1 {
+			maxP := strongestBelief(i, dists, best)
+			for a := range s.own {
+				for c := range s.own[a] {
+					s.own[a][c] = maxP * s.own[a][c]
+				}
+			}
+		}
+	case row == nil:
+		rowless = pl.conditionalValue(nil, i, 0, counts, dists, best, def, s.idx)
 	}
+	degree := pl.sc.Grid.OutDegree(locs[i])
 	anySensed := false
 	// A neighbour's speed variants share one destination, and what a
 	// destination would sense cannot change during the call, so a run of
@@ -273,9 +290,11 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 			anySensed = true
 		}
 		vals := rowless
-		if row != nil {
-			aIdx := sim.EncodeActionAt(a, pl.sc.Grid.OutDegree(locs[i]), pl.sc.Team[i].MaxSpeed)
-			vals = pl.conditionalValue(row, i, aIdx, counts, dists, best, def, maxP, t, s.idx)
+		switch aIdx := sim.EncodeActionAt(a, degree, pl.sc.Team[i].MaxSpeed); {
+		case argmaxOnly:
+			vals = s.own[aIdx]
+		case row != nil:
+			vals = pl.conditionalValue(row, i, aIdx, counts, dists, best, def, s.idx)
 		}
 		v := 0.0
 		for c, w := range pl.weights {
@@ -314,32 +333,21 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 const tieBreakScale = 1e-7
 
 // conditionalValue computes V(a_i | A*) per Equation 8 for every reward
-// component, from asset i's Q row at the believed state. For t <= T it
-// takes, for each teammate j, the expectation of Q over j's anticipated
-// action distribution with every other teammate pinned to its argmax
-// action; for t > T it collapses to the argmax profile scaled by maxP, the
-// strongest teammate belief (strongestBelief). With |N| = 2 both forms
-// reduce exactly to the paper's worked example. Each component is summed on
-// its own, in the same order as a single-component table would be.
+// component at t <= T, from asset i's Q row at the believed state: for each
+// teammate j, the expectation of Q over j's anticipated action distribution
+// with every other teammate pinned to its argmax action. Past T the value
+// collapses to the argmax profile scaled by the strongest teammate belief
+// (strongestBelief), which Decide reads through qRow.ownValues. With
+// |N| = 2 both forms reduce exactly to the paper's worked example. Each
+// component is summed on its own, in the same order as a single-component
+// table would be.
 func (pl *Planner) conditionalValue(row qRow, i, aIdx int, counts []int,
-	dists [][]float64, best []int, def, maxP float64, t int, idx []int) perReward {
+	dists [][]float64, best []int, def float64, idx []int) perReward {
 
 	n := len(counts)
 	// Base profile: own action + teammates at argmax.
 	copy(idx, best)
 	idx[i] = aIdx
-
-	if n == 1 {
-		return row.get(jointActionKey(idx, counts), def)
-	}
-
-	if t > pl.cfg.IterT {
-		v := row.get(jointActionKey(idx, counts), def)
-		for c := range v {
-			v[c] = maxP * v[c]
-		}
-		return v
-	}
 
 	var v perReward
 	for j := 0; j < n; j++ {
@@ -422,7 +430,7 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 	for j := 0; j < n; j++ {
 		s.locs = append(s.locs, m.Cur(j))
 	}
-	next, counts, nextBest, idx := s.locs, s.counts, s.best, s.idx
+	next, counts, nextBest := s.locs, s.counts, s.best
 	sNext := pl.keyer.key(next)
 	for j := 0; j < n; j++ {
 		counts[j] = pl.actionCountAt(j, next[j])
@@ -444,11 +452,9 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 		// defNext, and so does the max.
 		maxQ := uniform(defNext)
 		if rowNext := pl.q[i][sNext]; rowNext != nil {
-			copy(idx, nextBest)
+			s.own = rowNext.ownValues(s.own, i, nextBest, counts, defNext)
 			maxQ = uniform(math.Inf(-1))
-			for ai := 0; ai < counts[i]; ai++ {
-				idx[i] = ai
-				q := rowNext.get(jointActionKey(idx, counts), defNext)
+			for _, q := range s.own {
 				for c := range maxQ {
 					if q[c] > maxQ[c] {
 						maxQ[c] = q[c]
@@ -456,7 +462,7 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 				}
 			}
 		}
-		row := pl.q[i].update(sKey)
+		row := pl.q[i][sKey]
 		old := row.get(aKey, defPrev)
 		var upd perReward
 		for c := range upd {
@@ -467,7 +473,7 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 				pl.epMaxQDelta = d
 			}
 		}
-		row[aKey] = upd
+		pl.q[i].set(sKey, row, aKey, upd)
 	}
 	for c, w := range pl.weights {
 		pl.epReward += w * rv[c]

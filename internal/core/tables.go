@@ -62,10 +62,18 @@ func jointActionKey(idx []int, counts []int) uint64 {
 // functions below) still reports the paper's full per-reward sizes.
 type pTable struct {
 	dists map[uint64][]float64 // per teammate: sKey -> distribution
+	// arena is the chunk stored distributions are carved from. Stored
+	// slices keep their chunk alive, so a full chunk is replaced by a
+	// fresh one, never regrown in place.
+	arena []float64
 	// uniform[n] is the read-only uniform distribution over n actions
 	// that dist returns for states never updated.
 	uniform [][]float64
 }
+
+// pArenaChunk is how many probabilities one arena chunk holds (32 KiB): a
+// hundred or more distributions at Table 6's action counts.
+const pArenaChunk = 4096
 
 func newPTable() *pTable {
 	return &pTable{dists: make(map[uint64][]float64)}
@@ -97,7 +105,8 @@ func (p *pTable) dist(sKey uint64, nActions int) []float64 {
 func (p *pTable) update(sKey uint64, nActions, observed int, factor float64) {
 	d, ok := p.dists[sKey]
 	if !ok || len(d) != nActions {
-		d = slices.Clone(p.dist(sKey, nActions))
+		d = p.carve(nActions)
+		copy(d, p.dist(sKey, nActions))
 		p.dists[sKey] = d
 	}
 	rest := 0.0
@@ -115,6 +124,17 @@ func (p *pTable) update(sKey uint64, nActions, observed int, factor float64) {
 	}
 }
 
+// carve returns n fresh probabilities from the arena, capped so that no
+// distribution can grow into the next.
+func (p *pTable) carve(n int) []float64 {
+	if cap(p.arena)-len(p.arena) < n {
+		p.arena = make([]float64, 0, max(pArenaChunk, n))
+	}
+	start := len(p.arena)
+	p.arena = p.arena[:start+n]
+	return p.arena[start : start+n : start+n]
+}
+
 // entries returns the number of stored state entries.
 func (p *pTable) entries() int { return len(p.dists) }
 
@@ -123,15 +143,24 @@ func (p *pTable) entries() int { return len(p.dists) }
 // Each asset has one qTable that holds Lemma 2's per-reward tables side by
 // side: the entry Q[sKey][aKey] carries every reward component of one
 // (s, a) pair, because the LM update (Equation 6) always writes them
-// together. Readers look a state's row up once and then index it by joint
+// together. Readers look a state's row up once and then read it by joint
 // action, so one joint state costs one hash however many components and
 // joint actions are read. Unseen pairs read as the lazy uniform default
 // 1/Π_i |A_i(s)| from the worked example in Section 3.2.2.
 type qTable map[uint64]qRow
 
-// qRow holds one joint state's entries, keyed by joint action. The nil row
-// of a state never updated reads as all defaults.
-type qRow map[uint64]perReward
+// qRow holds one joint state's entries, one per joint action in the order
+// they were first written. The nil row of a state never updated reads as
+// all defaults. Learned states hold a handful of joint actions each, so a
+// scan of a short slice beats a hash map per state in both time and bytes.
+type qRow []qEntry
+
+// qEntry is one stored (s, a) pair of a row: the joint-action key and its
+// value per reward component.
+type qEntry struct {
+	aKey uint64
+	v    perReward
+}
 
 // perReward holds one value per reward component (exploration, time,
 // fuel): a Q entry, a reward vector, or the scalarization weights.
@@ -149,20 +178,56 @@ func uniform(v float64) perReward {
 // get returns Q(s, a) for the row's state s, with every component at def
 // for a pair never updated.
 func (r qRow) get(aKey uint64, def float64) perReward {
-	if v, ok := r[aKey]; ok {
-		return v
+	for k := range r {
+		if r[k].aKey == aKey {
+			return r[k].v
+		}
 	}
 	return uniform(def)
 }
 
-// update returns sKey's row for writing, creating it if absent.
-func (q qTable) update(sKey uint64) qRow {
-	r, ok := q[sKey]
-	if !ok {
-		r = make(qRow)
-		q[sKey] = r
+// set stores v as Q(s, a). row is sKey's row as the caller read it: an
+// existing entry is rewritten in place, and a new one is appended and the
+// row stored back.
+func (q qTable) set(sKey uint64, row qRow, aKey uint64, v perReward) {
+	for k := range row {
+		if row[k].aKey == aKey {
+			row[k].v = v
+			return
+		}
 	}
-	return r
+	q[sKey] = append(row, qEntry{aKey, v})
+}
+
+// ownValues returns in buf[:counts[i]] the row's Q(s, a) for every own
+// action of asset i, with each teammate j's action fixed at profile[j]
+// (profile[i] is ignored). One pass over the row fills what it stores;
+// every other action reads def. Joint-action keys are mixed-radix
+// (jointActionKey), so those profiles' keys are base + a·stride for own
+// actions a < counts[i], and no other key has that form.
+func (r qRow) ownValues(buf []perReward, i int, profile, counts []int, def float64) []perReward {
+	var base, stride uint64
+	place := uint64(1) // the place value of asset j's digit
+	for j, c := range counts {
+		if j == i {
+			stride = place
+		} else {
+			base += uint64(profile[j]) * place
+		}
+		place *= uint64(c)
+	}
+	buf = slices.Grow(buf[:0], counts[i])[:counts[i]]
+	d := uniform(def)
+	for a := range buf {
+		buf[a] = d
+	}
+	span := stride * uint64(counts[i])
+	for k := range r {
+		if off := r[k].aKey - base; r[k].aKey >= base && off < span && off%stride == 0 {
+			buf[off/stride] = r[k].v
+		}
+	}
+	return buf
 }
 
 // entries counts stored values, NumRewardComponents per stored (s, a)

@@ -39,8 +39,9 @@ type buckets struct {
 	origin geo.Point
 	cells  [][]int32
 	pts    []geo.Point
-	// cands is knn's candidate scratch, reused across queries.
-	cands []knnCand
+	// cands and near are knn's candidate and selection scratch, reused
+	// across queries.
+	cands, near []knnCand
 }
 
 // knnCand is a kNN candidate point with its distance to the query point.
@@ -88,11 +89,26 @@ func (bk *buckets) cellOf(p geo.Point) int {
 	return cy*bk.cols + cx
 }
 
-// knn returns the indices of the k points nearest to point i (excluding i),
-// ordered by increasing distance. It expands a square ring of cells until
-// enough candidates are found, then one extra ring to guarantee correctness
-// within the bucket approximation.
-func (bk *buckets) knn(i, k int) []int32 {
+// knn appends to dst the indices of the k points nearest to point i
+// (excluding i), ordered by increasing distance.
+func (bk *buckets) knn(dst []int32, i, k int) []int32 {
+	cands := bk.candidates(i, k)
+	near, unique := selectNearest(bk.near, cands, k)
+	bk.near = near
+	if !unique {
+		slices.SortFunc(cands, func(a, b knnCand) int { return cmpDist(a.d, b.d) })
+		near = cands[:min(k, len(cands))]
+	}
+	for _, c := range near {
+		dst = append(dst, c.idx)
+	}
+	return dst
+}
+
+// candidates returns, in bk.cands, every point other than i in the cells
+// around point i out to the ring where at least k have been seen, plus one
+// extra ring to guarantee correctness within the bucket approximation.
+func (bk *buckets) candidates(i, k int) []knnCand {
 	p := bk.pts[i]
 	cx := clampInt(int((p.X-bk.origin.X)/bk.cell), 0, bk.cols-1)
 	cy := clampInt(int((p.Y-bk.origin.Y)/bk.cell), 0, bk.rows-1)
@@ -134,15 +150,41 @@ func (bk *buckets) knn(i, k int) []int32 {
 		}
 	}
 	bk.cands = cands
-	slices.SortFunc(cands, func(a, b knnCand) int { return cmpDist(a.d, b.d) })
-	if len(cands) > k {
-		cands = cands[:k]
+	return cands
+}
+
+// selectNearest keeps the k nearest of cands in near, in increasing
+// distance, by insertion into a buffer of at most k. It reports whether
+// that order is the only correct one: no two kept candidates, nor the k-th
+// and the nearest dropped one, lie at equal distance. Where two do, only
+// the full sort reproduces the order slices.SortFunc gives them, which
+// TestGeneratedGridsGolden pins.
+func selectNearest(near, cands []knnCand, k int) ([]knnCand, bool) {
+	near = near[:0]
+	dropped := math.Inf(1)
+	for _, c := range cands {
+		if len(near) == k {
+			last := near[k-1].d
+			if c.d >= last {
+				dropped = min(dropped, c.d)
+				continue
+			}
+			dropped = min(dropped, last)
+			near = near[:k-1]
+		}
+		j := len(near)
+		near = append(near, c)
+		for ; j > 0 && near[j-1].d > c.d; j-- {
+			near[j] = near[j-1]
+		}
+		near[j] = c
 	}
-	out := make([]int32, len(cands))
-	for j, c := range cands {
-		out[j] = c.idx
+	for j := 1; j < len(near); j++ {
+		if near[j].d == near[j-1].d {
+			return near, false
+		}
 	}
-	return out
+	return near, len(near) < k || dropped != near[k-1].d
 }
 
 // unionFind is a standard disjoint-set structure used to keep generated

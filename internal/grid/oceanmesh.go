@@ -163,9 +163,13 @@ func GenerateOceanMesh(cfg OceanMeshConfig) (*Grid, error) {
 	if k > cfg.Nodes-1 {
 		k = cfg.Nodes - 1
 	}
+	// Every node's candidates are carved from one slab of k per node.
 	neighbors := make([][]int32, cfg.Nodes)
+	slab := make([]int32, 0, cfg.Nodes*k)
 	for i := range neighbors {
-		neighbors[i] = bk.knn(i, k)
+		start := len(slab)
+		slab = bk.knn(slab, i, k)
+		neighbors[i] = slab[start:len(slab):len(slab)]
 	}
 	if err := connectAndFill(b, rng, neighbors, cfg.Edges, cfg.MaxOutDegree); err != nil {
 		return nil, fmt.Errorf("ocean mesh %q: %w", cfg.Name, err)

@@ -1373,12 +1373,23 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 		return nil, http.StatusBadRequest, err
 	}
 
-	// Fold the step stream into per-asset routes.
+	// Fold the step stream into per-asset routes. Every asset records one
+	// leg per step, so all assets' legs share one slab of perAsset legs
+	// each and regrow together: one allocation per doubling, not one per
+	// asset.
 	routes := make([]AssetRoute, len(team))
 	for i := range routes {
 		routes[i].Asset = i
 	}
+	perAsset := 0
 	record := func(m *sim.Mission, acts []sim.Action) {
+		if len(routes[0].Legs) == perAsset {
+			perAsset = max(2*perAsset, 16)
+			slab := make([]RouteLeg, len(routes)*perAsset)
+			for i := range routes {
+				routes[i].Legs = append(slab[i*perAsset:i*perAsset:(i+1)*perAsset], routes[i].Legs...)
+			}
+		}
 		for i := range acts {
 			mv := m.LastMove(i)
 			leg := RouteLeg{From: int32(mv.From), To: int32(mv.To), Speed: int(mv.Speed),

@@ -153,7 +153,21 @@ type Span struct {
 
 	tracer *Tracer
 	ended  bool
+	// eventAttrs is the chunk every event's Attrs are carved from, each
+	// capped at its own length so none can grow into the next. A full
+	// chunk is replaced, never regrown: carved slices keep theirs.
+	eventAttrs []Attr
 }
+
+// firstEvents is a span's first Events capacity: a mission span records a
+// decide and a step event per epoch, so spans that have one event usually
+// get many. eventAttrChunk is the size of each attribute chunk. Chunks
+// stay small and do not double, because a finished span keeps its last
+// chunk's unused tail for as long as a sink such as the Ring holds it.
+const (
+	firstEvents    = 16
+	eventAttrChunk = 32
+)
 
 // Enabled reports whether the span records anything. Hot paths guard
 // attribute construction with it.
@@ -174,7 +188,17 @@ func (s *Span) Event(name string, attrs ...Attr) {
 		return
 	}
 	e := Event{Name: name, Offset: time.Since(s.Start)}
-	e.Attrs = append(e.Attrs, attrs...)
+	if len(attrs) > 0 {
+		if cap(s.eventAttrs)-len(s.eventAttrs) < len(attrs) {
+			s.eventAttrs = make([]Attr, 0, max(eventAttrChunk, len(attrs)))
+		}
+		start := len(s.eventAttrs)
+		s.eventAttrs = append(s.eventAttrs, attrs...)
+		e.Attrs = s.eventAttrs[start:len(s.eventAttrs):len(s.eventAttrs)]
+	}
+	if s.Events == nil {
+		s.Events = make([]Event, 0, firstEvents)
+	}
 	s.Events = append(s.Events, e)
 }
 

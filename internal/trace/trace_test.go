@@ -91,6 +91,38 @@ func TestNilSpanAllocs(t *testing.T) {
 	}
 }
 
+// TestSpanEventAllocs pins what a mission-sized span pays for its events:
+// the attributes of all 100 events are carved from a few span-owned chunks
+// and Events grows by doubling from its first capacity, instead of one
+// allocation per event. Appending to one event's Attrs must not reach the
+// next event's.
+func TestSpanEventAllocs(t *testing.T) {
+	tr := New()
+	var sp *Span
+	avg := testing.AllocsPerRun(100, func() {
+		sp = tr.Start("mission")
+		for e := 0; e < 100; e++ {
+			sp.Event("step", Int("epoch", int64(e)), Int("collisions", 0), String("actions", "wait"))
+		}
+		sp.End()
+	})
+	// One span, Events at 16/32/64/128 and ten 32-attribute chunks for
+	// 300 attributes; 109 when every event copied its own.
+	if avg > 15 {
+		t.Fatalf("a span with 100 events allocates %.1f objects, want <= 15", avg)
+	}
+	first := sp.Events[0].Attrs
+	_ = append(first, Int("extra", 1))
+	if a, ok := sp.Events[1].Attr("epoch"); !ok || a.IntVal() != 1 || len(sp.Events[1].Attrs) != 3 {
+		t.Fatalf("event 1 attrs after appending to event 0's: %v", sp.Events[1].Attrs)
+	}
+	for e, ev := range sp.Events {
+		if a, ok := ev.Attr("epoch"); !ok || a.IntVal() != int64(e) {
+			t.Fatalf("event %d epoch attr = %v, %v", e, a, ok)
+		}
+	}
+}
+
 func TestSpanLifecycle(t *testing.T) {
 	ring := NewRing(16)
 	tr := New(ring)

@@ -51,12 +51,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON' -benchtime 1x .
 
 # fuzz-smoke runs each fuzz target for 10 s: the plan response encoder
-# against encoding/json, and grid.Decode and grid.Subgraph on arbitrary
-# input. -fuzz takes one target per invocation.
+# against encoding/json, grid.Decode and grid.Subgraph on arbitrary input,
+# and exact MaMoRL's joint-state table against its map-based oracle. -fuzz
+# takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanResponseJSON$$' -fuzztime 10s ./internal/tmplar
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzSubgraph$$' -fuzztime 10s ./internal/grid
+	$(GO) test -run '^$$' -fuzz '^FuzzStateTable$$' -fuzztime 10s ./internal/core
 
 # experiments-smoke runs every experiment driver but the sweeps once at
 # quick scale through the CLI, which has no tests of its own; it exits 1 if

@@ -139,8 +139,34 @@ func writeCompare(w io.Writer, deltas []benchDelta, threshold float64) {
 	}
 }
 
+// hostWarning returns a warning line when the two reports name different
+// CPU models or core counts, and "" when they agree or a report does not
+// say (reports written before num_cpu was recorded carry no core count).
+func hostWarning(oldRep, newRep Report) string {
+	cpuDiffers := oldRep.CPU != "" && newRep.CPU != "" && oldRep.CPU != newRep.CPU
+	coresDiffer := oldRep.NumCPU != 0 && newRep.NumCPU != 0 && oldRep.NumCPU != newRep.NumCPU
+	if !cpuDiffers && !coresDiffer {
+		return ""
+	}
+	return fmt.Sprintf("warning: the reports come from different hosts (old: %s; new: %s): an ns/op delta across hosts is not a result",
+		host(oldRep), host(newRep))
+}
+
+// host describes a report's host as "<cpu>, <n> cores".
+func host(r Report) string {
+	cpu, cores := r.CPU, "unknown core count"
+	if cpu == "" {
+		cpu = "unknown CPU"
+	}
+	if r.NumCPU > 0 {
+		cores = fmt.Sprintf("%d cores", r.NumCPU)
+	}
+	return cpu + ", " + cores
+}
+
 // runCompare loads both reports, prints the delta table, and returns how
-// many benchmarks regressed beyond the threshold.
+// many benchmarks regressed beyond the threshold. A host warning, if any,
+// comes first.
 func runCompare(w io.Writer, oldPath, newPath string, threshold float64) (int, error) {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
@@ -149,6 +175,9 @@ func runCompare(w io.Writer, oldPath, newPath string, threshold float64) (int, e
 	newRep, err := loadReport(newPath)
 	if err != nil {
 		return 0, err
+	}
+	if warning := hostWarning(oldRep, newRep); warning != "" {
+		fmt.Fprintln(w, warning)
 	}
 	deltas := compareReports(oldRep, newRep)
 	if len(deltas) == 0 {

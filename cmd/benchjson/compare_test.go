@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -236,5 +237,69 @@ func TestRunCompareFoldsOldRepeats(t *testing.T) {
 	}
 	if b := rep.Benchmarks; len(b) != 1 || b[0].Metrics["ns/op"] != 1050 || b[0].Runs != 4 {
 		t.Errorf("loaded fold = %+v, want the median 1050 over 4 runs", b)
+	}
+}
+
+// TestReadReportRecordsHost: -o records the CPU model go test prints and
+// this host's core count beside it, and echoes the stream unchanged.
+func TestReadReportRecordsHost(t *testing.T) {
+	in := "goos: linux\ncpu: Intel(R) Xeon(R) CPU @ 2.20GHz\nBenchmarkTrain-2   16   67937102 ns/op\nPASS\n"
+	var echo strings.Builder
+	rep, err := readReport(strings.NewReader(in), &echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.CPU != "Intel(R) Xeon(R) CPU @ 2.20GHz" || rep.NumCPU != runtime.NumCPU() || rep.GOOS != "linux" {
+		t.Errorf("host = %q, %d cores, %q; want the cpu line, %d cores, linux", rep.CPU, rep.NumCPU, rep.GOOS, runtime.NumCPU())
+	}
+	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Procs != 2 {
+		t.Errorf("benchmarks = %+v", rep.Benchmarks)
+	}
+	if echo.String() != in {
+		t.Errorf("echo = %q, want the input", echo.String())
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"num_cpu":`) {
+		t.Errorf("report JSON lacks num_cpu: %s", data)
+	}
+}
+
+// TestCompareHostWarning: -compare warns when the reports' CPU model or
+// core count differ, and stays quiet when they agree or one does not say.
+func TestCompareHostWarning(t *testing.T) {
+	xeon2 := Report{CPU: "Xeon", NumCPU: 2}
+	for _, c := range []struct {
+		name     string
+		old, new Report
+		warn     bool
+	}{
+		{"same host", xeon2, xeon2, false},
+		{"other model", xeon2, Report{CPU: "EPYC", NumCPU: 2}, true},
+		{"other core count", xeon2, Report{CPU: "Xeon", NumCPU: 8}, true},
+		{"core count unrecorded", Report{CPU: "Xeon"}, xeon2, false},
+		{"nothing recorded", Report{}, xeon2, false},
+	} {
+		got := hostWarning(c.old, c.new)
+		if (got != "") != c.warn {
+			t.Errorf("%s: warning %q, want one: %v", c.name, got, c.warn)
+		}
+	}
+	if got := hostWarning(xeon2, Report{CPU: "EPYC", NumCPU: 8}); !strings.Contains(got, "Xeon, 2 cores") || !strings.Contains(got, "EPYC, 8 cores") {
+		t.Errorf("warning %q does not name both hosts", got)
+	}
+
+	dir := t.TempDir()
+	oldRep, newRep := reportFixture(map[string]float64{"Plan": 1000}, nil), reportFixture(map[string]float64{"Plan": 900}, nil)
+	oldRep.CPU, oldRep.NumCPU = "Xeon", 2
+	newRep.CPU, newRep.NumCPU = "Xeon", 8
+	var out strings.Builder
+	if _, err := runCompare(&out, writeReport(t, dir, "old.json", oldRep), writeReport(t, dir, "new.json", newRep), 15); err != nil {
+		t.Fatal(err)
+	}
+	if first, _, _ := strings.Cut(out.String(), "\n"); !strings.HasPrefix(first, "warning:") {
+		t.Errorf("-compare across core counts does not open with a warning:\n%s", out.String())
 	}
 }

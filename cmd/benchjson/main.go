@@ -17,12 +17,18 @@
 // -count=N` prints fold into one entry holding each metric's median, min
 // and max, so a report carries its own spread.
 //
+// A report records the host it ran on: the CPU model `go test` prints and
+// the core count (num_cpu) of the machine benchjson runs on, which in a
+// pipe is the benchmarks'. Each entry carries its GOMAXPROCS as procs.
+//
 // In -compare mode the command diffs two reports instead: for every
 // benchmark present in both files it prints the median ns/op and allocs/op
 // deltas, and exits nonzero when any ns/op regression exceeds both
 // -threshold percent and the two sides' spread (each side's max − min) — a
 // CI tripwire against silent performance drift that a noisy host's
-// run-to-run swing does not trip.
+// run-to-run swing does not trip. When the two reports name different CPU
+// models or core counts it prints a warning first: a delta across hosts is
+// not a result.
 //
 // In -profdiff mode the command diffs two profiles: each side may be a raw
 // pprof protobuf (a /debug/prof ?format=raw download, a -cpuprofile file) or
@@ -37,8 +43,10 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -65,6 +73,7 @@ type Report struct {
 	GOARCH     string      `json:"goarch,omitempty"`
 	Package    string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	NumCPU     int         `json:"num_cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -109,12 +118,33 @@ func main() {
 		log.Fatal("benchjson: -o file is required")
 	}
 
-	var rep Report
-	sc := bufio.NewScanner(os.Stdin)
+	rep, err := readReport(os.Stdin, os.Stdout)
+	if err != nil {
+		log.Fatalf("benchjson: read: %v", err)
+	}
+
+	f, err := os.Create(*out)
+	if err != nil {
+		log.Fatalf("benchjson: %v", err)
+	}
+	defer f.Close()
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		log.Fatalf("benchjson: write: %v", err)
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+}
+
+// readReport parses a `go test -bench` stream, echoing each line to echo,
+// into a report of this host with repeats folded.
+func readReport(in io.Reader, echo io.Writer) (Report, error) {
+	rep := Report{NumCPU: runtime.NumCPU()}
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Println(line)
+		fmt.Fprintln(echo, line)
 		switch {
 		case strings.HasPrefix(line, "goos: "):
 			rep.GOOS = strings.TrimPrefix(line, "goos: ")
@@ -130,22 +160,8 @@ func main() {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		log.Fatalf("benchjson: read: %v", err)
-	}
 	rep.Benchmarks = foldRepeats(rep.Benchmarks)
-
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatalf("benchjson: %v", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		log.Fatalf("benchjson: write: %v", err)
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+	return rep, sc.Err()
 }
 
 // foldRepeats merges the entries that share a name and procs into one, in

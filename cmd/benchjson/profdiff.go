@@ -20,24 +20,6 @@ type profDelta struct {
 	DeltaPts       float64 // NewPct - OldPct, in percentage points
 }
 
-// kindPreference mirrors the sample-type preference the profiler uses when
-// folding each capture kind, so raw pprof files aggregate the same column as
-// the JSON tables they are compared against.
-func kindPreference(kind string) []string {
-	switch kind {
-	case "cpu":
-		return []string{"cpu"}
-	case "heap":
-		return []string{"inuse_space"}
-	case "mutex", "block":
-		return []string{"delay"}
-	case "goroutine":
-		return []string{"goroutine"}
-	default:
-		return nil
-	}
-}
-
 // loadProfTable reads one side of a -profdiff comparison. Three formats are
 // accepted: a raw pprof protobuf (gzipped or not, e.g. a /debug/prof
 // ?format=raw download or a -cpuprofile file), a JSON capture or capture list
@@ -56,7 +38,9 @@ func loadProfTable(path, kind string) (prof.Table, error) {
 		if err != nil {
 			return prof.Table{}, fmt.Errorf("%s: not JSON and not a pprof profile: %w", path, err)
 		}
-		return prof.Aggregate(p, kind, p.ValueIndex(kindPreference(kind)...), 0), nil
+		// Fold as the profiler does, so a raw file aggregates the same
+		// column as the JSON tables it is compared against.
+		return prof.Fold(p, kind, 0), nil
 	}
 
 	pickTable := func(c prof.Capture) (prof.Table, bool) {

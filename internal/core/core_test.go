@@ -56,11 +56,12 @@ func meshGrid(t *testing.T, w, h int) *grid.Grid {
 // --- TMM: Equation 5 golden values (Section 3.2.1 worked example) ----------
 
 func TestTMMUpdateGolden(t *testing.T) {
-	p := newPTable()
+	tab := newStateTable(2)
+	s := tab.add(1)
 	// |A_2(s0)| = 5 uniform actions; observed action a'_0 at t=1, T=3,
 	// beta=0.3 gives factor 0.3^3 = 0.027.
-	p.update(1, 5, 0, math.Pow(0.3, 3))
-	d := p.dist(1, 5)
+	tab.update(s, 1, 5, 0, math.Pow(0.3, 3))
+	d := tab.dist(s, 1, 5)
 	if !almost(d[0], 0.2216, 1e-4) {
 		t.Errorf("P(s0, a'_0) = %v, want 0.2216", d[0])
 	}
@@ -74,13 +75,14 @@ func TestTMMUpdateGolden(t *testing.T) {
 func TestTMMUpdatePreservesDistribution(t *testing.T) {
 	f := func(nRaw, obsRaw uint8, factors []float64) bool {
 		n := int(nRaw%8) + 2
-		p := newPTable()
+		tab := newStateTable(1)
+		s := tab.add(42)
 		for step, fRaw := range factors {
 			factor := math.Abs(math.Mod(fRaw, 1))
 			obs := (int(obsRaw) + step) % n
-			p.update(42, n, obs, factor)
+			tab.update(s, 0, n, obs, factor)
 		}
-		d := p.dist(42, n)
+		d := tab.dist(s, 0, n)
 		sum := 0.0
 		for _, v := range d {
 			if v < -1e-12 || v > 1+1e-12 {
@@ -96,11 +98,12 @@ func TestTMMUpdatePreservesDistribution(t *testing.T) {
 }
 
 func TestTMMRepeatedObservationConverges(t *testing.T) {
-	p := newPTable()
+	tab := newStateTable(1)
+	s := tab.add(7)
 	for i := 0; i < 200; i++ {
-		p.update(7, 4, 2, 0.09)
+		tab.update(s, 0, 4, 2, 0.09)
 	}
-	d := p.dist(7, 4)
+	d := tab.dist(s, 0, 4)
 	if d[2] < 0.99 {
 		t.Errorf("repeated observation should concentrate mass: %v", d)
 	}
@@ -109,13 +112,14 @@ func TestTMMRepeatedObservationConverges(t *testing.T) {
 // --- LM: Equation 6 golden value (Section 3.2.2 worked example) -------------
 
 func TestLMUpdateGolden(t *testing.T) {
-	q := make(qTable)
+	tab := newStateTable(2)
+	s := tab.add(1)
 	def := 1.0 / 35 // 1/(|A| * |A'|) = 1/(7*5) = 0.0286
 	alpha, gamma, r := 0.9, 0.8, 0.5
-	old := q[1].get(0, def)[0]
+	old := s.row(0).get(0, def)[0]
 	maxQ := def // all next-state values at default
-	q.set(1, q[1], 0, uniform((1-alpha)*old+alpha*(r+gamma*maxQ)))
-	if got := q[1].get(0, def)[0]; !almost(got, 0.47, 5e-3) {
+	tab.set(s, 0, 0, uniform((1-alpha)*old+alpha*(r+gamma*maxQ)))
+	if got := s.row(0).get(0, def)[0]; !almost(got, 0.47, 5e-3) {
 		t.Errorf("Q after toy update = %v, want ~0.47", got)
 	}
 }
@@ -155,24 +159,25 @@ func TestASMGolden(t *testing.T) {
 
 	// Teammate distribution after the toy observation: a'_0 at 0.2216,
 	// others at 0.1946.
-	pl.p[1].update(sKey, counts[1], 0, math.Pow(0.3, 3))
+	s := pl.tab.add(sKey)
+	pl.tab.update(s, 1, counts[1], 0, math.Pow(0.3, 3))
 	// Q(s, a_0, a'_0) = 0.47 for the exploration component; all else default.
 	def := qDefault(counts)
 	e := uniform(def)
 	e[0] = 0.47
-	pl.q[0].set(sKey, pl.q[0][sKey], jointActionKey([]int{0, 0}, counts), e)
+	pl.tab.set(s, 0, jointActionKey([]int{0, 0}, counts), e)
 
-	dists := [][]float64{nil, pl.p[1].dist(sKey, counts[1])}
-	best := []int{0, argmax(dists[1])}
+	dists := [][]float64{nil, pl.tab.dist(s, 1, counts[1])}
+	best := []int{0, s.best(1)}
 	idx := make([]int, 2)
 
 	// V(a_0): 4 x 0.1946 x 0.0286 + 0.2216 x 0.47 = 0.1264.
-	v0 := pl.conditionalValue(pl.q[0][sKey], 0, 0, counts, dists, best, def, idx)[0]
+	v0 := pl.conditionalValue(s.row(0), 0, 0, counts, dists, best, def, idx)[0]
 	if !almost(v0, 0.1264, 2e-3) {
 		t.Errorf("V(a_0) = %v, want 0.1264", v0)
 	}
 	// V(a_1): all Q at default => 0.0286.
-	v1 := pl.conditionalValue(pl.q[0][sKey], 0, 1, counts, dists, best, def, idx)[0]
+	v1 := pl.conditionalValue(s.row(0), 0, 1, counts, dists, best, def, idx)[0]
 	if !almost(v1, 0.0286, 2e-3) {
 		t.Errorf("V(a_1) = %v, want 0.0286", v1)
 	}
@@ -189,17 +194,18 @@ func TestASMGolden(t *testing.T) {
 
 func TestASMPastThresholdUsesArgmax(t *testing.T) {
 	pl, m, sKey, counts := asmFixture(t)
-	pl.p[1].update(sKey, counts[1], 2, 0.3)
-	dists := [][]float64{nil, pl.p[1].dist(sKey, counts[1])}
-	best := []int{0, argmax(dists[1])}
+	s := pl.tab.add(sKey)
+	pl.tab.update(s, 1, counts[1], 2, 0.3)
+	dists := [][]float64{nil, pl.tab.dist(s, 1, counts[1])}
+	best := []int{0, s.best(1)}
 	def := qDefault(counts)
 	// Own action 3 is strong with the teammate at its argmax; own action 0
 	// is far stronger with the teammate at action 4, which only the t <= T
 	// expectation weighs.
 	strong, offArgmax := uniform(def), uniform(def)
 	strong[0], offArgmax[0] = 0.9, 50
-	pl.q[0].set(sKey, pl.q[0][sKey], jointActionKey([]int{3, best[1]}, counts), strong)
-	pl.q[0].set(sKey, pl.q[0][sKey], jointActionKey([]int{0, 4}, counts), offArgmax)
+	pl.tab.set(s, 0, jointActionKey([]int{3, best[1]}, counts), strong)
+	pl.tab.set(s, 0, jointActionKey([]int{0, 4}, counts), offArgmax)
 
 	if a := pl.Decide(m, 0); sim.EncodeActionAt(a, 2, 3) != 0 {
 		t.Fatalf("t <= T: Decide picked %v, want action index 0", a)
@@ -213,13 +219,15 @@ func TestASMPastThresholdUsesArgmax(t *testing.T) {
 	if a := pl.Decide(m, 0); sim.EncodeActionAt(a, 2, 3) != 3 {
 		t.Fatalf("t > T: Decide picked %v, want action index 3", a)
 	}
+	// Decide's own-action index holds action 3's entry alone: the entry at
+	// teammate action 4 is off the argmax profile and reads the default.
 	maxP := dists[1][best[1]]
-	for a, v := range pl.scratch.own {
+	for a := 0; a < counts[0]; a++ {
 		want := uniform(maxP * def)
 		if a == 3 {
 			want = perReward{maxP * 0.9, maxP * def, maxP * def}
 		}
-		if v != want {
+		if v := pl.scratch.own.value(s.row(0), a, maxP, uniform(maxP*def)); v != want {
 			t.Errorf("post-threshold V(a_%d) = %v, want %v", a, v, want)
 		}
 	}
@@ -402,7 +410,7 @@ func TestPDistributionAndQValueAccessors(t *testing.T) {
 		t.Errorf("PDistribution sums to %v", sum)
 	}
 	sKey := pl.keyer.key([]grid.NodeID{1, 4})
-	q := pl.q[0][sKey].get(jointActionKey([]int{0, 0}, counts), qDefault(counts))
+	q := pl.tab.at(sKey).row(0).get(jointActionKey([]int{0, 0}, counts), qDefault(counts))
 	if q != uniform(qDefault(counts)) {
 		t.Errorf("untrained Q value = %v, want default %v", q, qDefault(counts))
 	}
@@ -480,7 +488,7 @@ func TestReadsDoNotGrowPTables(t *testing.T) {
 	if st := pl.TableStats(); st.PEntries != 0 {
 		t.Fatalf("Decide on an unvisited state stored %d P entries", st.PEntries)
 	}
-	def := pl.p[1].dist(sKey, counts[1])
+	def := pl.tab.dist(pl.tab.at(sKey), 1, counts[1])
 	uniform := slices.Clone(def)
 	prev := m.CurAll()
 	acts := []sim.Action{{Neighbor: 0, Speed: 1}, {Neighbor: 0, Speed: 1}}
@@ -492,7 +500,7 @@ func TestReadsDoNotGrowPTables(t *testing.T) {
 	if !slices.Equal(def, uniform) {
 		t.Errorf("Observe changed the shared default: %v, want %v", def, uniform)
 	}
-	if learned := pl.p[1].dist(sKey, counts[1]); slices.Equal(learned, uniform) {
+	if learned := pl.tab.dist(pl.tab.at(sKey), 1, counts[1]); slices.Equal(learned, uniform) {
 		t.Error("Observe did not store a learned distribution")
 	}
 }
@@ -610,11 +618,9 @@ func TestMaskedToDoesNotShareMutableState(t *testing.T) {
 		t.Error("masked copy shares the rng")
 	}
 
-	// Learned tables ARE shared — that is the point of the composition.
-	for j := range pl.p {
-		if masked.p[j] != pl.p[j] {
-			t.Errorf("P table %d not shared", j)
-		}
+	// The learned table IS shared — that is the point of the composition.
+	if masked.tab != pl.tab {
+		t.Error("learned table not shared")
 	}
 
 	// Stalling the copy's asset 0 must not stall the original's: the

@@ -21,7 +21,8 @@ var ErrMemoryBudget = errors.New("core: exact MaMoRL tables exceed the memory bu
 // Planner is the exact MaMoRL solver. It implements sim.Planner (the ASM)
 // and sim.Learner (TMM + LM updates), with the per-asset, per-reward Q
 // tables Lemma 2 prescribes (each asset's three stored side by side, one
-// entry per (s, a) pair) and a per-teammate P table for the TMM.
+// entry per (s, a) pair) and a per-teammate P table for the TMM, all in
+// one joint-state table.
 //
 // Planner is not safe for concurrent use; run one mission at a time.
 type Planner struct {
@@ -31,12 +32,9 @@ type Planner struct {
 	weights perReward
 	rng     *rand.Rand
 
-	// p[j] anticipates teammate j's actions. Observers share it: every
-	// asset sees the same observations during training, so the per-observer
-	// tables of Equation 5 coincide (DESIGN.md §2).
-	p []*pTable
-	// q[i] is asset i's Q table, all reward components in each entry.
-	q []qTable
+	// tab holds every teammate's anticipated action distributions and
+	// every asset's Q table, one slot per learned joint state.
+	tab *stateTable
 
 	training bool
 	// mask, when non-nil, confines exploration value to accepted nodes:
@@ -69,16 +67,16 @@ type Planner struct {
 // stepScratch is the working storage of Decide and Observe. locs is a joint
 // state (Decide's believed one, Observe's post-step one); counts, dists and
 // best are the per-asset action counts, teammate action distributions and
-// their argmaxes there; idx is a joint-action index; own holds one Q row's
-// values per own action with the teammates at best (qRow.ownValues).
-// Observe adds the pre-step action counts and the observed joint action.
-// Decide adds the legal and safe actions and the believed-occupied nodes.
+// their argmaxes there; idx is a joint-action index. Observe adds the
+// pre-step action counts and the observed joint action. Decide adds the
+// legal and safe actions, the believed-occupied nodes, and own, its Q
+// row's entries per own action with the teammates at best.
 type stepScratch struct {
 	locs               []grid.NodeID
 	counts             []int
 	dists              [][]float64
 	best, idx          []int
-	own                []perReward
+	own                ownIndex
 	prevCounts, actIdx []int
 	actions, safe      []sim.Action
 	blocked            grid.NodeSet
@@ -119,12 +117,7 @@ func NewPlanner(sc sim.Scenario, cfg Config, weights rewardfn.Weights) (*Planner
 		keyer:   keyer,
 		weights: perReward{w.Explore, w.Time, w.Fuel},
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		p:       make([]*pTable, len(sc.Team)),
-		q:       make([]qTable, len(sc.Team)),
-	}
-	for j := range pl.p {
-		pl.p[j] = newPTable()
-		pl.q[j] = make(qTable)
+		tab:     newStateTable(len(sc.Team)),
 	}
 	return pl, nil
 }
@@ -138,8 +131,8 @@ func (pl *Planner) Name() string { return "MaMoRL" }
 // exact solver with a Dijkstra transit leg exactly as it composes the
 // approximate one.
 //
-// The learned p/q tables are intentionally shared (they are the point of
-// the composition); everything per-mission — liveness kit, rng and
+// The learned table is intentionally shared (it is the point of the
+// composition); everything per-mission — liveness kit, rng and
 // scratch — is fresh, so the masked copy and the original can each run a
 // mission without corrupting the other's state.
 func (pl *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner {
@@ -215,9 +208,16 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	s := &pl.scratch
 	n := len(pl.sc.Team)
 	s.size(n)
+	s.actions = m.AppendLegalActionsFor(s.actions[:0], i)
+	actions := s.actions
+	_ = pl.cfg.Budget.Charge(limits.Nodes, int64(len(actions)))
+	if pl.training && pl.rng.Float64() < pl.cfg.Epsilon {
+		return pl.exploreAction(m, i, actions)
+	}
+
 	s.locs = believedState(s.locs, m, i)
 	locs, counts, dists, best := s.locs, s.counts, s.dists, s.best
-	sKey := pl.keyer.key(locs)
+	st := pl.tab.at(pl.keyer.key(locs))
 	for j := range counts {
 		counts[j] = pl.actionCountAt(j, locs[j])
 	}
@@ -226,16 +226,9 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	// Teammate action distributions and their argmax A*.
 	for j := 0; j < n; j++ {
 		if j != i {
-			dists[j] = pl.p[j].dist(sKey, counts[j])
-			best[j] = argmax(dists[j])
+			dists[j] = pl.tab.dist(st, j, counts[j])
+			best[j] = st.best(j)
 		}
-	}
-
-	s.actions = m.AppendLegalActionsFor(s.actions[:0], i)
-	actions := s.actions
-	_ = pl.cfg.Budget.Charge(limits.Nodes, int64(len(actions)))
-	if pl.training && pl.rng.Float64() < pl.cfg.Epsilon {
-		return pl.exploreAction(m, i, actions)
 	}
 
 	t := m.Step() + 1 // epochs are 1-based in the paper's formulas
@@ -247,25 +240,22 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 			s.blocked.Add(m.Knowledge(i).LastKnown[j])
 		}
 	}
-	row := pl.q[i][sKey]
+	row := st.row(i)
 	// Alone, or past the threshold T, Equation 8 reads one entry per own
 	// action (teammates at their argmax, scaled by the strongest teammate
-	// belief): load them from the row at once. Otherwise, without a row
-	// every entry reads def, so no candidate action changes the value:
-	// take it once.
+	// belief): index the row's entries for them at once, and scale the
+	// default once. Otherwise, without a row every entry reads def, so no
+	// candidate action changes the value: take it once.
 	argmaxOnly := n == 1 || t > pl.cfg.IterT
-	var rowless perReward
+	var rowless, ownDef perReward
+	maxP := 1.0
 	switch {
 	case argmaxOnly:
-		s.own = row.ownValues(s.own, i, best, counts, def)
+		s.own.load(row, i, best, counts)
 		if n > 1 {
-			maxP := strongestBelief(i, dists, best)
-			for a := range s.own {
-				for c := range s.own[a] {
-					s.own[a][c] = maxP * s.own[a][c]
-				}
-			}
+			maxP = strongestBelief(i, dists, best)
 		}
+		ownDef = uniform(maxP * def)
 	case row == nil:
 		rowless = pl.conditionalValue(nil, i, 0, counts, dists, best, def, s.idx)
 	}
@@ -292,7 +282,7 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 		vals := rowless
 		switch aIdx := sim.EncodeActionAt(a, degree, pl.sc.Team[i].MaxSpeed); {
 		case argmaxOnly:
-			vals = s.own[aIdx]
+			vals = s.own.value(row, aIdx, maxP, ownDef)
 		case row != nil:
 			vals = pl.conditionalValue(row, i, aIdx, counts, dists, best, def, s.idx)
 		}
@@ -337,7 +327,7 @@ const tieBreakScale = 1e-7
 // teammate j, the expectation of Q over j's anticipated action distribution
 // with every other teammate pinned to its argmax action. Past T the value
 // collapses to the argmax profile scaled by the strongest teammate belief
-// (strongestBelief), which Decide reads through qRow.ownValues. With
+// (strongestBelief), which Decide reads through its ownIndex. With
 // |N| = 2 both forms reduce exactly to the paper's worked example. Each
 // component is summed on its own, in the same order as a single-component
 // table would be.
@@ -411,7 +401,7 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 	s := &pl.scratch
 	n := len(pl.sc.Team)
 	s.size(n)
-	sKey := pl.keyer.key(prev)
+	cur := pl.tab.add(pl.keyer.key(prev))
 	prevCounts, actIdx := s.prevCounts, s.actIdx
 	for j := 0; j < n; j++ {
 		prevCounts[j] = pl.actionCountAt(j, prev[j])
@@ -422,7 +412,7 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 	// transition, so the transition's epoch is m.Step()).
 	factor := pl.tmmFactor(m.Step())
 	for j := 0; j < n; j++ {
-		pl.p[j].update(sKey, prevCounts[j], actIdx[j], factor)
+		pl.tab.update(cur, j, prevCounts[j], actIdx[j], factor)
 	}
 
 	// LM: Equation 6, per asset and reward component.
@@ -430,10 +420,10 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 	for j := 0; j < n; j++ {
 		s.locs = append(s.locs, m.Cur(j))
 	}
-	next, counts, nextBest := s.locs, s.counts, s.best
-	sNext := pl.keyer.key(next)
+	counts, nextBest := s.counts, s.best
+	next := pl.tab.at(pl.keyer.key(s.locs))
 	for j := 0; j < n; j++ {
-		counts[j] = pl.actionCountAt(j, next[j])
+		counts[j] = pl.actionCountAt(j, s.locs[j])
 	}
 	defPrev := qDefault(prevCounts)
 	defNext := qDefault(counts)
@@ -441,29 +431,16 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 
 	// Teammates' anticipated next actions a'_j = argmax_b P(s', b).
 	for j := 0; j < n; j++ {
-		nextBest[j] = argmax(pl.p[j].dist(sNext, counts[j]))
+		nextBest[j] = next.best(j)
 	}
 
 	rv := perReward{r.Explore, r.Time, r.Fuel}
 	for i := 0; i < n; i++ {
 		// max over own next action with teammates at their argmax, per
 		// component; every read precedes the write below, as with one
-		// table per component. Without a row for s' every entry reads
-		// defNext, and so does the max.
-		maxQ := uniform(defNext)
-		if rowNext := pl.q[i][sNext]; rowNext != nil {
-			s.own = rowNext.ownValues(s.own, i, nextBest, counts, defNext)
-			maxQ = uniform(math.Inf(-1))
-			for _, q := range s.own {
-				for c := range maxQ {
-					if q[c] > maxQ[c] {
-						maxQ[c] = q[c]
-					}
-				}
-			}
-		}
-		row := pl.q[i][sKey]
-		old := row.get(aKey, defPrev)
+		// table per component.
+		maxQ := maxOwn(next.row(i), i, nextBest, counts, defNext)
+		old := cur.row(i).get(aKey, defPrev)
 		var upd perReward
 		for c := range upd {
 			upd[c] = (1-pl.cfg.Alpha)*old[c] + pl.cfg.Alpha*(rv[c]+pl.cfg.Gamma*maxQ[c])
@@ -473,7 +450,7 @@ func (pl *Planner) Observe(m *sim.Mission, prev []grid.NodeID, acts []sim.Action
 				pl.epMaxQDelta = d
 			}
 		}
-		pl.q[i].set(sKey, row, aKey, upd)
+		pl.tab.set(cur, i, aKey, upd)
 	}
 	for c, w := range pl.weights {
 		pl.epReward += w * rv[c]
@@ -522,8 +499,7 @@ func (pl *Planner) Train() error {
 }
 
 // chargeTableGrowth bills cfg.Budget for sparse P/Q entries created since
-// the last call (bytesPerEntry each). Called at episode boundaries — per
-// update would put map iteration in the learning hot loop.
+// the last call (bytesPerEntry each), at episode boundaries.
 func (pl *Planner) chargeTableGrowth() error {
 	if pl.cfg.Budget == nil {
 		return nil
@@ -549,13 +525,9 @@ type TableStats struct {
 
 // TableStats summarizes table occupancy.
 func (pl *Planner) TableStats() TableStats {
-	var st TableStats
-	for _, p := range pl.p {
-		st.PEntries += p.entries()
-	}
-	for _, q := range pl.q {
-		st.QEntries += q.entries()
-	}
+	// QEntries counts NumRewardComponents values per stored (s, a) pair:
+	// what Lemma 2's separate per-reward tables would hold.
+	st := TableStats{PEntries: pl.tab.pEntries, QEntries: pl.tab.qPairs * NumRewardComponents}
 	numActions := InstanceActions(pl.sc.Grid, pl.sc.Team)
 	st.DensePBytes = PTableBytes(pl.sc.Grid.NumNodes(), len(pl.sc.Team), numActions, pl.sc.Team.MaxSpeedOver())
 	st.DenseQBytes = QTableBytes(pl.sc.Grid.NumNodes(), len(pl.sc.Team), numActions, pl.sc.Team.MaxSpeedOver())
@@ -568,8 +540,7 @@ func (pl *Planner) TableStats() TableStats {
 // samples these as regression targets (Section 3.3.1).
 func (pl *Planner) PDistribution(m *sim.Mission, i, j int) []float64 {
 	locs := believedState(nil, m, i)
-	sKey := pl.keyer.key(locs)
-	d := pl.p[j].dist(sKey, pl.actionCountAt(j, locs[j]))
+	d := pl.tab.dist(pl.tab.at(pl.keyer.key(locs)), j, pl.actionCountAt(j, locs[j]))
 	return append([]float64(nil), d...)
 }
 
@@ -578,14 +549,3 @@ func (pl *Planner) Scenario() sim.Scenario { return pl.sc }
 
 // Config returns the resolved configuration.
 func (pl *Planner) Config() Config { return pl.cfg }
-
-// argmax returns the index of the maximum element (first on ties).
-func argmax(xs []float64) int {
-	best, bestV := 0, math.Inf(-1)
-	for i, x := range xs {
-		if x > bestV {
-			best, bestV = i, x
-		}
-	}
-	return best
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/sim"
@@ -51,112 +50,204 @@ func jointActionKey(idx []int, counts []int) uint64 {
 	return key
 }
 
-// --- P table (Teammate Module storage) -------------------------------------
+// --- Joint-state table ------------------------------------------------------
 //
-// P[j][sKey] is the probability distribution over teammate j's actions at
-// joint state s. States never updated read as the uniform default
-// 1/|A_j(s)| (the initialization the paper's worked example uses); only
-// update stores an entry, so the entry count is what was learned. All
-// observers see the same observations, so the per-observer P_i tables of
-// Equation 5 coincide and are stored once; Lemma 1's accounting (PTable*
-// functions below) still reports the paper's full per-reward sizes.
-type pTable struct {
-	dists map[uint64][]float64 // per teammate: sKey -> distribution
-	// arena is the chunk stored distributions are carved from. Stored
-	// slices keep their chunk alive, so a full chunk is replaced by a
-	// fresh one, never regrown in place.
-	arena []float64
-	// uniform[n] is the read-only uniform distribution over n actions
-	// that dist returns for states never updated.
+// stateTable is everything an exact planner learns, keyed by joint state:
+// Lemma 1's P tables (the Teammate Module's anticipated action
+// distributions) and Lemma 2's Q tables (the Learning Module's values).
+// Each joint state learned gets one dense slot index, so a step hashes a
+// joint state once however many assets and reward components it reads.
+// A slot holds one cell per asset j: j's stored action distribution with
+// its argmax, and asset j's Q row. All observers share the distributions:
+// every asset sees the same observations during training, so the
+// per-observer P tables of Equation 5 coincide (DESIGN.md §2); Lemma 1's
+// accounting (the PTable* functions below) still reports the paper's full
+// per-reward sizes. What was never written reads as the worked examples'
+// uniform defaults: 1/|A_j(s)| per teammate action with argmax 0 (Section
+// 3.2.1), 1/Π_j |A_j(s)| per Q value (Section 3.2.2). Only writes store,
+// so the entry counts are what was learned.
+type stateTable struct {
+	n     int              // cells per slot: the team size
+	index map[uint64]int32 // joint-state key -> slot
+	// chunks hold the slots, slotChunk to a chunk and n cells to a slot.
+	// A full chunk is followed by a fresh one, never regrown, so a slot's
+	// cells stay where add put them.
+	chunks [][]stateCell
+	// pEntries counts stored distributions, qPairs stored (s, a) pairs.
+	pEntries, qPairs int
+	// pArena and qArena are the chunks new distributions and Q rows are
+	// carved from.
+	pArena []float64
+	qArena []qEntry
+	// uniform[k] is the read-only uniform distribution over k actions
+	// that dist returns for a distribution never updated.
 	uniform [][]float64
 }
 
-// pArenaChunk is how many probabilities one arena chunk holds (32 KiB): a
-// hundred or more distributions at Table 6's action counts.
-const pArenaChunk = 4096
-
-func newPTable() *pTable {
-	return &pTable{dists: make(map[uint64][]float64)}
+// stateCell is asset j's part of one slot.
+type stateCell struct {
+	dist []float64 // j's action distribution; nil until first updated
+	row  qRow      // asset j's Q row; nil until first written
+	best int32     // the argmax of dist (first on ties), 0 while dist is nil
 }
 
-// dist returns the distribution over nActions actions of a teammate at
-// state sKey: the learned one, or the shared uniform default. Callers must
-// not modify it.
-func (p *pTable) dist(sKey uint64, nActions int) []float64 {
-	if d, ok := p.dists[sKey]; ok && len(d) == nActions {
-		return d
+// slot is one joint state's cells, indexed by asset. The nil slot of a
+// state never added reads as all defaults.
+type slot []stateCell
+
+const (
+	// slotChunk is how many slots one chunk holds: 28 KiB at |N| = 2.
+	slotChunk = 256
+	// pArenaChunk is how many probabilities one arena chunk holds (32
+	// KiB): a hundred or more distributions at Table 6's action counts.
+	pArenaChunk = 4096
+	// qArenaChunk is how many Q entries one arena chunk holds (32 KiB),
+	// and qRowCap the room a new row is carved with: learned states hold
+	// 1.5–1.8 entries on average at Table 6's exact shapes.
+	qArenaChunk = 1024
+	qRowCap     = 2
+)
+
+func newStateTable(n int) *stateTable {
+	return &stateTable{n: n, index: make(map[uint64]int32)}
+}
+
+// at returns the slot of joint state sKey, or nil if it was never added.
+func (t *stateTable) at(sKey uint64) slot {
+	if s, ok := t.index[sKey]; ok {
+		return t.slot(s)
 	}
-	for len(p.uniform) <= nActions {
-		p.uniform = append(p.uniform, nil)
+	return nil
+}
+
+// add returns the slot of joint state sKey, adding it if new.
+func (t *stateTable) add(sKey uint64) slot {
+	s, ok := t.index[sKey]
+	if !ok {
+		s = int32(len(t.index))
+		t.index[sKey] = s
+		if s%slotChunk == 0 {
+			t.chunks = append(t.chunks, make([]stateCell, slotChunk*t.n))
+		}
 	}
-	if p.uniform[nActions] == nil {
+	return t.slot(s)
+}
+
+func (t *stateTable) slot(s int32) slot {
+	start := int(s%slotChunk) * t.n
+	return t.chunks[s/slotChunk][start : start+t.n : start+t.n]
+}
+
+// best returns the argmax of teammate j's distribution.
+func (s slot) best(j int) int {
+	if s == nil {
+		return 0
+	}
+	return int(s[j].best)
+}
+
+// row returns asset i's Q row.
+func (s slot) row(i int) qRow {
+	if s == nil {
+		return nil
+	}
+	return s[i].row
+}
+
+// dist returns teammate j's distribution over nActions actions in slot s:
+// the learned one, or the shared uniform default. Callers must not modify
+// it.
+func (t *stateTable) dist(s slot, j, nActions int) []float64 {
+	if s != nil && s[j].dist != nil {
+		return s[j].dist
+	}
+	for len(t.uniform) <= nActions {
+		t.uniform = append(t.uniform, nil)
+	}
+	if t.uniform[nActions] == nil {
 		u := make([]float64, nActions)
 		for i := range u {
 			u[i] = 1 / float64(nActions)
 		}
-		p.uniform[nActions] = u
+		t.uniform[nActions] = u
 	}
-	return p.uniform[nActions]
+	return t.uniform[nActions]
 }
 
-// update applies Equation 5: the observed action index gains probability
-// mass factor * (sum of the others); every other action is scaled by
-// (1 - factor). The update preserves normalization exactly.
-func (p *pTable) update(sKey uint64, nActions, observed int, factor float64) {
-	d, ok := p.dists[sKey]
-	if !ok || len(d) != nActions {
-		d = p.carve(nActions)
-		copy(d, p.dist(sKey, nActions))
-		p.dists[sKey] = d
+// update applies Equation 5 to teammate j's distribution in slot s: the
+// observed action index gains probability mass factor * (sum of the
+// others); every other action is scaled by (1 - factor). The update
+// preserves normalization exactly, and records the argmax as it writes.
+func (t *stateTable) update(s slot, j, nActions, observed int, factor float64) {
+	c := &s[j]
+	if c.dist == nil {
+		c.dist = carve(&t.pArena, nActions, nActions, pArenaChunk)
+		copy(c.dist, t.dist(nil, j, nActions))
+		t.pEntries++
 	}
+	d := c.dist
 	rest := 0.0
-	for i, v := range d {
-		if i != observed {
-			rest += v
-		}
+	for _, v := range d[:observed] {
+		rest += v
 	}
+	for _, v := range d[observed+1:] {
+		rest += v
+	}
+	d[observed] += factor * rest
+	keep := 1 - factor
+	best, bestV := 0, math.Inf(-1)
 	for i := range d {
-		if i == observed {
-			d[i] += factor * rest
-		} else {
-			d[i] *= 1 - factor
+		if i != observed {
+			d[i] *= keep
+		}
+		if d[i] > bestV {
+			best, bestV = i, d[i]
 		}
 	}
+	c.best = int32(best)
 }
 
-// carve returns n fresh probabilities from the arena, capped so that no
-// distribution can grow into the next.
-func (p *pTable) carve(n int) []float64 {
-	if cap(p.arena)-len(p.arena) < n {
-		p.arena = make([]float64, 0, max(pArenaChunk, n))
+// set stores v as asset i's Q(s, a) in slot s: an existing entry is
+// rewritten in place, a new one appended to the row.
+func (t *stateTable) set(s slot, i int, aKey uint64, v perReward) {
+	c := &s[i]
+	for k := range c.row {
+		if c.row[k].aKey == aKey {
+			c.row[k].v = v
+			return
+		}
 	}
-	start := len(p.arena)
-	p.arena = p.arena[:start+n]
-	return p.arena[start : start+n : start+n]
+	if c.row == nil {
+		c.row = carve(&t.qArena, 0, qRowCap, qArenaChunk)
+	}
+	c.row = append(c.row, qEntry{aKey, v})
+	t.qPairs++
 }
 
-// entries returns the number of stored state entries.
-func (p *pTable) entries() int { return len(p.dists) }
+// carve returns a fresh slice of length n and capacity c from *arena,
+// starting a new chunk of max(chunk, c) elements when fewer than c are
+// left. Carved slices are capped, so none grows into the next, and keep
+// their chunk alive: a full chunk is replaced, never regrown in place.
+func carve[T any](arena *[]T, n, c, chunk int) []T {
+	if cap(*arena)-len(*arena) < c {
+		*arena = make([]T, 0, max(chunk, c))
+	}
+	start := len(*arena)
+	*arena = (*arena)[:start+c]
+	return (*arena)[start : start+n : start+c]
+}
 
-// --- Q table (Learning Module storage) -------------------------------------
-//
-// Each asset has one qTable that holds Lemma 2's per-reward tables side by
-// side: the entry Q[sKey][aKey] carries every reward component of one
-// (s, a) pair, because the LM update (Equation 6) always writes them
-// together. Readers look a state's row up once and then read it by joint
-// action, so one joint state costs one hash however many components and
-// joint actions are read. Unseen pairs read as the lazy uniform default
-// 1/Π_i |A_i(s)| from the worked example in Section 3.2.2.
-type qTable map[uint64]qRow
-
-// qRow holds one joint state's entries, one per joint action in the order
-// they were first written. The nil row of a state never updated reads as
-// all defaults. Learned states hold a handful of joint actions each, so a
-// scan of a short slice beats a hash map per state in both time and bytes.
+// qRow holds one joint state's Q entries for one asset, one per joint
+// action in the order they were first written. The nil row of a pair
+// never written reads as all defaults. Learned states hold a handful of
+// joint actions each, so a scan of a short slice beats a hash map per
+// state in both time and bytes.
 type qRow []qEntry
 
 // qEntry is one stored (s, a) pair of a row: the joint-action key and its
-// value per reward component.
+// value per reward component. Each entry carries every reward component of
+// Lemma 2's per-reward tables, because the LM update (Equation 6) always
+// writes them together.
 type qEntry struct {
 	aKey uint64
 	v    perReward
@@ -176,7 +267,7 @@ func uniform(v float64) perReward {
 }
 
 // get returns Q(s, a) for the row's state s, with every component at def
-// for a pair never updated.
+// for a pair never written.
 func (r qRow) get(aKey uint64, def float64) perReward {
 	for k := range r {
 		if r[k].aKey == aKey {
@@ -186,27 +277,19 @@ func (r qRow) get(aKey uint64, def float64) perReward {
 	return uniform(def)
 }
 
-// set stores v as Q(s, a). row is sKey's row as the caller read it: an
-// existing entry is rewritten in place, and a new one is appended and the
-// row stored back.
-func (q qTable) set(sKey uint64, row qRow, aKey uint64, v perReward) {
-	for k := range row {
-		if row[k].aKey == aKey {
-			row[k].v = v
-			return
-		}
-	}
-	q[sKey] = append(row, qEntry{aKey, v})
-}
+// --- Own-action reads ---------------------------------------------------------
+//
+// Alone, or past the threshold T, Equation 8 reads one Q entry per own
+// action of asset i with every teammate at its argmax action, and
+// Equation 6's max runs over the same profile at s'. Joint-action keys are
+// mixed-radix (jointActionKey), so those profiles' keys are base + a·stride
+// for own actions a < counts[i], and no other key has that form: a row's
+// entries for them are found in one pass, and every other own action
+// reads the default.
 
-// ownValues returns in buf[:counts[i]] the row's Q(s, a) for every own
-// action of asset i, with each teammate j's action fixed at profile[j]
-// (profile[i] is ignored). One pass over the row fills what it stores;
-// every other action reads def. Joint-action keys are mixed-radix
-// (jointActionKey), so those profiles' keys are base + a·stride for own
-// actions a < counts[i], and no other key has that form.
-func (r qRow) ownValues(buf []perReward, i int, profile, counts []int, def float64) []perReward {
-	var base, stride uint64
+// ownProfile returns the base and stride of asset i's own-action keys with
+// each teammate j at profile[j] (profile[i] is ignored).
+func ownProfile(i int, profile, counts []int) (base, stride uint64) {
 	place := uint64(1) // the place value of asset j's digit
 	for j, c := range counts {
 		if j == i {
@@ -216,28 +299,99 @@ func (r qRow) ownValues(buf []perReward, i int, profile, counts []int, def float
 		}
 		place *= uint64(c)
 	}
-	buf = slices.Grow(buf[:0], counts[i])[:counts[i]]
-	d := uniform(def)
-	for a := range buf {
-		buf[a] = d
-	}
-	span := stride * uint64(counts[i])
-	for k := range r {
-		if off := r[k].aKey - base; r[k].aKey >= base && off < span && off%stride == 0 {
-			buf[off/stride] = r[k].v
-		}
-	}
-	return buf
+	return base, stride
 }
 
-// entries counts stored values, NumRewardComponents per stored (s, a)
-// pair: what Lemma 2's separate per-reward tables would hold.
-func (q qTable) entries() int {
-	n := 0
-	for _, r := range q {
-		n += len(r)
+// ownAction returns the own action whose key, at (base, stride), is aKey,
+// and whether there is one below nOwn.
+func ownAction(aKey, base, stride uint64, nOwn int) (int, bool) {
+	off := aKey - base
+	if aKey < base || off%stride != 0 || off/stride >= uint64(nOwn) {
+		return 0, false
 	}
-	return n * NumRewardComponents
+	return int(off / stride), true
+}
+
+// ownIndex locates, for one call, a row's entries of asset i's own actions
+// at one teammate profile: entry[a] is the row index of own action a's
+// entry where stamp[a] equals gen. A load stamps only the row's entries,
+// so no call touches all |A_i| own actions; an older stamp reads as the
+// default.
+type ownIndex struct {
+	entry []int32
+	stamp []uint32
+	gen   uint32
+}
+
+// load indexes row's entries of asset i's own actions with the teammates
+// at profile.
+func (x *ownIndex) load(row qRow, i int, profile, counts []int) {
+	if x.gen++; x.gen == 0 { // wrapped: clear the stamps it could match
+		clear(x.stamp)
+		x.gen = 1
+	}
+	if len(x.stamp) < counts[i] {
+		x.entry, x.stamp = make([]int32, counts[i]), make([]uint32, counts[i])
+	}
+	base, stride := ownProfile(i, profile, counts)
+	for k := range row {
+		if a, ok := ownAction(row[k].aKey, base, stride, counts[i]); ok {
+			x.entry[a], x.stamp[a] = int32(k), x.gen
+		}
+	}
+}
+
+// value returns own action a's Q values from the loaded row, each
+// multiplied by scale, or def (scaled by the caller) for an action the
+// row does not hold.
+func (x *ownIndex) value(row qRow, a int, scale float64, def perReward) perReward {
+	if x.stamp[a] != x.gen {
+		return def
+	}
+	v := row[x.entry[a]].v
+	for c := range v {
+		v[c] = scale * v[c]
+	}
+	return v
+}
+
+// maxOwn returns, per reward component, the max of the row's Q values over
+// asset i's own actions with each teammate j at profile[j], reading def
+// for actions the row does not hold: Equation 6's max over next actions.
+// It reads only the row's entries of those actions.
+func maxOwn(row qRow, i int, profile, counts []int, def float64) perReward {
+	base, stride := ownProfile(i, profile, counts)
+	maxQ, found := uniform(math.Inf(-1)), 0
+	for k := range row {
+		if _, ok := ownAction(row[k].aKey, base, stride, counts[i]); ok {
+			found++
+			maxQ = maxEach(maxQ, row[k].v)
+		}
+	}
+	if found < counts[i] {
+		// def > 0 takes part, so every maximum is positive and the order
+		// the values are met in cannot change its bits.
+		return maxEach(maxQ, uniform(def))
+	}
+	// The row holds every own action: take the max again in own-action
+	// order, so that equal maxima of opposite zero signs resolve as a
+	// max over all own actions in order resolves them.
+	maxQ = uniform(math.Inf(-1))
+	for a := 0; a < counts[i]; a++ {
+		maxQ = maxEach(maxQ, row.get(base+uint64(a)*stride, def))
+	}
+	return maxQ
+}
+
+// maxEach returns m with each component raised to q's where q's is
+// greater.
+func maxEach(m, q perReward) perReward {
+	for c := range m {
+		if q[c] > m[c] {
+			m[c] = q[c]
+		}
+	}
+	return m
 }
 
 // --- Lemma 1 & 2: theoretical dense table sizes -----------------------------

@@ -245,7 +245,7 @@ func componentsOf(b *Builder) ([]int32, int) {
 		for len(queue) > 0 {
 			v := queue[0]
 			queue = queue[1:]
-			for w := range b.adj[v] {
+			for _, w := range b.out[v] {
 				if label[w] < 0 {
 					label[w] = comp
 					queue = append(queue, w)

@@ -13,10 +13,10 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 
 	"github.com/routeplanning/mamorl/internal/geo"
@@ -271,9 +271,28 @@ type Builder struct {
 	name   string
 	metric geo.Metric
 	pos    []geo.Point
-	adj    []map[NodeID]bool
-	edges  int // undirected pair count, maintained incrementally
+	// out[v] lists the heads of v's arcs in the order they were added.
+	// AddNode carves each list from arena with room for nodeArcs arcs.
+	out   [][]NodeID
+	arena []NodeID
+	// wide holds arcKey(v, w) of every arc of each node with more than
+	// scanLimit arcs, so that HasEdge costs O(1) at any degree: below the
+	// limit it scans out[v].
+	wide  map[uint64]struct{}
+	edges int // undirected pair count, maintained incrementally
 }
+
+const (
+	// nodeArcs is the room AddNode gives each node's arc list; nodeChunk
+	// is how many node IDs one arena chunk holds (16 KiB).
+	nodeArcs  = 8
+	nodeChunk = 4096
+	// scanLimit is the out-degree up to which HasEdge scans a node's list.
+	scanLimit = 16
+)
+
+// arcKey packs the arc v -> w into one map key.
+func arcKey(v, w NodeID) uint64 { return uint64(uint32(v))<<32 | uint64(uint32(w)) }
 
 // NewBuilder returns a Builder for a grid measured under metric.
 func NewBuilder(name string, metric geo.Metric) *Builder {
@@ -283,7 +302,12 @@ func NewBuilder(name string, metric geo.Metric) *Builder {
 // AddNode appends a node at position p and returns its ID.
 func (b *Builder) AddNode(p geo.Point) NodeID {
 	b.pos = append(b.pos, p)
-	b.adj = append(b.adj, make(map[NodeID]bool, 8))
+	if cap(b.arena)-len(b.arena) < nodeArcs {
+		b.arena = make([]NodeID, 0, nodeChunk)
+	}
+	start := len(b.arena)
+	b.arena = b.arena[:start+nodeArcs]
+	b.out = append(b.out, b.arena[start:start:start+nodeArcs])
 	return NodeID(len(b.pos) - 1)
 }
 
@@ -297,11 +321,22 @@ func (b *Builder) Pos(v NodeID) geo.Point { return b.pos[v] }
 // is a no-op (the RPP has no use for self-loop travel; waiting is an action,
 // not an edge).
 func (b *Builder) AddArc(v, w NodeID) {
-	if v == w || b.adj[v][w] {
+	if v == w || b.HasEdge(v, w) {
 		return
 	}
-	b.adj[v][w] = true
-	if !b.adj[w][v] {
+	b.out[v] = append(b.out[v], w)
+	switch d := len(b.out[v]); {
+	case d == scanLimit+1: // v turns wide: index all its arcs
+		if b.wide == nil {
+			b.wide = make(map[uint64]struct{})
+		}
+		for _, u := range b.out[v] {
+			b.wide[arcKey(v, u)] = struct{}{}
+		}
+	case d > scanLimit+1:
+		b.wide[arcKey(v, w)] = struct{}{}
+	}
+	if !b.HasEdge(w, v) {
 		b.edges++ // first arc of this pair
 	}
 }
@@ -314,18 +349,33 @@ func (b *Builder) AddEdge(v, w NodeID) {
 
 // RemoveEdge removes both arcs between v and w if present.
 func (b *Builder) RemoveEdge(v, w NodeID) {
-	if b.adj[v][w] || b.adj[w][v] {
+	if b.HasEdge(v, w) || b.HasEdge(w, v) {
 		b.edges--
 	}
-	delete(b.adj[v], w)
-	delete(b.adj[w], v)
+	b.removeArc(v, w)
+	b.removeArc(w, v)
+}
+
+// removeArc removes the arc v -> w if present. Arcs of a node that was
+// once wide may stay in wide after its degree falls: they are still arcs.
+func (b *Builder) removeArc(v, w NodeID) {
+	if k := slices.Index(b.out[v], w); k >= 0 {
+		b.out[v] = slices.Delete(b.out[v], k, k+1)
+		delete(b.wide, arcKey(v, w))
+	}
 }
 
 // HasEdge reports whether the arc v -> w is present.
-func (b *Builder) HasEdge(v, w NodeID) bool { return b.adj[v][w] }
+func (b *Builder) HasEdge(v, w NodeID) bool {
+	if len(b.out[v]) <= scanLimit {
+		return slices.Contains(b.out[v], w)
+	}
+	_, ok := b.wide[arcKey(v, w)]
+	return ok
+}
 
 // OutDegree returns the current out-degree of v.
-func (b *Builder) OutDegree(v NodeID) int { return len(b.adj[v]) }
+func (b *Builder) OutDegree(v NodeID) int { return len(b.out[v]) }
 
 // UndirectedEdgeCount returns the number of undirected pairs currently in
 // the builder (a one-way arc counts as one pair).
@@ -353,13 +403,20 @@ func (b *Builder) Build() (*Grid, error) {
 		metric: b.metric,
 		pos:    append([]geo.Point(nil), b.pos...),
 		adj:    make([][]Edge, len(b.pos)),
+		in:     make([][]Edge, len(b.pos)),
 	}
-	for v, m := range b.adj {
-		if len(m) == 0 {
+	// One slab holds every node's out-arcs and another its in-arcs, each
+	// node's list capped at its own length.
+	for _, out := range b.out {
+		g.arcs += len(out)
+	}
+	slab := make([]Edge, 0, g.arcs)
+	for v, out := range b.out {
+		if len(out) == 0 {
 			return nil, fmt.Errorf("grid %q: node %d has out-degree 0", b.name, v)
 		}
-		edges := make([]Edge, 0, len(m))
-		for w := range m {
+		start := len(slab)
+		for _, w := range out {
 			weight := b.metric.Distance(b.pos[v], b.pos[w])
 			if !finite(weight) {
 				return nil, fmt.Errorf("grid %q: arc %d -> %d has non-finite weight %g", b.name, v, w, weight)
@@ -370,11 +427,12 @@ func (b *Builder) Build() (*Grid, error) {
 				// positive value.
 				weight = 1e-9
 			}
-			edges = append(edges, Edge{To: w, Weight: weight})
+			slab = append(slab, Edge{To: w, Weight: weight})
 		}
-		sort.Slice(edges, func(i, j int) bool { return edges[i].To < edges[j].To })
+		edges := slab[start:len(slab):len(slab)]
+		// Heads are unique, so the order is total.
+		slices.SortFunc(edges, func(x, y Edge) int { return cmp.Compare(x.To, y.To) })
 		g.adj[v] = edges
-		g.arcs += len(edges)
 		if len(edges) > g.maxOutDegree {
 			g.maxOutDegree = len(edges)
 		}
@@ -385,15 +443,23 @@ func (b *Builder) Build() (*Grid, error) {
 		}
 	}
 	g.edges = b.edges
-	g.in = make([][]Edge, len(g.pos))
+	indeg := make([]int, len(g.pos))
+	for _, e := range slab {
+		indeg[e.To]++
+	}
+	inSlab, off := make([]Edge, g.arcs), 0
+	for v, d := range indeg {
+		g.in[v] = inSlab[off : off : off+d]
+		off += d
+	}
+	// Out-edges are sorted by To and visited in node order, so each in-edge
+	// list is already sorted by predecessor ID — deterministic without an
+	// extra sort.
 	for v, edges := range g.adj {
 		for _, e := range edges {
 			g.in[e.To] = append(g.in[e.To], Edge{To: NodeID(v), Weight: e.Weight})
 		}
 	}
-	// Out-edges are sorted by To and visited in node order, so each in-edge
-	// list is already sorted by predecessor ID — deterministic without an
-	// extra sort.
 	g.strong = reachesAll(g.adj) && reachesAll(g.in)
 	g.bounds = geo.Bound(g.pos)
 	g.index = newSpatialIndex(g)

@@ -2,7 +2,9 @@ package grid
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -236,6 +238,63 @@ func TestDecodeErrors(t *testing.T) {
 	}
 	if _, err := Decode(strings.NewReader(`{"name":"x","metric":"planar","nodes":[{"x":0,"y":0}],"arcs":[[0,9]]}`)); err == nil {
 		t.Error("out-of-range arc should fail")
+	}
+}
+
+// TestDecodeWideNode decodes a hub with several thousand spokes, every
+// arc listed twice in shuffled order: the duplicates are dropped, whether
+// the hub's degree was below or past the Builder's scan limit when they
+// came, and the hub's out- and in-lists come out sorted.
+func TestDecodeWideNode(t *testing.T) {
+	const spokes = 5000
+	ff := fileFormat{Name: "hub", Metric: "planar", Nodes: []geo.Point{{}}}
+	for k := 1; k <= spokes; k++ {
+		ff.Nodes = append(ff.Nodes, geo.Point{X: math.Cos(float64(k)), Y: math.Sin(float64(k))})
+		ff.Arcs = append(ff.Arcs, [2]int32{0, int32(k)}, [2]int32{int32(k), 0})
+	}
+	ff.Arcs = append(ff.Arcs, ff.Arcs...)
+	rand.New(rand.NewSource(1)).Shuffle(len(ff.Arcs), func(i, j int) { ff.Arcs[i], ff.Arcs[j] = ff.Arcs[j], ff.Arcs[i] })
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(ff); err != nil {
+		t.Fatal(err)
+	}
+	g, err := Decode(&buf)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if g.NumArcs() != 2*spokes || g.NumEdges() != spokes || g.MaxOutDegree() != spokes {
+		t.Fatalf("arcs %d, edges %d, max degree %d; want %d, %d, %d",
+			g.NumArcs(), g.NumEdges(), g.MaxOutDegree(), 2*spokes, spokes, spokes)
+	}
+	for _, list := range [][]Edge{g.Neighbors(0), g.InEdges(0)} {
+		if len(list) != spokes {
+			t.Fatalf("hub list holds %d arcs, want %d", len(list), spokes)
+		}
+		for k, e := range list {
+			if e.To != NodeID(k+1) {
+				t.Fatalf("hub list entry %d is node %d, want %d", k, e.To, k+1)
+			}
+		}
+	}
+	for k := 1; k <= spokes; k++ {
+		if out := g.Neighbors(NodeID(k)); len(out) != 1 || out[0].To != 0 {
+			t.Fatalf("spoke %d arcs %v, want one to the hub", k, out)
+		}
+	}
+
+	// The Builder keeps a wide node's arcs exact through removals.
+	b := NewBuilder("hub", geo.Planar)
+	for range ff.Nodes {
+		b.AddNode(geo.Point{})
+	}
+	for k := 1; k <= spokes; k++ {
+		b.AddEdge(0, NodeID(k))
+	}
+	b.RemoveEdge(0, 7)
+	b.AddArc(0, 9)
+	if b.HasEdge(0, 7) || b.HasEdge(7, 0) || !b.HasEdge(0, 9) || b.OutDegree(0) != spokes-1 || b.UndirectedEdgeCount() != spokes-1 {
+		t.Fatalf("after removing 0-7: HasEdge(0,7) %v, HasEdge(0,9) %v, degree %d, edges %d",
+			b.HasEdge(0, 7), b.HasEdge(0, 9), b.OutDegree(0), b.UndirectedEdgeCount())
 	}
 }
 

@@ -265,12 +265,57 @@ func TestParseRealProfile(t *testing.T) {
 	if len(p.SampleTypes) == 0 || len(p.Functions) == 0 {
 		t.Fatalf("decoded profile is empty: %d sample types, %d functions", len(p.SampleTypes), len(p.Functions))
 	}
-	idx := p.ValueIndex(defaultValueType("heap")...)
-	tab := Aggregate(p, "heap", idx, 10)
+	tab := Fold(p, "heap", 10)
 	if tab.Total <= 0 || len(tab.Funcs) == 0 {
 		t.Fatalf("heap table empty: %+v", tab)
 	}
 	if tab.Unit != "bytes" {
 		t.Fatalf("heap unit = %q, want bytes", tab.Unit)
+	}
+}
+
+// heapProfile is a two-function heap profile with the runtime's four
+// columns; inuse is the in-use object count of its first sample, at 1 KiB
+// each, and its second sample holds nothing live.
+func heapProfile(inuse int64) *Profile {
+	return &Profile{
+		SampleTypes: []ValueType{
+			{Type: "alloc_objects", Unit: "count"}, {Type: "alloc_space", Unit: "bytes"},
+			{Type: "inuse_objects", Unit: "count"}, {Type: "inuse_space", Unit: "bytes"},
+		},
+		Samples: []Sample{
+			{LocationIDs: []uint64{1, 2}, Values: []int64{4, 4096, inuse, inuse << 10}},
+			{LocationIDs: []uint64{2}, Values: []int64{1, 512, 0, 0}},
+		},
+		Locations: map[uint64]*Location{1: {ID: 1, FunctionIDs: []uint64{1}}, 2: {ID: 2, FunctionIDs: []uint64{2}}},
+		Functions: map[uint64]*Function{1: {ID: 1, Name: "main.alloc"}, 2: {ID: 2, Name: "main.main"}},
+	}
+}
+
+// TestFoldHeapWithoutLiveSamples: a heap profile whose in-use columns are
+// zero, as when the last GC found no sampled object live, folds its
+// allocated bytes and says so; one with live samples folds in-use bytes.
+func TestFoldHeapWithoutLiveSamples(t *testing.T) {
+	tab := Fold(heapProfile(0), "heap", 10)
+	if tab.Type != "alloc_space" || tab.Unit != "bytes" || tab.Total != 4608 || tab.Samples != 2 || len(tab.Funcs) != 2 {
+		t.Fatalf("heap table without live samples = %+v, want alloc_space over 4608 bytes in 2 functions", tab)
+	}
+	if tab.Funcs[0].Name != "main.alloc" || tab.Funcs[0].Flat != 4096 || tab.Funcs[1].Cum != 4608 {
+		t.Fatalf("rows = %+v", tab.Funcs)
+	}
+	if tab := Fold(heapProfile(2), "heap", 10); tab.Type != "inuse_space" || tab.Total != 2048 {
+		t.Fatalf("heap table with live samples = %+v, want inuse_space over 2048 bytes", tab)
+	}
+	// Nothing allocated either: the preferred column stays, empty.
+	empty := heapProfile(0)
+	for _, s := range empty.Samples {
+		clear(s.Values)
+	}
+	if tab := Fold(empty, "heap", 10); tab.Type != "inuse_space" || tab.Total != 0 {
+		t.Fatalf("empty heap table = %+v, want inuse_space at 0", tab)
+	}
+	// Only heap tables fall back.
+	if tab := Fold(heapProfile(0), "goroutine", 10); tab.Type != "inuse_space" || tab.Total != 0 {
+		t.Fatalf("goroutine fold of the same profile = %+v, want its last column at 0", tab)
 	}
 }

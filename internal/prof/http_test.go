@@ -75,6 +75,11 @@ func TestHTTPEnabled(t *testing.T) {
 	if got.ID != c.ID || got.State != "done" || len(got.Tables) == 0 {
 		t.Fatalf("capture = %+v", got)
 	}
+	for _, tab := range got.Tables {
+		if tab.Type == "" {
+			t.Fatalf("%s table does not say which column it folded: %+v", tab.Kind, tab)
+		}
+	}
 
 	raw := get(t, mux, "/debug/prof/"+c.ID+"?format=raw&kind=heap")
 	if raw.Code != http.StatusOK {

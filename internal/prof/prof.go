@@ -264,8 +264,7 @@ func (p *Profiler) collect(ctx context.Context, c *Capture) {
 			delete(raw, kind)
 			continue
 		}
-		idx := parsed.ValueIndex(defaultValueType(kind)...)
-		tables = append(tables, Aggregate(parsed, kind, idx, p.opts.TopN))
+		tables = append(tables, Fold(parsed, kind, p.opts.TopN))
 	}
 
 	p.mu.Lock()

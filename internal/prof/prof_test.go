@@ -61,6 +61,9 @@ func TestCaptureNow(t *testing.T) {
 	if heap.Total <= 0 || len(heap.Funcs) == 0 {
 		t.Fatalf("heap table empty: %+v", heap)
 	}
+	if heap.Type != "inuse_space" && heap.Type != "alloc_space" {
+		t.Fatalf("heap table folded %q", heap.Type)
+	}
 	if _, ok := kinds["goroutine"]; !ok {
 		t.Fatalf("no goroutine table in %+v", kinds)
 	}

@@ -16,7 +16,9 @@ type FuncStat struct {
 // Table is the bounded aggregation of one profile: the top-N functions by
 // flat and by cumulative value (union of the two), plus totals.
 type Table struct {
-	Kind    string `json:"kind"`
+	Kind string `json:"kind"`
+	// Type names the sample column folded (e.g. "cpu", "inuse_space").
+	Type    string `json:"type"`
 	Unit    string `json:"unit"`
 	Samples int    `json:"samples"`
 	Total   int64  `json:"total"`
@@ -57,6 +59,22 @@ func defaultValueType(kind string) []string {
 	}
 }
 
+// Fold aggregates a profile of the given capture kind over the column
+// defaultValueType prefers for it, except that a heap profile whose
+// inuse_space totals zero folds alloc_space instead: in-use figures are
+// those of the last completed GC, and at the default MemProfileRate a
+// small process can have no sampled object live then. The table's Type
+// says which column was folded.
+func Fold(p *Profile, kind string, topN int) Table {
+	t := Aggregate(p, kind, p.ValueIndex(defaultValueType(kind)...), topN)
+	if kind == "heap" && t.Total == 0 {
+		if alloc := Aggregate(p, kind, p.ValueIndex("alloc_space"), topN); alloc.Total > 0 {
+			return alloc
+		}
+	}
+	return t
+}
+
 // Aggregate folds a decoded profile into a hot-function table over the given
 // value column, keeping the union of the top-N rows by flat and by cum.
 // topN <= 0 keeps every function.
@@ -65,7 +83,7 @@ func Aggregate(p *Profile, kind string, valueIndex, topN int) Table {
 	if valueIndex < 0 || valueIndex >= len(p.SampleTypes) {
 		return t
 	}
-	t.Unit = p.SampleTypes[valueIndex].Unit
+	t.Type, t.Unit = p.SampleTypes[valueIndex].Type, p.SampleTypes[valueIndex].Unit
 
 	type stat struct{ flat, cum int64 }
 	stats := make(map[string]*stat)

@@ -48,7 +48,7 @@ loadgen-smoke:
 # bench-smoke runs the hot-path micro-benchmarks once each, so benchmark
 # set-up that panics fails the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON|CatalogDecide' -benchtime 1x .
 
 # fuzz-smoke runs each fuzz target for 10 s: the plan response encoder
 # against encoding/json, grid.Decode and grid.Subgraph on arbitrary input,

@@ -813,11 +813,11 @@ func BenchmarkMissionStep(b *testing.B) {
 
 // BenchmarkCatalogDecide measures one Decide served through the planner
 // catalog. The hot case is the steady state of a resident tenant: Acquire is
-// a map hit plus an LRU touch, and Do builds the request's planner. With one
-// Decide per Do, that build's math/rand reseed dominates; a mission pays it
-// once, not once per Decide. The cold case alternates two keys through a
-// capacity-1 catalog, so every Acquire misses, loads, and evicts — the
-// worst-case churn of an oversubscribed working set.
+// a map hit, and Do builds the request's planner. With one Decide per Do,
+// that build's math/rand reseed dominates; a mission pays it once, not once
+// per Decide. The cold case reinstalls the grid before every Acquire, which
+// evicts its entry, so every Acquire misses and loads — the churn of a
+// tenant whose grid keeps being replaced.
 func BenchmarkCatalogDecide(b *testing.B) {
 	h := harness(b)
 	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 400, Edges: 846, MaxOutDegree: 9, Seed: 2})
@@ -861,14 +861,13 @@ func BenchmarkCatalogDecide(b *testing.B) {
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
-		cat := catalog.New(catalog.Options{Capacity: 1, LoadModel: loader})
+		cat := catalog.New(catalog.Options{LoadModel: loader})
 		defer cat.Close()
-		cat.InstallGrid("churn-a", g)
-		cat.InstallGrid("churn-b", g)
-		keys := []catalog.Key{{Grid: "churn-a"}, {Grid: "churn-b"}}
+		cat.InstallGrid("churn", g)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			decideVia(b, cat, keys[i%2], i)
+			cat.InstallGrid("churn", g)
+			decideVia(b, cat, catalog.Key{Grid: "churn"}, i)
 		}
 	})
 }

@@ -183,7 +183,7 @@ func TestMultiTenantSmoke(t *testing.T) {
 	if c == nil {
 		t.Fatal("report lacks catalog stats")
 	}
-	// Four tenants fit the default capacity, so after the four cold loads
+	// The catalog keeps every loaded entry, so after the four cold loads
 	// every request is a cache hit.
 	if c.Loads != 4 {
 		t.Errorf("catalog loads = %d, want 4 (one per tenant)", c.Loads)
@@ -192,7 +192,7 @@ func TestMultiTenantSmoke(t *testing.T) {
 		t.Errorf("catalog hit rate = %v (%d hits / %d misses), want mostly hits", c.HitRate, c.Hits, c.Misses)
 	}
 	if c.Evictions != 0 {
-		t.Errorf("catalog evicted %d entries with a working set under capacity", c.Evictions)
+		t.Errorf("catalog evicted %d entries with no grid replaced", c.Evictions)
 	}
 }
 

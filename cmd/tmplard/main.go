@@ -18,7 +18,7 @@
 //	GET  /debug/slo             evaluated SLO burn-rate report (JSON; see -slo-config)
 //	GET  /debug/prof            continuous-profiling captures (JSON; see -profile-interval)
 //	GET  /debug/prof/{id}       one capture's hot-function tables (?format=raw&kind= downloads pprof)
-//	GET  /debug/catalog         planner catalog snapshot: resident entries, LRU order, hit/miss stats (JSON)
+//	GET  /debug/catalog         planner catalog snapshot: resident entries, in-flight loads, hit/miss stats (JSON)
 //	GET  /debug/dash            self-contained live dashboard (HTML, no external assets)
 //	GET  /debug/metrics/stream  time-series samples over SSE (feeds the dashboard)
 //	GET  /api/grids             registered grids (name-sorted)
@@ -60,6 +60,8 @@ import (
 	"time"
 
 	mamorl "github.com/routeplanning/mamorl"
+	"github.com/routeplanning/mamorl/internal/obs"
+	"github.com/routeplanning/mamorl/internal/tmplar"
 )
 
 // newLogger builds the process logger in the requested format.
@@ -80,15 +82,15 @@ func main() {
 		grids       = flag.String("grids", "", "comma-separated grid JSON files to preload")
 		preset      = flag.String("preset", "", "preload a preset mesh: caribbean, na-shore, atlantic")
 		seed        = flag.Int64("seed", 1, "model training seed")
-		planTimeout = flag.Duration("plan-timeout", 30*time.Second, "per-request planning deadline (503 on expiry)")
-		maxGrid     = flag.Int64("max-grid-bytes", 32<<20, "grid upload body limit in bytes (413 beyond)")
-		maxPlan     = flag.Int64("max-plan-bytes", 1<<20, "plan request body limit in bytes (413 beyond)")
-		traceBuf    = flag.Int("trace-buffer", 256, "recent request traces kept for GET /debug/traces")
+		planTimeout = flag.Duration("plan-timeout", tmplar.DefaultPlanTimeout, "per-request planning deadline (503 on expiry)")
+		maxGrid     = flag.Int64("max-grid-bytes", tmplar.DefaultMaxGridBytes, "grid upload body limit in bytes (413 beyond)")
+		maxPlan     = flag.Int64("max-plan-bytes", tmplar.DefaultMaxPlanBytes, "plan request body limit in bytes (413 beyond)")
+		traceBuf    = flag.Int("trace-buffer", tmplar.DefaultTraceBuffer, "recent request traces kept for GET /debug/traces")
 		logFormat   = flag.String("log-format", "text", "log output format: text or json")
 		quiet       = flag.Bool("quiet", false, "disable per-request logging")
 		drain       = flag.Duration("drain", 35*time.Second, "graceful-shutdown drain budget")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); disabled when empty")
-		sampleEvery = flag.Duration("sample-interval", 2*time.Second, "metrics sampler tick feeding /debug/dash")
+		sampleEvery = flag.Duration("sample-interval", obs.DefaultSampleInterval, "metrics sampler tick feeding /debug/dash")
 		modelDir    = flag.String("model-dir", "", "persistent model registry directory (warm-start on restart; empty disables)")
 		trainWork   = flag.Int("train-workers", 1, "goroutines sharding the train-on-miss model fit; weights and artifact IDs are byte-identical at any value")
 		jobWorkers  = flag.Int("job-workers", 0, "async planning worker pool size (0 = default)")
@@ -105,7 +107,6 @@ func main() {
 		blockRate   = flag.Int("block-profile-rate", 0, "runtime.SetBlockProfileRate in ns for the -pprof block profile (0 = off)")
 		profEvery   = flag.Duration("profile-interval", 0, "continuous profiler: scheduled capture interval feeding /debug/prof (0 = disabled)")
 		profWindow  = flag.Duration("profile-window", 5*time.Second, "continuous profiler: CPU sampling window per capture")
-		catCap      = flag.Int("catalog-capacity", 0, "resident (grid, model) planner entries before LRU eviction (0 = default 8)")
 		version     = flag.Bool("version", false, "print build info and exit")
 	)
 	flag.Parse()
@@ -173,8 +174,6 @@ func main() {
 		SLOs:            sloSpecs,
 		ProfileInterval: *profEvery,
 		ProfileWindow:   *profWindow,
-
-		CatalogCapacity: *catCap,
 	})
 	if err != nil {
 		fatalf("%v", err)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/routeplanning/mamorl/internal/features"
 	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/linreg"
 	"github.com/routeplanning/mamorl/internal/neural"
@@ -116,13 +117,24 @@ func LoadLinear(path string) (*LinearModel, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("approx: load model: %w", err)
 	}
-	if len(f.TMMWeights) == 0 || len(f.LMWeights) == 0 {
-		return nil, fmt.Errorf("approx: model file %s has empty weights", path)
+	m, err := linearModel(&linreg.Model{Weights: f.TMMWeights, Intercept: f.TMMIntercept},
+		&linreg.Model{Weights: f.LMWeights, Intercept: f.LMIntercept})
+	if err != nil {
+		return nil, fmt.Errorf("approx: model file %s: %w", path, err)
 	}
-	return &LinearModel{
-		TMM: &linreg.Model{Weights: f.TMMWeights, Intercept: f.TMMIntercept},
-		LM:  &linreg.Model{Weights: f.LMWeights, Intercept: f.LMIntercept},
-	}, nil
+	return m, nil
+}
+
+// linearModel pairs loaded TMM and LM regressions, the one check every
+// loader passes through: their widths must match the feature vectors
+// Decide builds (features.TMMDim and features.LMDim), or the first
+// prediction would panic.
+func linearModel(tmm, lm *linreg.Model) (*LinearModel, error) {
+	if len(tmm.Weights) != features.TMMDim || len(lm.Weights) != features.LMDim {
+		return nil, fmt.Errorf("%d TMM and %d LM weights, want %d and %d",
+			len(tmm.Weights), len(lm.Weights), features.TMMDim, features.LMDim)
+	}
+	return &LinearModel{TMM: tmm, LM: lm}, nil
 }
 
 // NeuralModel is NN-Approx-MaMoRL's model pair: one Table 5 network per

@@ -88,7 +88,11 @@ func DecodeLinearBlob(blob []byte) (*LinearModel, error) {
 	if err != nil {
 		return nil, fmt.Errorf("approx: decode LM: %w", err)
 	}
-	return &LinearModel{TMM: tmm, LM: lm}, nil
+	m, err := linearModel(tmm, lm)
+	if err != nil {
+		return nil, fmt.Errorf("approx: model blob: %w", err)
+	}
+	return m, nil
 }
 
 // EncodeBlob serializes the neural model pair for registry storage.

@@ -1,0 +1,60 @@
+package approx
+
+import (
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"github.com/routeplanning/mamorl/internal/features"
+	"github.com/routeplanning/mamorl/internal/linreg"
+)
+
+// widthModel is an untrained linear pair with the given weight widths.
+func widthModel(tmm, lm int) *LinearModel {
+	return &LinearModel{
+		TMM: &linreg.Model{Weights: make([]float64, tmm), Intercept: 0.5},
+		LM:  &linreg.Model{Weights: make([]float64, lm), Intercept: -0.5},
+	}
+}
+
+// wantWidthError is the error text of a three-and-three-weight model.
+const wantWidthError = "3 TMM and 3 LM weights, want 5 and 6"
+
+// TestLoadLinearRefusesMismatchedWidths: a model file whose weights do not
+// fit the feature vectors is refused at load, naming the widths, instead of
+// panicking at the planner's first prediction.
+func TestLoadLinearRefusesMismatchedWidths(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	if err := widthModel(features.TMMDim, features.LMDim).Save(good); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadLinear(good); err != nil {
+		t.Fatalf("LoadLinear of a %d/%d-weight file: %v", features.TMMDim, features.LMDim, err)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := widthModel(3, 3).Save(bad); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadLinear(bad); err == nil || !strings.Contains(err.Error(), wantWidthError) {
+		t.Fatalf("LoadLinear of a 3/3-weight file: err = %v, want one naming %q", err, wantWidthError)
+	}
+}
+
+// TestDecodeLinearBlobRefusesMismatchedWidths is the same check for the
+// registry's blob form.
+func TestDecodeLinearBlobRefusesMismatchedWidths(t *testing.T) {
+	blob, err := widthModel(features.TMMDim, features.LMDim).EncodeBlob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeLinearBlob(blob); err != nil {
+		t.Fatalf("DecodeLinearBlob of a %d/%d-weight blob: %v", features.TMMDim, features.LMDim, err)
+	}
+	if blob, err = widthModel(3, 3).EncodeBlob(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeLinearBlob(blob); err == nil || !strings.Contains(err.Error(), wantWidthError) {
+		t.Fatalf("DecodeLinearBlob of a 3/3-weight blob: err = %v, want one naming %q", err, wantWidthError)
+	}
+}

@@ -1,8 +1,11 @@
 // Package catalog is the tenant-aware planner serving layer. It resolves
-// (grid, model) pairs on demand, keeps an LRU-bounded cache of fully-loaded
-// entries, deduplicates concurrent loads of the same key (single-flight: one
-// training/registry load no matter how many requests race), and ref-counts
-// entries so an in-use entry is never torn down mid-mission.
+// (grid, model) pairs on demand, keeps every loaded entry until its grid is
+// replaced or the catalog closes, deduplicates concurrent loads of the same
+// key (single-flight: one training/registry load no matter how many
+// requests race), and ref-counts entries so an entry evicted while a
+// request holds it closes only at that request's Release. An entry holds
+// pointers only, so there is no capacity bound: the grids and models it
+// points at stay resident whether or not an entry does.
 //
 // Determinism contract: an entry holds only read-only state (the grid, the
 // model and its feature extractor), and the server builds each request's
@@ -13,11 +16,13 @@
 package catalog
 
 import (
-	"container/list"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,22 +73,12 @@ type ModelLoader func(ctx context.Context, selector string) (*ModelArtifact, err
 
 // Options configures a Catalog.
 type Options struct {
-	// Capacity bounds the number of resident planner entries (LRU beyond
-	// it). Default 8.
-	Capacity int
 	// LoadModel resolves model selectors. Required.
 	LoadModel ModelLoader
 	// Metrics, when set, receives catalog counters/gauges/histograms.
 	Metrics *obs.Registry
 	// Tracer, when set, emits catalog.load spans.
 	Tracer *trace.Tracer
-}
-
-func (o Options) withDefaults() Options {
-	if o.Capacity <= 0 {
-		o.Capacity = 8
-	}
-	return o
 }
 
 // Stats is a point-in-time view of the catalog counters.
@@ -103,7 +98,6 @@ type Catalog struct {
 	mu      sync.Mutex
 	grids   map[string]*grid.Grid
 	entries map[Key]*Entry
-	lru     *list.List // of *Entry, front = MRU
 	loading map[Key]*loadCall
 	closed  bool
 
@@ -134,12 +128,10 @@ type loadCall struct {
 
 // New builds a Catalog. Options.LoadModel must be set.
 func New(opts Options) *Catalog {
-	opts = opts.withDefaults()
 	c := &Catalog{
 		opts:    opts,
 		grids:   make(map[string]*grid.Grid),
 		entries: make(map[Key]*Entry),
-		lru:     list.New(),
 		loading: make(map[Key]*loadCall),
 	}
 	if m := opts.Metrics; m != nil {
@@ -152,7 +144,7 @@ func New(opts Options) *Catalog {
 		c.hLoad = m.Histogram("catalog_load_seconds", obs.DefaultLatencyBuckets)
 		m.SetHelp("catalog_hits_total", "Planner catalog cache hits.")
 		m.SetHelp("catalog_misses_total", "Planner catalog cache misses (each waiter on a cold key counts once).")
-		m.SetHelp("catalog_evictions_total", "Planner entries evicted by LRU pressure or grid replacement.")
+		m.SetHelp("catalog_evictions_total", "Planner entries evicted by grid replacement or catalog close.")
 		m.SetHelp("catalog_loads_total", "Completed planner loads (single-flight: one per cold key).")
 		m.SetHelp("catalog_load_errors_total", "Planner loads that failed.")
 		m.SetHelp("catalog_entries", "Resident planner entries.")
@@ -207,22 +199,10 @@ func (c *Catalog) Grids() []*grid.Grid {
 	return gs
 }
 
-// GridNames returns the registered grid names, sorted.
-func (c *Catalog) GridNames() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	names := make([]string, 0, len(c.grids))
-	for name := range c.grids {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Acquire resolves key to a loaded planner entry, loading it on a miss.
 // Concurrent Acquires of the same cold key share one load. The returned
-// entry is ref-counted: callers must Release it when done (typically after
-// Entry.Do returns).
+// entry is ref-counted: callers must Release it when done with its grid
+// and model.
 func (c *Catalog) Acquire(ctx context.Context, key Key) (*Entry, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -237,7 +217,6 @@ func (c *Catalog) Acquire(ctx context.Context, key Key) (*Entry, error) {
 	if ent, ok := c.entries[key]; ok {
 		ent.refs++
 		ent.hits++
-		c.lru.MoveToFront(ent.elem)
 		c.hits.Add(1)
 		if c.mHits != nil {
 			c.mHits.Inc()
@@ -325,7 +304,6 @@ func (c *Catalog) load(key Key, g *grid.Grid, call *loadCall) {
 	if err == nil {
 		call.ent = ent
 		ent.refs = call.waiters
-		ent.elem = c.lru.PushFront(ent)
 		c.entries[key] = ent
 		c.loads.Add(1)
 		if c.mLoads != nil {
@@ -338,7 +316,6 @@ func (c *Catalog) load(key Key, g *grid.Grid, call *loadCall) {
 			}
 			c.hLoad.ObserveExemplar(elapsed.Seconds(), tid, start.UnixNano())
 		}
-		c.evictOverCapacityLocked()
 	} else {
 		c.loadErrors.Add(1)
 		if c.mLoadErrs != nil {
@@ -352,25 +329,13 @@ func (c *Catalog) load(key Key, g *grid.Grid, call *loadCall) {
 	span.End()
 }
 
-// evictOverCapacityLocked trims LRU-tail entries above capacity.
-func (c *Catalog) evictOverCapacityLocked() {
-	for c.lru.Len() > c.opts.Capacity {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		c.evictEntryLocked(back.Value.(*Entry))
-	}
-}
-
-// evictEntryLocked removes ent from the resident set. If it is still
-// referenced by in-flight Decides it stays fully usable until the last
-// Release, which performs the deferred close.
+// evictEntryLocked removes ent from the resident set. If a request still
+// holds it, it stays fully usable until the last Release, which performs
+// the deferred close.
 func (c *Catalog) evictEntryLocked(ent *Entry) {
 	if ent.evicted {
 		return
 	}
-	c.lru.Remove(ent.elem)
 	delete(c.entries, ent.key)
 	ent.evicted = true
 	c.evictions.Add(1)
@@ -421,7 +386,7 @@ func (c *Catalog) Stats() Stats {
 	}
 }
 
-// EntrySnapshot is one resident entry in a Snapshot, MRU order.
+// EntrySnapshot is one resident entry in a Snapshot.
 type EntrySnapshot struct {
 	Grid       string    `json:"grid"`
 	Model      string    `json:"model"`
@@ -433,13 +398,13 @@ type EntrySnapshot struct {
 	AgeSeconds float64   `json:"age_seconds"`
 }
 
-// Snapshot is the JSON document served by GET /debug/catalog.
+// Snapshot is the JSON document served by GET /debug/catalog. Entries and
+// Loading are in (grid, model) order.
 type Snapshot struct {
-	Capacity int             `json:"capacity"`
-	Grids    []string        `json:"grids"`
-	Entries  []EntrySnapshot `json:"entries"`
-	Loading  []Key           `json:"loading"`
-	Stats    Stats           `json:"stats"`
+	Grids   []string        `json:"grids"`
+	Entries []EntrySnapshot `json:"entries"`
+	Loading []Key           `json:"loading"`
+	Stats   Stats           `json:"stats"`
 }
 
 // Snapshot captures the catalog state for debugging.
@@ -448,18 +413,16 @@ func (c *Catalog) Snapshot() Snapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	snap := Snapshot{
-		Capacity: c.opts.Capacity,
-		Entries:  make([]EntrySnapshot, 0, c.lru.Len()),
-		Loading:  make([]Key, 0, len(c.loading)),
-		Stats:    c.Stats(),
+		Entries: make([]EntrySnapshot, 0, len(c.entries)),
+		Loading: make([]Key, 0, len(c.loading)),
+		Stats:   c.Stats(),
 	}
 	snap.Grids = make([]string, 0, len(c.grids))
 	for name := range c.grids {
 		snap.Grids = append(snap.Grids, name)
 	}
 	sort.Strings(snap.Grids)
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		ent := e.Value.(*Entry)
+	for _, ent := range c.entries {
 		snap.Entries = append(snap.Entries, EntrySnapshot{
 			Grid:       ent.key.Grid,
 			Model:      ent.key.Model,
@@ -471,14 +434,17 @@ func (c *Catalog) Snapshot() Snapshot {
 			AgeSeconds: now.Sub(ent.loadedAt).Seconds(),
 		})
 	}
+	slices.SortFunc(snap.Entries, func(a, b EntrySnapshot) int {
+		return compareKeys(Key{a.Grid, a.Model}, Key{b.Grid, b.Model})
+	})
 	for key := range c.loading {
 		snap.Loading = append(snap.Loading, key)
 	}
-	sort.Slice(snap.Loading, func(i, j int) bool {
-		if snap.Loading[i].Grid != snap.Loading[j].Grid {
-			return snap.Loading[i].Grid < snap.Loading[j].Grid
-		}
-		return snap.Loading[i].Model < snap.Loading[j].Model
-	})
+	slices.SortFunc(snap.Loading, compareKeys)
 	return snap
+}
+
+// compareKeys orders keys by grid, then by model.
+func compareKeys(a, b Key) int {
+	return cmp.Or(strings.Compare(a.Grid, b.Grid), strings.Compare(a.Model, b.Model))
 }

@@ -50,7 +50,7 @@ func countingLoader(calls *atomic.Int64, delay time.Duration) ModelLoader {
 
 func TestSingleFlightDedup(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Options{Capacity: 4, LoadModel: countingLoader(&calls, 30*time.Millisecond)})
+	c := New(Options{LoadModel: countingLoader(&calls, 30*time.Millisecond)})
 	c.InstallGrid("alpha", testGrid(t, 1))
 
 	const K = 32
@@ -110,54 +110,14 @@ func TestAcquireUnknownGridAndModel(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionOrder(t *testing.T) {
-	var calls atomic.Int64
-	c := New(Options{Capacity: 2, LoadModel: countingLoader(&calls, 0)})
-	for _, name := range []string{"a", "b", "c", "d"} {
-		c.InstallGrid(name, testGrid(t, 1))
-	}
-	get := func(name string) *Entry {
-		t.Helper()
-		ent, err := c.Acquire(context.Background(), Key{Grid: name})
-		if err != nil {
-			t.Fatalf("Acquire %s: %v", name, err)
-		}
-		ent.Release()
-		return ent
-	}
-
-	get("a")
-	get("b")
-	get("c") // evicts a (LRU)
-	snap := c.Snapshot()
-	if len(snap.Entries) != 2 || snap.Entries[0].Grid != "c" || snap.Entries[1].Grid != "b" {
-		t.Fatalf("after a,b,c: entries %+v, want [c b]", snap.Entries)
-	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", st.Evictions)
-	}
-
-	get("b") // hit: b becomes MRU
-	get("d") // evicts c, not b
-	snap = c.Snapshot()
-	if len(snap.Entries) != 2 || snap.Entries[0].Grid != "d" || snap.Entries[1].Grid != "b" {
-		t.Fatalf("after touch(b),d: entries %+v, want [d b]", snap.Entries)
-	}
-	st := c.Stats()
-	if st.Evictions != 2 || st.Hits != 1 || st.Loads != 4 {
-		t.Fatalf("stats %+v, want evictions=2 hits=1 loads=4", st)
-	}
-}
-
 // TestEvictedEntryStaysValidWhileInUse is the regression test for the
 // eviction/in-use race: an entry evicted while a slow Decide holds a
 // reference must stay fully usable until the last Release, and must close
 // deterministically at that point.
 func TestEvictedEntryStaysValidWhileInUse(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Options{Capacity: 1, LoadModel: countingLoader(&calls, 0)})
+	c := New(Options{LoadModel: countingLoader(&calls, 0)})
 	c.InstallGrid("slow", testGrid(t, 1))
-	c.InstallGrid("other", testGrid(t, 2))
 
 	ent, err := c.Acquire(context.Background(), Key{Grid: "slow"})
 	if err != nil {
@@ -179,15 +139,10 @@ func TestEvictedEntryStaysValidWhileInUse(t *testing.T) {
 	}()
 	<-started
 
-	// Force eviction of the in-use entry.
-	if _, err := c.Acquire(context.Background(), Key{Grid: "other"}); err != nil {
-		t.Fatalf("Acquire other: %v", err)
-	}
-	snap := c.Snapshot()
-	for _, e := range snap.Entries {
-		if e.Grid == "slow" {
-			t.Fatal("slow entry still resident after capacity-1 eviction")
-		}
+	// Force eviction of the in-use entry by replacing its grid.
+	c.InstallGrid("slow", testGrid(t, 2))
+	if n := len(c.Snapshot().Entries); n != 0 {
+		t.Fatalf("%d entries resident after grid replacement, want 0", n)
 	}
 	if ent.Closed() {
 		t.Fatal("evicted entry closed while a Decide is in flight")
@@ -211,7 +166,7 @@ func TestEvictedEntryStaysValidWhileInUse(t *testing.T) {
 
 func TestInstallGridReplacementEvicts(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Options{Capacity: 4, LoadModel: countingLoader(&calls, 0)})
+	c := New(Options{LoadModel: countingLoader(&calls, 0)})
 	c.InstallGrid("alpha", testGrid(t, 1))
 	ent, err := c.Acquire(context.Background(), Key{Grid: "alpha"})
 	if err != nil {
@@ -332,7 +287,6 @@ func TestBatchedMatchesUnbatched(t *testing.T) {
 	}
 
 	c := New(Options{
-		Capacity: 2,
 		LoadModel: func(context.Context, string) (*ModelArtifact, error) {
 			return &ModelArtifact{Model: fx.model, Ext: fx.ext, Source: "test"}, nil
 		},
@@ -430,7 +384,7 @@ func TestDoRunsConcurrently(t *testing.T) {
 }
 
 // TestDoPanicReachesCaller: a panic inside fn unwinds into the caller's
-// deferred recover (where tmplar's recoverPanics and the job queue's
+// deferred recover (where tmplar's instrument and the job queue's
 // runSafely sit), and the entry keeps serving with consistent refs.
 func TestDoPanicReachesCaller(t *testing.T) {
 	c, ent := acquireAlpha(t)
@@ -483,7 +437,7 @@ func TestDoDoneContext(t *testing.T) {
 
 func TestSnapshotShape(t *testing.T) {
 	var calls atomic.Int64
-	c := New(Options{Capacity: 3, LoadModel: countingLoader(&calls, 0)})
+	c := New(Options{LoadModel: countingLoader(&calls, 0)})
 	c.InstallGrid("alpha", testGrid(t, 1))
 	ent, err := c.Acquire(context.Background(), Key{Grid: "alpha", Model: "seed:5"})
 	if err != nil {
@@ -492,7 +446,7 @@ func TestSnapshotShape(t *testing.T) {
 	defer ent.Release()
 
 	snap := c.Snapshot()
-	if snap.Capacity != 3 || len(snap.Grids) != 1 || snap.Grids[0] != "alpha" {
+	if len(snap.Grids) != 1 || snap.Grids[0] != "alpha" {
 		t.Fatalf("snapshot header wrong: %+v", snap)
 	}
 	if len(snap.Entries) != 1 {

@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"container/list"
 	"context"
 	"time"
 
@@ -21,8 +20,7 @@ type Entry struct {
 	artifact string
 	loadedAt time.Time
 
-	cat  *Catalog
-	elem *list.Element
+	cat *Catalog
 
 	// Guarded by cat.mu.
 	refs    int

@@ -300,7 +300,7 @@ async function pollCatalog() {
     '</td><td class="num">' + e.hits + '</td><td class="num">' +
     e.age_seconds.toFixed(1) + "s</td></tr>").join("");
   catBox.innerHTML = "<table><caption>planner catalog &middot; " +
-    (snap.entries || []).length + "/" + snap.capacity + " entries &middot; hit rate " + rate +
+    (snap.entries || []).length + " entries &middot; hit rate " + rate +
     " &middot; evictions " + (st.evictions || 0) + " &middot; loading " +
     (snap.loading || []).length + "</caption>" +
     "<tr><th>grid</th><th>model</th><th>source</th><th>refs</th><th>hits</th><th>age</th></tr>" +

@@ -25,11 +25,12 @@ func testGrid(t *testing.T, seed int64) *grid.Grid {
 	return g
 }
 
-// testModel builds a deterministic linear model pair without training.
+// testModel builds a deterministic linear model pair without training, as
+// wide as the feature vectors (5 TMM and 6 LM weights) so that it loads.
 func testModel(bias float64) *approx.LinearModel {
 	return &approx.LinearModel{
-		TMM: &linreg.Model{Weights: []float64{0.5, -1.25, bias}, Intercept: 0.1},
-		LM:  &linreg.Model{Weights: []float64{2.0, 0.75, -bias}, Intercept: -0.2},
+		TMM: &linreg.Model{Weights: []float64{0.5, -1.25, bias, 0.25, -0.5}, Intercept: 0.1},
+		LM:  &linreg.Model{Weights: []float64{2.0, 0.75, -bias, 0.5, -0.25, 1.5}, Intercept: -0.2},
 	}
 }
 
@@ -73,8 +74,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := []float64{0.3, -0.7, 1.1}
-	if loaded.PredictTMM(x) != model.PredictTMM(x) || loaded.PredictLM(x) != model.PredictLM(x) {
+	x := []float64{0.3, -0.7, 1.1, 0.2, -0.4, 0.9}
+	if loaded.PredictTMM(x[:5]) != model.PredictTMM(x[:5]) || loaded.PredictLM(x) != model.PredictLM(x) {
 		t.Fatal("loaded model predicts differently from the registered one")
 	}
 }

@@ -224,7 +224,7 @@ func (m panicModel) PredictLM(x []float64) float64 {
 }
 
 // TestPlannerPanicIsRecovered: a panic inside a planner unwinds into the
-// request's own goroutine, so POST /api/plan answers recoverPanics' JSON 500
+// request's own goroutine, so POST /api/plan answers instrument's JSON 500
 // and POST /api/jobs/plan ends failed, and the process keeps serving.
 func TestPlannerPanicIsRecovered(t *testing.T) {
 	s := jobServer(t, 1, 4)
@@ -294,15 +294,14 @@ func TestReadyzReportsCatalog(t *testing.T) {
 	}
 	var body struct {
 		Catalog struct {
-			Entries  int `json:"entries"`
-			Capacity int `json:"capacity"`
-			Loading  int `json:"loading"`
+			Entries int `json:"entries"`
+			Loading int `json:"loading"`
 		} `json:"catalog"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Catalog.Entries < 1 || body.Catalog.Capacity < 1 {
+	if body.Catalog.Entries < 1 {
 		t.Errorf("readyz catalog = %+v, want a populated section", body.Catalog)
 	}
 }

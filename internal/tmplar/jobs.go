@@ -8,9 +8,7 @@ import (
 	"net/http"
 	"strconv"
 
-	"github.com/routeplanning/mamorl/internal/catalog"
 	"github.com/routeplanning/mamorl/internal/jobs"
-	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/obs"
 	"github.com/routeplanning/mamorl/internal/trace"
 )
@@ -42,43 +40,24 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.jobsUnavailable(w) {
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxPlanBytes)
 	var req JobPlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge(err) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{"invalid JSON: " + err.Error()})
+	if !s.decodeBody(w, r, &req) {
+		return
+	}
+	// The synchronous plane's admission runs at submit, so a job that
+	// cannot plan is refused with the status and body POST /api/plan
+	// answers and never takes queue capacity. The queued job holds its
+	// planner, built with a fresh budget.
+	plan := req.PlanRequest
+	p, err := s.prepare(r.Context(), plan)
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	key := req.IdempotencyKey
 	if key == "" {
 		key = r.Header.Get("Idempotency-Key")
 	}
-	// Reject the obvious 4xx cases synchronously; a job that cannot plan
-	// should not occupy queue capacity.
-	if _, ok := s.lookupGrid(req.Grid); !ok {
-		writeNotFound(w, &catalog.NotFoundError{Kind: "grid", Name: req.Grid})
-		return
-	}
-	// Model selectors validate against the registry manifests only — cheap
-	// enough for synchronous admission; the weights load when the job runs.
-	if err := s.models.validate(req.ModelID); err != nil {
-		if !writeNotFound(w, err) {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
-		}
-		return
-	}
-	if len(req.Assets) == 0 {
-		writeJSON(w, http.StatusBadRequest, errorResponse{"no assets"})
-		return
-	}
-	if _, err := algorithmFor(req.PlanRequest); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{err.Error()})
-		return
-	}
-
 	var traceID trace.TraceID
 	if sp := trace.SpanFromContext(r.Context()); sp != nil {
 		traceID = sp.TraceID
@@ -90,7 +69,6 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if jobs.Namespace(key) == "" {
 		namespace = "grid:" + req.Grid
 	}
-	plan := req.PlanRequest
 	view, err := s.jobs.Submit(jobs.Request{
 		Kind:           "plan",
 		IdempotencyKey: key,
@@ -98,9 +76,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Timeout:        s.deadlineFor(plan),
 		TraceID:        traceID,
 		Fn: func(ctx context.Context) (any, error) {
-			// Each execution gets a fresh budget — a resubmitted job must
-			// not inherit the exhausted accounting of a failed attempt.
-			resp, _, err := s.plan(ctx, plan, s.newBudget())
+			sp := planSpan(ctx, plan)
+			defer sp.End()
+			resp, err := s.run(ctx, sp, p)
 			if err != nil {
 				return nil, err
 			}
@@ -121,7 +99,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, errorResponse{"server draining; not accepting jobs"})
 		return
 	case err != nil:
-		writeJSON(w, http.StatusInternalServerError, errorResponse{err.Error()})
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("Location", "/api/jobs/"+view.ID)
@@ -140,12 +118,9 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	// A job that failed over budget answers 429 like the synchronous
 	// plane, still carrying the job view (its error string names the
 	// resource) so clients see one consistent admission-control signal.
-	if view.State == jobs.StateFailed {
-		var ob *limits.ErrOverBudget
-		if errors.As(s.jobs.Err(view.ID), &ob) {
-			writeJSON(w, http.StatusTooManyRequests, view)
-			return
-		}
+	if view.State == jobs.StateFailed && statusOf(s.jobs.Err(view.ID)) == http.StatusTooManyRequests {
+		writeJSON(w, http.StatusTooManyRequests, view)
+		return
 	}
 	writeJSON(w, http.StatusOK, view)
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/jobs"
 )
 
@@ -87,32 +88,52 @@ func TestJobSubmitPollDone(t *testing.T) {
 func TestJobSubmitValidatesSynchronously(t *testing.T) {
 	s := jobServer(t, 1, 4)
 	h := s.Handler()
+	g, _ := s.lookupGrid("ops-area")
 
-	bad := opsPlanRequest()
-	bad.Grid = "no-such-grid"
-	if rec := do(t, h, "POST", "/api/jobs/plan", bad); rec.Code != http.StatusNotFound {
-		t.Fatalf("unknown grid: %d", rec.Code)
+	// Every plan that cannot run is refused with the synchronous plane's
+	// status and body, byte for byte, and is never queued.
+	cases := []struct {
+		name string
+		edit func(*PlanRequest)
+		code int
+		msg  string // a fragment of the body
+	}{
+		{"unknown grid", func(r *PlanRequest) { r.Grid = "no-such-grid" }, http.StatusNotFound, "no-such-grid"},
+		{"no assets", func(r *PlanRequest) { r.Assets = nil }, http.StatusBadRequest, "no assets"},
+		{"unknown algorithm", func(r *PlanRequest) { r.Algorithm = "quantum" }, http.StatusBadRequest, "unknown algorithm"},
+		{"pk without region", func(r *PlanRequest) { r.Algorithm = "approx-pk" }, http.StatusBadRequest, "requires a region"},
+		{"destination outside the grid", func(r *PlanRequest) { r.Destination = 9999 }, http.StatusBadRequest, "destination 9999 outside grid"},
+		{"source outside the grid", func(r *PlanRequest) { r.Assets[0].Source = 9999 }, http.StatusBadRequest, "source 9999 outside grid"},
+		{"asset on an obstacle", func(r *PlanRequest) { r.Obstacles = []int32{r.Assets[0].Source} }, http.StatusBadRequest, "starts on obstacle"},
+		{"destination walled off", func(r *PlanRequest) {
+			for _, e := range g.InEdges(grid.NodeID(r.Destination)) {
+				r.Obstacles = append(r.Obstacles, int32(e.To))
+			}
+		}, http.StatusBadRequest, "unreachable"},
+		{"pk region excludes the destination", func(r *PlanRequest) {
+			p := g.Pos(grid.NodeID(r.Assets[0].Source))
+			r.Algorithm = "approx-pk"
+			r.Region = &RegionSpec{MinX: p.X - 1e-6, MinY: p.Y - 1e-6, MaxX: p.X + 1e-6, MaxY: p.Y + 1e-6}
+		}, http.StatusBadRequest, "outside the known region"},
 	}
-	empty := opsPlanRequest()
-	empty.Assets = nil
-	if rec := do(t, h, "POST", "/api/jobs/plan", empty); rec.Code != http.StatusBadRequest {
-		t.Fatalf("no assets: %d", rec.Code)
+	for _, c := range cases {
+		req := opsPlanRequest()
+		c.edit(&req)
+		want := do(t, h, "POST", "/api/plan", req)
+		rec := do(t, h, "POST", "/api/jobs/plan", req)
+		if want.Code != c.code || !strings.Contains(want.Body.String(), c.msg) {
+			t.Errorf("%s: plan plane %d %s, want %d naming %q", c.name, want.Code, want.Body.String(), c.code, c.msg)
+		}
+		if rec.Code != want.Code || rec.Body.String() != want.Body.String() {
+			t.Errorf("%s: jobs plane %d %s, plan plane %d %s",
+				c.name, rec.Code, rec.Body.String(), want.Code, want.Body.String())
+		}
 	}
 	if rec := do(t, h, "POST", "/api/jobs/plan", "{broken"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage body: %d", rec.Code)
 	}
-	// A plan that cannot run is refused with the synchronous plane's body.
-	quantum := opsPlanRequest()
-	quantum.Algorithm = "quantum"
-	noRegion := opsPlanRequest()
-	noRegion.Algorithm = "approx-pk"
-	for _, req := range []PlanRequest{quantum, noRegion} {
-		want := do(t, h, "POST", "/api/plan", req)
-		rec := do(t, h, "POST", "/api/jobs/plan", req)
-		if rec.Code != http.StatusBadRequest || want.Code != http.StatusBadRequest || rec.Body.String() != want.Body.String() {
-			t.Fatalf("algorithm %q: jobs plane %d %s, plan plane %d %s",
-				req.Algorithm, rec.Code, rec.Body.String(), want.Code, want.Body.String())
-		}
+	if n := s.Metrics().CounterValue("jobs_submitted_total", "kind", "plan"); n != 0 {
+		t.Errorf("%d refused plans were queued", n)
 	}
 	if rec := do(t, h, "GET", "/api/jobs/j-99999999", nil); rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown job: %d", rec.Code)

@@ -8,12 +8,15 @@
 // The server is stdlib net/http only. Grids are registered once (uploaded
 // as JSON or installed programmatically) and referenced by name in planning
 // requests. Planning is tenant-aware: every request selects a (grid,
-// model_id) pair, resolved through the planner catalog — an LRU-bounded
-// cache of loaded models with single-flight loading — and runs its mission
-// on the request's own goroutine with a planner the algo table builds for
-// that request. The default model (empty model_id) is trained at startup
-// exactly as in Section 4.2; alternative models resolve from the registry
-// by artifact ID, "seed:<n>", or "name:<grid>".
+// model_id) pair. One admission step, prepare, serves both plan planes: it
+// resolves the pair through the planner catalog (single-flight model
+// loading), validates the scenario and builds the request's planner with
+// the algo table, so a request that either plane refuses gets the same
+// status and body before any mission starts. run then flies the mission,
+// on the request's own goroutine or on a job worker. statusOf lists every
+// status a plan request can end in. The default model (empty model_id) is
+// trained at startup exactly as in Section 4.2; alternative models resolve
+// from the registry by artifact ID, "seed:<n>", or "name:<grid>".
 package tmplar
 
 import (
@@ -129,10 +132,6 @@ type Options struct {
 	// ProfileWindow is the CPU profile length per capture; <= 0 selects the
 	// prof package default (5s, clamped below ProfileInterval).
 	ProfileWindow time.Duration
-	// CatalogCapacity bounds the resident (grid, model) planner entries in
-	// the serving catalog; LRU eviction beyond it. <= 0 selects the catalog
-	// package default (8).
-	CatalogCapacity int
 }
 
 func (o Options) withDefaults() Options {
@@ -214,7 +213,6 @@ func NewServerOpts(seed int64, opts Options) (*Server, error) {
 		return nil, err
 	}
 	cat := catalog.New(catalog.Options{
-		Capacity:  opts.CatalogCapacity,
 		LoadModel: models.resolve,
 		Metrics:   opts.Metrics,
 		Tracer:    tracer,
@@ -364,33 +362,41 @@ func (mc *modelCache) resolve(_ context.Context, selector string) (*catalog.Mode
 	return art, nil
 }
 
-// validate checks that a selector is resolvable without loading weights:
-// cheap enough for synchronous admission on the jobs plane.
-func (mc *modelCache) validate(selector string) error {
-	mc.mu.Lock()
-	if _, ok := mc.bySel[selector]; ok {
-		mc.mu.Unlock()
-		return nil
-	}
-	mc.mu.Unlock()
-	if selector == "" {
-		return nil // the default trains on demand; always resolvable
-	}
-	_, err := mc.manifestFor(selector)
-	return err
-}
-
-// resolveRegistry loads a non-default selector from the registry.
+// resolveRegistry loads a non-default selector from the registry. A
+// selector that names no artifact, or one whose blob does not load, is a
+// 404: to the client it does not name a usable model.
 func (mc *modelCache) resolveRegistry(selector string) (*catalog.ModelArtifact, error) {
-	man, err := mc.manifestFor(selector)
+	notFound := &catalog.NotFoundError{Kind: "model", Name: selector}
+	if mc.store == nil {
+		return nil, notFound
+	}
+	var (
+		man registry.Manifest
+		err error
+	)
+	switch {
+	case strings.HasPrefix(selector, "seed:"):
+		n, perr := strconv.ParseInt(strings.TrimPrefix(selector, "seed:"), 10, 64)
+		if perr != nil {
+			return nil, notFound
+		}
+		man, err = mc.store.ResolveMatch(func(m registry.Manifest) bool {
+			return m.Kind == registry.KindLinreg && m.Seed == n
+		})
+	case strings.HasPrefix(selector, "name:"):
+		name := strings.TrimPrefix(selector, "name:")
+		man, err = mc.store.ResolveMatch(func(m registry.Manifest) bool {
+			return m.Kind == registry.KindLinreg && m.Grid == name
+		})
+	default:
+		man, err = mc.store.Get(selector)
+	}
 	if err != nil {
-		return nil, err
+		return nil, notFound
 	}
 	model, err := registry.LoadLinear(mc.store, man)
 	if err != nil {
-		// A manifest whose blob is corrupt serves nothing; to the client
-		// the selector does not name a usable model.
-		return nil, &catalog.NotFoundError{Kind: "model", Name: selector}
+		return nil, notFound
 	}
 	return &catalog.ModelArtifact{
 		Model:      model,
@@ -398,43 +404,6 @@ func (mc *modelCache) resolveRegistry(selector string) (*catalog.ModelArtifact, 
 		Source:     ModelSourceRegistry,
 		ArtifactID: man.ID,
 	}, nil
-}
-
-// manifestFor resolves a non-default selector to its registry manifest.
-func (mc *modelCache) manifestFor(selector string) (registry.Manifest, error) {
-	notFound := &catalog.NotFoundError{Kind: "model", Name: selector}
-	if mc.store == nil {
-		return registry.Manifest{}, notFound
-	}
-	switch {
-	case strings.HasPrefix(selector, "seed:"):
-		n, err := strconv.ParseInt(strings.TrimPrefix(selector, "seed:"), 10, 64)
-		if err != nil {
-			return registry.Manifest{}, notFound
-		}
-		man, err := mc.store.ResolveMatch(func(m registry.Manifest) bool {
-			return m.Kind == registry.KindLinreg && m.Seed == n
-		})
-		if err != nil {
-			return registry.Manifest{}, notFound
-		}
-		return man, nil
-	case strings.HasPrefix(selector, "name:"):
-		name := strings.TrimPrefix(selector, "name:")
-		man, err := mc.store.ResolveMatch(func(m registry.Manifest) bool {
-			return m.Kind == registry.KindLinreg && m.Grid == name
-		})
-		if err != nil {
-			return registry.Manifest{}, notFound
-		}
-		return man, nil
-	default:
-		man, err := mc.store.Get(selector)
-		if err != nil {
-			return registry.Manifest{}, notFound
-		}
-		return man, nil
-	}
 }
 
 // loadOrTrainDefault resolves the default serving model: from the registry
@@ -616,7 +585,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /debug/prof", s.profiler.ListHandler())
 	mux.Handle("GET /debug/prof/{id}", s.profiler.GetHandler())
 	mux.Handle("GET /debug/dash", obs.DashHandler("/debug/metrics/stream", "/debug/slo", "/debug/prof", "/debug/catalog"))
-	return s.instrument(recoverPanics(mux))
+	return s.instrument(mux)
 }
 
 // --- Middleware --------------------------------------------------------------
@@ -649,29 +618,6 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
-// recoverPanics converts a handler panic into a 500 JSON error instead of a
-// torn-down connection. The broken-pipe sentinel http.ErrAbortHandler keeps
-// its stdlib meaning and is re-raised.
-func recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w}
-		defer func() {
-			if v := recover(); v != nil {
-				if err, ok := v.(error); ok && errors.Is(err, http.ErrAbortHandler) {
-					panic(v)
-				}
-				// If the handler already started a response we can only drop
-				// the connection; otherwise answer with a JSON 500.
-				if rec.status == 0 {
-					writeJSON(rec, http.StatusInternalServerError,
-						errorResponse{fmt.Sprintf("internal error: %v", v)})
-				}
-			}
-		}()
-		next.ServeHTTP(rec, r)
-	})
-}
-
 // routeLabel normalizes a request path into its route pattern for metric
 // labels: parameterized routes collapse to their pattern ("/api/jobs/{id}")
 // and unknown paths collapse to "other", so label cardinality stays bounded
@@ -702,9 +648,10 @@ func routeLabel(path string) string {
 
 // instrument opens the request span (whose trace ID is echoed back in the
 // X-Trace-Id header and stamped on the request log record), tracks in-flight
-// requests, and records request count by endpoint/status plus latency. The
-// endpoint label is the route pattern, not the raw path; the raw path still
-// reaches the log record and the request span.
+// requests, recovers handler panics, and records request count by
+// endpoint/status plus latency. The endpoint label is the route pattern, not
+// the raw path; the raw path still reaches the log record and the request
+// span.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -722,7 +669,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			r = r.WithContext(trace.ContextWithSpan(r.Context(), sp))
 		}
 
-		next.ServeHTTP(rec, r)
+		serveRecovered(next, rec, r)
 		if rec.status == 0 {
 			rec.status = http.StatusOK
 		}
@@ -752,6 +699,23 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				"dur", elapsed, "trace", traceID)
 		}
 	})
+}
+
+// serveRecovered runs next, turning a panic into a JSON 500 instead of a
+// torn-down connection when no response has started (otherwise the client
+// keeps what it got). The broken-pipe sentinel http.ErrAbortHandler keeps
+// its stdlib meaning and is re-raised.
+func serveRecovered(next http.Handler, rec *statusRecorder, r *http.Request) {
+	defer func() {
+		v := recover()
+		if err, ok := v.(error); ok && errors.Is(err, http.ErrAbortHandler) {
+			panic(v)
+		}
+		if v != nil && rec.status == 0 {
+			writeJSON(rec, http.StatusInternalServerError, errorResponse{fmt.Sprintf("internal error: %v", v)})
+		}
+	}()
+	next.ServeHTTP(rec, r)
 }
 
 // startRequestSpan opens the request span. A well-formed, non-zero incoming
@@ -988,13 +952,12 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	body := map[string]any{
 		"status": "ready", "grids": grids, "model_loaded": modelLoaded,
 	}
-	// Catalog health: how many planner entries are resident vs. the LRU
-	// bound, and how many loads are in flight right now.
+	// Catalog health: how many planner entries are resident and how many
+	// loads are in flight right now.
 	snap := s.cat.Snapshot()
 	body["catalog"] = map[string]any{
-		"entries":  len(snap.Entries),
-		"capacity": snap.Capacity,
-		"loading":  len(snap.Loading),
+		"entries": len(snap.Entries),
+		"loading": len(snap.Loading),
 	}
 	// Provenance: a registry warm start means the server was ready the
 	// moment it came up, without paying the training cost; operators can
@@ -1052,19 +1015,12 @@ func (s *Server) handleCatalogDebug(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.cat.Snapshot())
 }
 
-// tooLarge reports whether err came from http.MaxBytesReader tripping.
-func tooLarge(err error) bool {
-	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
-}
-
 func (s *Server) handleUploadGrid(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxGridBytes)
 	g, err := grid.Decode(r.Body)
 	if err != nil {
-		status := http.StatusBadRequest
-		if tooLarge(err) {
-			status = http.StatusRequestEntityTooLarge
+		status := statusOf(badRequest{err})
+		if status == http.StatusRequestEntityTooLarge {
 			err = fmt.Errorf("grid upload exceeds %d bytes", s.opts.MaxGridBytes)
 		}
 		writeJSON(w, status, errorResponse{err.Error()})
@@ -1081,29 +1037,28 @@ func (s *Server) handleUploadGrid(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Server) handlePlanGlobal(w http.ResponseWriter, r *http.Request) {
+// decodeBody decodes a plan endpoint's JSON body, capped at MaxPlanBytes,
+// into v. On failure it answers 413 past the cap and 400 otherwise, and
+// reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxPlanBytes)
-	var req PlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge(err) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{"invalid JSON: " + err.Error()})
-		return
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		writeError(w, badRequest{fmt.Errorf("invalid JSON: %w", err)})
+		return false
 	}
-	s.servePlan(w, r, req)
+	return true
+}
+
+func (s *Server) handlePlanGlobal(w http.ResponseWriter, r *http.Request) {
+	var req PlanRequest
+	if s.decodeBody(w, r, &req) {
+		s.servePlan(w, r, req)
+	}
 }
 
 func (s *Server) handlePlanLocal(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxPlanBytes)
 	var req LocalPlanRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		status := http.StatusBadRequest
-		if tooLarge(err) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		writeJSON(w, status, errorResponse{"invalid JSON: " + err.Error()})
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	s.servePlan(w, r, PlanRequest{
@@ -1165,35 +1120,65 @@ type notFoundResponse struct {
 	Name     string `json:"name"`
 }
 
-// writeNotFound answers err as a structured 404 when it carries a catalog
-// NotFoundError, reporting whether it did.
-func writeNotFound(w http.ResponseWriter, err error) bool {
-	var nf *catalog.NotFoundError
-	if !errors.As(err, &nf) {
-		return false
+// badRequest marks a client error in a plan request: malformed JSON, no
+// assets, a scenario Validate refuses, or an algorithm or region the
+// planner table refuses.
+type badRequest struct{ error }
+
+func (e badRequest) Unwrap() error { return e.error }
+
+// statusOf maps a plan-path error to the one status it answers:
+//
+//	404  *catalog.NotFoundError: an unknown grid or model selector, or a
+//	     registry model whose blob does not load
+//	413  *http.MaxBytesError: a body past its byte limit
+//	400  badRequest: malformed JSON, no assets, a Scenario.Validate error,
+//	     an unknown algorithm, a missing or unusable region
+//	429  *limits.ErrOverBudget: the request's budget ran out
+//	503  context.DeadlineExceeded or context.Canceled: the deadline passed
+//	     or the client left
+//	500  everything else: a failed model load, a mission or encoder error
+//
+// A handler panic also answers 500, from instrument.
+func statusOf(err error) int {
+	var (
+		nf *catalog.NotFoundError
+		mb *http.MaxBytesError
+		br badRequest
+		ob *limits.ErrOverBudget
+	)
+	switch {
+	case errors.As(err, &nf):
+		return http.StatusNotFound
+	case errors.As(err, &mb):
+		return http.StatusRequestEntityTooLarge
+	case errors.As(err, &br):
+		return http.StatusBadRequest
+	case errors.As(err, &ob):
+		return http.StatusTooManyRequests
+	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
+		return http.StatusServiceUnavailable
 	}
-	writeJSON(w, http.StatusNotFound, notFoundResponse{
-		Error:    err.Error(),
-		Resource: nf.Kind,
-		Name:     nf.Name,
-	})
-	return true
+	return http.StatusInternalServerError
 }
 
-// writeOverBudget answers err as a structured 429 when it carries an
-// ErrOverBudget, reporting whether it did.
-func writeOverBudget(w http.ResponseWriter, err error) bool {
-	var ob *limits.ErrOverBudget
-	if !errors.As(err, &ob) {
-		return false
+// writeError answers err with statusOf(err): a structured body for an
+// unknown grid or model (404) and for an exhausted budget (429), and
+// {"error": …} for every other status.
+func writeError(w http.ResponseWriter, err error) {
+	var (
+		nf *catalog.NotFoundError
+		ob *limits.ErrOverBudget
+	)
+	status := statusOf(err)
+	var body any = errorResponse{err.Error()}
+	switch {
+	case status == http.StatusNotFound && errors.As(err, &nf):
+		body = notFoundResponse{Error: err.Error(), Resource: nf.Kind, Name: nf.Name}
+	case status == http.StatusTooManyRequests && errors.As(err, &ob):
+		body = overBudgetResponse{Error: err.Error(), Resource: ob.Resource.String(), Limit: ob.Limit, Used: ob.Used}
 	}
-	writeJSON(w, http.StatusTooManyRequests, overBudgetResponse{
-		Error:    err.Error(),
-		Resource: ob.Resource.String(),
-		Limit:    ob.Limit,
-		Used:     ob.Used,
-	})
-	return true
+	writeJSON(w, status, body)
 }
 
 // recordBudget folds one request's budget usage into the shared metrics
@@ -1223,18 +1208,20 @@ func (s *Server) recordBudget(sp *trace.Span, b *limits.Budget, err error, tenan
 	}
 }
 
-// servePlan runs a plan under the request deadline and writes the outcome,
-// recording plan metrics either way. A deadline expiry answers 503 (the
-// service is alive; this request's mission was too heavy for its budget),
-// and a client disconnect answers 499-style with the straight 503 body —
-// the connection is gone anyway.
+// servePlan plans under the request deadline and writes the outcome,
+// recording plan metrics either way. A failed plan counts by its status:
+// a 429 in no error counter, a 503 in tmplar_plan_deadline_exceeded_total
+// with a body naming the deadline, and any other in
+// tmplar_plan_errors_total. A 503 means the service is alive but this
+// request's mission was too heavy for its deadline; a client that
+// disconnected gets the same answer, though no one reads it.
 func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, req PlanRequest) {
 	deadline := s.deadlineFor(req)
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
 	start := time.Now()
-	resp, status, err := s.plan(ctx, req, s.newBudget())
+	resp, err := s.plan(ctx, req)
 	elapsed := time.Since(start)
 	// The plan is encoded before it is counted, so a response the encoder
 	// refuses counts as a failed plan and answers 500.
@@ -1246,7 +1233,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, req PlanReque
 		b, err = resp.AppendJSON(*body)
 		*body = append(b, '\n')
 		if err != nil {
-			status, err = http.StatusInternalServerError, fmt.Errorf("encode response: %w", err)
+			err = fmt.Errorf("encode response: %w", err)
 		}
 	}
 
@@ -1266,20 +1253,15 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, req PlanReque
 		h.Observe(elapsed.Seconds())
 	}
 	if err != nil {
-		if writeOverBudget(w, err) {
-			return
-		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
+		switch status := statusOf(err); status {
+		case http.StatusTooManyRequests:
+		case http.StatusServiceUnavailable:
 			m.Counter("tmplar_plan_deadline_exceeded_total").Inc()
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{
-				fmt.Sprintf("planning exceeded the %v deadline: %v", deadline, err)})
-			return
+			err = fmt.Errorf("planning exceeded the %v deadline: %w", deadline, err)
+		default:
+			m.Counter("tmplar_plan_errors_total", "status", strconv.Itoa(status)).Inc()
 		}
-		m.Counter("tmplar_plan_errors_total", "status", fmt.Sprint(status)).Inc()
-		if writeNotFound(w, err) {
-			return
-		}
-		writeJSON(w, status, errorResponse{err.Error()})
+		writeError(w, err)
 		return
 	}
 	m.Counter("tmplar_plan_completed_total", "algorithm", algoLabel(req.Algorithm)).Inc()
@@ -1295,39 +1277,63 @@ func algoLabel(algo string) string {
 	return algo
 }
 
-// plan executes a mission for a request, aborting when ctx expires or the
-// request budget is exhausted (HTTP 429). The mission span parents under
-// the request span carried by ctx, so one trace ID covers the request from
-// HTTP edge to simulation. budget may be nil (unlimited); it is shared by
-// the planner and the mission loop so a planner-latched violation aborts
-// the run at the next epoch.
-//
-// The (grid, model_id) pair resolves through the planner catalog, whose
-// entry is ref-counted for the duration of the request. The mission runs
-// on this goroutine with a planner the algo table builds for the request.
-func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budget) (*PlanResponse, int, error) {
-	sp := trace.SpanFromContext(ctx).Child("plan",
+// preparedPlan is an admitted plan request, ready to run: its scenario, its
+// planner, the collision policy of its algorithm, and its budget (nil when
+// unlimited), which the planner and the mission loop share so that a
+// planner-latched violation aborts the run at the next epoch.
+type preparedPlan struct {
+	tenant    string
+	sc        sim.Scenario
+	planner   sim.Planner
+	collision sim.CollisionPolicy
+	budget    *limits.Budget
+}
+
+// plan admits and runs one synchronous plan request. Its plan span covers
+// both steps and parents under the request span carried by ctx, so one
+// trace ID covers the request from HTTP edge to simulation.
+func (s *Server) plan(ctx context.Context, req PlanRequest) (*PlanResponse, error) {
+	sp := planSpan(ctx, req)
+	defer sp.End()
+	p, err := s.prepare(ctx, req)
+	if err != nil {
+		return nil, err
+	}
+	return s.run(ctx, sp, p)
+}
+
+// planSpan opens the plan span of req under the span carried by ctx.
+func planSpan(ctx context.Context, req PlanRequest) *trace.Span {
+	return trace.SpanFromContext(ctx).Child("plan",
 		trace.String("grid", req.Grid),
 		trace.String("model", req.ModelID),
 		trace.String("algorithm", algoLabel(req.Algorithm)),
 		trace.Int("assets", int64(len(req.Assets))))
-	defer sp.End()
+}
 
+// prepare is the one admission of /api/plan, /api/plan/asset and
+// /api/jobs/plan. Its steps run in this order, which sets each error's
+// precedence:
+//
+//  1. acquire the (grid, model_id) entry from the catalog: 404 for an
+//     unknown grid or model, 503 when ctx is done;
+//  2. require assets (400);
+//  3. build the scenario on the entry's grid and validate it (400);
+//  4. resolve the algorithm, and require a region if it needs one (400);
+//  5. check ctx (503);
+//  6. build the planner with a fresh budget (400 when the algorithm
+//     refuses the scenario or region).
+//
+// The entry is released on return: the planner holds its model and the
+// scenario holds its grid.
+func (s *Server) prepare(ctx context.Context, req PlanRequest) (*preparedPlan, error) {
 	ent, err := s.cat.Acquire(ctx, catalog.Key{Grid: req.Grid, Model: req.ModelID})
 	if err != nil {
-		var nf *catalog.NotFoundError
-		if errors.As(err, &nf) {
-			return nil, http.StatusNotFound, err
-		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, http.StatusServiceUnavailable, err
-		}
-		return nil, http.StatusInternalServerError, err
+		return nil, err
 	}
 	defer ent.Release()
-	g := ent.Grid()
 	if len(req.Assets) == 0 {
-		return nil, http.StatusBadRequest, fmt.Errorf("no assets")
+		return nil, badRequest{errors.New("no assets")}
 	}
 	team := make(vessel.Team, len(req.Assets))
 	for i, a := range req.Assets {
@@ -1343,7 +1349,7 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 		commEvery = 3
 	}
 	sc := sim.Scenario{
-		Grid:      g,
+		Grid:      ent.Grid(),
 		Team:      team,
 		Dest:      grid.NodeID(req.Destination),
 		CommEvery: commEvery,
@@ -1355,29 +1361,38 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 	sc.Weather = req.Weather.field()
 	sc.Rendezvous = req.Rendezvous
 	if err := sc.Validate(); err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, badRequest{err}
 	}
-	alg, err := algorithmFor(req)
+	alg, err := algo.Lookup(algoLabel(req.Algorithm))
+	if err == nil && alg.NeedsRegion && req.Region == nil {
+		err = fmt.Errorf("%s requires a region", alg.Name)
+	}
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, badRequest{err}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, http.StatusServiceUnavailable, err
+		return nil, err
 	}
-	in := algo.Inputs{Scenario: sc, Model: ent.Model(), Ext: ent.Ext(), Seed: req.Seed, Budget: budget}
+	p := &preparedPlan{tenant: req.Grid, sc: sc, collision: alg.Collision, budget: s.newBudget()}
+	in := algo.Inputs{Scenario: sc, Model: ent.Model(), Ext: ent.Ext(), Seed: req.Seed, Budget: p.budget}
 	if req.Region != nil {
 		in.Region = geo.Rect(*req.Region)
 	}
-	planner, err := alg.New(in)
-	if err != nil {
-		return nil, http.StatusBadRequest, err
+	if p.planner, err = alg.New(in); err != nil {
+		return nil, badRequest{err}
 	}
+	return p, nil
+}
 
-	// Fold the step stream into per-asset routes. Every asset records one
-	// leg per step, so all assets' legs share one slab of perAsset legs
-	// each and regrow together: one allocation per doubling, not one per
-	// asset.
-	routes := make([]AssetRoute, len(team))
+// run flies an admitted plan's mission on the caller's goroutine and folds
+// its steps into per-asset routes. It ends in a 429 error when the budget
+// runs out, 503 when ctx expires, and 500 otherwise. The mission span
+// parents under sp.
+func (s *Server) run(ctx context.Context, sp *trace.Span, p *preparedPlan) (*PlanResponse, error) {
+	// Every asset records one leg per step, so all assets' legs share one
+	// slab of perAsset legs each and regrow together: one allocation per
+	// doubling, not one per asset.
+	routes := make([]AssetRoute, len(p.sc.Team))
 	for i := range routes {
 		routes[i].Asset = i
 	}
@@ -1399,21 +1414,14 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 			routes[i].Fuel += leg.Fuel
 		}
 	}
-	res, err := sim.RunContext(ctx, sc, planner,
-		sim.RunOptions{Collision: alg.Collision, OnStep: record, TraceParent: sp, Budget: budget})
-	s.recordBudget(sp, budget, err, req.Grid)
+	res, err := sim.RunContext(ctx, p.sc, p.planner,
+		sim.RunOptions{Collision: p.collision, OnStep: record, TraceParent: sp, Budget: p.budget})
+	s.recordBudget(sp, p.budget, err, p.tenant)
 	if err != nil {
 		if sp.Enabled() {
 			sp.SetAttrs(trace.String("error", err.Error()))
 		}
-		var ob *limits.ErrOverBudget
-		if errors.As(err, &ob) {
-			return nil, http.StatusTooManyRequests, err
-		}
-		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			return nil, http.StatusServiceUnavailable, err
-		}
-		return nil, http.StatusInternalServerError, err
+		return nil, err
 	}
 	if sp.Enabled() {
 		sp.SetAttrs(trace.Bool("found", res.Found), trace.Int("steps", int64(res.Steps)))
@@ -1426,17 +1434,7 @@ func (s *Server) plan(ctx context.Context, req PlanRequest, budget *limits.Budge
 		FTotal:     res.FTotal,
 		Collisions: res.Collisions,
 		Routes:     routes,
-	}, http.StatusOK, nil
-}
-
-// algorithmFor resolves a request's algorithm in the planner table. Both
-// plan planes answer its errors with 400.
-func algorithmFor(req PlanRequest) (algo.Entry, error) {
-	alg, err := algo.Lookup(algoLabel(req.Algorithm))
-	if err == nil && alg.NeedsRegion && req.Region == nil {
-		err = fmt.Errorf("%s requires a region", alg.Name)
-	}
-	return alg, err
+	}, nil
 }
 
 // bodyPool recycles response buffers. releaseBody drops a buffer that grew

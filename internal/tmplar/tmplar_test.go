@@ -2,7 +2,9 @@ package tmplar
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -13,6 +15,7 @@ import (
 
 	"github.com/routeplanning/mamorl/internal/catalog"
 	"github.com/routeplanning/mamorl/internal/grid"
+	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/obs"
 )
 
@@ -283,6 +286,31 @@ func TestPlanErrors(t *testing.T) {
 	}
 }
 
+// TestStatusOf pins the plan path's one status table, each error wrapped
+// as the plan path wraps it.
+func TestStatusOf(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"unknown grid", fmt.Errorf("acquire: %w", &catalog.NotFoundError{Kind: "grid", Name: "nowhere"}), http.StatusNotFound},
+		{"body too large", badRequest{fmt.Errorf("invalid JSON: %w", &http.MaxBytesError{Limit: 32})}, http.StatusRequestEntityTooLarge},
+		{"malformed JSON", badRequest{fmt.Errorf("invalid JSON: %w", errors.New("unexpected EOF"))}, http.StatusBadRequest},
+		{"invalid scenario", badRequest{fmt.Errorf("scenario: %w", errors.New("asset 0 needs a positive max speed"))}, http.StatusBadRequest},
+		{"over budget", fmt.Errorf("sim: mission aborted at epoch 3: %w", &limits.ErrOverBudget{Resource: limits.Nodes, Limit: 1, Used: 9}), http.StatusTooManyRequests},
+		{"deadline", fmt.Errorf("sim: mission aborted at epoch 3: %w", context.DeadlineExceeded), http.StatusServiceUnavailable},
+		{"client gone", fmt.Errorf("sim: mission aborted at epoch 0: %w", context.Canceled), http.StatusServiceUnavailable},
+		{"failed load", fmt.Errorf("tmplar: model fit: %w", errors.New("singular matrix")), http.StatusInternalServerError},
+		{"closed catalog", catalog.ErrClosed, http.StatusInternalServerError},
+	}
+	for _, c := range cases {
+		if got := statusOf(c.err); got != c.want {
+			t.Errorf("%s: statusOf(%v) = %d, want %d", c.name, c.err, got, c.want)
+		}
+	}
+}
+
 func TestEndToEndOverHTTP(t *testing.T) {
 	// Full network round trip through an httptest server, as a TMPLAR
 	// front-end would issue it.
@@ -537,7 +565,6 @@ func derivedServer(t *testing.T, opts Options) *Server {
 		modelArtifact: base.modelArtifact,
 	}
 	s.cat = catalog.New(catalog.Options{
-		Capacity:  opts.CatalogCapacity,
 		LoadModel: base.models.resolve,
 		Metrics:   opts.Metrics,
 	})
@@ -773,7 +800,7 @@ func TestPanicRecoveryAnswers500(t *testing.T) {
 	mux.HandleFunc("GET /boom", func(http.ResponseWriter, *http.Request) {
 		panic("kaboom")
 	})
-	h := s.instrument(recoverPanics(mux))
+	h := s.instrument(mux)
 	rec := do(t, h, "GET", "/boom", nil)
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("panic: code %d, want 500", rec.Code)

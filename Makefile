@@ -52,12 +52,14 @@ bench-smoke:
 
 # fuzz-smoke runs each fuzz target for 10 s: the plan response encoder
 # against encoding/json, grid.Decode and grid.Subgraph on arbitrary input,
-# and exact MaMoRL's joint-state table against its map-based oracle. -fuzz
+# grid.Beyond's key test against Distance on arbitrary two-node grids, and
+# exact MaMoRL's joint-state table against its map-based oracle. -fuzz
 # takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanResponseJSON$$' -fuzztime 10s ./internal/tmplar
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzSubgraph$$' -fuzztime 10s ./internal/grid
+	$(GO) test -run '^$$' -fuzz '^FuzzBeyond$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzStateTable$$' -fuzztime 10s ./internal/core
 
 # experiments-smoke runs every experiment driver but the sweeps once at

@@ -330,26 +330,93 @@ func BenchmarkLemmaTableSizes(b *testing.B) {
 // --- Micro-benchmarks on the core machinery ----------------------------------
 
 // BenchmarkApproxDecide measures one planning decision of the deployed
-// planner (the latency TMPLAR sees per asset per epoch).
+// planner (the latency TMPLAR sees per asset per epoch). The synthetic
+// case decides for a four-asset team at its sources on a 400-node grid;
+// the caribbean case decides for six assets mid-mission on the Caribbean
+// mesh that plan-hot serves, packed close enough that teammates pass the
+// reachability gate, so TMM rollouts, the gate and θ are all timed.
 func BenchmarkApproxDecide(b *testing.B) {
 	h := harness(b)
-	g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 400, Edges: 846, MaxOutDegree: 9, Seed: 2})
+	b.Run("synthetic", func(b *testing.B) {
+		g, err := grid.GenerateSynthetic(grid.SyntheticConfig{Nodes: 400, Edges: 846, MaxOutDegree: 9, Seed: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		sc, err := approx.TrainingScenario(g, 4, 5, 1.2, 3)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pl := approx.NewPlanner(h.Linear, h.Pipe.Extractor, 1)
+		m, err := sim.NewMission(sc, sim.RunOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = pl.Decide(m, i%len(sc.Team))
+		}
+	})
+	b.Run("caribbean", func(b *testing.B) {
+		pl := approx.NewPlanner(h.Linear, h.Pipe.Extractor, 1)
+		m := caribbeanMidMission(b, pl)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			_ = pl.Decide(m, i%m.NumAssets())
+		}
+	})
+}
+
+// caribbeanMidMission starts six assets with max speeds 3 to 5 on the
+// Caribbean mesh's first node of the largest out-degree and five of its
+// neighbours, aimed at the farthest node,
+// and lets pl plan eight epochs. It fails unless every asset still has a
+// teammate inside the planner's reachability gate.
+func caribbeanMidMission(tb testing.TB, pl sim.Planner) *sim.Mission {
+	tb.Helper()
+	g, err := grid.CaribbeanGrid(1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	sc, err := approx.TrainingScenario(g, 4, 5, 1.2, 3)
-	if err != nil {
-		b.Fatal(err)
+	hub := grid.NodeID(0)
+	for g.OutDegree(hub) < g.MaxOutDegree() {
+		hub++
 	}
-	pl := approx.NewPlanner(h.Linear, h.Pipe.Extractor, 1)
+	sources := []grid.NodeID{hub}
+	for _, e := range g.Neighbors(hub)[:5] {
+		sources = append(sources, e.To)
+	}
+	team := vessel.NewTeam(sources, 1.2*g.AvgEdgeWeight(), 3)
+	for k := range team {
+		team[k].MaxSpeed = 3 + k%3
+	}
+	sc := sim.Scenario{Grid: g, Team: team, Dest: approx.FarthestNode(g, sources), CommEvery: 3}
 	m, err := sim.NewMission(sc, sim.RunOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = pl.Decide(m, i%len(sc.Team))
+	acts := make([]sim.Action, len(team))
+	for epoch := 0; epoch < 8; epoch++ {
+		for i := range acts {
+			acts[i] = pl.Decide(m, i)
+		}
+		if _, err := m.ExecuteStep(acts); err != nil {
+			tb.Fatal(err)
+		}
 	}
+	if m.Done() {
+		tb.Fatal("mission ended during warm-up")
+	}
+	for i := range team {
+		near := false
+		for j, vj := range m.Knowledge(i).LastKnown {
+			stale := m.Step() - m.Knowledge(i).LastKnownStep[j]
+			near = near || (j != i && g.Distance(m.Cur(i), vj) <= float64(stale+2)*g.MaxEdgeWeight())
+		}
+		if !near {
+			tb.Fatalf("asset %d has no teammate inside the reachability gate", i)
+		}
+	}
+	return m
 }
 
 // exactFixture is an untrained two-asset exact planner on a 100-node grid

@@ -54,7 +54,6 @@ type Planner struct {
 	ballNext []grid.NodeID
 	lmCtx    features.NodeContext
 	tmmCtx   features.NodeContext
-	actBuf   []sim.Action
 	featBuf  []float64
 }
 
@@ -142,29 +141,44 @@ func (p *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	dest := features.ResolveDest(m, i)
 	p.predictTeammateNodes(m, i, dest)
 
+	// Score the legal actions in sim.AppendLegalActionsFor order: each
+	// out-neighbour that is no obstacle at speeds 1..MaxSpeed, then wait.
+	// A blocked neighbour is skipped before any feature or jitter draw,
+	// but its actions are charged. The features of one neighbour's speeds
+	// differ only in sp and sp', so its α, β and occupancy are taken once.
+	maxSpeed := m.Asset(i).MaxSpeed
+	obstacles := m.HasObstacles()
+	legal := 1 // wait
 	bestAct := sim.Wait
 	bestV := math.Inf(-1)
 	anyAlpha := false
 	ctx := p.ext.LMContextInto(&p.lmCtx, m, i, dest)
-	p.actBuf = m.AppendLegalActionsFor(p.actBuf[:0], i)
-	_ = p.budget.Charge(limits.Nodes, int64(len(p.actBuf)))
-	for _, a := range p.actBuf {
-		if !a.IsWait() {
-			to, _ := m.Apply(m.Cur(i), a)
-			if p.blocked.Has(to) {
-				continue
-			}
+	for n, e := range m.Grid().Neighbors(m.Cur(i)) {
+		if obstacles && m.Obstacle(e.To) {
+			continue
 		}
-		p.featBuf = ctx.AppendFeatures(p.featBuf[:0], a)
-		if p.featBuf[2] > 0 {
+		legal += maxSpeed
+		if p.blocked.Has(e.To) {
+			continue
+		}
+		if ctx.Target(n) > 0 {
 			anyAlpha = true
 		}
-		v := p.model.PredictLM(p.featBuf) + 1e-9*p.rng.Float64()
-		if v > bestV {
-			bestV = v
-			bestAct = a
+		for s := 1; s <= maxSpeed; s++ {
+			p.featBuf = ctx.AppendSpeed(p.featBuf[:0], s)
+			v := p.model.PredictLM(p.featBuf) + 1e-9*p.rng.Float64()
+			if v > bestV {
+				bestV = v
+				bestAct = sim.Action{Neighbor: n, Speed: s}
+			}
 		}
 	}
+	ctx.Target(sim.Wait.Neighbor)
+	p.featBuf = ctx.AppendSpeed(p.featBuf[:0], 0)
+	if v := p.model.PredictLM(p.featBuf) + 1e-9*p.rng.Float64(); v > bestV {
+		bestAct = sim.Wait
+	}
+	_ = p.budget.Charge(limits.Nodes, int64(legal))
 
 	// Two overrides keep a mistrained or saturated model from parking:
 	// when no candidate move senses anything new, head for the frontier;
@@ -198,6 +212,10 @@ func (p *Planner) Decide(m *sim.Mission, i int) sim.Action {
 func (p *Planner) predictTeammateNodes(m *sim.Mission, i int, dest features.DestArg) {
 	g := m.Grid()
 	p.blocked.Reset(g.NumNodes())
+	// The reachability gate's bound for teammates last seen gateStale
+	// epochs ago; teammates mostly share one staleness, so its key is taken
+	// once per staleness value, not once per teammate.
+	gateStale, gate := -1, grid.Range{}
 	for j := range m.NumAssets() {
 		if j == i {
 			continue
@@ -212,8 +230,12 @@ func (p *Planner) predictTeammateNodes(m *sim.Mission, i int, dest features.Dest
 		// MaxEdgeWeight of our node; teammate j sits within (stale+1) edges
 		// of vj. If those balls cannot intersect, j is irrelevant this
 		// epoch — skip the hop-ball and the TMM model entirely. This keeps
-		// per-decision cost flat as teams spread out.
-		if g.Distance(m.Cur(i), vj) > float64(stale+2)*g.MaxEdgeWeight() {
+		// per-decision cost flat as teams spread out. Distance keys decide
+		// the test without trig wherever they can (grid.Beyond).
+		if stale != gateStale {
+			gateStale, gate = stale, g.RangeOf(float64(stale+2)*g.MaxEdgeWeight())
+		}
+		if g.Beyond(m.Cur(i), vj, gate) {
 			continue
 		}
 		if j < i && !p.opts.NoRightOfWay {
@@ -223,22 +245,27 @@ func (p *Planner) predictTeammateNodes(m *sim.Mission, i int, dest features.Dest
 		if p.opts.NoTMMBlocking {
 			continue
 		}
+		// Teammate j's actions in sim.AppendLegalActions order, one
+		// target step per out-neighbour; the argmax keeps the first best.
 		bestP := math.Inf(-1)
 		bestTo := vj
 		ctx := p.ext.TMMContextInto(&p.tmmCtx, m, i, j, dest)
-		p.actBuf = sim.AppendLegalActions(p.actBuf[:0], g, vj, m.Asset(j).MaxSpeed)
-		_ = p.budget.Charge(limits.Nodes, int64(len(p.actBuf)))
-		for _, a := range p.actBuf {
-			p.featBuf = ctx.AppendFeatures(p.featBuf[:0], a)
-			pv := p.model.PredictTMM(p.featBuf)
-			if pv > bestP {
-				bestP = pv
-				if a.IsWait() {
-					bestTo = vj
-				} else {
-					bestTo = g.Neighbors(vj)[a.Neighbor].To
+		edges := g.Neighbors(vj)
+		maxSpeed := m.Asset(j).MaxSpeed
+		_ = p.budget.Charge(limits.Nodes, int64(sim.ActionCount(len(edges), maxSpeed)))
+		for n, e := range edges {
+			ctx.Target(n)
+			for s := 1; s <= maxSpeed; s++ {
+				p.featBuf = ctx.AppendSpeed(p.featBuf[:0], s)
+				if pv := p.model.PredictTMM(p.featBuf); pv > bestP {
+					bestP, bestTo = pv, e.To
 				}
 			}
+		}
+		ctx.Target(sim.Wait.Neighbor)
+		p.featBuf = ctx.AppendSpeed(p.featBuf[:0], 0)
+		if p.model.PredictTMM(p.featBuf) > bestP {
+			bestTo = vj
 		}
 		p.blocked.Add(bestTo)
 	}

@@ -169,24 +169,44 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 		_ = opts.Budget.Charge(limits.Bytes, int64(8*len(x)+24))
 	}
 	// Per-collection scratch, reused across every step: feature contexts
-	// (their α caches and hop scratch persist), one feature buffer, one
-	// legal-action buffer.
+	// (their hop scratch persists) and one feature buffer.
 	var (
 		tmmCtx, lmCtxNo, lmCtxDest features.NodeContext
 		xbuf                       []float64
-		actBuf                     []sim.Action
 	)
+	// Rows follow the legal-action order (sim.AppendLegalActions, or
+	// AppendLegalActionsFor for the asset's own moves): each out-neighbour
+	// at speeds 1..MaxSpeed, then wait. A context's target step runs once
+	// per neighbour, its speed step once per row.
+	tmmRow := func(speed int, p float64) {
+		xbuf = tmmCtx.AppendSpeed(xbuf[:0], speed)
+		charge(xbuf)
+		data.tmmXm.AppendRow(xbuf)
+		data.TMMY = append(data.TMMY, p)
+	}
+	lmRows := func(m *sim.Mission, i int, a sim.Action) {
+		xbuf = lmCtxNo.AppendSpeed(xbuf[:0], a.Speed)
+		charge(xbuf)
+		data.lmXm.AppendRow(xbuf)
+		data.LMY = append(data.LMY, rewardProxy(m, i, a, features.NoDest, w))
+
+		xbuf = lmCtxDest.AppendSpeed(xbuf[:0], a.Speed)
+		charge(xbuf)
+		data.lmXm.AppendRow(xbuf)
+		data.LMY = append(data.LMY, rewardProxy(m, i, a, sc.Dest, w))
+	}
 	collect := func(m *sim.Mission, _ []sim.Action) {
-		n := m.NumAssets()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
+		g := m.Grid()
+		assets := m.NumAssets()
+		for i := 0; i < assets; i++ {
+			for j := 0; j < assets; j++ {
 				if j == i {
 					continue
 				}
 				dist := pl.PDistribution(m, i, j)
-				vj := m.Knowledge(i).LastKnown[j]
-				actBuf = sim.AppendLegalActions(actBuf[:0], m.Grid(), vj, sc.Team[j].MaxSpeed)
-				if len(actBuf) != len(dist) {
+				edges := g.Neighbors(m.Knowledge(i).LastKnown[j])
+				maxSpeed := sc.Team[j].MaxSpeed
+				if sim.ActionCount(len(edges), maxSpeed) != len(dist) {
 					// Degenerate (should not happen): drop, but visibly.
 					if skipped != nil {
 						skipped.Add(uint64(len(dist)))
@@ -194,27 +214,33 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 					continue
 				}
 				opts.Extractor.TMMContextInto(&tmmCtx, m, i, j, features.NoDest)
-				for aIdx, a := range actBuf {
-					xbuf = tmmCtx.AppendFeatures(xbuf[:0], a)
-					charge(xbuf)
-					data.tmmXm.AppendRow(xbuf)
-					data.TMMY = append(data.TMMY, dist[aIdx])
+				aIdx := 0
+				for n := range edges {
+					tmmCtx.Target(n)
+					for s := 1; s <= maxSpeed; s++ {
+						tmmRow(s, dist[aIdx])
+						aIdx++
+					}
 				}
+				tmmCtx.Target(sim.Wait.Neighbor)
+				tmmRow(0, dist[aIdx])
 			}
 			opts.Extractor.LMContextInto(&lmCtxNo, m, i, features.NoDest)
 			opts.Extractor.LMContextInto(&lmCtxDest, m, i, sc.Dest)
-			actBuf = m.AppendLegalActionsFor(actBuf[:0], i)
-			for _, a := range actBuf {
-				xbuf = lmCtxNo.AppendFeatures(xbuf[:0], a)
-				charge(xbuf)
-				data.lmXm.AppendRow(xbuf)
-				data.LMY = append(data.LMY, rewardProxy(m, i, a, features.NoDest, w))
-
-				xbuf = lmCtxDest.AppendFeatures(xbuf[:0], a)
-				charge(xbuf)
-				data.lmXm.AppendRow(xbuf)
-				data.LMY = append(data.LMY, rewardProxy(m, i, a, sc.Dest, w))
+			maxSpeed := sc.Team[i].MaxSpeed
+			for n, e := range g.Neighbors(m.Cur(i)) {
+				if m.Obstacle(e.To) {
+					continue
+				}
+				lmCtxNo.Target(n)
+				lmCtxDest.Target(n)
+				for s := 1; s <= maxSpeed; s++ {
+					lmRows(m, i, sim.Action{Neighbor: n, Speed: s})
+				}
 			}
+			lmCtxNo.Target(sim.Wait.Neighbor)
+			lmCtxDest.Target(sim.Wait.Neighbor)
+			lmRows(m, i, sim.Wait)
 		}
 	}
 

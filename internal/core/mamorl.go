@@ -147,17 +147,7 @@ func (pl *Planner) MaskedTo(mask func(grid.NodeID) bool) sim.Planner {
 // maskedNewly counts the unsensed nodes within asset i's radius of v that
 // the mask accepts.
 func (pl *Planner) maskedNewly(m *sim.Mission, i int, v grid.NodeID) int {
-	if pl.mask == nil {
-		return m.PredictNewlySensed(i, v)
-	}
-	count := 0
-	sensed := m.Knowledge(i).Sensed
-	pl.sc.Grid.ForEachWithinRadius(v, pl.sc.Team[i].SensingRadius, func(u grid.NodeID) {
-		if !sensed[u] && pl.mask(u) {
-			count++
-		}
-	})
-	return count
+	return m.CountUnsensed(i, v, pl.sc.Team[i].SensingRadius, pl.mask)
 }
 
 // SetTraining toggles ε-greedy exploration in Decide.

@@ -70,19 +70,27 @@ func (e Extractor) LM(m *sim.Mission, i int, a sim.Action, dest DestArg) []float
 	return e.LMContext(m, i, dest).Features(a)
 }
 
-// NodeContext caches the expensive per-node feature components — θ's hop
-// search and α's sensing query — so that scoring every action at a node
-// (planners do this every epoch for every asset and anticipated teammate)
-// costs one hop search per context, covering every other asset at once,
-// and one radius query per *target node* instead of per (target, speed)
-// pair.
+// NodeContext caches the expensive per-node feature components so that
+// scoring every action at a node (planners do this every epoch for every
+// asset and anticipated teammate) costs one hop search per context,
+// covering every other asset at once, and one sensing count per target
+// node instead of per (target, speed) pair.
+//
+// Extraction takes two steps. Target primes one out-neighbour of the
+// context node, or wait: it computes what depends on the target alone (α,
+// β, and for LM contexts whether asset i believes the target occupied).
+// AppendSpeed then appends the vector of one speed toward the primed
+// target, which differs between speeds only in sp and sp'. Priming a
+// context targets wait. Scoring loops walk out-neighbours in index order,
+// speeds 1..MaxSpeed within each, then wait: the sim.AppendLegalActions
+// order.
 //
 // A NodeContext is reusable: planners keep one per decision loop and
 // re-prime it with LMContextInto/TMMContextInto, so the steady-state
-// planning path performs no per-epoch allocation (its α cache and hop
-// scratch persist across reuse). Priming also reads the subject's spec
-// once, its maximum speed (as the float64 sp divides by) and its sensing
-// radius, so scoring an action copies no Scenario.
+// planning path performs no per-epoch allocation (its hop scratch persists
+// across reuse). Priming also reads the subject's spec once, its maximum
+// speed (as the float64 sp divides by) and its sensing radius, so scoring
+// an action copies no Scenario.
 type NodeContext struct {
 	e      Extractor
 	m      *sim.Mission
@@ -92,14 +100,17 @@ type NodeContext struct {
 	lm     bool
 	degree float64
 	theta  float64
+	// destDist is Distance(v, dest), β's first term; read only while the
+	// destination is known.
+	destDist float64
 	// maxSpeed and radius are subject j's MaxSpeed and SensingRadius.
 	maxSpeed float64
 	radius   float64
-	// α cache, keyed by target node. Targets are out-neighbors of v (at
-	// most D_max of them), so a linear scan over parallel slices beats a
-	// map and reuses its backing arrays across re-priming.
-	alphaTo  []grid.NodeID
-	alphaVal []float64
+	// The primed target: wait, or an out-neighbour with its α, β and (LM
+	// contexts only) believed occupancy.
+	wait        bool
+	alpha, beta float64
+	occupied    bool
 	// others holds θ's targets, the other assets' believed nodes.
 	others []grid.NodeID
 	hops   graphalg.HopSearcher
@@ -135,9 +146,10 @@ func (e Extractor) primeContext(c *NodeContext, m *sim.Mission, i, j int, v grid
 	subject := m.Asset(j)
 	c.maxSpeed, c.radius = float64(subject.MaxSpeed), subject.SensingRadius
 	c.degree = float64(g.OutDegree(v)) / float64(g.MaxOutDegree())
+	if dest != NoDest {
+		c.destDist = g.Distance(v, dest)
+	}
 	c.theta = 0
-	c.alphaTo = c.alphaTo[:0]
-	c.alphaVal = c.alphaVal[:0]
 	// θ(v, s): another asset within m hops of v (believed locations).
 	c.others = c.others[:0]
 	for k := range m.NumAssets() {
@@ -153,91 +165,60 @@ func (e Extractor) primeContext(c *NodeContext, m *sim.Mission, i, j int, v grid
 	if c.hops.AnyWithinHops(g, v, c.others, e.HopsM) {
 		c.theta = 1
 	}
+	c.Target(sim.Wait.Neighbor)
 	return c
 }
 
-// alphaAt computes (and caches) the α feature for a target node: the
-// fraction of newly sensed nodes there, judged against asset i's sensed
-// knowledge, normalized by D_max.
-func (c *NodeContext) alphaAt(to grid.NodeID) float64 {
-	for idx, v := range c.alphaTo {
-		if v == to {
-			return c.alphaVal[idx]
-		}
+// Target primes the n-th out-neighbour of the context node as the target
+// of the next AppendSpeed calls; a negative n (sim.Wait's Neighbor) primes
+// wait. It returns the target's α: the fraction of newly sensed nodes
+// there, judged against asset i's sensed knowledge with subject j's
+// radius, normalized by D_max (0 for wait).
+func (c *NodeContext) Target(n int) float64 {
+	c.wait = n < 0
+	c.alpha, c.beta, c.occupied = 0, 0, false
+	if c.wait {
+		return 0
 	}
 	g := c.m.Grid()
-	newly := 0
-	sensed := c.m.Knowledge(c.i).Sensed
-	mask := c.e.Mask
-	g.ForEachWithinRadius(to, c.radius, func(u grid.NodeID) {
-		if sensed[u] {
-			return
-		}
-		if mask != nil && !mask(u) {
-			return
-		}
-		newly++
-	})
-	a := float64(newly) / float64(g.MaxOutDegree())
-	c.alphaTo = append(c.alphaTo, to)
-	c.alphaVal = append(c.alphaVal, a)
-	return a
-}
-
-// Features computes the vector for one action: Equation 9's five features,
-// plus the collision-speed feature for LM contexts (Equation 11). It
-// allocates the result; hot paths use AppendFeatures with a reused buffer.
-func (c *NodeContext) Features(a sim.Action) []float64 {
-	dim := TMMDim
-	if c.lm {
-		dim = LMDim
-	}
-	return c.AppendFeatures(make([]float64, 0, dim), a)
-}
-
-// AppendFeatures appends the feature vector for one action to buf and
-// returns the extended slice. Passing buf[:0] of a planner-owned buffer
-// makes per-action extraction allocation-free.
-func (c *NodeContext) AppendFeatures(buf []float64, a sim.Action) []float64 {
-	g := c.m.Grid()
-	out := append(buf, c.degree, c.theta)
-
-	// Resolve the action target.
-	to := c.v
-	var weight float64
-	if !a.IsWait() {
-		edge := g.Neighbors(c.v)[a.Neighbor]
-		to, weight = edge.To, edge.Weight
-	}
+	edge := g.Neighbors(c.v)[n]
+	to, weight := edge.To, edge.Weight
 
 	// 3. α(a, s).
-	alpha := 0.0
-	if !a.IsWait() {
-		alpha = c.alphaAt(to)
-	}
-	out = append(out, alpha)
+	c.alpha = float64(c.m.CountUnsensed(c.i, to, c.radius, c.e.Mask)) / float64(g.MaxOutDegree())
 
 	// 4. β(a, d, s): normalized progress toward the destination; zero when
 	// unknown or when waiting.
-	beta := 0.0
-	if c.dest != NoDest && !a.IsWait() && weight > 0 {
-		beta = (g.Distance(c.v, c.dest) - g.Distance(to, c.dest)) / weight
+	if c.dest != NoDest && weight > 0 {
+		beta := (c.destDist - g.Distance(to, c.dest)) / weight
 		if beta > 1 {
 			beta = 1
 		} else if beta < -1 {
 			beta = -1
 		}
+		c.beta = beta
 	}
-	out = append(out, beta)
 
+	// The collision-risk feature's occupancy test.
+	if c.lm {
+		c.occupied = c.m.BelievedOccupied(c.i, to)
+	}
+	return c.alpha
+}
+
+// AppendSpeed appends the feature vector of moving to the primed target at
+// speed (ignored when the target is wait) to buf and returns the extended
+// slice: Equation 9's five features, plus the collision-speed feature for
+// LM contexts (Equation 11). Passing buf[:0] of a caller-owned buffer
+// makes extraction allocation-free.
+func (c *NodeContext) AppendSpeed(buf []float64, speed int) []float64 {
 	// 5. sp: the action's speed normalized by the subject's max speed
 	// (0 for wait).
 	sp := 0.0
-	if !a.IsWait() {
-		sp = float64(a.Speed) / c.maxSpeed
+	if !c.wait {
+		sp = float64(speed) / c.maxSpeed
 	}
-	out = append(out, sp)
-
+	out := append(buf, c.degree, c.theta, c.alpha, c.beta, sp)
 	if !c.lm {
 		return out
 	}
@@ -245,10 +226,22 @@ func (c *NodeContext) AppendFeatures(buf []float64, a sim.Action) []float64 {
 	// enters a believed-occupied node, else 0. Faster approaches to an
 	// occupied node are riskier (less time for the teammate to clear).
 	risk := 0.0
-	if !a.IsWait() && c.m.BelievedOccupied(c.i, to) {
+	if c.occupied {
 		risk = sp
 	}
 	return append(out, risk)
+}
+
+// Features computes the vector for one action, allocating the result: the
+// two steps for one action. Scoring loops call Target once per
+// out-neighbour and AppendSpeed per speed instead.
+func (c *NodeContext) Features(a sim.Action) []float64 {
+	dim := TMMDim
+	if c.lm {
+		dim = LMDim
+	}
+	c.Target(a.Neighbor)
+	return c.AppendSpeed(make([]float64, 0, dim), a.Speed)
 }
 
 // ResolveDest returns the destination argument asset i should use: the

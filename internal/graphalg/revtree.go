@@ -101,47 +101,68 @@ func (t *ReverseTree) PathFrom(v grid.NodeID) []grid.NodeID {
 // planning path (the θ feature asks one per feature context every epoch)
 // performs no per-query allocation after warm-up. The zero value is ready.
 type HopSearcher struct {
-	seen      grid.NodeSet
+	// mark holds one stamp per node: a query stamps its targets with gen
+	// and the nodes its search has queued with gen+1, so one |V|-sized
+	// array serves both sets and a new query clears both by stepping gen.
+	mark      []uint32
+	gen       uint32
 	cur, next []grid.NodeID
 }
 
 // AnyWithinHops reports whether any of targets is within m hops of source:
 // the package-level WithinHops for each target, answered by one
-// breadth-first search. Targets is a short list (the θ feature passes the
-// other assets' believed nodes), scanned linearly at every node the search
-// reaches.
+// breadth-first search. The targets are stamped once, so the search tests
+// each node it reaches with one load; nodes on the m-th hop are only
+// tested, never stamped or queued.
 func (h *HopSearcher) AnyWithinHops(g *grid.Grid, source grid.NodeID, targets []grid.NodeID, m int) bool {
 	if len(targets) == 0 {
 		return false
 	}
-	if slices.Contains(targets, source) {
+	if m <= 0 {
+		return slices.Contains(targets, source)
+	}
+	if n := g.NumNodes(); len(h.mark) < n {
+		h.mark = make([]uint32, n)
+		h.gen = 0
+	}
+	h.gen += 2
+	if h.gen < 2 { // wrapped: stale stamps could read as current ones
+		clear(h.mark)
+		h.gen = 2
+	}
+	target, seen := h.gen, h.gen+1
+	for _, t := range targets {
+		h.mark[t] = target
+	}
+	if h.mark[source] == target {
 		return true
 	}
-	if m <= 0 {
-		return false
-	}
-	h.seen.Reset(g.NumNodes())
-	h.seen.Add(source)
+	h.mark[source] = seen
 	h.cur = append(h.cur[:0], source)
-	for hop := 1; hop <= m; hop++ {
+	for hop := 1; hop < m; hop++ {
 		h.next = h.next[:0]
 		for _, v := range h.cur {
 			for _, e := range g.Neighbors(v) {
-				if h.seen.Has(e.To) {
-					continue
-				}
-				if slices.Contains(targets, e.To) {
+				switch h.mark[e.To] {
+				case target:
 					return true
-				}
-				h.seen.Add(e.To)
-				if hop < m { // the last hop's nodes are never expanded
+				case seen:
+				default:
+					h.mark[e.To] = seen
 					h.next = append(h.next, e.To)
 				}
 			}
 		}
 		h.cur, h.next = h.next, h.cur
 		if len(h.cur) == 0 {
-			break
+			return false
+		}
+	}
+	for _, v := range h.cur { // the m-th hop
+		for _, e := range g.Neighbors(v) {
+			if h.mark[e.To] == target {
+				return true
+			}
 		}
 	}
 	return false

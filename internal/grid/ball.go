@@ -43,10 +43,14 @@ type ballMemo struct {
 // maxBallIDs is the grid's cap on cached node IDs.
 func (g *Grid) maxBallIDs() int64 { return maxBallIDsPerNode * int64(len(g.pos)) }
 
-// ball returns the sensing ball of v at radius r, filling it on first use.
-// ok is false when the memo does not serve r: a negative or NaN radius, a
-// radius past the table limit, or a grid whose ID limit is reached.
-func (g *Grid) ball(v NodeID, r float64) (ball []NodeID, ok bool) {
+// Ball returns the sensing ball of v at radius r, filling it on first use:
+// the nodes ForEachWithinRadius visits, in its order. The slice is shared
+// and must not be modified. ok is false when the memo does not serve r: a
+// negative or NaN radius, a radius past the table limit, or a grid whose
+// ID limit is reached; callers then scan with ForEachWithinRadius. Loops
+// that walk a ball once per candidate move read it here rather than pay a
+// closure call per node.
+func (g *Grid) Ball(v NodeID, r float64) (ball []NodeID, ok bool) {
 	t := g.ballTable(r)
 	if t == nil {
 		return nil, false

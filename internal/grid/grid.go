@@ -192,9 +192,50 @@ func (g *Grid) Shorter(x, y DistKey) bool {
 
 // decisive reports whether keys x and y alone order their distances. It
 // takes the builtin max, which inlines where math.Max does not; both keys
-// are above keyFloor by then, so NaN and signed zeros never reach it.
+// are above keyFloor by then, so NaN (a Range's key for a d no key
+// stands for) and signed zeros never reach it.
 func decisive(x, y float64) bool {
 	return x > keyFloor && y > keyFloor && math.Abs(x-y) > nearTie*max(x, y)
+}
+
+// Range is a distance d with its distance key, for asking Beyond of many
+// pairs against one d. Build it with the grid's RangeOf: its key is in
+// that grid's units.
+type Range struct {
+	d, key float64
+}
+
+// RangeOf returns the Range of d. Its key is what DistKey would read for a
+// pair exactly d apart: 4·sin²(d/2R) on a geodesic grid (the squared chord
+// of an arc of length d on the unit sphere, R the Earth's radius), for
+// 0 ≤ d < πR, and d² on a planar grid, for finite d ≥ 0. Any other d
+// (negative, NaN, infinite, or at or past the antipode) gets a NaN key,
+// which no pair key is decisive against.
+func (g *Grid) RangeOf(d float64) Range {
+	if !(d >= 0) || math.IsInf(d, 1) {
+		return Range{d, math.NaN()}
+	}
+	if g.unit != nil {
+		if d >= math.Pi*geo.EarthRadiusNM {
+			return Range{d, math.NaN()}
+		}
+		s := math.Sin(d / (2 * geo.EarthRadiusNM))
+		return Range{d, 4 * s * s}
+	}
+	return Range{d, d * d}
+}
+
+// Beyond reports whether Distance(v, w) > r's d, with exactly the answer
+// that comparison gives, and without trig whenever the keys decide it. The
+// pair's DistKey decides against r's key under the rule Shorter follows
+// (both above keyFloor, more than a relative nearTie apart), for the same
+// error bounds: the key of d is a few ulps off, like the pair's. Otherwise
+// Beyond compares Distance with d.
+func (g *Grid) Beyond(v, w NodeID, r Range) bool {
+	if k := g.DistKey(v, w).key; decisive(k, r.key) {
+		return k > r.key
+	}
+	return g.Distance(v, w) > r.d
 }
 
 // radiusScratch pools the gather buffer of WithinRadius and of ball
@@ -239,7 +280,7 @@ func (g *Grid) WithinRadius(v NodeID, r float64) []NodeID {
 // radii and a bounded number of node IDs per grid; past either limit, and
 // for a negative or NaN r, the query scans without allocating.
 func (g *Grid) ForEachWithinRadius(v NodeID, r float64, fn func(NodeID)) {
-	if ball, ok := g.ball(v, r); ok {
+	if ball, ok := g.Ball(v, r); ok {
 		for _, u := range ball {
 			fn(u)
 		}

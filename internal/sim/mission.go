@@ -56,6 +56,9 @@ type Knowledge struct {
 	// to this asset (it sensed it, or partial knowledge revealed a region
 	// and the planner resolved it).
 	DestKnown bool
+	// sensesDest records whether the asset's last sensing ball held the
+	// destination: Distance(its node, Dest) <= its sensing radius.
+	sensesDest bool
 	// Dest is the revealed destination; valid only when DestKnown.
 	Dest grid.NodeID
 }
@@ -262,12 +265,34 @@ func (m *Mission) Apply(v grid.NodeID, a Action) (grid.NodeID, float64) {
 // distributed asset cannot know what teammates sensed since the last
 // communication.
 func (m *Mission) PredictNewlySensed(i int, v grid.NodeID) int {
+	return m.CountUnsensed(i, v, m.sc.Team[i].SensingRadius, nil)
+}
+
+// CountUnsensed counts the nodes within radius r of v that asset i has not
+// sensed and mask accepts (a nil mask accepts every node): what a sensor
+// of radius r at v would add to i's knowledge, restricted to the nodes a
+// masked planner values. PredictNewlySensed, the α feature (r is then the
+// subject teammate's radius) and exact MaMoRL's exploration tie-break all
+// count through it, once per candidate target node. It walks the grid's
+// memoized ball as a slice and scans only for a radius the memo does not
+// serve.
+func (m *Mission) CountUnsensed(i int, v grid.NodeID, r float64, mask func(grid.NodeID) bool) int {
+	sensed := m.know[i].Sensed
 	count := 0
-	m.sc.Grid.ForEachWithinRadius(v, m.sc.Team[i].SensingRadius, func(u grid.NodeID) {
-		if !m.know[i].Sensed[u] {
+	ball, ok := m.sc.Grid.Ball(v, r)
+	if !ok {
+		m.sc.Grid.ForEachWithinRadius(v, r, func(u grid.NodeID) {
+			if !sensed[u] && (mask == nil || mask(u)) {
+				count++
+			}
+		})
+		return count
+	}
+	for _, u := range ball {
+		if !sensed[u] && (mask == nil || mask(u)) {
 			count++
 		}
-	})
+	}
 	return count
 }
 
@@ -284,23 +309,43 @@ func (m *Mission) BelievedOccupied(i int, v grid.NodeID) bool {
 }
 
 // senseFrom marks everything within asset i's radius as sensed, both in the
-// asset's own knowledge and in the team's ground truth, and returns the
-// ground-truth newly sensed count (for the reward).
+// asset's own knowledge and in the team's ground truth, records whether
+// that ball holds the destination, and returns the ground-truth newly
+// sensed count (for the reward).
 func (m *Mission) senseFrom(i int) int {
-	newly := 0
-	m.sc.Grid.ForEachWithinRadius(m.cur[i], m.sc.Team[i].SensingRadius, func(u grid.NodeID) {
-		if !m.teamSensed[u] {
-			m.teamSensed[u] = true
-			m.teamSensedCount++
-			newly++
+	newly, dest := 0, m.sc.Dest
+	seen := false
+	g, v, r := m.sc.Grid, m.cur[i], m.sc.Team[i].SensingRadius
+	if ball, ok := g.Ball(v, r); ok {
+		for _, u := range ball {
+			newly += m.sense(i, u)
+			seen = seen || u == dest
 		}
-		if !m.know[i].Sensed[u] {
-			m.know[i].Sensed[u] = true
-			m.know[i].SensedCount++
-			m.fresh[i] = append(m.fresh[i], u)
-		}
-	})
+	} else {
+		g.ForEachWithinRadius(v, r, func(u grid.NodeID) {
+			newly += m.sense(i, u)
+			seen = seen || u == dest
+		})
+	}
+	m.know[i].sensesDest = seen
 	return newly
+}
+
+// sense marks node u sensed by asset i, and returns 1 if the team had not
+// sensed it before, else 0.
+func (m *Mission) sense(i int, u grid.NodeID) int {
+	k := &m.know[i]
+	if !k.Sensed[u] {
+		k.Sensed[u] = true
+		k.SensedCount++
+		m.fresh[i] = append(m.fresh[i], u)
+	}
+	if m.teamSensed[u] {
+		return 0
+	}
+	m.teamSensed[u] = true
+	m.teamSensedCount++
+	return 1
 }
 
 // checkDiscovery handles destination discovery and mission completion. The
@@ -308,11 +353,13 @@ func (m *Mission) senseFrom(i int) int {
 // (every asset learns the destination and everyone's location — Section
 // 2.2's asynchronous communication on discovery); the mission then ends
 // immediately, or — under Scenario.Rendezvous — once every asset is within
-// its sensing radius of the destination.
+// its sensing radius of the destination. Both tests read the flags the
+// last sensing pass left: a ball holds exactly the nodes within the
+// radius, under the metric bits Grid.Distance has.
 func (m *Mission) checkDiscovery() {
 	if m.foundBy < 0 {
-		for i := range m.sc.Team {
-			if m.sc.Grid.Distance(m.cur[i], m.sc.Dest) <= m.sc.Team[i].SensingRadius {
+		for i := range m.know {
+			if m.know[i].sensesDest {
 				m.foundBy = i
 				m.discoveryStep = m.step
 				for j := range m.know {
@@ -337,8 +384,8 @@ func (m *Mission) checkDiscovery() {
 		}
 	}
 	// Rendezvous phase: everyone gathers at the destination.
-	for i := range m.sc.Team {
-		if m.sc.Grid.Distance(m.cur[i], m.sc.Dest) > m.sc.Team[i].SensingRadius {
+	for i := range m.know {
+		if !m.know[i].sensesDest {
 			return
 		}
 	}

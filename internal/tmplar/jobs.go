@@ -73,7 +73,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		Kind:           "plan",
 		IdempotencyKey: key,
 		Namespace:      namespace,
-		Timeout:        s.deadlineFor(plan),
+		Timeout:        s.jobDeadlineFor(plan),
 		TraceID:        traceID,
 		Fn: func(ctx context.Context) (any, error) {
 			sp := planSpan(ctx, plan)

@@ -19,7 +19,13 @@ import (
 // job-plane tests neither retrain the model nor share queue state.
 func jobServer(t *testing.T, workers, depth int) *Server {
 	t.Helper()
-	s := derivedServer(t, Options{})
+	return jobServerOpts(t, Options{}, workers, depth)
+}
+
+// jobServerOpts is jobServer on a derivedServer built with opts.
+func jobServerOpts(t *testing.T, opts Options, workers, depth int) *Server {
+	t.Helper()
+	s := derivedServer(t, opts)
 	s.jobs = jobs.New(jobs.Options{Workers: workers, QueueDepth: depth,
 		DefaultTimeout: s.opts.JobTimeout, Metrics: s.opts.Metrics})
 	t.Cleanup(s.Close)
@@ -310,5 +316,47 @@ func TestJobsUnavailableWithoutQueue(t *testing.T) {
 	rec := do(t, s.Handler(), "POST", "/api/jobs/plan", opsPlanRequest())
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("queue-less server: %d", rec.Code)
+	}
+}
+
+// TestJobTimeoutBoundsPlanJob: a plan job runs under the server's
+// JobTimeout, not the synchronous plane's PlanTimeout. With a 1 ns job
+// timeout and the default 30 s plan deadline the job settles failed on its
+// deadline, while the same request on /api/plan still plans.
+func TestJobTimeoutBoundsPlanJob(t *testing.T) {
+	s := jobServerOpts(t, Options{JobTimeout: time.Nanosecond}, 1, 4)
+	h := s.Handler()
+	rec := do(t, h, "POST", "/api/jobs/plan", opsPlanRequest())
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body.String())
+	}
+	var v jobs.View
+	if err := json.Unmarshal(rec.Body.Bytes(), &v); err != nil {
+		t.Fatal(err)
+	}
+	final := pollJob(t, h, v.ID)
+	if final.State != jobs.StateFailed || !strings.Contains(final.Error, "deadline") {
+		t.Fatalf("job under a 1ns job timeout settled %s (error %q), want failed on its deadline", final.State, final.Error)
+	}
+	if rec := do(t, h, "POST", "/api/plan", opsPlanRequest()); rec.Code != http.StatusOK {
+		t.Fatalf("/api/plan beside a 1ns job timeout: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestJobDeadlineMSOnlyTightens: a request's deadline_ms tightens a long
+// job timeout and never loosens a short one, as it does the plan deadline.
+func TestJobDeadlineMSOnlyTightens(t *testing.T) {
+	s := derivedServer(t, Options{PlanTimeout: 10 * time.Second, JobTimeout: time.Hour})
+	req := opsPlanRequest()
+	req.DeadlineMS = 1
+	if d := s.jobDeadlineFor(req); d != time.Millisecond {
+		t.Errorf("jobDeadlineFor = %v, want 1ms", d)
+	}
+	req.DeadlineMS = (2 * time.Hour / time.Millisecond).Nanoseconds()
+	if d := s.jobDeadlineFor(req); d != time.Hour {
+		t.Errorf("jobDeadlineFor = %v, want the 1h job timeout", d)
+	}
+	if d := s.deadlineFor(req); d != 10*time.Second {
+		t.Errorf("deadlineFor = %v, want the 10s plan timeout", d)
 	}
 }

@@ -96,8 +96,9 @@ type Options struct {
 	// behind /api/jobs; <= 0 selects the jobs package defaults.
 	JobWorkers    int
 	JobQueueDepth int
-	// JobTimeout bounds one async planning job's execution; <= 0 falls
-	// back to PlanTimeout.
+	// JobTimeout bounds one async planning job's execution, tightened by
+	// the request's deadline_ms as PlanTimeout is on the synchronous plane;
+	// <= 0 falls back to PlanTimeout.
 	JobTimeout time.Duration
 	// JobRetention bounds how long terminal job records stay queryable
 	// (0 selects the jobs package default, negative disables expiry);
@@ -1073,11 +1074,21 @@ func (s *Server) handlePlanLocal(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// deadlineFor resolves the effective planning deadline of one request: the
-// server's PlanTimeout, optionally tightened (never loosened) by the
-// request's deadline_ms.
+// deadlineFor resolves the effective planning deadline of one synchronous
+// request: the server's PlanTimeout, optionally tightened (never loosened)
+// by the request's deadline_ms.
 func (s *Server) deadlineFor(req PlanRequest) time.Duration {
-	d := s.opts.PlanTimeout
+	return tightened(s.opts.PlanTimeout, req)
+}
+
+// jobDeadlineFor is deadlineFor for a plan job: the server's JobTimeout,
+// tightened the same way.
+func (s *Server) jobDeadlineFor(req PlanRequest) time.Duration {
+	return tightened(s.opts.JobTimeout, req)
+}
+
+// tightened returns d, or the request's deadline_ms when that is shorter.
+func tightened(d time.Duration, req PlanRequest) time.Duration {
 	if req.DeadlineMS > 0 {
 		if rd := time.Duration(req.DeadlineMS) * time.Millisecond; rd < d {
 			d = rd

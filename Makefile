@@ -33,10 +33,10 @@ race:
 # queue, the resource-budget accounting, the model registry, the
 # data-parallel training stack (neural/linreg worker pools, flat sample
 # tensors), the continuous profiler's capture ring, the tenant-aware
-# planner catalog (single-flight loads, LRU eviction, concurrent Do), and
-# the grid's sensing-ball tables (lazily filled on first query by whichever
-# request gets there, published with atomic stores, tables added
-# copy-on-write under a mutex) — the packages with real concurrency.
+# planner catalog (single-flight loads, concurrent Do), and the grid's
+# sensing-ball tables (lazily filled on first query by whichever request
+# gets there, published with atomic stores, tables added copy-on-write
+# under a mutex) — the packages with real concurrency.
 race-exec:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/... ./internal/grid/...
 

@@ -99,7 +99,6 @@ func main() {
 		jobRetain   = flag.Duration("job-retention", 0, "how long finished job records stay queryable (0 = default 15m, negative = forever)")
 		jobRecords  = flag.Int("job-max-records", 0, "finished job records retained before eviction (0 = default 10000, negative = unbounded)")
 		maxNodes    = flag.Int64("max-nodes", 0, "per-request budget: planner node expansions (0 = unlimited; 429 when exhausted)")
-		maxSamples  = flag.Int64("max-samples", 0, "per-request budget: training samples drawn (0 = unlimited; 429 when exhausted)")
 		maxBytes    = flag.Int64("max-bytes", 0, "per-request budget: approximate bytes allocated (0 = unlimited; 429 when exhausted)")
 		sseKeep     = flag.Duration("sse-keepalive", 0, "SSE idle keep-alive interval (0 = default 15s, negative = disabled)")
 		sloConfig   = flag.String("slo-config", "", "SLO spec JSON file ({\"slos\": [...]}); empty = compiled-in defaults, \"none\" disables evaluation")
@@ -168,7 +167,6 @@ func main() {
 		JobRetention:    *jobRetain,
 		JobMaxRecords:   *jobRecords,
 		MaxNodes:        *maxNodes,
-		MaxSamples:      *maxSamples,
 		MaxBytes:        *maxBytes,
 		SSEKeepAlive:    *sseKeep,
 		SLOs:            sloSpecs,

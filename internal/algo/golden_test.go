@@ -69,7 +69,7 @@ var goldenModel = sync.OnceValues(func() (approx.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, _, err := approx.FitLinear(p.Data)
+	m, _, err := approx.FitLinear(p.Data, 0)
 	return m, err
 })
 
@@ -140,6 +140,20 @@ func TestGoldenPlans(t *testing.T) {
 	}
 }
 
+// hashPlan runs pl on sc and feeds every epoch's joint action and the
+// Result into h.
+func hashPlan(h hash.Hash, sc sim.Scenario, pl sim.Planner, opts sim.RunOptions) {
+	opts.OnStep = func(_ *sim.Mission, acts []sim.Action) {
+		for _, a := range acts {
+			fmt.Fprintf(h, "%s ", a)
+		}
+		h.Write([]byte{'\n'})
+	}
+	r, err := sim.Run(sc, pl, opts)
+	fmt.Fprintf(h, "found=%v by=%d steps=%d discovery=%d t=%v f=%v collisions=%d aborted=%v err=%v\n",
+		r.Found, r.FoundBy, r.Steps, r.DiscoverySteps, r.TTotal, r.FTotal, r.Collisions, r.Aborted, err)
+}
+
 // goldenInstance runs every pinned planner on sc and feeds each plan into h.
 func goldenInstance(t *testing.T, h hash.Hash, sc sim.Scenario, model approx.Model, seed int64) {
 	t.Helper()
@@ -149,15 +163,7 @@ func goldenInstance(t *testing.T, h hash.Hash, sc sim.Scenario, model approx.Mod
 			fmt.Fprintf(h, "error %v\n", err)
 			return
 		}
-		opts.OnStep = func(_ *sim.Mission, acts []sim.Action) {
-			for _, a := range acts {
-				fmt.Fprintf(h, "%s ", a)
-			}
-			h.Write([]byte{'\n'})
-		}
-		r, err := sim.Run(sc, pl, opts)
-		fmt.Fprintf(h, "found=%v by=%d steps=%d discovery=%d t=%v f=%v collisions=%d aborted=%v err=%v\n",
-			r.Found, r.FoundBy, r.Steps, r.DiscoverySteps, r.TTotal, r.FTotal, r.Collisions, r.Aborted, err)
+		hashPlan(h, sc, pl, opts)
 	}
 	in := algo.Inputs{Scenario: sc, Model: model, Ext: features.New(),
 		Region: partial.DestRegion(sc), Seed: seed}

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/routeplanning/mamorl/internal/features"
-	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/linreg"
 	"github.com/routeplanning/mamorl/internal/neural"
 	"github.com/routeplanning/mamorl/internal/tensor"
@@ -49,29 +48,17 @@ func (m *LinearModel) Bytes() int {
 func (m *LinearModel) Name() string { return "Approx-MaMoRL" }
 
 // FitLinear fits the linear model pair by least squares (Equations 10 and
-// 12) and reports the training wall time (the Figure 3 comparison metric).
-func FitLinear(data *TrainingData) (*LinearModel, time.Duration, error) {
-	return FitLinearOpts(data, nil, 0)
-}
-
-// FitLinearOpts is FitLinear with a budget and a gram-accumulation worker
-// count. Fitted weights are byte-identical at any workers value.
-func FitLinearOpts(data *TrainingData, b *limits.Budget, workers int) (*LinearModel, time.Duration, error) {
+// 12), sharding each gram accumulation across workers (0 or 1 fits
+// serially), and reports the training wall time (the Figure 3 comparison
+// metric). Fitted weights are byte-identical at any workers value.
+func FitLinear(data *TrainingData, workers int) (*LinearModel, time.Duration, error) {
 	start := time.Now()
-	opts := linreg.Options{FitIntercept: true, Ridge: 1e-6, Workers: workers, Budget: b}
-	tmmX, err := data.TMMMatrix()
-	if err != nil {
-		return nil, 0, err
-	}
-	lmX, err := data.LMMatrix()
-	if err != nil {
-		return nil, 0, err
-	}
-	tmm, err := linreg.FitMatrix(tmmX, data.TMMY, opts)
+	opts := linreg.Options{FitIntercept: true, Ridge: 1e-6, Workers: workers}
+	tmm, err := linreg.Fit(data.TMMX, data.TMMY, opts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("approx: TMM fit: %w", err)
 	}
-	lm, err := linreg.FitMatrix(lmX, data.LMY, opts)
+	lm, err := linreg.Fit(data.LMX, data.LMY, opts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("approx: LM fit: %w", err)
 	}
@@ -162,37 +149,22 @@ func (m *NeuralModel) Name() string { return "NN-Approx-MaMoRL" }
 // tests and benches use smaller budgets.
 func FitNeural(data *TrainingData, opts neural.TrainOptions, seed int64) (*NeuralModel, time.Duration, error) {
 	start := time.Now()
-	if len(data.TMMX) == 0 || len(data.LMX) == 0 {
+	if data.TMMX.Rows() == 0 || data.LMX.Rows() == 0 {
 		return nil, 0, fmt.Errorf("approx: no training data")
 	}
-	tmm, err := neural.New(neural.PaperConfig(len(data.TMMX[0]), seed))
+	tmm, err := neural.New(neural.PaperConfig(data.TMMX.Cols(), seed))
 	if err != nil {
 		return nil, 0, err
 	}
-	lm, err := neural.New(neural.PaperConfig(len(data.LMX[0]), seed+1))
+	lm, err := neural.New(neural.PaperConfig(data.LMX.Cols(), seed+1))
 	if err != nil {
 		return nil, 0, err
 	}
-	tmmX, err := data.TMMMatrix()
-	if err != nil {
-		return nil, 0, err
-	}
-	lmX, err := data.LMMatrix()
-	if err != nil {
-		return nil, 0, err
-	}
-	tmmY, err := tensor.FromSlice(data.TMMY, 1)
-	if err != nil {
-		return nil, 0, err
-	}
-	lmY, err := tensor.FromSlice(data.LMY, 1)
-	if err != nil {
-		return nil, 0, err
-	}
-	if _, err := tmm.TrainMatrix(tmmX, tmmY, opts); err != nil {
+	tmmY, lmY := data.targets()
+	if _, err := tmm.Train(data.TMMX, tmmY, opts); err != nil {
 		return nil, 0, fmt.Errorf("approx: TMM net: %w", err)
 	}
-	if _, err := lm.TrainMatrix(lmX, lmY, opts); err != nil {
+	if _, err := lm.Train(data.LMX, lmY, opts); err != nil {
 		return nil, 0, fmt.Errorf("approx: LM net: %w", err)
 	}
 	return &NeuralModel{TMM: tmm, LM: lm}, time.Since(start), nil
@@ -200,12 +172,14 @@ func FitNeural(data *TrainingData, opts neural.TrainOptions, seed int64) (*Neura
 
 // FitLoss reports the pair's mean squared error on the training samples.
 func (m *NeuralModel) FitLoss(data *TrainingData) (tmm, lm float64) {
-	tmmX, err1 := data.TMMMatrix()
-	lmX, err2 := data.LMMatrix()
-	tmmY, err3 := tensor.FromSlice(data.TMMY, 1)
-	lmY, err4 := tensor.FromSlice(data.LMY, 1)
-	if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-		return 0, 0
-	}
-	return m.TMM.MSEMatrix(tmmX, tmmY), m.LM.MSEMatrix(lmX, lmY)
+	tmmY, lmY := data.targets()
+	return m.TMM.MSE(data.TMMX, tmmY), m.LM.MSE(data.LMX, lmY)
+}
+
+// targets views the TMM and LM targets as one-column matrices, the shape
+// the networks train against. FromSlice cannot fail for one column.
+func (d *TrainingData) targets() (tmm, lm *tensor.Matrix) {
+	tmm, _ = tensor.FromSlice(d.TMMY, 1)
+	lm, _ = tensor.FromSlice(d.LMY, 1)
+	return tmm, lm
 }

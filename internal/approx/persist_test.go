@@ -1,6 +1,10 @@
 package approx
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/gob"
+	"encoding/hex"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -56,5 +60,51 @@ func TestDecodeLinearBlobRefusesMismatchedWidths(t *testing.T) {
 	}
 	if _, err := DecodeLinearBlob(blob); err == nil || !strings.Contains(err.Error(), wantWidthError) {
 		t.Fatalf("DecodeLinearBlob of a 3/3-weight blob: err = %v, want one naming %q", err, wantWidthError)
+	}
+}
+
+// goldenLinearBlob is the SHA-256 of EncodeBlob for the linear model the
+// default seed-1 pipeline fits (the model TestTrainingSetGolden pins).
+const goldenLinearBlob = "ad40d1676b5497dd606252570ebb8cedba63a37ce0d60108e2d44f16c652aab1"
+
+// TestLinearBlobGolden pins the registry blob byte for byte: a registry
+// artifact's ID hashes its blob, so a change to the pair frame or to
+// linreg's gob form would orphan every stored artifact.
+func TestLinearBlobGolden(t *testing.T) {
+	p, err := NewPipeline(TrainConfig{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, _, err := FitLinear(p.Data, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := model.EncodeBlob()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != goldenLinearBlob {
+		t.Errorf("linear blob digest = %s, want %s (%d bytes)", got, goldenLinearBlob, len(blob))
+	}
+}
+
+// TestDecodeLinearBlobRefusesOtherKind: a pair frame of another kind is
+// refused even when its module payloads are valid linear models.
+func TestDecodeLinearBlobRefusesOtherKind(t *testing.T) {
+	m := widthModel(features.TMMDim, features.LMDim)
+	var tmm, lm, buf bytes.Buffer
+	if err := m.TMM.Save(&tmm); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LM.Save(&lm); err != nil {
+		t.Fatal(err)
+	}
+	pf := pairFile{Version: pairFileVersion, Kind: "nn", TMM: tmm.Bytes(), LM: lm.Bytes()}
+	if err := gob.NewEncoder(&buf).Encode(pf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeLinearBlob(buf.Bytes()); err == nil || !strings.Contains(err.Error(), `kind "nn"`) {
+		t.Fatalf("DecodeLinearBlob of an nn-kind frame: err = %v, want one naming the kind", err)
 	}
 }

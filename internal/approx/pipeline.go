@@ -140,15 +140,12 @@ func NewPipeline(cfg TrainConfig) (*Pipeline, error) {
 		return nil, err
 	}
 	ext := features.New()
-	// Core.Budget covers the whole pipeline: the exact training above
-	// charged through it, and sampling draws against the same pool.
 	data, err := CollectSamples(exact, CollectOptions{
 		Episodes:  cfg.SampleEpisodes,
 		Weights:   cfg.Weights,
 		Extractor: ext,
 		Tracer:    cfg.Tracer,
 		Metrics:   cfg.Metrics,
-		Budget:    cfg.Core.Budget,
 	})
 	if err != nil {
 		return nil, err

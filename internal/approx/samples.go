@@ -12,7 +12,6 @@ import (
 
 	"github.com/routeplanning/mamorl/internal/core"
 	"github.com/routeplanning/mamorl/internal/features"
-	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/obs"
 	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
@@ -21,51 +20,21 @@ import (
 	"github.com/routeplanning/mamorl/internal/vessel"
 )
 
-// TrainingData holds regression samples for both approximated modules.
-// Feature rows live in one flat backing matrix per module; the exported
-// [][]float64 fields are row views into it (or caller-built rows for
-// hand-assembled data — both shapes work everywhere TrainingData goes).
+// TrainingData holds regression samples for both approximated modules: per
+// module, one flat feature matrix whose row k pairs with target k.
 type TrainingData struct {
 	// TMM samples: features (Equation 9) -> P values sampled from the exact
 	// solver's Teammate Module (Equation 10's targets).
-	TMMX [][]float64
+	TMMX *tensor.Matrix
 	TMMY []float64
 	// LM samples: features (Equation 11) -> reward samples r_{i,a_i,s}
 	// (Equation 12's targets).
-	LMX [][]float64
+	LMX *tensor.Matrix
 	LMY []float64
-
-	tmmXm *tensor.Matrix
-	lmXm  *tensor.Matrix
 }
 
 // Len returns the sample counts.
 func (d *TrainingData) Len() (tmm, lm int) { return len(d.TMMY), len(d.LMY) }
-
-// TMMMatrix returns the TMM design matrix as a flat tensor, building it
-// from the row slices when the data was not collected flat.
-func (d *TrainingData) TMMMatrix() (*tensor.Matrix, error) {
-	if d.tmmXm == nil {
-		m, err := tensor.FromRows(d.TMMX)
-		if err != nil {
-			return nil, fmt.Errorf("approx: TMM samples: %w", err)
-		}
-		d.tmmXm = m
-	}
-	return d.tmmXm, nil
-}
-
-// LMMatrix is TMMMatrix for the LM samples.
-func (d *TrainingData) LMMatrix() (*tensor.Matrix, error) {
-	if d.lmXm == nil {
-		m, err := tensor.FromRows(d.LMX)
-		if err != nil {
-			return nil, fmt.Errorf("approx: LM samples: %w", err)
-		}
-		d.lmXm = m
-	}
-	return d.lmXm, nil
-}
 
 // rewardProxy is the r_{i,a_i,s} regression target: asset i's share of the
 // Section 3.1.1 reward for taking action a, computable in closed form
@@ -121,10 +90,6 @@ type CollectOptions struct {
 	// exact P distribution) used to be dropped invisibly; now every drop is
 	// counted.
 	Metrics *obs.Registry
-	// Budget, when non-nil, is charged one Samples unit (plus the row's
-	// approximate Bytes) per harvested regression sample; collection aborts
-	// between episodes once it is exhausted. nil collects unlimited.
-	Budget *limits.Budget
 }
 
 func (o CollectOptions) withDefaults() CollectOptions {
@@ -147,15 +112,14 @@ func (o CollectOptions) withDefaults() CollectOptions {
 // design.
 //
 // Samples land in flat row-major matrices — one backing array per module,
-// grown geometrically — with the TrainingData row-view fields materialized
-// once at the end, so harvesting N samples costs O(log N) slice growths
-// instead of one allocation per row.
+// grown geometrically — so harvesting N samples costs O(log N) slice
+// growths instead of one allocation per row.
 func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error) {
 	opts = opts.withDefaults()
 	sc := pl.Scenario()
 	data := &TrainingData{
-		tmmXm: tensor.NewMatrix(features.TMMDim),
-		lmXm:  tensor.NewMatrix(features.LMDim),
+		TMMX: tensor.NewMatrix(features.TMMDim),
+		LMX:  tensor.NewMatrix(features.LMDim),
 	}
 	w := opts.Weights.Normalized()
 	var skipped *obs.Counter
@@ -163,11 +127,6 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 		skipped = opts.Metrics.Counter("samples_skipped_total")
 	}
 
-	// charge bills one harvested row: one sample plus its feature bytes.
-	charge := func(x []float64) {
-		_ = opts.Budget.Charge(limits.Samples, 1)
-		_ = opts.Budget.Charge(limits.Bytes, int64(8*len(x)+24))
-	}
 	// Per-collection scratch, reused across every step: feature contexts
 	// (their hop scratch persists) and one feature buffer.
 	var (
@@ -180,19 +139,16 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 	// per neighbour, its speed step once per row.
 	tmmRow := func(speed int, p float64) {
 		xbuf = tmmCtx.AppendSpeed(xbuf[:0], speed)
-		charge(xbuf)
-		data.tmmXm.AppendRow(xbuf)
+		data.TMMX.AppendRow(xbuf)
 		data.TMMY = append(data.TMMY, p)
 	}
 	lmRows := func(m *sim.Mission, i int, a sim.Action) {
 		xbuf = lmCtxNo.AppendSpeed(xbuf[:0], a.Speed)
-		charge(xbuf)
-		data.lmXm.AppendRow(xbuf)
+		data.LMX.AppendRow(xbuf)
 		data.LMY = append(data.LMY, rewardProxy(m, i, a, features.NoDest, w))
 
 		xbuf = lmCtxDest.AppendSpeed(xbuf[:0], a.Speed)
-		charge(xbuf)
-		data.lmXm.AppendRow(xbuf)
+		data.LMX.AppendRow(xbuf)
 		data.LMY = append(data.LMY, rewardProxy(m, i, a, sc.Dest, w))
 	}
 	collect := func(m *sim.Mission, _ []sim.Action) {
@@ -248,7 +204,7 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 	defer pl.SetTraining(false)
 	for ep := 0; ep < opts.Episodes; ep++ {
 		sp := opts.Tracer.Start("sample.episode", trace.Int("episode", int64(ep)))
-		if _, err := sim.Run(sc, pl, sim.RunOptions{OnStep: collect, TraceParent: sp, Budget: opts.Budget}); err != nil {
+		if _, err := sim.Run(sc, pl, sim.RunOptions{OnStep: collect, TraceParent: sp}); err != nil {
 			sp.End()
 			return nil, fmt.Errorf("approx: sampling episode %d: %w", ep, err)
 		}
@@ -261,8 +217,5 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 	if len(data.TMMY) == 0 || len(data.LMY) == 0 {
 		return nil, fmt.Errorf("approx: sampling produced no data (missions end immediately?)")
 	}
-	// The matrices are done growing; materialize the row views.
-	data.TMMX = data.tmmXm.RowViews()
-	data.LMX = data.lmXm.RowViews()
 	return data, nil
 }

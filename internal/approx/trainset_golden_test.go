@@ -24,20 +24,20 @@ func TestTrainingSetGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, _, err := FitLinear(p.Data)
+	model, _, err := FitLinear(p.Data, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := sha256.New()
 	tmm, lm := p.Data.Len()
 	putInts(h, tmm, lm)
-	for k, x := range p.Data.TMMX {
-		putFloats(h, x...)
-		putFloats(h, p.Data.TMMY[k])
+	for k, y := range p.Data.TMMY {
+		putFloats(h, p.Data.TMMX.Row(k)...)
+		putFloats(h, y)
 	}
-	for k, x := range p.Data.LMX {
-		putFloats(h, x...)
-		putFloats(h, p.Data.LMY[k])
+	for k, y := range p.Data.LMY {
+		putFloats(h, p.Data.LMX.Row(k)...)
+		putFloats(h, y)
 	}
 	for _, m := range []struct {
 		w []float64

@@ -240,7 +240,7 @@ func trained(t *testing.T) trainedFixture {
 			fixtureErr = fmt.Errorf("pipeline: %w", err)
 			return
 		}
-		model, _, err := approx.FitLinear(pipe.Data)
+		model, _, err := approx.FitLinear(pipe.Data, 0)
 		if err != nil {
 			fixtureErr = fmt.Errorf("fit: %w", err)
 			return

@@ -14,7 +14,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/trace"
 )
 
@@ -57,13 +56,6 @@ type Config struct {
 	// experiments suite exports and streams. Like Tracer, it is pure
 	// observation: the callback can never influence learning.
 	OnEpisode func(EpisodeStats)
-	// Budget, when non-nil, is charged for candidate actions evaluated
-	// (Nodes) and for sparse P/Q-table growth (Bytes); training episodes
-	// and evaluation runs abort with a wrapped *limits.ErrOverBudget once
-	// it is exhausted. Unlike MemoryBudgetBytes — the up-front dense
-	// feasibility gate — Budget meters what a run actually consumes.
-	// Like Tracer, it never influences decisions while within limits.
-	Budget *limits.Budget
 }
 
 // EpisodeStats is the learning-curve record of one training episode: the

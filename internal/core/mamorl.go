@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"github.com/routeplanning/mamorl/internal/grid"
-	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
 	"github.com/routeplanning/mamorl/internal/trace"
@@ -58,10 +57,6 @@ type Planner struct {
 	epReward    float64
 	epQDelta    float64
 	epMaxQDelta float64
-
-	// chargedEntries is how many sparse table entries have been billed to
-	// cfg.Budget so far; Train charges the per-episode growth delta.
-	chargedEntries int
 }
 
 // stepScratch is the working storage of Decide and Observe. locs is a joint
@@ -200,7 +195,6 @@ func (pl *Planner) Decide(m *sim.Mission, i int) sim.Action {
 	s.size(n)
 	s.actions = m.AppendLegalActionsFor(s.actions[:0], i)
 	actions := s.actions
-	_ = pl.cfg.Budget.Charge(limits.Nodes, int64(len(actions)))
 	if pl.training && pl.rng.Float64() < pl.cfg.Epsilon {
 		return pl.exploreAction(m, i, actions)
 	}
@@ -459,10 +453,7 @@ func (pl *Planner) Train() error {
 			trace.Float("epsilon", pl.cfg.Epsilon))
 		pl.epReward, pl.epQDelta, pl.epMaxQDelta = 0, 0, 0
 		res, err := sim.Run(pl.sc, pl, sim.RunOptions{
-			Collision: sim.RecordCollisions, TraceParent: sp, Budget: pl.cfg.Budget})
-		if chargeErr := pl.chargeTableGrowth(); err == nil {
-			err = chargeErr
-		}
+			Collision: sim.RecordCollisions, TraceParent: sp})
 		if err != nil {
 			sp.End()
 			return fmt.Errorf("core: training episode %d: %w", ep, err)
@@ -486,21 +477,6 @@ func (pl *Planner) Train() error {
 		}
 	}
 	return nil
-}
-
-// chargeTableGrowth bills cfg.Budget for sparse P/Q entries created since
-// the last call (bytesPerEntry each), at episode boundaries.
-func (pl *Planner) chargeTableGrowth() error {
-	if pl.cfg.Budget == nil {
-		return nil
-	}
-	st := pl.TableStats()
-	grown := st.PEntries + st.QEntries - pl.chargedEntries
-	if grown <= 0 {
-		return nil
-	}
-	pl.chargedEntries += grown
-	return pl.cfg.Budget.Charge(limits.Bytes, int64(grown)*bytesPerEntry)
 }
 
 // TableStats reports the sparse storage actually used, next to the dense

@@ -86,7 +86,7 @@ func FormatAblation(rows []AblationRow) string {
 		}
 		fmt.Fprintf(&b, "  %-18s %5d/%2d %7d/%2d %12s %12s %10s\n",
 			r.Variant, rs.FoundRuns, rs.Runs, rs.CollidedRuns, rs.Runs, t, f,
-			formatDuration(rs.CPUTime/time.Duration(maxInt(1, rs.Runs))))
+			formatDuration(rs.CPUTime/time.Duration(max(1, rs.Runs))))
 	}
 	return b.String()
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/grid"
@@ -153,6 +154,25 @@ func TestFormatTable6RendersNA(t *testing.T) {
 	}
 	if !strings.Contains(out, "1.50") {
 		t.Errorf("missing mean T_total:\n%s", out)
+	}
+}
+
+func TestFormatDuration(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{0, "0.000 ms"},
+		{1234 * time.Nanosecond, "0.001 ms"},
+		{834567 * time.Nanosecond, "0.835 ms"},
+		{2*time.Millisecond + 500*time.Microsecond, "2.500 ms"},
+		{999500 * time.Microsecond, "999.500 ms"},
+		{1500 * time.Millisecond, "1.50 s"},
+		{90 * time.Second, "1.5 min"},
+	} {
+		if got := formatDuration(tc.d); got != tc.want {
+			t.Errorf("formatDuration(%v) = %q, want %q", tc.d, got, tc.want)
+		}
 	}
 }
 

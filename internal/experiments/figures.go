@@ -64,8 +64,7 @@ func (h *Harness) RunFigure3(ctx context.Context, p Params, nnOpts neural.TrainO
 		}
 		start := time.Now()
 		pl := approx.NewPlanner(nnModel, h.Pipe.Extractor, seed)
-		pl.SetBudget(cp.Budget)
-		res, err := sim.RunContext(ctx, sc, pl, sim.RunOptions{TraceParent: sp, Budget: cp.Budget})
+		res, err := sim.RunContext(ctx, sc, pl, sim.RunOptions{TraceParent: sp})
 		return runOutcome{seed: seed, res: res, cpu: time.Since(start),
 			mem: float64(pl.MemoryBytes(len(sc.Team))), err: err}
 	}))
@@ -306,9 +305,9 @@ func (h *Harness) sweepPoint(ctx context.Context, subject string, p Params, valu
 	if tt, ok := PairedTTestT(subj, b1); ok {
 		pt.SignificantVsB1 = tt.Significant(0.05)
 	}
-	runs := time.Duration(maxInt(1, subj.Runs))
+	runs := time.Duration(max(1, subj.Runs))
 	pt.SubjectCPU = subj.CPUTime / runs
-	pt.B1CPU = b1.CPUTime / time.Duration(maxInt(1, b1.Runs))
+	pt.B1CPU = b1.CPUTime / time.Duration(max(1, b1.Runs))
 	return pt, nil
 }
 

@@ -49,7 +49,7 @@ func NewHarness(cfg approx.TrainConfig) (*Harness, error) {
 		return nil, err
 	}
 	sp := cfg.Tracer.Start("fit.linear")
-	lin, dur, err := approx.FitLinearOpts(pipe.Data, nil, cfg.FitWorkers)
+	lin, dur, err := approx.FitLinear(pipe.Data, cfg.FitWorkers)
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -270,12 +270,12 @@ func (h *Harness) runOne(ctx context.Context, title string, p Params, run int, s
 	if err != nil {
 		return runOutcome{seed: seed, err: err}
 	}
-	opts := sim.RunOptions{TraceParent: sp, Budget: p.Budget}
+	opts := sim.RunOptions{TraceParent: sp}
 	start := time.Now()
 	// Exact MaMoRL trains on each instance and reports its Lemma 2 table
 	// size; it is never served, so the planner table does not list it.
 	if title == AlgoMaMoRL {
-		pl, err := core.NewPlanner(sc, core.Config{Episodes: p.Episodes, Seed: seed, Budget: p.Budget}, rewardfn.DefaultWeights())
+		pl, err := core.NewPlanner(sc, core.Config{Episodes: p.Episodes, Seed: seed}, rewardfn.DefaultWeights())
 		if err != nil {
 			out := runOutcome{seed: seed, err: err}
 			if errors.Is(err, core.ErrMemoryBudget) {
@@ -301,7 +301,7 @@ func (h *Harness) runOne(ctx context.Context, title string, p Params, run int, s
 		sc.MaxSteps = sc.Grid.NumNodes() * 150
 	}
 	pl, err := alg.New(algo.Inputs{Scenario: sc, Model: h.Linear, Ext: h.Pipe.Extractor,
-		Region: partial.DestRegion(sc), Seed: seed, Budget: p.Budget})
+		Region: partial.DestRegion(sc), Seed: seed})
 	if err != nil {
 		return runOutcome{seed: seed, err: err}
 	}

@@ -13,7 +13,6 @@ import (
 
 	"github.com/routeplanning/mamorl/internal/approx"
 	"github.com/routeplanning/mamorl/internal/grid"
-	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/obs"
 	"github.com/routeplanning/mamorl/internal/sim"
 	"github.com/routeplanning/mamorl/internal/trace"
@@ -58,13 +57,6 @@ type Params struct {
 	// Metrics, when non-nil, gains experiments_runs_total counters and the
 	// experiments_inflight_runs gauge.
 	Metrics *obs.Registry
-	// Budget, when non-nil, is shared by every run of the evaluation:
-	// planners charge node expansions and training charges samples/bytes
-	// against one pool, and runs abort once it is exhausted. Like Tracer,
-	// it never perturbs results while within limits — PerRun records are
-	// byte-identical with a budget on or off (TestBudgetDeterminism pins
-	// this under the parallel executor).
-	Budget *limits.Budget
 
 	// traceParent parents run spans under the enclosing cell span. Drivers
 	// set it via startCell; it is unexported so the public API stays

@@ -88,7 +88,7 @@ func FormatTable6(rows []Table6Row) string {
 		if !r.Stats.NA {
 			t = fmt.Sprintf("%.2f", r.Stats.MeanT())
 			f = fmt.Sprintf("%.1f", r.Stats.MeanF())
-			cpu = formatDuration(r.Stats.CPUTime / time.Duration(maxInt(1, r.Stats.Runs)))
+			cpu = formatDuration(r.Stats.CPUTime / time.Duration(max(1, r.Stats.Runs)))
 		} else if r.Stats.MemoryBytes == 0 {
 			mem = "N/A"
 		}
@@ -102,6 +102,10 @@ func FormatTable6(rows []Table6Row) string {
 	return b.String()
 }
 
+// formatDuration renders a mean CPU time for the timing columns (Table 6,
+// the ablation table, Figure 7). Sub-second times print in milliseconds to
+// the microsecond, so the deployed planners' sub-millisecond runs stay
+// apart.
 func formatDuration(d time.Duration) string {
 	switch {
 	case d >= time.Minute:
@@ -109,13 +113,6 @@ func formatDuration(d time.Duration) string {
 	case d >= time.Second:
 		return fmt.Sprintf("%.2f s", d.Seconds())
 	default:
-		return fmt.Sprintf("%d ms", d.Milliseconds())
+		return fmt.Sprintf("%.3f ms", float64(d)/float64(time.Millisecond))
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -1,17 +1,17 @@
-// Package limits is resource-budget accounting for planning and training:
-// a Budget counts nodes expanded, training samples drawn, and approximate
-// bytes allocated against per-resource limits, and latches a typed
-// ErrOverBudget the moment any limit is crossed.
+// Package limits is resource-budget accounting for served plans: a Budget
+// counts the nodes a planner expands and the approximate bytes a mission
+// allocates against per-resource limits, and latches a typed ErrOverBudget
+// the moment any limit is crossed. The serving layer builds one Budget per
+// plan request and renders its exhaustion as a 429.
 //
 // The design mirrors internal/trace: a nil *Budget is the "no limits"
 // configuration and every method on it is a constant-time, allocation-free
-// no-op, so the hot paths (approx.Planner.Decide, the core episode loop,
-// sample collection) charge unconditionally without branching on
-// configuration. Charging is safe for concurrent use — the parallel
-// experiment executor and the job-queue workers share Budgets freely — and
-// is pure accounting: it never perturbs planning decisions, so results are
-// byte-identical with budgets on or off as long as no limit is exhausted
-// (pinned by TestEvaluateBudgetDeterminism).
+// no-op, so the hot path (approx.Planner.Decide) charges unconditionally
+// without branching on configuration. Charging is safe for concurrent use
+// and is pure accounting: it never perturbs planning decisions, so a plan
+// is byte-identical with a budget on or off as long as no limit is
+// exhausted (pinned for every served planner by internal/algo's
+// TestBudgetDeterminism).
 //
 // Exhaustion is cooperative, not preemptive. Charge keeps counting past the
 // limit (the totals then report true demand) and latches the first
@@ -34,12 +34,8 @@ const (
 	// action a planner evaluates for an asset (its own moves and the
 	// teammate-model rollouts) is one node.
 	Nodes Resource = iota
-	// Samples counts training samples drawn: dataset rows appended by
-	// sample collection and rows consumed per SGD batch or solver fit.
-	Samples
-	// Bytes counts approximate heap bytes of the dominant allocations:
-	// mission state, Q/P-table growth, and training matrices. It is an
-	// accounting estimate, not an allocator measurement.
+	// Bytes counts the approximate heap bytes of a mission's state. It is
+	// an accounting estimate, not an allocator measurement.
 	Bytes
 
 	numResources
@@ -50,8 +46,6 @@ func (r Resource) String() string {
 	switch r {
 	case Nodes:
 		return "nodes"
-	case Samples:
-		return "samples"
 	case Bytes:
 		return "bytes"
 	default:
@@ -76,9 +70,8 @@ func (e *ErrOverBudget) Error() string {
 // field leaves that resource unlimited; the zero value Limits{} builds a
 // Budget that only counts.
 type Limits struct {
-	Nodes   int64
-	Samples int64
-	Bytes   int64
+	Nodes int64
+	Bytes int64
 }
 
 // Budget tracks per-resource usage against fixed limits. The zero-value
@@ -98,7 +91,6 @@ type Budget struct {
 func New(l Limits) *Budget {
 	b := &Budget{}
 	b.limit[Nodes] = l.Nodes
-	b.limit[Samples] = l.Samples
 	b.limit[Bytes] = l.Bytes
 	return b
 }
@@ -154,4 +146,4 @@ func (b *Budget) Exceeded() bool { return b.Err() != nil }
 
 // Resources lists every resource dimension, in wire order; the serving
 // layer ranges over it to export usage metrics.
-func Resources() [3]Resource { return [3]Resource{Nodes, Samples, Bytes} }
+func Resources() [numResources]Resource { return [numResources]Resource{Nodes, Bytes} }

@@ -40,7 +40,7 @@ func TestChargeAllocs(t *testing.T) {
 }
 
 func TestChargeWithinLimit(t *testing.T) {
-	b := New(Limits{Nodes: 10, Samples: 5})
+	b := New(Limits{Nodes: 10, Bytes: 5})
 	for i := 0; i < 10; i++ {
 		if err := b.Charge(Nodes, 1); err != nil {
 			t.Fatalf("charge %d within limit: %v", i, err)
@@ -83,17 +83,17 @@ func TestOverBudgetLatchesFirstViolation(t *testing.T) {
 }
 
 func TestZeroLimitIsUnlimited(t *testing.T) {
-	b := New(Limits{Samples: 3})
+	b := New(Limits{Bytes: 3})
 	if err := b.Charge(Nodes, 1<<40); err != nil {
 		t.Fatalf("unlimited resource tripped: %v", err)
 	}
-	if err := b.Charge(Samples, 4); err == nil {
+	if err := b.Charge(Bytes, 4); err == nil {
 		t.Fatal("limited resource did not trip")
 	}
 }
 
 func TestResourceString(t *testing.T) {
-	want := map[Resource]string{Nodes: "nodes", Samples: "samples", Bytes: "bytes"}
+	want := map[Resource]string{Nodes: "nodes", Bytes: "bytes"}
 	for r, s := range want {
 		if r.String() != s {
 			t.Fatalf("%d.String() = %q, want %q", r, r.String(), s)

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/tensor"
 )
 
@@ -41,10 +40,6 @@ type Options struct {
 	// Fitted weights are byte-identical at any value (fixed-size chunks,
 	// chunk-order reduction); 0 or 1 fits serially.
 	Workers int
-	// Budget, when non-nil, is charged the rows consumed (Samples) and the
-	// normal-equation workspace (Bytes); Fit fails with a wrapped
-	// *limits.ErrOverBudget when it is exhausted. nil fits unlimited.
-	Budget *limits.Budget
 }
 
 // DefaultRidge is the regularization used when Options.Ridge is zero.
@@ -66,30 +61,9 @@ type Model struct {
 // ErrBadData reports unusable training input.
 var ErrBadData = errors.New("linreg: bad training data")
 
-// Fit solves min_w Σ (y - Xw)² (+ λ‖w‖²). It copies the rows into a flat
-// matrix once; use FitMatrix on already-flat data to skip the copy.
-func Fit(X [][]float64, y []float64, opts Options) (*Model, error) {
-	if len(X) == 0 || len(X) != len(y) {
-		return nil, fmt.Errorf("%w: %d rows, %d targets", ErrBadData, len(X), len(y))
-	}
-	d := len(X[0])
-	if d == 0 {
-		return nil, fmt.Errorf("%w: empty feature vectors", ErrBadData)
-	}
-	for i, row := range X {
-		if len(row) != d {
-			return nil, fmt.Errorf("%w: row %d has %d features, want %d", ErrBadData, i, len(row), d)
-		}
-	}
-	Xm, err := tensor.FromRows(X)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadData, err)
-	}
-	return FitMatrix(Xm, y, opts)
-}
-
-// FitMatrix is Fit over a flat row-major design matrix.
-func FitMatrix(X *tensor.Matrix, y []float64, opts Options) (*Model, error) {
+// Fit solves min_w Σ (y - Xw)² (+ λ‖w‖²) over a flat row-major design
+// matrix X, one row per target in y.
+func Fit(X *tensor.Matrix, y []float64, opts Options) (*Model, error) {
 	if X == nil || X.Rows() == 0 || X.Rows() != len(y) {
 		rows := 0
 		if X != nil {
@@ -126,12 +100,6 @@ func FitMatrix(X *tensor.Matrix, y []float64, opts Options) (*Model, error) {
 	// Per chunk: upper-triangle gram packed flat (cols*cols for simplicity)
 	// plus the rhs vector.
 	stride := cols*cols + cols
-	if err := opts.Budget.Charge(limits.Samples, int64(rows)); err != nil {
-		return nil, fmt.Errorf("linreg: fit over budget: %w", err)
-	}
-	if err := opts.Budget.Charge(limits.Bytes, int64(nchunks*stride+cols*cols+2*cols)*8); err != nil {
-		return nil, fmt.Errorf("linreg: fit over budget: %w", err)
-	}
 	partials := make([]float64, nchunks*stride)
 	accumulate := func(c int) {
 		part := partials[c*stride : (c+1)*stride]
@@ -233,23 +201,23 @@ func (m *Model) Predict(x []float64) float64 {
 }
 
 // MSE returns the mean squared error of the model over a dataset.
-func (m *Model) MSE(X [][]float64, y []float64) float64 {
-	if len(X) == 0 {
+func (m *Model) MSE(X *tensor.Matrix, y []float64) float64 {
+	if X == nil || X.Rows() == 0 {
 		return 0
 	}
 	s := 0.0
-	for i, row := range X {
-		d := m.Predict(row) - y[i]
+	for i := 0; i < X.Rows(); i++ {
+		d := m.Predict(X.Row(i)) - y[i]
 		s += d * d
 	}
-	return s / float64(len(X))
+	return s / float64(X.Rows())
 }
 
 // R2 returns the coefficient of determination of the model over a dataset:
 // 1 - SS_res/SS_tot. A constant-target dataset yields 1 when predictions
 // are exact and 0 otherwise.
-func (m *Model) R2(X [][]float64, y []float64) float64 {
-	if len(X) == 0 {
+func (m *Model) R2(X *tensor.Matrix, y []float64) float64 {
+	if X == nil || X.Rows() == 0 {
 		return 0
 	}
 	mean := 0.0
@@ -258,8 +226,8 @@ func (m *Model) R2(X [][]float64, y []float64) float64 {
 	}
 	mean /= float64(len(y))
 	ssRes, ssTot := 0.0, 0.0
-	for i, row := range X {
-		d := y[i] - m.Predict(row)
+	for i := 0; i < X.Rows(); i++ {
+		d := y[i] - m.Predict(X.Row(i))
 		ssRes += d * d
 		t := y[i] - mean
 		ssTot += t * t

@@ -5,22 +5,33 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"github.com/routeplanning/mamorl/internal/tensor"
 )
 
 func almost(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
+
+// mat copies equal-width rows into a flat design matrix.
+func mat(rows [][]float64) *tensor.Matrix {
+	m := tensor.NewMatrix(len(rows[0]))
+	for _, r := range rows {
+		m.AppendRow(r)
+	}
+	return m
+}
 
 func TestFitRecoversExactLine(t *testing.T) {
 	// y = 3x - 2 with intercept.
 	X := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{-2, 1, 4, 7}
-	m, err := Fit(X, y, Options{FitIntercept: true})
+	m, err := Fit(mat(X), y, Options{FitIntercept: true})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	if !almost(m.Weights[0], 3, 1e-6) || !almost(m.Intercept, -2, 1e-6) {
 		t.Errorf("model = %+v, want w=3 b=-2", m)
 	}
-	if mse := m.MSE(X, y); mse > 1e-10 {
+	if mse := m.MSE(mat(X), y); mse > 1e-10 {
 		t.Errorf("MSE = %v on exactly-linear data", mse)
 	}
 }
@@ -40,7 +51,7 @@ func TestFitRecoversPlantedWeights(t *testing.T) {
 		X = append(X, row)
 		y = append(y, s+0.001*rng.NormFloat64())
 	}
-	m, err := Fit(X, y, Options{})
+	m, err := Fit(mat(X), y, Options{})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -64,7 +75,7 @@ func TestFitPropertyNoiseless(t *testing.T) {
 			X = append(X, row)
 			y = append(y, w[0]*row[0]+w[1]*row[1]+w[2]*row[2])
 		}
-		m, err := Fit(X, y, Options{})
+		m, err := Fit(mat(X), y, Options{})
 		if err != nil {
 			return false
 		}
@@ -90,7 +101,7 @@ func TestFitCollinearFeaturesWithRidge(t *testing.T) {
 		X = append(X, []float64{v, v}) // perfectly collinear
 		y = append(y, 2*v)
 	}
-	m, err := Fit(X, y, Options{})
+	m, err := Fit(mat(X), y, Options{})
 	if err != nil {
 		t.Fatalf("Fit on collinear data: %v", err)
 	}
@@ -105,22 +116,19 @@ func TestFitErrors(t *testing.T) {
 	if _, err := Fit(nil, nil, Options{}); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1, 2}, Options{}); err == nil {
+	if _, err := Fit(tensor.NewMatrix(1), nil, Options{}); err == nil {
+		t.Error("zero-row matrix accepted")
+	}
+	if _, err := Fit(mat([][]float64{{1}}), []float64{1, 2}, Options{}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := Fit([][]float64{{}}, []float64{1}, Options{}); err == nil {
-		t.Error("empty features accepted")
-	}
-	if _, err := Fit([][]float64{{1}, {1, 2}}, []float64{1, 2}, Options{}); err == nil {
-		t.Error("ragged rows accepted")
-	}
-	if _, err := Fit([][]float64{{math.NaN()}}, []float64{1}, Options{}); err == nil {
+	if _, err := Fit(mat([][]float64{{math.NaN()}}), []float64{1}, Options{}); err == nil {
 		t.Error("NaN feature accepted")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{math.Inf(1)}, Options{}); err == nil {
+	if _, err := Fit(mat([][]float64{{1}}), []float64{math.Inf(1)}, Options{}); err == nil {
 		t.Error("Inf target accepted")
 	}
-	if _, err := Fit([][]float64{{1}}, []float64{1}, Options{Ridge: -1}); err == nil {
+	if _, err := Fit(mat([][]float64{{1}}), []float64{1}, Options{Ridge: -1}); err == nil {
 		t.Error("negative ridge accepted")
 	}
 }
@@ -147,7 +155,7 @@ func TestWeightedAveragePrediction(t *testing.T) {
 	// without intercept.
 	X := [][]float64{{1}, {2}, {4}}
 	y := []float64{5, 10, 20}
-	m, err := Fit(X, y, Options{})
+	m, err := Fit(mat(X), y, Options{})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -159,27 +167,27 @@ func TestWeightedAveragePrediction(t *testing.T) {
 func TestR2(t *testing.T) {
 	X := [][]float64{{0}, {1}, {2}, {3}}
 	y := []float64{-2, 1, 4, 7}
-	m, err := Fit(X, y, Options{FitIntercept: true})
+	m, err := Fit(mat(X), y, Options{FitIntercept: true})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
-	if r2 := m.R2(X, y); r2 < 0.999999 {
+	if r2 := m.R2(mat(X), y); r2 < 0.999999 {
 		t.Errorf("R2 on exact fit = %v", r2)
 	}
 	// A wrong model has low R2.
 	bad := &Model{Weights: []float64{0}, Intercept: 0}
-	if r2 := bad.R2(X, y); r2 > 0.1 {
+	if r2 := bad.R2(mat(X), y); r2 > 0.1 {
 		t.Errorf("R2 of zero model = %v", r2)
 	}
 	// Constant targets: exact prediction -> 1; wrong prediction -> 0.
 	Xc := [][]float64{{1}, {2}}
 	yc := []float64{4, 4}
 	exact := &Model{Weights: []float64{0}, Intercept: 4}
-	if r2 := exact.R2(Xc, yc); r2 != 1 {
+	if r2 := exact.R2(mat(Xc), yc); r2 != 1 {
 		t.Errorf("constant exact R2 = %v", r2)
 	}
 	wrong := &Model{Weights: []float64{0}, Intercept: 0}
-	if r2 := wrong.R2(Xc, yc); r2 != 0 {
+	if r2 := wrong.R2(mat(Xc), yc); r2 != 0 {
 		t.Errorf("constant wrong R2 = %v", r2)
 	}
 	if (&Model{Weights: []float64{1}}).R2(nil, nil) != 0 {

@@ -16,7 +16,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		X[i] = []float64{rng.Float64(), rng.NormFloat64(), float64(i % 5)}
 		y[i] = 2*X[i][0] - 0.5*X[i][1] + 0.1*X[i][2] + 0.01*rng.NormFloat64()
 	}
-	m, err := Fit(X, y, Options{FitIntercept: true, Ridge: 1e-6})
+	m, err := Fit(mat(X), y, Options{FitIntercept: true, Ridge: 1e-6})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}

@@ -13,7 +13,6 @@ func randomFit(t *testing.T) (*tensor.Matrix, []float64) {
 	const rows, d = 2000, 7
 	rng := rand.New(rand.NewSource(3))
 	X := tensor.NewMatrix(d)
-	X.Reserve(rows)
 	y := make([]float64, 0, rows)
 	row := make([]float64, d)
 	for i := 0; i < rows; i++ {
@@ -33,12 +32,12 @@ func randomFit(t *testing.T) (*tensor.Matrix, []float64) {
 // byte-identical at any worker count.
 func TestFitWorkersByteIdentical(t *testing.T) {
 	X, y := randomFit(t)
-	ref, err := FitMatrix(X, y, Options{FitIntercept: true})
+	ref, err := Fit(X, y, Options{FitIntercept: true})
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
 	for _, workers := range []int{2, 8, 64} {
-		m, err := FitMatrix(X, y, Options{FitIntercept: true, Workers: workers})
+		m, err := Fit(X, y, Options{FitIntercept: true, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -58,12 +57,12 @@ func TestFitWorkersByteIdentical(t *testing.T) {
 func TestFitMatrixAllocs(t *testing.T) {
 	X, y := randomFit(t)
 	avg := testing.AllocsPerRun(16, func() {
-		if _, err := FitMatrix(X, y, Options{FitIntercept: true}); err != nil {
+		if _, err := Fit(X, y, Options{FitIntercept: true}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	// 8 cols: gram rows + partials + rhs + solve result + model ≈ 13.
 	if avg > 20 {
-		t.Fatalf("FitMatrix allocates %.1f objects/fit, want <= 20 (must not scale with rows)", avg)
+		t.Fatalf("Fit allocates %.1f objects/fit, want <= 20 (must not scale with rows)", avg)
 	}
 }

@@ -26,8 +26,6 @@ func randomData(t *testing.T, rows, inputs int, seed int64) (*tensor.Matrix, *te
 	rng := rand.New(rand.NewSource(seed))
 	X := tensor.NewMatrix(inputs)
 	Y := tensor.NewMatrix(1)
-	X.Reserve(rows)
-	Y.Reserve(rows)
 	xrow := make([]float64, inputs)
 	for i := 0; i < rows; i++ {
 		s := 0.0

@@ -8,19 +8,19 @@ import (
 	"github.com/routeplanning/mamorl/internal/tensor"
 )
 
+// mat copies equal-width rows into a flat matrix.
+func mat(rows [][]float64) *tensor.Matrix {
+	m := tensor.NewMatrix(len(rows[0]))
+	for _, r := range rows {
+		m.AppendRow(r)
+	}
+	return m
+}
+
 // batchTrainer builds a trainer over (X, y) for driving single batches in
 // tests. Callers must stop() it.
-func batchTrainer(t *testing.T, n *Network, X, y [][]float64, lr float64) *trainer {
-	t.Helper()
-	Xm, err := tensor.FromRows(X)
-	if err != nil {
-		t.Fatalf("FromRows: %v", err)
-	}
-	Ym, err := tensor.FromRows(y)
-	if err != nil {
-		t.Fatalf("FromRows: %v", err)
-	}
-	return newTrainer(n, Xm, Ym, TrainOptions{LearningRate: lr}.withDefaults())
+func batchTrainer(n *Network, X, y [][]float64, lr float64) *trainer {
+	return newTrainer(n, mat(X), mat(y), TrainOptions{LearningRate: lr}.withDefaults())
 }
 
 // TestBackpropMatchesNumericalGradient verifies the backpropagation
@@ -63,7 +63,7 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 			}
 		}
 	}
-	tr := batchTrainer(t, n, [][]float64{x}, [][]float64{y}, lr)
+	tr := batchTrainer(n, [][]float64{x}, [][]float64{y}, lr)
 	defer tr.stop()
 	tr.runBatch([]int{0})
 	analytic := make([]float64, len(params))
@@ -124,13 +124,13 @@ func TestGradientDescentReducesLoss(t *testing.T) {
 	for i := range idx {
 		idx[i] = i
 	}
-	tr := batchTrainer(t, n, X, y, 0.01)
+	tr := batchTrainer(n, X, y, 0.01)
 	defer tr.stop()
-	prev := n.MSE(X, y)
+	prev := n.MSE(mat(X), mat(y))
 	for step := 0; step < 200; step++ {
 		tr.runBatch(idx)
 	}
-	if after := n.MSE(X, y); after >= prev {
+	if after := n.MSE(mat(X), mat(y)); after >= prev {
 		t.Errorf("full-batch SGD did not reduce loss: %v -> %v", prev, after)
 	}
 }
@@ -149,7 +149,7 @@ func TestBatchLossSummedPreUpdate(t *testing.T) {
 		d := n.Predict1(X[i]) - y[i][0]
 		want += d * d
 	}
-	tr := batchTrainer(t, n, X, y, 0.01)
+	tr := batchTrainer(n, X, y, 0.01)
 	defer tr.stop()
 	got := tr.runBatch([]int{0, 1, 2})
 	if math.Abs(got-want) > 1e-12 {

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"github.com/routeplanning/mamorl/internal/limits"
 	"github.com/routeplanning/mamorl/internal/tensor"
 )
 
@@ -236,12 +235,6 @@ type TrainOptions struct {
 	// Workers only changes wall time, never the trained weights. 0 or 1
 	// trains serially.
 	Workers int
-	// Budget, when non-nil, is charged the rows consumed per SGD batch
-	// (Samples) and the one-time training workspace (Bytes: the flat
-	// gradient partials, activation scratch, and shuffle order); Train
-	// stops with a wrapped *limits.ErrOverBudget once it is exhausted. nil
-	// trains unlimited.
-	Budget *limits.Budget
 }
 
 // Defaults from Table 5.
@@ -272,37 +265,11 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	return o
 }
 
-// Train fits the network to (X, y) with mini-batch SGD on MSE and returns
-// the final training MSE. It copies the rows into flat matrices once; use
-// TrainMatrix to train on already-flat data without the copy.
-func (n *Network) Train(X [][]float64, y [][]float64, opts TrainOptions) (float64, error) {
-	if len(X) == 0 || len(X) != len(y) {
-		return 0, fmt.Errorf("neural: %d rows, %d targets", len(X), len(y))
-	}
-	for i := range X {
-		if len(X[i]) != n.cfg.Inputs {
-			return 0, fmt.Errorf("neural: row %d has %d features, want %d", i, len(X[i]), n.cfg.Inputs)
-		}
-		if len(y[i]) != n.Outputs() {
-			return 0, fmt.Errorf("neural: target %d has %d values, want %d", i, len(y[i]), n.Outputs())
-		}
-	}
-	Xm, err := tensor.FromRows(X)
-	if err != nil {
-		return 0, fmt.Errorf("neural: %w", err)
-	}
-	Ym, err := tensor.FromRows(y)
-	if err != nil {
-		return 0, fmt.Errorf("neural: %w", err)
-	}
-	return n.TrainMatrix(Xm, Ym, opts)
-}
-
-// TrainMatrix is Train over flat row-major matrices: X is rows×Inputs, Y is
-// rows×Outputs. The steady-state epoch loop performs no allocation — all
-// scratch lives in a workspace allocated (and budget-charged) once up
-// front.
-func (n *Network) TrainMatrix(X, Y *tensor.Matrix, opts TrainOptions) (float64, error) {
+// Train fits the network to (X, Y) with mini-batch SGD on MSE and returns
+// the final training MSE. X is rows×Inputs and Y rows×Outputs, both flat
+// row-major. The steady-state epoch loop performs no allocation — all
+// scratch lives in a workspace allocated once up front.
+func (n *Network) Train(X, Y *tensor.Matrix, opts TrainOptions) (float64, error) {
 	if X == nil || Y == nil || X.Rows() == 0 || X.Rows() != Y.Rows() {
 		xr, yr := 0, 0
 		if X != nil {
@@ -323,24 +290,15 @@ func (n *Network) TrainMatrix(X, Y *tensor.Matrix, opts TrainOptions) (float64, 
 
 	t := newTrainer(n, X, Y, opts)
 	defer t.stop()
-	// Charge the full one-time workspace: per-chunk gradient partials,
-	// per-worker activation scratch, and the shuffle order. (This used to
-	// charge NumParams()*8, which understated the real footprint.)
-	if err := opts.Budget.Charge(limits.Bytes, t.workspaceBytes()); err != nil {
-		return 0, fmt.Errorf("neural: training over budget: %w", err)
-	}
 	rows := X.Rows()
 	samples := float64(rows * n.Outputs())
 	bestMSE := math.Inf(1)
 	stall := 0
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
+	for range opts.Epochs {
 		n.rng.Shuffle(rows, func(i, j int) { t.order[i], t.order[j] = t.order[j], t.order[i] })
 		epochLoss := 0.0
 		for start := 0; start < rows; start += opts.BatchSize {
 			end := min(start+opts.BatchSize, rows)
-			if err := opts.Budget.Charge(limits.Samples, int64(end-start)); err != nil {
-				return n.MSEMatrix(X, Y), fmt.Errorf("neural: training over budget at epoch %d: %w", epoch, err)
-			}
 			epochLoss += t.runBatch(t.order[start:end])
 		}
 		if opts.MaxEpochsNoImprove > 0 {
@@ -357,7 +315,7 @@ func (n *Network) TrainMatrix(X, Y *tensor.Matrix, opts TrainOptions) (float64, 
 			}
 		}
 	}
-	return n.MSEMatrix(X, Y), nil
+	return n.MSE(X, Y), nil
 }
 
 // trainWS is one worker's per-sample backprop scratch: per-layer
@@ -450,20 +408,6 @@ func newTrainer(n *Network, X, Y *tensor.Matrix, opts TrainOptions) *trainer {
 		}
 	}
 	return t
-}
-
-// workspaceBytes reports the trainer's real one-time allocation footprint.
-func (t *trainer) workspaceBytes() int64 {
-	floats := 0
-	params := t.n.NumParams()
-	floats += len(t.chunks) * params
-	for _, ws := range t.ws {
-		floats += 2 * len(ws.delta)
-		for li := range ws.pres {
-			floats += 2 * len(ws.pres[li])
-		}
-	}
-	return int64(floats)*8 + int64(len(t.order))*8
 }
 
 // stop shuts down the worker pool (a no-op for serial trainers).
@@ -607,27 +551,7 @@ func (t *trainer) backprop(x, y []float64, ws *trainWS, cg *chunkGrad) {
 
 // MSE returns the mean squared error over a dataset (averaged over outputs
 // as well as rows).
-func (n *Network) MSE(X [][]float64, y [][]float64) float64 {
-	if len(X) == 0 {
-		return 0
-	}
-	s := n.fwd.Get().(*fwdScratch)
-	defer n.fwd.Put(s)
-	sum := 0.0
-	count := 0
-	for i := range X {
-		out := n.forwardInto(X[i], s)
-		for o := range out {
-			d := out[o] - y[i][o]
-			sum += d * d
-			count++
-		}
-	}
-	return sum / float64(count)
-}
-
-// MSEMatrix is MSE over flat matrices.
-func (n *Network) MSEMatrix(X, Y *tensor.Matrix) float64 {
+func (n *Network) MSE(X, Y *tensor.Matrix) float64 {
 	if X == nil || X.Rows() == 0 {
 		return 0
 	}

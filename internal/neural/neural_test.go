@@ -1,10 +1,8 @@
 package neural
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -63,7 +61,7 @@ func TestLearnsLinearFunction(t *testing.T) {
 		X = append(X, []float64{a, b})
 		y = append(y, []float64{2*a - b + 0.5})
 	}
-	mse, err := n.Train(X, y, TrainOptions{Epochs: 2000, BatchSize: 32, LearningRate: 0.05})
+	mse, err := n.Train(mat(X), mat(y), TrainOptions{Epochs: 2000, BatchSize: 32, LearningRate: 0.05})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -93,7 +91,7 @@ func TestLearnsNonlinearFunction(t *testing.T) {
 		X = append(X, []float64{x})
 		y = append(y, []float64{math.Abs(x)})
 	}
-	mse, err := n.Train(X, y, TrainOptions{Epochs: 3000, BatchSize: 64, LearningRate: 0.05})
+	mse, err := n.Train(mat(X), mat(y), TrainOptions{Epochs: 3000, BatchSize: 64, LearningRate: 0.05})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -107,13 +105,13 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := n.Train(nil, nil, TrainOptions{}); err == nil {
 		t.Error("empty data accepted")
 	}
-	if _, err := n.Train([][]float64{{1, 2}}, [][]float64{{1}, {2}}, TrainOptions{}); err == nil {
+	if _, err := n.Train(mat([][]float64{{1, 2}}), mat([][]float64{{1}, {2}}), TrainOptions{}); err == nil {
 		t.Error("length mismatch accepted")
 	}
-	if _, err := n.Train([][]float64{{1}}, [][]float64{{1}}, TrainOptions{}); err == nil {
+	if _, err := n.Train(mat([][]float64{{1}}), mat([][]float64{{1}}), TrainOptions{}); err == nil {
 		t.Error("wrong feature width accepted")
 	}
-	if _, err := n.Train([][]float64{{1, 2}}, [][]float64{{1, 2}}, TrainOptions{}); err == nil {
+	if _, err := n.Train(mat([][]float64{{1, 2}}), mat([][]float64{{1, 2}}), TrainOptions{}); err == nil {
 		t.Error("wrong target width accepted")
 	}
 }
@@ -134,7 +132,7 @@ func TestEarlyStopping(t *testing.T) {
 	y := [][]float64{{0}, {1}}
 	// With aggressive early stopping the train loop must terminate fast and
 	// still return a finite MSE.
-	mse, err := n.Train(X, y, TrainOptions{Epochs: 100000, BatchSize: 2, LearningRate: 0.1, MaxEpochsNoImprove: 5})
+	mse, err := n.Train(mat(X), mat(y), TrainOptions{Epochs: 100000, BatchSize: 2, LearningRate: 0.1, MaxEpochsNoImprove: 5})
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
@@ -148,7 +146,7 @@ func TestDeterministicWithSeed(t *testing.T) {
 		n, _ := New(PaperConfig(2, 42))
 		X := [][]float64{{0.1, 0.2}, {0.3, -0.1}, {-0.2, 0.4}}
 		y := [][]float64{{0.5}, {0.1}, {-0.3}}
-		mse, _ := n.Train(X, y, TrainOptions{Epochs: 50, BatchSize: 2, LearningRate: 0.05})
+		mse, _ := n.Train(mat(X), mat(y), TrainOptions{Epochs: 50, BatchSize: 2, LearningRate: 0.05})
 		return mse
 	}
 	if build() != build() {
@@ -160,45 +158,5 @@ func TestMSEEmpty(t *testing.T) {
 	n, _ := New(PaperConfig(2, 1))
 	if got := n.MSE(nil, nil); got != 0 {
 		t.Errorf("MSE(empty) = %v", got)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	n, err := New(PaperConfig(3, 11))
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	var X, y [][]float64
-	for i := 0; i < 60; i++ {
-		a, b, c := rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
-		X = append(X, []float64{a, b, c})
-		y = append(y, []float64{a - b + 0.5*c})
-	}
-	if _, err := n.Train(X, y, TrainOptions{Epochs: 200, BatchSize: 16, LearningRate: 0.05}); err != nil {
-		t.Fatalf("Train: %v", err)
-	}
-
-	var buf bytes.Buffer
-	if err := n.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	n2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if n2.NumParams() != n.NumParams() {
-		t.Fatalf("param counts differ: %d vs %d", n2.NumParams(), n.NumParams())
-	}
-	for _, x := range X[:10] {
-		if a, b := n.Predict1(x), n2.Predict1(x); a != b {
-			t.Fatalf("prediction drift: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("nope")); err == nil {
-		t.Error("garbage accepted")
 	}
 }

@@ -1,11 +1,8 @@
 package neural
 
 import (
-	"errors"
 	"math"
 	"testing"
-
-	"github.com/routeplanning/mamorl/internal/limits"
 )
 
 // weightBits flattens every parameter to its exact bit pattern, so equality
@@ -23,19 +20,18 @@ func weightBits(n *Network) []uint64 {
 	return bits
 }
 
-func trainWith(t *testing.T, workers int, budget *limits.Budget) (*Network, error) {
+func trainWith(t *testing.T, workers int) (*Network, error) {
 	t.Helper()
 	n, err := New(PaperConfig(6, 21))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	X, Y := randomData(t, 700, 6, 11)
-	_, terr := n.TrainMatrix(X, Y, TrainOptions{
+	_, terr := n.Train(X, Y, TrainOptions{
 		Epochs:       12,
 		BatchSize:    300, // 3 chunks per full batch: real multi-chunk reduction
 		LearningRate: 0.05,
 		Workers:      workers,
-		Budget:       budget,
 	})
 	return n, terr
 }
@@ -44,13 +40,13 @@ func trainWith(t *testing.T, workers int, budget *limits.Budget) (*Network, erro
 // trained weights are byte-identical at any worker count, because chunk
 // boundaries and the reduction order never depend on Workers.
 func TestWorkersByteIdentical(t *testing.T) {
-	ref, err := trainWith(t, 1, nil)
+	ref, err := trainWith(t, 1)
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
 	want := weightBits(ref)
 	for _, workers := range []int{2, 8} {
-		n, err := trainWith(t, workers, nil)
+		n, err := trainWith(t, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -59,35 +55,6 @@ func TestWorkersByteIdentical(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("workers=%d: weight %d differs: %x vs %x", workers, i, got[i], want[i])
 			}
-		}
-	}
-}
-
-// TestWorkersByteIdenticalUnderBudget: a Samples budget that exhausts
-// mid-training must cut both runs at the same batch — budget charges happen
-// per batch on the coordinating goroutine — so the partially trained
-// weights stay byte-identical at any worker count.
-func TestWorkersByteIdenticalUnderBudget(t *testing.T) {
-	// 700 rows/epoch over 12 epochs = 8400 samples total; cap mid-way,
-	// misaligned with both the epoch (700) and batch (300) sizes.
-	const cap = 3650
-	ref, err := trainWith(t, 1, limits.New(limits.Limits{Samples: cap}))
-	if err == nil {
-		t.Fatal("workers=1: budget did not exhaust")
-	}
-	var over *limits.ErrOverBudget
-	if !errors.As(err, &over) {
-		t.Fatalf("workers=1: err = %v, want ErrOverBudget", err)
-	}
-	want := weightBits(ref)
-	n, err := trainWith(t, 8, limits.New(limits.Limits{Samples: cap}))
-	if err == nil {
-		t.Fatal("workers=8: budget did not exhaust")
-	}
-	got := weightBits(n)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("weight %d differs after budget exhaustion: %x vs %x", i, got[i], want[i])
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"github.com/routeplanning/mamorl/internal/grid"
 )
 
-// Typed adapters between the blob store and the approx model families.
+// Typed adapters between the blob store and the linear approx model.
 
 // Meta carries the identity of a training run when registering a model.
 type Meta struct {
@@ -17,23 +17,19 @@ type Meta struct {
 	Params TrainParams
 }
 
-func (m Meta) manifest(kind Kind) Manifest {
-	return Manifest{
-		Kind:            kind,
-		Grid:            m.Grid.Name(),
-		GridFingerprint: m.Grid.Fingerprint(),
-		Seed:            m.Seed,
-		Params:          m.Params,
-	}
-}
-
 // PutLinear registers a linear model pair trained under meta.
 func PutLinear(s *Store, model *approx.LinearModel, meta Meta) (Manifest, error) {
 	blob, err := model.EncodeBlob()
 	if err != nil {
 		return Manifest{}, err
 	}
-	return s.Put(meta.manifest(KindLinreg), blob)
+	return s.Put(Manifest{
+		Kind:            KindLinreg,
+		Grid:            meta.Grid.Name(),
+		GridFingerprint: meta.Grid.Fingerprint(),
+		Seed:            meta.Seed,
+		Params:          meta.Params,
+	}, blob)
 }
 
 // LoadLinear restores a linear model pair from an artifact, verifying the
@@ -44,24 +40,6 @@ func LoadLinear(s *Store, m Manifest) (*approx.LinearModel, error) {
 		return nil, err
 	}
 	return approx.DecodeLinearBlob(blob)
-}
-
-// PutNeural registers a neural model pair trained under meta.
-func PutNeural(s *Store, model *approx.NeuralModel, meta Meta) (Manifest, error) {
-	blob, err := model.EncodeBlob()
-	if err != nil {
-		return Manifest{}, err
-	}
-	return s.Put(meta.manifest(KindNN), blob)
-}
-
-// LoadNeural restores a neural model pair from an artifact.
-func LoadNeural(s *Store, m Manifest) (*approx.NeuralModel, error) {
-	blob, err := s.Blob(m)
-	if err != nil {
-		return nil, err
-	}
-	return approx.DecodeNeuralBlob(blob)
 }
 
 // TrainMeta builds a Meta from a completed pipeline: the training grid,

@@ -29,16 +29,14 @@ import (
 	"time"
 )
 
-// Kind discriminates the model family of an artifact.
+// Kind discriminates the model family of an artifact. The store accepts
+// any non-empty kind; the serving stack registers and loads only
+// KindLinreg.
 type Kind string
 
-// Artifact kinds.
-const (
-	// KindLinreg is the linear Approx-MaMoRL model pair.
-	KindLinreg Kind = "linreg"
-	// KindNN is the NN-Approx-MaMoRL network pair.
-	KindNN Kind = "nn"
-)
+// KindLinreg is the linear Approx-MaMoRL model pair, the model TMPLAR
+// serves.
+const KindLinreg Kind = "linreg"
 
 // TrainParams records the training-pipeline shape an artifact came from
 // (Section 4.2's hyperparameters), for provenance and cache matching.
@@ -80,7 +78,7 @@ func (m Manifest) contentID() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// ErrNotFound reports a missing artifact or an empty Resolve.
+// ErrNotFound reports a missing artifact or an empty ResolveMatch.
 var ErrNotFound = errors.New("registry: artifact not found")
 
 // ErrCorrupt reports an artifact whose stored bytes no longer match their
@@ -261,17 +259,8 @@ func (s *Store) List() ([]Manifest, error) {
 	return out, nil
 }
 
-// Resolve returns the latest artifact (by CreatedAt) for a grid name and
-// kind, or ErrNotFound.
-func (s *Store) Resolve(grid string, kind Kind) (Manifest, error) {
-	return s.ResolveMatch(func(m Manifest) bool {
-		return m.Grid == grid && m.Kind == kind
-	})
-}
-
-// ResolveMatch returns the latest artifact satisfying match, or
-// ErrNotFound. Callers that need an exact training-run match (fingerprint,
-// seed) use this instead of Resolve.
+// ResolveMatch returns the latest artifact (by CreatedAt) satisfying
+// match, or ErrNotFound.
 func (s *Store) ResolveMatch(match func(Manifest) bool) (Manifest, error) {
 	all, err := s.List()
 	if err != nil {

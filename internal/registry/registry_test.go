@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
@@ -132,12 +134,15 @@ func TestListAndResolve(t *testing.T) {
 		t.Fatalf("List order wrong: %+v", all)
 	}
 
-	got, err := s.Resolve("registry-test", KindLinreg)
+	byGrid := func(grid string) func(Manifest) bool {
+		return func(m Manifest) bool { return m.Grid == grid && m.Kind == KindLinreg }
+	}
+	got, err := s.ResolveMatch(byGrid("registry-test"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.ID != latest.ID {
-		t.Fatalf("Resolve returned %s, want latest %s", got.ID, latest.ID)
+		t.Fatalf("ResolveMatch returned %s, want latest %s", got.ID, latest.ID)
 	}
 
 	bySeed, err := s.ResolveMatch(func(m Manifest) bool { return m.Seed == 1 })
@@ -148,8 +153,8 @@ func TestListAndResolve(t *testing.T) {
 		t.Fatalf("ResolveMatch returned %s, want %s", bySeed.ID, old.ID)
 	}
 
-	if _, err := s.Resolve("no-such-grid", KindLinreg); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Resolve on missing grid: %v, want ErrNotFound", err)
+	if _, err := s.ResolveMatch(byGrid("no-such-grid")); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ResolveMatch on missing grid: %v, want ErrNotFound", err)
 	}
 	if _, err := s.Get("deadbeefdeadbeef"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Get on missing ID: %v, want ErrNotFound", err)
@@ -235,14 +240,29 @@ func TestTamperedManifestDetected(t *testing.T) {
 	}
 }
 
+// TestNeuralBlobKindMismatch: an artifact whose blob frames a model pair
+// of another kind (the "nn" frame NN-Approx-MaMoRL artifacts were stored
+// in) stays listed but does not load as a linear model.
 func TestNeuralBlobKindMismatch(t *testing.T) {
 	s := openStore(t)
-	man, err := PutLinear(s, testModel(1.0), Meta{Grid: testGrid(t, 1), Seed: 7})
+	g := testGrid(t, 1)
+	var blob bytes.Buffer
+	frame := struct {
+		Version int
+		Kind    string
+		TMM, LM []byte
+	}{Version: 1, Kind: "nn", TMM: []byte{1}, LM: []byte{1}}
+	if err := gob.NewEncoder(&blob).Encode(frame); err != nil {
+		t.Fatal(err)
+	}
+	man, err := s.Put(Manifest{Kind: "nn", Grid: g.Name(), GridFingerprint: g.Fingerprint(), Seed: 7}, blob.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A linreg blob must not decode as a neural pair.
-	if _, err := LoadNeural(s, man); err == nil {
-		t.Fatal("LoadNeural decoded a linreg blob")
+	if _, err := s.Get(man.ID); err != nil {
+		t.Fatalf("Get of an nn artifact: %v", err)
+	}
+	if _, err := LoadLinear(s, man); err == nil || !strings.Contains(err.Error(), `kind "nn"`) {
+		t.Fatalf("LoadLinear of an nn-framed blob: err = %v, want one naming the kind", err)
 	}
 }

@@ -1,16 +1,14 @@
 // Package tensor provides the flat, row-major float64 matrix backing the
-// training stack. Training used to shuttle [][]float64 around — one heap
-// object per sample row — which put the Table 5 regime (batch 1000, 10000
-// epochs) at ~50M allocations per fit. A Matrix keeps every row in one
-// backing array with a fixed stride, so sample collection grows a single
-// slice, trainers iterate with zero indirection, and row views remain cheap
-// []float64 windows for code that still wants per-row slices.
+// training stack. A Matrix keeps every row in one backing array with a
+// fixed stride, so sample collection grows a single slice, trainers iterate
+// with zero indirection, and Row hands out a []float64 window without
+// copying.
 package tensor
 
 import "fmt"
 
 // Matrix is a dense row-major matrix over one flat backing slice. The zero
-// value is unusable; construct with NewMatrix, FromRows, or FromSlice.
+// value is unusable; construct with NewMatrix or FromSlice.
 type Matrix struct {
 	data []float64
 	rows int
@@ -23,27 +21,6 @@ func NewMatrix(cols int) *Matrix {
 		panic(fmt.Sprintf("tensor: %d columns", cols))
 	}
 	return &Matrix{cols: cols}
-}
-
-// FromRows copies a [][]float64 into a flat matrix. Every row must have the
-// same width.
-func FromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("tensor: no rows")
-	}
-	cols := len(rows[0])
-	if cols == 0 {
-		return nil, fmt.Errorf("tensor: empty rows")
-	}
-	m := &Matrix{data: make([]float64, 0, len(rows)*cols), cols: cols}
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("tensor: row %d has %d values, want %d", i, len(r), cols)
-		}
-		m.data = append(m.data, r...)
-		m.rows++
-	}
-	return m, nil
 }
 
 // FromSlice wraps an existing flat slice as a matrix view without copying.
@@ -83,26 +60,4 @@ func (m *Matrix) AppendRow(row []float64) {
 	}
 	m.data = append(m.data, row...)
 	m.rows++
-}
-
-// Reserve grows the backing array to hold at least n rows without further
-// reallocation.
-func (m *Matrix) Reserve(n int) {
-	if need := n * m.cols; cap(m.data) < need {
-		grown := make([]float64, len(m.data), need)
-		copy(grown, m.data)
-		m.data = grown
-	}
-}
-
-// RowViews materializes a [][]float64 of row views sharing the backing
-// array: one slice-header allocation, no element copies. Compatibility
-// bridge for consumers that still iterate rows as slices; take it after the
-// matrix has stopped growing.
-func (m *Matrix) RowViews() [][]float64 {
-	views := make([][]float64, m.rows)
-	for i := range views {
-		views[i] = m.Row(i)
-	}
-	return views
 }

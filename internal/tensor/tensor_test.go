@@ -14,33 +14,10 @@ func TestAppendRowAndViews(t *testing.T) {
 	if got := m.Row(1); got[0] != 4 || got[2] != 6 {
 		t.Fatalf("Row(1) = %v", got)
 	}
-	views := m.RowViews()
-	if len(views) != 2 {
-		t.Fatalf("%d views", len(views))
-	}
-	// Views alias the backing array.
-	views[0][1] = 42
+	// Row views alias the backing array.
+	m.Row(0)[1] = 42
 	if m.Data()[1] != 42 {
 		t.Fatal("row view does not alias backing array")
-	}
-}
-
-func TestFromRows(t *testing.T) {
-	m, err := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Rows() != 3 || m.Cols() != 2 || m.Data()[5] != 6 {
-		t.Fatalf("bad matrix: %dx%d %v", m.Rows(), m.Cols(), m.Data())
-	}
-	if _, err := FromRows([][]float64{{1, 2}, {3}}); err == nil {
-		t.Error("ragged rows accepted")
-	}
-	if _, err := FromRows(nil); err == nil {
-		t.Error("empty rows accepted")
-	}
-	if _, err := FromRows([][]float64{{}}); err == nil {
-		t.Error("zero-width rows accepted")
 	}
 }
 
@@ -66,24 +43,8 @@ func TestFromSlice(t *testing.T) {
 	}
 }
 
-func TestReserveKeepsAppendsAllocationFree(t *testing.T) {
-	m := NewMatrix(4)
-	m.Reserve(100)
-	row := []float64{1, 2, 3, 4}
-	avg := testing.AllocsPerRun(50, func() {
-		if m.Rows() == 100 {
-			return
-		}
-		m.AppendRow(row)
-	})
-	if avg != 0 {
-		t.Fatalf("AppendRow within reserved capacity allocates %.2f objects/op, want 0", avg)
-	}
-}
-
 func TestRowViewCapIsClamped(t *testing.T) {
 	m := NewMatrix(2)
-	m.Reserve(4)
 	m.AppendRow([]float64{1, 2})
 	m.AppendRow([]float64{3, 4})
 	r := m.Row(0)

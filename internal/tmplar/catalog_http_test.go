@@ -1,7 +1,9 @@
 package tmplar
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -156,6 +158,55 @@ func TestPlanUnknownModel404(t *testing.T) {
 		if !strings.Contains(body.Error, "no-such-model") {
 			t.Errorf("%s: error %q does not name the selector", path, body.Error)
 		}
+	}
+}
+
+// TestPlanForeignKindModel404: a registry artifact whose blob frames
+// another model family's pair (the "nn" frame NN-Approx-MaMoRL artifacts
+// were stored in) does not load as the served linear model, so a model_id
+// naming it answers the same 404 as an unknown selector.
+func TestPlanForeignKindModel404(t *testing.T) {
+	dir := t.TempDir()
+	store, err := registry.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob bytes.Buffer
+	frame := struct {
+		Version int
+		Kind    string
+		TMM, LM []byte
+	}{Version: 1, Kind: "nn", TMM: []byte{1}, LM: []byte{1}}
+	if err := gob.NewEncoder(&blob).Encode(frame); err != nil {
+		t.Fatal(err)
+	}
+	tg := catalogGrid(t, "nn-train", 5)
+	man, err := store.Put(registry.Manifest{Kind: "nn", Grid: tg.Name(), GridFingerprint: tg.Fingerprint(), Seed: 3}, blob.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := derivedServer(t, Options{})
+	mc, err := newModelCache(1, Options{ModelDir: dir}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := s.lookupGrid("ops-area")
+	s.cat = catalog.New(catalog.Options{LoadModel: mc.resolve, Metrics: s.opts.Metrics})
+	s.InstallGrid(g)
+
+	req := opsPlanRequest()
+	req.ModelID = man.ID
+	rec := do(t, s.Handler(), "POST", "/api/plan", req)
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("code = %d, want 404 (%s)", rec.Code, rec.Body.String())
+	}
+	var body notFoundResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatalf("404 body not JSON: %v (%s)", err, rec.Body.String())
+	}
+	if body.Resource != "model" || body.Name != man.ID {
+		t.Errorf("404 body = %+v, want resource=model name=%s", body, man.ID)
 	}
 }
 

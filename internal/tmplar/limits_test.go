@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/routeplanning/mamorl/internal/jobs"
+	"github.com/routeplanning/mamorl/internal/limits"
 )
 
 // budgetJobServer is jobServer with budget ceilings and queue knobs.
@@ -64,7 +65,7 @@ func TestPlanOverBudgetReturns429(t *testing.T) {
 // produce the exact bytes an unbudgeted server produces.
 func TestPlanWithinBudgetIsByteIdentical(t *testing.T) {
 	free := derivedServer(t, Options{})
-	capped := derivedServer(t, Options{MaxNodes: 1 << 40, MaxSamples: 1 << 40, MaxBytes: 1 << 50})
+	capped := derivedServer(t, Options{MaxNodes: 1 << 40, MaxBytes: 1 << 50})
 
 	req := opsPlanRequest()
 	recFree := do(t, free.Handler(), "POST", "/api/plan", req)
@@ -79,6 +80,22 @@ func TestPlanWithinBudgetIsByteIdentical(t *testing.T) {
 	// The capped run still accounted its usage.
 	if got := capped.Metrics().CounterValue("limits_charged_total", "resource", "nodes", "tenant", "ops-area"); got == 0 {
 		t.Error("within-limit run charged nothing")
+	}
+}
+
+// TestPlanChargesEveryResource: one approx plan under a generous budget
+// charges every resource limits.Resources lists, so the budget carries no
+// resource that a served plan never spends.
+func TestPlanChargesEveryResource(t *testing.T) {
+	s := derivedServer(t, Options{MaxNodes: 1 << 40, MaxBytes: 1 << 50})
+	rec := do(t, s.Handler(), "POST", "/api/plan", opsPlanRequest())
+	if rec.Code != http.StatusOK {
+		t.Fatalf("code = %d, want 200 (%s)", rec.Code, rec.Body.String())
+	}
+	for _, r := range limits.Resources() {
+		if got := s.Metrics().CounterValue("limits_charged_total", "resource", r.String(), "tenant", "ops-area"); got == 0 {
+			t.Errorf("limits_charged_total{%s,ops-area} = 0, want the plan's usage", r)
+		}
 	}
 }
 

@@ -107,15 +107,14 @@ type Options struct {
 	// memory for the life of the process.
 	JobRetention  time.Duration
 	JobMaxRecords int
-	// MaxNodes / MaxSamples / MaxBytes bound one planning request's
-	// resource budget: nodes expanded by planners, training samples
-	// drawn, and approximate bytes allocated for mission state. A request
-	// that exhausts its budget answers HTTP 429 with a structured body
-	// naming the resource. <= 0 leaves that resource unlimited; all three
-	// unset disables budgeting entirely (the nil-budget fast path).
-	MaxNodes   int64
-	MaxSamples int64
-	MaxBytes   int64
+	// MaxNodes / MaxBytes bound one planning request's resource budget:
+	// nodes expanded by planners and approximate bytes allocated for
+	// mission state. A request that exhausts its budget answers HTTP 429
+	// with a structured body naming the resource. <= 0 leaves that
+	// resource unlimited; both unset disables budgeting entirely (the
+	// nil-budget fast path).
+	MaxNodes int64
+	MaxBytes int64
 	// SSEKeepAlive is the idle keep-alive cadence of the SSE endpoints
 	// (/debug/metrics/stream and /api/jobs/{id}/events). 0 selects
 	// obs.DefaultKeepAliveInterval; negative disables keep-alives.
@@ -445,7 +444,7 @@ func (mc *modelCache) loadOrTrainDefault() (*catalog.ModelArtifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tmplar: training pipeline: %w", err)
 	}
-	model, _, err := approx.FitLinearOpts(pipe.Data, nil, opts.TrainWorkers)
+	model, _, err := approx.FitLinear(pipe.Data, opts.TrainWorkers)
 	if err != nil {
 		return nil, fmt.Errorf("tmplar: model fit: %w", err)
 	}
@@ -1102,14 +1101,10 @@ func tightened(d time.Duration, req PlanRequest) time.Duration {
 // are strictly per-request: each call returns a fresh accounting object,
 // so one runaway request cannot starve the next.
 func (s *Server) newBudget() *limits.Budget {
-	if s.opts.MaxNodes <= 0 && s.opts.MaxSamples <= 0 && s.opts.MaxBytes <= 0 {
+	if s.opts.MaxNodes <= 0 && s.opts.MaxBytes <= 0 {
 		return nil
 	}
-	return limits.New(limits.Limits{
-		Nodes:   s.opts.MaxNodes,
-		Samples: s.opts.MaxSamples,
-		Bytes:   s.opts.MaxBytes,
-	})
+	return limits.New(limits.Limits{Nodes: s.opts.MaxNodes, Bytes: s.opts.MaxBytes})
 }
 
 // overBudgetResponse is the structured 429 body of a budget-exhausted

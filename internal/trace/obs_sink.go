@@ -3,42 +3,23 @@ package trace
 import "github.com/routeplanning/mamorl/internal/obs"
 
 // HistogramSink aggregates span durations into an obs registry: one
-// histogram per span name, labeled span=<name>, plus a per-name completion
+// trace_span_seconds histogram per span name (obs.DefaultLatencyBuckets),
+// labeled span=<name>, plus a per-name trace_spans_total completion
 // counter. This is the bridge between the trace layer and the /metrics
 // surface — dashboards see latency distributions and span rates (the
 // time-series sampler converts the counter into spans/second) of missions,
 // runs and requests without storing any spans.
 type HistogramSink struct {
-	Registry *obs.Registry
-	// Name is the histogram metric name; empty selects "trace_span_seconds".
-	Name string
-	// CountName is the completion-counter metric name; empty selects
-	// "trace_spans_total".
-	CountName string
-	// Bounds are the histogram buckets; nil selects
-	// obs.DefaultLatencyBuckets.
-	Bounds []float64
+	reg *obs.Registry
 }
 
-// NewHistogramSink aggregates into r under the default metric names.
+// NewHistogramSink aggregates into r.
 func NewHistogramSink(r *obs.Registry) *HistogramSink {
-	return &HistogramSink{Registry: r}
+	return &HistogramSink{reg: r}
 }
 
 // Emit implements Sink.
 func (h *HistogramSink) Emit(s *Span) {
-	name := h.Name
-	if name == "" {
-		name = "trace_span_seconds"
-	}
-	countName := h.CountName
-	if countName == "" {
-		countName = "trace_spans_total"
-	}
-	bounds := h.Bounds
-	if bounds == nil {
-		bounds = obs.DefaultLatencyBuckets
-	}
-	h.Registry.Histogram(name, bounds, "span", s.Name).Observe(s.Dur.Seconds())
-	h.Registry.Counter(countName, "span", s.Name).Inc()
+	h.reg.Histogram("trace_span_seconds", obs.DefaultLatencyBuckets, "span", s.Name).Observe(s.Dur.Seconds())
+	h.reg.Counter("trace_spans_total", "span", s.Name).Inc()
 }

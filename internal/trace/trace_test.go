@@ -353,19 +353,6 @@ func TestHistogramSink(t *testing.T) {
 	}
 }
 
-func TestHistogramSinkCustomCountName(t *testing.T) {
-	reg := obs.New()
-	sink := &HistogramSink{Registry: reg, CountName: "my_spans_total"}
-	tr := New(sink)
-	tr.Start("x").End()
-	if got := reg.CounterValue("my_spans_total", "span", "x"); got != 1 {
-		t.Errorf("custom counter = %d, want 1", got)
-	}
-	if got := reg.CounterValue("trace_spans_total", "span", "x"); got != 0 {
-		t.Errorf("default counter also written: %d", got)
-	}
-}
-
 func TestContextPropagation(t *testing.T) {
 	tr := New()
 	sp := tr.Start("req")

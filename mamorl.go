@@ -214,7 +214,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	lin, _, err := approx.FitLinearOpts(pipe.Data, nil, cfg.FitWorkers)
+	lin, _, err := approx.FitLinear(pipe.Data, cfg.FitWorkers)
 	if err != nil {
 		return nil, err
 	}

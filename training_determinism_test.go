@@ -1,16 +1,15 @@
-// Worker-count determinism at the artifact level: the training stack's
-// data-parallel paths (linreg gram accumulation, neural minibatch SGD)
-// promise byte-identical weights at any worker count, which must propagate
-// all the way to the content-addressed registry — an artifact trained with
-// 8 workers resolves to the same ID as one trained serially, so warm-starts
-// hit regardless of the machine that trained the model.
+// Worker-count determinism at the artifact level: linreg's data-parallel
+// gram accumulation promises byte-identical weights at any worker count,
+// which must propagate all the way to the content-addressed registry — an
+// artifact trained with 8 workers resolves to the same ID as one trained
+// serially, so warm-starts hit regardless of the machine that trained the
+// model.
 package mamorl_test
 
 import (
 	"testing"
 
 	"github.com/routeplanning/mamorl/internal/approx"
-	"github.com/routeplanning/mamorl/internal/neural"
 	"github.com/routeplanning/mamorl/internal/registry"
 )
 
@@ -20,11 +19,11 @@ func TestLinearArtifactIDWorkerInvariant(t *testing.T) {
 	h := harnessT(t)
 	meta := registry.TrainMeta(h.Pipe.Scenario.Grid, approx.TrainConfig{Seed: 1})
 
-	serial, _, err := approx.FitLinearOpts(h.Pipe.Data, nil, 1)
+	serial, _, err := approx.FitLinear(h.Pipe.Data, 1)
 	if err != nil {
 		t.Fatalf("workers=1: %v", err)
 	}
-	parallel, _, err := approx.FitLinearOpts(h.Pipe.Data, nil, 8)
+	parallel, _, err := approx.FitLinear(h.Pipe.Data, 8)
 	if err != nil {
 		t.Fatalf("workers=8: %v", err)
 	}
@@ -47,44 +46,5 @@ func TestLinearArtifactIDWorkerInvariant(t *testing.T) {
 	}
 	if m1.ID != m2.ID {
 		t.Fatalf("linear artifact IDs differ across worker counts: %s vs %s", m1.ID, m2.ID)
-	}
-}
-
-// TestNeuralArtifactIDWorkerInvariant: the same contract for the SGD
-// trainer — identical registry IDs for networks trained at workers 1 vs 8.
-func TestNeuralArtifactIDWorkerInvariant(t *testing.T) {
-	h := harnessT(t)
-	meta := registry.TrainMeta(h.Pipe.Scenario.Grid, approx.TrainConfig{Seed: 1})
-	opts := neural.TrainOptions{Epochs: 8, BatchSize: 300, LearningRate: 0.05}
-
-	opts.Workers = 1
-	serial, _, err := approx.FitNeural(h.Pipe.Data, opts, 1)
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
-	}
-	opts.Workers = 8
-	parallel, _, err := approx.FitNeural(h.Pipe.Data, opts, 1)
-	if err != nil {
-		t.Fatalf("workers=8: %v", err)
-	}
-
-	s1, err := registry.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := registry.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1, err := registry.PutNeural(s1, serial, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := registry.PutNeural(s2, parallel, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1.ID != m2.ID {
-		t.Fatalf("neural artifact IDs differ across worker counts: %s vs %s", m1.ID, m2.ID)
 	}
 }

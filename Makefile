@@ -28,15 +28,16 @@ race:
 # race-exec focuses the detector on the parallel experiment executor and the
 # instance cache its leaf runs share (one per driver call: each seeded grid
 # built once, by the first leaf to ask, while the others wait on its once),
-# the simulator it fans out over, the lock-free trace ring they emit into, the
-# metrics sampler/SSE fan-out, the SLO burn-rate engine, the async job
-# queue, the resource-budget accounting, the model registry, the
-# data-parallel training stack (neural/linreg worker pools, flat sample
-# tensors), the continuous profiler's capture ring, the tenant-aware
-# planner catalog (single-flight loads, concurrent Do), and the grid's
-# sensing-ball tables (lazily filled on first query by whichever request
-# gets there, published with atomic stores, tables added copy-on-write
-# under a mutex) — the packages with real concurrency.
+# the simulator it fans out over, the lock-free trace ring they emit into,
+# the metrics sampler/SSE fan-out, the SLO burn-rate engine, the async job
+# queue, the resource-budget accounting, the model registry, the training
+# stack (serial fits whose trained networks serve concurrent planner clones
+# through neural's pooled inference scratch; flat sample tensors), the
+# continuous profiler's capture ring, the tenant-aware planner catalog
+# (single-flight loads, concurrent Do), and the grid's sensing-ball tables
+# (lazily filled on first query by whichever request gets there, published
+# with atomic stores, tables added copy-on-write under a mutex) — the
+# packages with real concurrency.
 race-exec:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/... ./internal/grid/...
 
@@ -45,10 +46,10 @@ race-exec:
 loadgen-smoke:
 	$(GO) test ./cmd/loadgen/ -run 'TestSmoke|TestMultiTenantSmoke|TestFailsOnInducedBreach' -v
 
-# bench-smoke runs the hot-path micro-benchmarks once each, so benchmark
-# set-up that panics fails the build.
+# bench-smoke runs the hot-path micro-benchmarks and the serial NN trainer's
+# benchmark once each, so benchmark set-up that panics fails the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON|CatalogDecide' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON|CatalogDecide|Table5NNTraining' -benchtime 1x .
 
 # fuzz-smoke runs each fuzz target for 10 s: the plan response encoder
 # against encoding/json, grid.Decode and grid.Subgraph on arbitrary input,

@@ -52,25 +52,24 @@ var (
 
 func main() {
 	var (
-		only         = flag.String("only", "", "comma-separated subset: table2,table3,lemmas,table6,fig3,fig4,fig5,fig6,fig7,fig8,ablation,rendezvous,commrange")
-		paperscale   = flag.Bool("paperscale", false, "full 10-run averaging and full sweeps (slow)")
-		seed         = flag.Int64("seed", 1, "base random seed")
-		nnEpochs     = flag.Int("nn-epochs", 300, "NN-Approx training epochs; pass 10000 for the full Table 5 budget (slow)")
-		trainWorkers = flag.Int("train-workers", 1, "goroutines sharding model fitting (linreg gram, NN minibatch SGD); results are byte-identical at any value")
-		csvDir       = flag.String("csv", "", "also write machine-readable CSVs of each experiment into this directory")
-		parallel     = flag.Int("parallel", runtime.NumCPU(), "max concurrent mission runs across experiment cells; 1 disables parallelism")
-		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file")
-		memProfile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		traceOut     = flag.String("trace-out", "", "write completed spans (cells, runs, missions) as JSONL to this file")
-		metricsOut   = flag.String("metrics-out", "", "write the suite's metrics in Prometheus text format to this file on exit")
-		curvesOut    = flag.String("curves-out", "", "write per-episode learning curves to this file (.json for JSON, else CSV)")
-		dashAddr     = flag.String("dash", "", "serve the live dashboard (/debug/dash, /debug/metrics/stream, /metrics) on this address; disabled when empty")
-		logFormat    = flag.String("log-format", "text", "log output format: text or json")
-		quiet        = flag.Bool("quiet", false, "suppress the live progress line")
-		profEnable   = flag.Bool("continuous-profile", false, "take scheduled profile captures while the suite runs and print the hottest functions on exit")
-		profEvery    = flag.Duration("profile-interval", 30*time.Second, "continuous profiler: scheduled capture interval (needs -continuous-profile)")
-		profWindow   = flag.Duration("profile-window", 5*time.Second, "continuous profiler: CPU sampling window per capture")
-		profOut      = flag.String("profile-out", "", "write every capture's hot-function tables as JSON to this file on exit (benchjson -profdiff input)")
+		only       = flag.String("only", "", "comma-separated subset: table2,table3,lemmas,table6,fig3,fig4,fig5,fig6,fig7,fig8,ablation,rendezvous,commrange")
+		paperscale = flag.Bool("paperscale", false, "full 10-run averaging and full sweeps (slow)")
+		seed       = flag.Int64("seed", 1, "base random seed")
+		nnEpochs   = flag.Int("nn-epochs", 300, "NN-Approx training epochs; pass 10000 for the full Table 5 budget (slow)")
+		csvDir     = flag.String("csv", "", "also write machine-readable CSVs of each experiment into this directory")
+		parallel   = flag.Int("parallel", runtime.NumCPU(), "max concurrent mission runs across experiment cells; 1 disables parallelism")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the suite to this file")
+		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		traceOut   = flag.String("trace-out", "", "write completed spans (cells, runs, missions) as JSONL to this file")
+		metricsOut = flag.String("metrics-out", "", "write the suite's metrics in Prometheus text format to this file on exit")
+		curvesOut  = flag.String("curves-out", "", "write per-episode learning curves to this file (.json for JSON, else CSV)")
+		dashAddr   = flag.String("dash", "", "serve the live dashboard (/debug/dash, /debug/metrics/stream, /metrics) on this address; disabled when empty")
+		logFormat  = flag.String("log-format", "text", "log output format: text or json")
+		quiet      = flag.Bool("quiet", false, "suppress the live progress line")
+		profEnable = flag.Bool("continuous-profile", false, "take scheduled profile captures while the suite runs and print the hottest functions on exit")
+		profEvery  = flag.Duration("profile-interval", 30*time.Second, "continuous profiler: scheduled capture interval (needs -continuous-profile)")
+		profWindow = flag.Duration("profile-window", 5*time.Second, "continuous profiler: CPU sampling window per capture")
+		profOut    = flag.String("profile-out", "", "write every capture's hot-function tables as JSON to this file on exit (benchjson -profdiff input)")
 	)
 	flag.Parse()
 
@@ -81,6 +80,10 @@ func main() {
 		logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -log-format %q (want text or json)\n", *logFormat)
+		os.Exit(2)
+	}
+	if *nnEpochs < 1 {
+		fmt.Fprintf(os.Stderr, "-nn-epochs %d: want at least 1\n", *nnEpochs)
 		os.Exit(2)
 	}
 	fatalf = func(format string, args ...any) {
@@ -303,7 +306,7 @@ func main() {
 	var h *experiments.Harness
 	if needHarness {
 		logger.Info("training Approx-MaMoRL (Section 4.2 pipeline)")
-		cfg := approx.TrainConfig{Seed: *seed, Tracer: tracer, FitWorkers: *trainWorkers}
+		cfg := approx.TrainConfig{Seed: *seed, Tracer: tracer}
 		if curves != nil {
 			cfg.OnEpisode = curves.OnEpisode
 		}
@@ -335,7 +338,7 @@ func main() {
 		// Table 5's full budget is batch 1000 / 10000 epochs; -nn-epochs
 		// bounds the run regardless of -paperscale so the suite stays
 		// interactive (pass -nn-epochs 10000 for the full budget).
-		opts := neural.TrainOptions{Epochs: *nnEpochs, BatchSize: 256, LearningRate: 0.05, Workers: *trainWorkers}
+		opts := neural.TrainOptions{Epochs: *nnEpochs, BatchSize: 256, LearningRate: 0.05}
 		if *paperscale {
 			opts.BatchSize = neural.DefaultBatchSize
 		}
@@ -434,12 +437,8 @@ func main() {
 		if err != nil {
 			fatalf("na shore: %v", err)
 		}
-		runs := 10
-		if quick {
-			runs = 3
-		}
 		r, err := experiments.RunFigure8(ctx, carib, naShore, experiments.Figure8Options{
-			Runs: runs, Seed: *seed, Parallel: *parallel,
+			Runs: base.Runs, Seed: *seed, Parallel: *parallel,
 			Tracer: tracer, Progress: progress,
 		})
 		if err != nil {

@@ -92,12 +92,11 @@ func cmdTrain(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	episodes := fs.Int("sample-episodes", 5, "sampling missions run on the exact solver")
 	modelDir := fs.String("model-dir", "", "also register the artifact in this model registry (tmplard -model-dir warm-starts from it)")
-	workers := fs.Int("train-workers", 1, "goroutines sharding the model fit; weights and artifact IDs are byte-identical at any value")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	fmt.Println("training exact MaMoRL on the 50-node sample grid and fitting Approx-MaMoRL...")
-	model, err := mamorl.Train(mamorl.TrainConfig{Seed: *seed, SampleEpisodes: *episodes, FitWorkers: *workers})
+	model, err := mamorl.Train(mamorl.TrainConfig{Seed: *seed, SampleEpisodes: *episodes})
 	if err != nil {
 		return err
 	}

@@ -92,7 +92,6 @@ func main() {
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); disabled when empty")
 		sampleEvery = flag.Duration("sample-interval", obs.DefaultSampleInterval, "metrics sampler tick feeding /debug/dash")
 		modelDir    = flag.String("model-dir", "", "persistent model registry directory (warm-start on restart; empty disables)")
-		trainWork   = flag.Int("train-workers", 1, "goroutines sharding the train-on-miss model fit; weights and artifact IDs are byte-identical at any value")
 		jobWorkers  = flag.Int("job-workers", 0, "async planning worker pool size (0 = default)")
 		jobQueue    = flag.Int("job-queue", 0, "async planning queue depth before 429 backpressure (0 = default)")
 		jobTimeout  = flag.Duration("job-timeout", 0, "per-job execution deadline (0 = plan-timeout)")
@@ -160,7 +159,6 @@ func main() {
 		Logger:          reqLogger,
 		SampleInterval:  *sampleEvery,
 		ModelDir:        *modelDir,
-		TrainWorkers:    *trainWork,
 		JobWorkers:      *jobWorkers,
 		JobQueueDepth:   *jobQueue,
 		JobTimeout:      *jobTimeout,

@@ -69,7 +69,7 @@ var goldenModel = sync.OnceValues(func() (approx.Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, _, err := approx.FitLinear(p.Data, 0)
+	m, _, err := approx.FitLinear(p.Data)
 	return m, err
 })
 

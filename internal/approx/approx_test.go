@@ -52,7 +52,7 @@ func TestPipelineCollectsBothSampleKinds(t *testing.T) {
 
 func TestFitLinearAndPlan(t *testing.T) {
 	p := pipeline(t)
-	model, dur, err := FitLinear(p.Data, 0)
+	model, dur, err := FitLinear(p.Data)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestLinearFasterThanNeural(t *testing.T) {
 	// neural network on the same data (the paper reports 15x with the full
 	// 10000-epoch budget; any clear gap validates the mechanism).
 	p := pipeline(t)
-	_, linDur, err := FitLinear(p.Data, 0)
+	_, linDur, err := FitLinear(p.Data)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}
@@ -135,7 +135,7 @@ func TestLinearFasterThanNeural(t *testing.T) {
 
 func TestMemoryBytesScalesWithTeam(t *testing.T) {
 	p := pipeline(t)
-	model, _, err := FitLinear(p.Data, 0)
+	model, _, err := FitLinear(p.Data)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestMemoryBytesScalesWithTeam(t *testing.T) {
 
 func TestFrontierFallbackPreventsOscillation(t *testing.T) {
 	p := pipeline(t)
-	model, _, err := FitLinear(p.Data, 0)
+	model, _, err := FitLinear(p.Data)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}
@@ -284,7 +284,7 @@ func TestFarthestNode(t *testing.T) {
 
 func TestAblationOptionsToggleMechanisms(t *testing.T) {
 	p := pipeline(t)
-	model, _, err := FitLinear(p.Data, 0)
+	model, _, err := FitLinear(p.Data)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}
@@ -327,7 +327,7 @@ func TestAblationOptionsToggleMechanisms(t *testing.T) {
 
 func TestMaskedToReturnsIndependentCopy(t *testing.T) {
 	pdata := pipeline(t)
-	model, _, err := FitLinear(pdata.Data, 0)
+	model, _, err := FitLinear(pdata.Data)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}
@@ -373,7 +373,7 @@ func TestMaskedToReturnsIndependentCopy(t *testing.T) {
 
 func TestPlannerRespectsObstacles(t *testing.T) {
 	p := pipeline(t)
-	model, _, err := FitLinear(p.Data, 0)
+	model, _, err := FitLinear(p.Data)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}
@@ -421,7 +421,7 @@ func TestPlannerRespectsObstacles(t *testing.T) {
 
 func TestRendezvousMissionGathersTeam(t *testing.T) {
 	p := pipeline(t)
-	model, _, err := FitLinear(p.Data, 0)
+	model, _, err := FitLinear(p.Data)
 	if err != nil {
 		t.Fatalf("FitLinear: %v", err)
 	}

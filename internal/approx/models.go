@@ -48,12 +48,10 @@ func (m *LinearModel) Bytes() int {
 func (m *LinearModel) Name() string { return "Approx-MaMoRL" }
 
 // FitLinear fits the linear model pair by least squares (Equations 10 and
-// 12), sharding each gram accumulation across workers (0 or 1 fits
-// serially), and reports the training wall time (the Figure 3 comparison
-// metric). Fitted weights are byte-identical at any workers value.
-func FitLinear(data *TrainingData, workers int) (*LinearModel, time.Duration, error) {
+// 12) and reports the training wall time (the Figure 3 comparison metric).
+func FitLinear(data *TrainingData) (*LinearModel, time.Duration, error) {
 	start := time.Now()
-	opts := linreg.Options{FitIntercept: true, Ridge: 1e-6, Workers: workers}
+	opts := linreg.Options{FitIntercept: true, Ridge: 1e-6}
 	tmm, err := linreg.Fit(data.TMMX, data.TMMY, opts)
 	if err != nil {
 		return nil, 0, fmt.Errorf("approx: TMM fit: %w", err)

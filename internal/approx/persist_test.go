@@ -75,7 +75,7 @@ func TestLinearBlobGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, _, err := FitLinear(p.Data, 0)
+	model, _, err := FitLinear(p.Data)
 	if err != nil {
 		t.Fatal(err)
 	}

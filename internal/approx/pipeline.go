@@ -8,7 +8,6 @@ import (
 	"github.com/routeplanning/mamorl/internal/features"
 	"github.com/routeplanning/mamorl/internal/graphalg"
 	"github.com/routeplanning/mamorl/internal/grid"
-	"github.com/routeplanning/mamorl/internal/obs"
 	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
 	"github.com/routeplanning/mamorl/internal/trace"
@@ -40,12 +39,6 @@ type TrainConfig struct {
 	CommEvery int
 	// SampleEpisodes is the number of ε-greedy sampling missions.
 	SampleEpisodes int
-	// FitWorkers shards model fitting (linreg gram accumulation, neural
-	// minibatch SGD) across this many goroutines. Fitted weights are
-	// byte-identical at any value, so this is deliberately excluded from
-	// registry TrainParams — artifacts trained at different worker counts
-	// share an ID. 0 or 1 fits serially.
-	FitWorkers int
 	// Seed drives grid generation, exact training and sampling.
 	Seed int64
 	// Core configures the exact solver used as the sample source.
@@ -60,9 +53,6 @@ type TrainConfig struct {
 	// learning-curve records (core.EpisodeStats). Pure observation, like
 	// Tracer.
 	OnEpisode func(core.EpisodeStats)
-	// Metrics, when non-nil, receives collection counters (e.g.
-	// samples_skipped_total). Pure observation, like Tracer.
-	Metrics *obs.Registry
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -145,7 +135,6 @@ func NewPipeline(cfg TrainConfig) (*Pipeline, error) {
 		Weights:   cfg.Weights,
 		Extractor: ext,
 		Tracer:    cfg.Tracer,
-		Metrics:   cfg.Metrics,
 	})
 	if err != nil {
 		return nil, err

@@ -12,7 +12,6 @@ import (
 
 	"github.com/routeplanning/mamorl/internal/core"
 	"github.com/routeplanning/mamorl/internal/features"
-	"github.com/routeplanning/mamorl/internal/obs"
 	"github.com/routeplanning/mamorl/internal/rewardfn"
 	"github.com/routeplanning/mamorl/internal/sim"
 	"github.com/routeplanning/mamorl/internal/tensor"
@@ -85,11 +84,6 @@ type CollectOptions struct {
 	// Tracer, when non-nil, records one "sample.episode" span per sampling
 	// mission with the cumulative sample counts.
 	Tracer *trace.Tracer
-	// Metrics, when non-nil, receives the samples_skipped_total counter:
-	// degenerate teammate states (legal-action count disagreeing with the
-	// exact P distribution) used to be dropped invisibly; now every drop is
-	// counted.
-	Metrics *obs.Registry
 }
 
 func (o CollectOptions) withDefaults() CollectOptions {
@@ -122,10 +116,6 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 		LMX:  tensor.NewMatrix(features.LMDim),
 	}
 	w := opts.Weights.Normalized()
-	var skipped *obs.Counter
-	if opts.Metrics != nil {
-		skipped = opts.Metrics.Counter("samples_skipped_total")
-	}
 
 	// Per-collection scratch, reused across every step: feature contexts
 	// (their hop scratch persists) and one feature buffer.
@@ -151,7 +141,15 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 		data.LMX.AppendRow(xbuf)
 		data.LMY = append(data.LMY, rewardProxy(m, i, a, sc.Dest, w))
 	}
+	// collectErr latches a P distribution that does not match its node's
+	// legal actions. The exact planner sizes every distribution by the
+	// out-degree of the node its joint-state key fixes, so this reports a
+	// broken invariant rather than a sample to skip.
+	var collectErr error
 	collect := func(m *sim.Mission, _ []sim.Action) {
+		if collectErr != nil {
+			return
+		}
 		g := m.Grid()
 		assets := m.NumAssets()
 		for i := 0; i < assets; i++ {
@@ -162,12 +160,10 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 				dist := pl.PDistribution(m, i, j)
 				edges := g.Neighbors(m.Knowledge(i).LastKnown[j])
 				maxSpeed := sc.Team[j].MaxSpeed
-				if sim.ActionCount(len(edges), maxSpeed) != len(dist) {
-					// Degenerate (should not happen): drop, but visibly.
-					if skipped != nil {
-						skipped.Add(uint64(len(dist)))
-					}
-					continue
+				if want := sim.ActionCount(len(edges), maxSpeed); want != len(dist) {
+					collectErr = fmt.Errorf("approx: asset %d's P distribution for teammate %d has %d entries, want %d",
+						i, j, len(dist), want)
+					return
 				}
 				opts.Extractor.TMMContextInto(&tmmCtx, m, i, j, features.NoDest)
 				aIdx := 0
@@ -204,7 +200,11 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 	defer pl.SetTraining(false)
 	for ep := 0; ep < opts.Episodes; ep++ {
 		sp := opts.Tracer.Start("sample.episode", trace.Int("episode", int64(ep)))
-		if _, err := sim.Run(sc, pl, sim.RunOptions{OnStep: collect, TraceParent: sp}); err != nil {
+		_, err := sim.Run(sc, pl, sim.RunOptions{OnStep: collect, TraceParent: sp})
+		if err == nil {
+			err = collectErr
+		}
+		if err != nil {
 			sp.End()
 			return nil, fmt.Errorf("approx: sampling episode %d: %w", ep, err)
 		}

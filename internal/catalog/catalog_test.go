@@ -240,7 +240,7 @@ func trained(t *testing.T) trainedFixture {
 			fixtureErr = fmt.Errorf("pipeline: %w", err)
 			return
 		}
-		model, _, err := approx.FitLinear(pipe.Data, 0)
+		model, _, err := approx.FitLinear(pipe.Data)
 		if err != nil {
 			fixtureErr = fmt.Errorf("fit: %w", err)
 			return

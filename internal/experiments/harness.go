@@ -49,7 +49,7 @@ func NewHarness(cfg approx.TrainConfig) (*Harness, error) {
 		return nil, err
 	}
 	sp := cfg.Tracer.Start("fit.linear")
-	lin, dur, err := approx.FitLinear(pipe.Data, cfg.FitWorkers)
+	lin, dur, err := approx.FitLinear(pipe.Data)
 	if err != nil {
 		sp.End()
 		return nil, err

@@ -133,17 +133,6 @@ func (b *Budget) Used(r Resource) int64 {
 	return b.used[r].Load()
 }
 
-// Limit returns r's configured ceiling; 0 means unlimited.
-func (b *Budget) Limit(r Resource) int64 {
-	if b == nil {
-		return 0
-	}
-	return b.limit[r]
-}
-
-// Exceeded reports whether any limit has been crossed.
-func (b *Budget) Exceeded() bool { return b.Err() != nil }
-
 // Resources lists every resource dimension, in wire order; the serving
 // layer ranges over it to export usage metrics.
 func Resources() [numResources]Resource { return [numResources]Resource{Nodes, Bytes} }

@@ -1,7 +1,6 @@
 package linreg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -25,31 +24,6 @@ func randomFit(t *testing.T) (*tensor.Matrix, []float64) {
 		y = append(y, s+0.1*rng.NormFloat64())
 	}
 	return X, y
-}
-
-// TestFitWorkersByteIdentical: the chunked gram accumulation reduces
-// per-chunk partials in chunk-index order, so fitted weights are
-// byte-identical at any worker count.
-func TestFitWorkersByteIdentical(t *testing.T) {
-	X, y := randomFit(t)
-	ref, err := Fit(X, y, Options{FitIntercept: true})
-	if err != nil {
-		t.Fatalf("workers=1: %v", err)
-	}
-	for _, workers := range []int{2, 8, 64} {
-		m, err := Fit(X, y, Options{FitIntercept: true, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if math.Float64bits(m.Intercept) != math.Float64bits(ref.Intercept) {
-			t.Fatalf("workers=%d: intercept differs: %v vs %v", workers, m.Intercept, ref.Intercept)
-		}
-		for i := range ref.Weights {
-			if math.Float64bits(m.Weights[i]) != math.Float64bits(ref.Weights[i]) {
-				t.Fatalf("workers=%d: weight %d differs: %v vs %v", workers, i, m.Weights[i], ref.Weights[i])
-			}
-		}
-	}
 }
 
 // TestFitMatrixAllocs: a flat-matrix fit allocates only its fixed workspace

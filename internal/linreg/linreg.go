@@ -12,18 +12,15 @@
 //
 // The gram accumulation is flat and chunked: rows are consumed in
 // fixed-size chunks, each chunk sums into its own partial, and partials are
-// reduced in chunk-index order. Chunks may be computed by a worker pool
-// (Options.Workers), and because chunk boundaries and the reduction order
-// never depend on the worker count, fitted weights are byte-identical at
-// any Workers value.
+// reduced in chunk-index order. That order fixes every floating-point sum,
+// and with it the fitted weights the golden pins and registry artifact IDs
+// record.
 package linreg
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"github.com/routeplanning/mamorl/internal/tensor"
 )
@@ -36,18 +33,13 @@ type Options struct {
 	Ridge float64
 	// FitIntercept adds a constant bias term to the model.
 	FitIntercept bool
-	// Workers shards the gram accumulation across this many goroutines.
-	// Fitted weights are byte-identical at any value (fixed-size chunks,
-	// chunk-order reduction); 0 or 1 fits serially.
-	Workers int
 }
 
 // DefaultRidge is the regularization used when Options.Ridge is zero.
 const DefaultRidge = 1e-8
 
-// fitChunkRows is the fixed shard width of the gram accumulation. It is
-// independent of Options.Workers by design — that is what keeps the
-// chunk-order reduction deterministic.
+// fitChunkRows is the width of the chunks the gram is summed in; with the
+// chunk-order reduction it fixes the fitted weights bit for bit.
 const fitChunkRows = 256
 
 // Model is a fitted linear model.
@@ -101,7 +93,7 @@ func Fit(X *tensor.Matrix, y []float64, opts Options) (*Model, error) {
 	// plus the rhs vector.
 	stride := cols*cols + cols
 	partials := make([]float64, nchunks*stride)
-	accumulate := func(c int) {
+	for c := 0; c < nchunks; c++ {
 		part := partials[c*stride : (c+1)*stride]
 		gram, rhs := part[:cols*cols], part[cols*cols:]
 		lo := c * fitChunkRows
@@ -125,32 +117,9 @@ func Fit(X *tensor.Matrix, y []float64, opts Options) (*Model, error) {
 			}
 		}
 	}
-	workers := min(opts.Workers, nchunks)
-	if workers <= 1 {
-		for c := 0; c < nchunks; c++ {
-			accumulate(c)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					c := int(next.Add(1)) - 1
-					if c >= nchunks {
-						return
-					}
-					accumulate(c)
-				}
-			}()
-		}
-		wg.Wait()
-	}
 
-	// Deterministic reduction in chunk-index order, then mirror the upper
-	// triangle and add the ridge.
+	// Reduce in chunk-index order, then mirror the upper triangle and add
+	// the ridge.
 	gram := make([][]float64, cols)
 	for i := range gram {
 		gram[i] = make([]float64, cols)

@@ -62,30 +62,9 @@ func TestTrainEpochAllocs(t *testing.T) {
 	n := allocNet(t)
 	X, Y := randomData(t, 512, 6, 7)
 	tr := newTrainer(n, X, Y, TrainOptions{LearningRate: 0.01}.withDefaults())
-	defer tr.stop()
 	batch := tr.order[:256]
 	tr.runBatch(batch) // warm
 	if avg := testing.AllocsPerRun(64, func() { tr.runBatch(batch) }); avg != 0 {
 		t.Fatalf("steady-state SGD batch allocates %.2f objects, want 0", avg)
-	}
-}
-
-// TestTrainEpochAllocsParallel: the sharded path reuses its persistent
-// worker pool and per-chunk partials; steady-state batches stay
-// allocation-free there too.
-func TestTrainEpochAllocsParallel(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector instruments channel ops with allocations")
-	}
-	n := allocNet(t)
-	X, Y := randomData(t, 1024, 6, 8)
-	tr := newTrainer(n, X, Y, TrainOptions{LearningRate: 0.01, Workers: 4}.withDefaults())
-	defer tr.stop()
-	batch := tr.order[:1024]
-	for i := 0; i < 8; i++ {
-		tr.runBatch(batch)
-	}
-	if avg := testing.AllocsPerRun(64, func() { tr.runBatch(batch) }); avg > 1 {
-		t.Fatalf("parallel SGD batch allocates %.2f objects, want <= 1", avg)
 	}
 }

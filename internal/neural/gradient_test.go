@@ -18,7 +18,7 @@ func mat(rows [][]float64) *tensor.Matrix {
 }
 
 // batchTrainer builds a trainer over (X, y) for driving single batches in
-// tests. Callers must stop() it.
+// tests.
 func batchTrainer(n *Network, X, y [][]float64, lr float64) *trainer {
 	return newTrainer(n, mat(X), mat(y), TrainOptions{LearningRate: lr}.withDefaults())
 }
@@ -43,7 +43,7 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 	// Loss for the current parameters: 0.5 factor because backprop's
 	// delta = (pred-y) is the gradient of 0.5*(pred-y)^2.
 	loss := func() float64 {
-		d := n.Predict(x)[0] - y[0]
+		d := n.Predict1(x) - y[0]
 		return 0.5 * d * d
 	}
 
@@ -64,7 +64,6 @@ func TestBackpropMatchesNumericalGradient(t *testing.T) {
 		}
 	}
 	tr := batchTrainer(n, [][]float64{x}, [][]float64{y}, lr)
-	defer tr.stop()
 	tr.runBatch([]int{0})
 	analytic := make([]float64, len(params))
 	for pi, p := range params {
@@ -125,7 +124,6 @@ func TestGradientDescentReducesLoss(t *testing.T) {
 		idx[i] = i
 	}
 	tr := batchTrainer(n, X, y, 0.01)
-	defer tr.stop()
 	prev := n.MSE(mat(X), mat(y))
 	for step := 0; step < 200; step++ {
 		tr.runBatch(idx)
@@ -150,7 +148,6 @@ func TestBatchLossSummedPreUpdate(t *testing.T) {
 		want += d * d
 	}
 	tr := batchTrainer(n, X, y, 0.01)
-	defer tr.stop()
 	got := tr.runBatch([]int{0, 1, 2})
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("batch loss %v, want pre-update %v", got, want)

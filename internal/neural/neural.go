@@ -8,13 +8,12 @@
 //
 // The implementation is built for the Table 5 regime rather than for
 // generality: weights and activations live in flat row-major slices
-// (internal/tensor), all backprop scratch is allocated once per Train call
-// and reused across every sample, and minibatches can be sharded across a
-// worker pool (TrainOptions.Workers). Sharding is deterministic: each batch
-// is cut into fixed-size chunks, every chunk accumulates gradients into its
-// own partial buffers, and the partials are reduced in chunk-index order —
-// so trained weights are byte-identical at any worker count, the same
-// contract the experiments executor pins for mission runs.
+// (internal/tensor), and all backprop scratch is allocated once per Train
+// call and reused across every sample. Each minibatch is cut into
+// fixed-size chunks, every chunk accumulates gradients into its own
+// partial buffers, and the partials are reduced in chunk-index order; that
+// order fixes every floating-point sum, so the trained weights the golden
+// pins record never depend on how the batch is walked.
 package neural
 
 import (
@@ -23,7 +22,6 @@ import (
 	"math"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 
 	"github.com/routeplanning/mamorl/internal/tensor"
 )
@@ -195,21 +193,9 @@ func (n *Network) checkWidth(x []float64) {
 	}
 }
 
-// Predict evaluates the network; for single-output networks the first
-// element is the regression value. The returned slice is freshly allocated
-// and owned by the caller; use Predict1 on the hot path.
-func (n *Network) Predict(x []float64) []float64 {
-	n.checkWidth(x)
-	s := n.fwd.Get().(*fwdScratch)
-	out := n.forwardInto(x, s)
-	res := make([]float64, len(out))
-	copy(res, out)
-	n.fwd.Put(s)
-	return res
-}
-
-// Predict1 is Predict for single-output networks. It allocates nothing in
-// steady state (pooled scratch), making it safe on planner hot paths.
+// Predict1 evaluates a single-output network: the regression value. It
+// allocates nothing in steady state (pooled scratch), making it safe on
+// planner hot paths.
 func (n *Network) Predict1(x []float64) float64 {
 	n.checkWidth(x)
 	s := n.fwd.Get().(*fwdScratch)
@@ -229,12 +215,6 @@ type TrainOptions struct {
 	// no extra cost — has not improved for this many epochs; 0 disables
 	// early stopping.
 	MaxEpochsNoImprove int
-	// Workers shards each minibatch across this many goroutines. Results
-	// are byte-identical at any value: batches are cut into fixed-size
-	// chunks with per-chunk gradient partials reduced in chunk order, so
-	// Workers only changes wall time, never the trained weights. 0 or 1
-	// trains serially.
-	Workers int
 }
 
 // Defaults from Table 5.
@@ -244,10 +224,26 @@ const (
 	DefaultLearningRate = 0.01
 )
 
-// trainChunkRows is the fixed shard width of the data-parallel SGD pass.
-// Chunk boundaries depend only on the batch — never on the worker count —
-// which is what makes the reduction deterministic.
+// trainChunkRows is the width of the chunks a minibatch's gradient is
+// summed in. Chunk boundaries depend only on the batch, and with the
+// chunk-order reduction they fix the weights the golden pins record.
 const trainChunkRows = 128
+
+// validate refuses options no SGD run can honour: negative counts, and a
+// learning rate that is negative (it climbs the loss) or not finite.
+func (o TrainOptions) validate() error {
+	switch {
+	case o.Epochs < 0:
+		return fmt.Errorf("neural: %d epochs", o.Epochs)
+	case o.BatchSize < 0:
+		return fmt.Errorf("neural: batch size %d", o.BatchSize)
+	case o.MaxEpochsNoImprove < 0:
+		return fmt.Errorf("neural: early-stopping patience %d", o.MaxEpochsNoImprove)
+	case o.LearningRate < 0 || math.IsNaN(o.LearningRate) || math.IsInf(o.LearningRate, 0):
+		return fmt.Errorf("neural: learning rate %v", o.LearningRate)
+	}
+	return nil
+}
 
 func (o TrainOptions) withDefaults() TrainOptions {
 	if o.Epochs == 0 {
@@ -259,16 +255,14 @@ func (o TrainOptions) withDefaults() TrainOptions {
 	if o.LearningRate == 0 {
 		o.LearningRate = DefaultLearningRate
 	}
-	if o.Workers <= 0 {
-		o.Workers = 1
-	}
 	return o
 }
 
 // Train fits the network to (X, Y) with mini-batch SGD on MSE and returns
 // the final training MSE. X is rows×Inputs and Y rows×Outputs, both flat
-// row-major. The steady-state epoch loop performs no allocation — all
-// scratch lives in a workspace allocated once up front.
+// row-major; zero options select the Table 5 settings, and negative or
+// non-finite ones are an error. The steady-state epoch loop performs no
+// allocation — all scratch lives in a workspace allocated once up front.
 func (n *Network) Train(X, Y *tensor.Matrix, opts TrainOptions) (float64, error) {
 	if X == nil || Y == nil || X.Rows() == 0 || X.Rows() != Y.Rows() {
 		xr, yr := 0, 0
@@ -286,10 +280,12 @@ func (n *Network) Train(X, Y *tensor.Matrix, opts TrainOptions) (float64, error)
 	if Y.Cols() != n.Outputs() {
 		return 0, fmt.Errorf("neural: targets have %d values, want %d", Y.Cols(), n.Outputs())
 	}
+	if err := opts.validate(); err != nil {
+		return 0, err
+	}
 	opts = opts.withDefaults()
 
 	t := newTrainer(n, X, Y, opts)
-	defer t.stop()
 	rows := X.Rows()
 	samples := float64(rows * n.Outputs())
 	bestMSE := math.Inf(1)
@@ -318,8 +314,8 @@ func (n *Network) Train(X, Y *tensor.Matrix, opts TrainOptions) (float64, error)
 	return n.MSE(X, Y), nil
 }
 
-// trainWS is one worker's per-sample backprop scratch: per-layer
-// pre-activations and activations, plus the two delta buffers.
+// trainWS is the per-sample backprop scratch: per-layer pre-activations
+// and activations, plus the two delta buffers.
 type trainWS struct {
 	pres  [][]float64
 	acts  [][]float64
@@ -344,40 +340,39 @@ func (cg *chunkGrad) reset() {
 }
 
 // trainer owns all SGD state for one Train call: the shuffle order, the
-// per-chunk gradient partials, the per-worker workspaces, and (when
-// Workers > 1) a persistent worker pool released once per batch.
+// per-chunk gradient partials and the backprop workspace.
 type trainer struct {
-	n       *Network
-	X, Y    *tensor.Matrix
-	lr      float64
-	workers int
-	order   []int
-	chunks  []*chunkGrad
-	ws      []*trainWS
-
-	// Per-batch dispatch state for the worker pool.
-	batch   []int
-	nchunks int
-	next    atomic.Int64
-	start   []chan struct{}
-	wg      sync.WaitGroup
+	n      *Network
+	X, Y   *tensor.Matrix
+	lr     float64
+	order  []int
+	chunks []*chunkGrad
+	ws     trainWS
 }
 
 func newTrainer(n *Network, X, Y *tensor.Matrix, opts TrainOptions) *trainer {
 	rows := X.Rows()
-	maxChunks := (min(opts.BatchSize, rows) + trainChunkRows - 1) / trainChunkRows
 	t := &trainer{
-		n:       n,
-		X:       X,
-		Y:       Y,
-		lr:      opts.LearningRate,
-		workers: min(opts.Workers, maxChunks),
-		order:   make([]int, rows),
+		n:     n,
+		X:     X,
+		Y:     Y,
+		lr:    opts.LearningRate,
+		order: make([]int, rows),
+		ws: trainWS{
+			pres:  make([][]float64, len(n.layers)),
+			acts:  make([][]float64, len(n.layers)),
+			delta: make([]float64, n.maxWidth),
+			dprev: make([]float64, n.maxWidth),
+		},
 	}
 	for i := range t.order {
 		t.order[i] = i
 	}
-	t.chunks = make([]*chunkGrad, maxChunks)
+	for li, l := range n.layers {
+		t.ws.pres[li] = make([]float64, l.outs)
+		t.ws.acts[li] = make([]float64, l.outs)
+	}
+	t.chunks = make([]*chunkGrad, (min(opts.BatchSize, rows)+trainChunkRows-1)/trainChunkRows)
 	for c := range t.chunks {
 		cg := &chunkGrad{w: make([][]float64, len(n.layers)), b: make([][]float64, len(n.layers))}
 		for li, l := range n.layers {
@@ -386,116 +381,52 @@ func newTrainer(n *Network, X, Y *tensor.Matrix, opts TrainOptions) *trainer {
 		}
 		t.chunks[c] = cg
 	}
-	t.ws = make([]*trainWS, t.workers)
-	for w := range t.ws {
-		ws := &trainWS{
-			pres:  make([][]float64, len(n.layers)),
-			acts:  make([][]float64, len(n.layers)),
-			delta: make([]float64, n.maxWidth),
-			dprev: make([]float64, n.maxWidth),
-		}
-		for li, l := range n.layers {
-			ws.pres[li] = make([]float64, l.outs)
-			ws.acts[li] = make([]float64, l.outs)
-		}
-		t.ws[w] = ws
-	}
-	if t.workers > 1 {
-		t.start = make([]chan struct{}, t.workers)
-		for w := range t.start {
-			t.start[w] = make(chan struct{})
-			go t.worker(w)
-		}
-	}
 	return t
 }
 
-// stop shuts down the worker pool (a no-op for serial trainers).
-func (t *trainer) stop() {
-	for _, ch := range t.start {
-		close(ch)
-	}
-}
-
-// worker is the body of one pool goroutine: on each release it drains chunk
-// indices from the shared atomic cursor, then checks in.
-func (t *trainer) worker(w int) {
-	ws := t.ws[w]
-	for range t.start[w] {
-		for {
-			c := int(t.next.Add(1)) - 1
-			if c >= t.nchunks {
-				break
-			}
-			t.processChunk(c, ws)
-		}
-		t.wg.Done()
-	}
-}
-
-// runBatch accumulates gradients over the batch — serially or sharded
-// across the pool — reduces the per-chunk partials in chunk-index order,
+// runBatch accumulates the batch's gradient chunk by chunk, each chunk
+// into its own partials, reduces the partials in chunk-index order,
 // applies one SGD update, and returns the batch's summed squared error
 // (computed against the pre-update weights).
 func (t *trainer) runBatch(batch []int) float64 {
-	t.batch = batch
-	t.nchunks = (len(batch) + trainChunkRows - 1) / trainChunkRows
-	for c := 0; c < t.nchunks; c++ {
-		t.chunks[c].reset()
-	}
-	if t.workers <= 1 || t.nchunks == 1 {
-		for c := 0; c < t.nchunks; c++ {
-			t.processChunk(c, t.ws[0])
+	nchunks := (len(batch) + trainChunkRows - 1) / trainChunkRows
+	for c := 0; c < nchunks; c++ {
+		cg := t.chunks[c]
+		cg.reset()
+		lo := c * trainChunkRows
+		for _, idx := range batch[lo:min(lo+trainChunkRows, len(batch))] {
+			t.backprop(t.X.Row(idx), t.Y.Row(idx), cg)
 		}
-	} else {
-		t.next.Store(0)
-		t.wg.Add(len(t.start))
-		for _, ch := range t.start {
-			ch <- struct{}{}
-		}
-		t.wg.Wait()
 	}
 
-	// Deterministic reduction: every parameter sums its per-chunk partials
-	// in chunk-index order, regardless of which worker produced them.
+	// Every parameter sums its per-chunk partials in chunk-index order.
 	scale := t.lr / float64(len(batch))
 	for li, l := range t.n.layers {
 		for k := range l.w {
 			g := 0.0
-			for c := 0; c < t.nchunks; c++ {
+			for c := 0; c < nchunks; c++ {
 				g += t.chunks[c].w[li][k]
 			}
 			l.w[k] -= scale * g
 		}
 		for o := range l.b {
 			g := 0.0
-			for c := 0; c < t.nchunks; c++ {
+			for c := 0; c < nchunks; c++ {
 				g += t.chunks[c].b[li][o]
 			}
 			l.b[o] -= scale * g
 		}
 	}
 	loss := 0.0
-	for c := 0; c < t.nchunks; c++ {
+	for c := 0; c < nchunks; c++ {
 		loss += t.chunks[c].loss
 	}
 	return loss
 }
 
-// processChunk runs forward+backward over one chunk's samples, accumulating
-// into that chunk's gradient partials.
-func (t *trainer) processChunk(c int, ws *trainWS) {
-	cg := t.chunks[c]
-	lo := c * trainChunkRows
-	hi := min(lo+trainChunkRows, len(t.batch))
-	for _, idx := range t.batch[lo:hi] {
-		t.backprop(t.X.Row(idx), t.Y.Row(idx), ws, cg)
-	}
-}
-
 // backprop accumulates one sample's gradient (of 0.5·Σ(pred-y)²) into cg.
-func (t *trainer) backprop(x, y []float64, ws *trainWS, cg *chunkGrad) {
-	n := t.n
+func (t *trainer) backprop(x, y []float64, cg *chunkGrad) {
+	n, ws := t.n, &t.ws
 	cur := x
 	for li, l := range n.layers {
 		pres, acts := ws.pres[li], ws.acts[li]

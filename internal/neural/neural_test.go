@@ -114,6 +114,19 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := n.Train(mat([][]float64{{1, 2}}), mat([][]float64{{1, 2}}), TrainOptions{}); err == nil {
 		t.Error("wrong target width accepted")
 	}
+	X, y := mat([][]float64{{1, 2}, {3, 4}}), mat([][]float64{{1}, {2}})
+	for name, opts := range map[string]TrainOptions{
+		"negative epochs":        {Epochs: -1},
+		"negative batch size":    {BatchSize: -5},
+		"negative patience":      {MaxEpochsNoImprove: -1},
+		"negative learning rate": {LearningRate: -0.01},
+		"NaN learning rate":      {LearningRate: math.NaN()},
+		"infinite learning rate": {LearningRate: math.Inf(1)},
+	} {
+		if _, err := n.Train(X, y, opts); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
 }
 
 func TestPredictPanicsOnWidth(t *testing.T) {
@@ -123,7 +136,7 @@ func TestPredictPanicsOnWidth(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	n.Predict([]float64{1})
+	n.Predict1([]float64{1})
 }
 
 func TestEarlyStopping(t *testing.T) {

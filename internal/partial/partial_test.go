@@ -25,7 +25,7 @@ func model(t *testing.T) (*approx.LinearModel, *approx.Pipeline) {
 		if err != nil {
 			t.Fatalf("NewPipeline: %v", err)
 		}
-		m, _, err := approx.FitLinear(p.Data, 0)
+		m, _, err := approx.FitLinear(p.Data)
 		if err != nil {
 			t.Fatalf("FitLinear: %v", err)
 		}

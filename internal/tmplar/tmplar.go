@@ -87,10 +87,8 @@ type Options struct {
 	// artifact instead of retraining, and registers a freshly trained
 	// model back into the store on a miss.
 	ModelDir string
-	// TrainWorkers shards the train-on-miss model fit across this many
-	// goroutines. Fitted weights — and therefore registry artifact IDs —
-	// are byte-identical at any value; it only shrinks cold-start latency.
-	// <= 1 fits serially.
+	// TrainWorkers is ignored: the train-on-miss model fit is serial. The
+	// field stays for callers that still set it.
 	TrainWorkers int
 	// JobWorkers and JobQueueDepth size the async planning job queue
 	// behind /api/jobs; <= 0 selects the jobs package defaults.
@@ -439,12 +437,12 @@ func (mc *modelCache) loadOrTrainDefault() (*catalog.ModelArtifact, error) {
 		}
 	}
 
-	cfg := approx.TrainConfig{Seed: mc.seed, Tracer: mc.tracer, FitWorkers: opts.TrainWorkers, Metrics: opts.Metrics}
+	cfg := approx.TrainConfig{Seed: mc.seed, Tracer: mc.tracer}
 	pipe, err := approx.NewPipeline(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("tmplar: training pipeline: %w", err)
 	}
-	model, _, err := approx.FitLinear(pipe.Data, opts.TrainWorkers)
+	model, _, err := approx.FitLinear(pipe.Data)
 	if err != nil {
 		return nil, fmt.Errorf("tmplar: model fit: %w", err)
 	}
@@ -472,10 +470,6 @@ func (mc *modelCache) loadOrTrainDefault() (*catalog.ModelArtifact, error) {
 func (s *Server) ModelSource() (source, artifactID string) {
 	return s.modelSource, s.modelArtifact
 }
-
-// JobQueue returns the async planning job queue (nil only for hand-built
-// servers that bypassed NewServerOpts).
-func (s *Server) JobQueue() *jobs.Queue { return s.jobs }
 
 // DrainJobs stops accepting new jobs and waits for queued and running ones
 // to finish, canceling whatever is still in flight when ctx expires. Call
@@ -515,7 +509,6 @@ func registerHelp(m *obs.Registry) {
 		"trace_spans_total":                   "Spans completed by the request tracer, by span name.",
 		"limits_charged_total":                "Budget units charged by planning requests, by resource.",
 		"limits_exhausted_total":              "Planning requests aborted over budget, by resource.",
-		"samples_skipped_total":               "Degenerate training samples dropped during collection.",
 		"prof_captures_total":                 "Profile captures taken, by trigger (scheduled/slo/manual).",
 		"prof_capture_errors_total":           "Profile captures that finished with an error.",
 		"prof_captures_retained":              "Profile captures currently held in the ring.",

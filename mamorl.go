@@ -193,7 +193,8 @@ func DefaultWeights() Weights { return rewardfn.DefaultWeights() }
 type TrainConfig = approx.TrainConfig
 
 // NeuralTrainOptions configures the NN-Approx-MaMoRL SGD budget; the zero
-// value selects the paper's Table 5 settings.
+// value selects the paper's Table 5 settings, and negative or non-finite
+// values are an error.
 type NeuralTrainOptions = neural.TrainOptions
 
 // Model is a trained Approx-MaMoRL (or NN-Approx-MaMoRL) model: the learned
@@ -214,7 +215,7 @@ func Train(cfg TrainConfig) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	lin, _, err := approx.FitLinear(pipe.Data, cfg.FitWorkers)
+	lin, _, err := approx.FitLinear(pipe.Data)
 	if err != nil {
 		return nil, err
 	}

@@ -46,22 +46,25 @@ race-exec:
 loadgen-smoke:
 	$(GO) test ./cmd/loadgen/ -run 'TestSmoke|TestMultiTenantSmoke|TestFailsOnInducedBreach' -v
 
-# bench-smoke runs the hot-path micro-benchmarks and the serial NN trainer's
-# benchmark once each, so benchmark set-up that panics fails the build.
+# bench-smoke runs the hot-path micro-benchmarks, the in-process HTTP plan
+# benchmark and the serial NN trainer's benchmark once each, so benchmark
+# set-up that panics fails the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON|CatalogDecide|Table5NNTraining' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON|ServePlan|CatalogDecide|Table5NNTraining' -benchtime 1x .
 
 # fuzz-smoke runs each fuzz target for 10 s: the plan response encoder
 # against encoding/json, grid.Decode and grid.Subgraph on arbitrary input,
-# grid.Beyond's key test against Distance on arbitrary two-node grids, and
-# exact MaMoRL's joint-state table against its map-based oracle. -fuzz
-# takes one target per invocation.
+# grid.Beyond's key test against Distance on arbitrary two-node grids,
+# exact MaMoRL's joint-state table against its map-based oracle, and
+# slo.Parse on arbitrary SLO configs. -fuzz takes one target per
+# invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanResponseJSON$$' -fuzztime 10s ./internal/tmplar
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzSubgraph$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzBeyond$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzStateTable$$' -fuzztime 10s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/slo
 
 # experiments-smoke runs every experiment driver but the sweeps once at
 # quick scale through the CLI, which has no tests of its own; it exits 1 if

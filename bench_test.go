@@ -10,9 +10,13 @@
 package mamorl_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"flag"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -937,4 +941,54 @@ func BenchmarkCatalogDecide(b *testing.B) {
 			decideVia(b, cat, catalog.Key{Grid: "churn"}, i)
 		}
 	})
+}
+
+// BenchmarkServePlan measures one POST /api/plan round trip in process,
+// through Server.Handler().ServeHTTP: the JSON decode, admission, the
+// approx mission with its trace spans, and the response encode. Requests
+// are drawn the way planbench's plan-hot draws them: CaribbeanGrid(1), 2–6
+// assets with max speed 3–5 and sensing radius 1.2 mean edge weights at
+// distinct sources, and a destination. Every request is served once before
+// the timer starts, so the catalog entry and the grid fingerprint are warm.
+func BenchmarkServePlan(b *testing.B) {
+	srv, err := tmplar.NewServerOpts(1, tmplar.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	g, err := grid.CaribbeanGrid(1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !g.StronglyConnected() {
+		b.Fatal("every source must reach every destination")
+	}
+	srv.InstallGrid(g)
+	h := srv.Handler()
+	serve := func(body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/plan", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("plan: %d %s", rec.Code, rec.Body.String())
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	radius := 1.2 * g.AvgEdgeWeight()
+	bodies := make([][]byte, 64)
+	for k := range bodies {
+		nodes := rng.Perm(g.NumNodes())[:3+rng.Intn(5)] // destination, then 2–6 sources
+		req := tmplar.PlanRequest{Grid: g.Name(), Destination: int32(nodes[0]), Seed: int64(k + 1)}
+		for _, v := range nodes[1:] {
+			req.Assets = append(req.Assets, tmplar.AssetSpec{Source: int32(v), SensingRadius: radius, MaxSpeed: 3 + rng.Intn(3)})
+		}
+		if bodies[k], err = json.Marshal(req); err != nil {
+			b.Fatal(err)
+		}
+		serve(bodies[k])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve(bodies[i%len(bodies)])
+	}
 }

@@ -76,13 +76,8 @@ func cmdReplay(args []string) error {
 		tr.Epochs = tr.Epochs[:*epoch]
 		tr.Outcome = nil // a truncated trace has no final outcome
 	}
-	dest := mamorl.NodeID(-1)
-	if n := len(tr.Epochs); n > 0 && tr.Outcome != nil && tr.Outcome.Found {
-		// The destination is wherever the finder ended up sensing it; the
-		// trace does not store it, so mark the finder's last node.
-		dest = tr.Epochs[n-1].Nodes[tr.Outcome.FoundBy]
-	}
-	fmt.Print(mamorl.RenderMission(g, tr, nil, dest, *width, *height))
+	// An unknown destination (a trace file without one) is left unmarked.
+	fmt.Print(mamorl.RenderMission(g, tr, nil, tr.Dest, *width, *height))
 	return nil
 }
 

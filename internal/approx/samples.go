@@ -106,8 +106,9 @@ func (o CollectOptions) withDefaults() CollectOptions {
 // design.
 //
 // Samples land in flat row-major matrices — one backing array per module,
-// grown geometrically — so harvesting N samples costs O(log N) slice
-// growths instead of one allocation per row.
+// doubled when full (tensor.Append) — so harvesting N samples costs
+// O(log N) slice growths instead of one allocation per row, and copies at
+// most N values on the way.
 func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error) {
 	opts = opts.withDefaults()
 	sc := pl.Scenario()
@@ -130,16 +131,16 @@ func CollectSamples(pl *core.Planner, opts CollectOptions) (*TrainingData, error
 	tmmRow := func(speed int, p float64) {
 		xbuf = tmmCtx.AppendSpeed(xbuf[:0], speed)
 		data.TMMX.AppendRow(xbuf)
-		data.TMMY = append(data.TMMY, p)
+		data.TMMY = tensor.Append(data.TMMY, p)
 	}
 	lmRows := func(m *sim.Mission, i int, a sim.Action) {
 		xbuf = lmCtxNo.AppendSpeed(xbuf[:0], a.Speed)
 		data.LMX.AppendRow(xbuf)
-		data.LMY = append(data.LMY, rewardProxy(m, i, a, features.NoDest, w))
+		data.LMY = tensor.Append(data.LMY, rewardProxy(m, i, a, features.NoDest, w))
 
 		xbuf = lmCtxDest.AppendSpeed(xbuf[:0], a.Speed)
 		data.LMX.AppendRow(xbuf)
-		data.LMY = append(data.LMY, rewardProxy(m, i, a, sc.Dest, w))
+		data.LMY = tensor.Append(data.LMY, rewardProxy(m, i, a, sc.Dest, w))
 	}
 	// collectErr latches a P distribution that does not match its node's
 	// legal actions. The exact planner sizes every distribution by the

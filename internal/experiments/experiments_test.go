@@ -146,7 +146,7 @@ func TestTable6ScenarioShapes(t *testing.T) {
 func TestFormatTable6RendersNA(t *testing.T) {
 	rows := []Table6Row{
 		{Scenario: "s", Algorithm: AlgoMaMoRL, Stats: RunStats{NA: true, NAReason: "exceeds memory budget", MemoryBytes: 205 << 30}},
-		{Scenario: "s", Algorithm: AlgoApprox, Stats: RunStats{Runs: 2, TTotal: []float64{1, 2}, FTotal: []float64{3, 4}, MemoryBytes: 1056}},
+		{Scenario: "s", Algorithm: AlgoApprox, Stats: RunStats{Runs: 2, PerRun: []RunValue{{Found: true, TTotal: 1, FTotal: 3}, {Found: true, TTotal: 2, FTotal: 4}}, FoundRuns: 2, MemoryBytes: 1056}},
 	}
 	out := FormatTable6(rows)
 	if !strings.Contains(out, "N/A") || !strings.Contains(out, "205 GB") {
@@ -299,19 +299,22 @@ func TestRunFigure8Quick(t *testing.T) {
 		if rs.FoundRuns == 0 {
 			t.Errorf("cell %s->%s found nothing", c.TrainedOn, c.EvaluatedOn)
 		}
-		// RunStats' contract: objective slices hold the found runs only,
-		// and an unfound run's PerRun entry carries no objective values.
-		if len(rs.TTotal) != rs.FoundRuns || len(rs.FTotal) != rs.FoundRuns {
-			t.Errorf("cell %s->%s: %d T and %d F values for %d found runs",
-				c.TrainedOn, c.EvaluatedOn, len(rs.TTotal), len(rs.FTotal), rs.FoundRuns)
-		}
+		// RunStats' contract: FoundRuns counts the PerRun entries marked
+		// found, and an unfound run's entry carries no objective values.
+		found := 0
 		for i, rv := range rs.PerRun {
+			if rv.Found {
+				found++
+			}
 			if rv.Seed != 7+int64(i) {
 				t.Errorf("cell %s->%s PerRun[%d].Seed = %d, want %d", c.TrainedOn, c.EvaluatedOn, i, rv.Seed, 7+i)
 			}
 			if !rv.Found && (rv.TTotal != 0 || rv.FTotal != 0) {
 				t.Errorf("cell %s->%s: unfound run %d carries T=%v F=%v", c.TrainedOn, c.EvaluatedOn, i, rv.TTotal, rv.FTotal)
 			}
+		}
+		if found != rs.FoundRuns {
+			t.Errorf("cell %s->%s: %d PerRun entries found, FoundRuns %d", c.TrainedOn, c.EvaluatedOn, found, rs.FoundRuns)
 		}
 	}
 	if !strings.Contains(FormatFigure8(r), "transfer learning") {
@@ -368,13 +371,12 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
-	if len(serial.TTotal) != len(parallel.TTotal) {
-		t.Fatalf("run counts differ: %d vs %d", len(serial.TTotal), len(parallel.TTotal))
+	if len(serial.PerRun) != len(parallel.PerRun) {
+		t.Fatalf("run counts differ: %d vs %d", len(serial.PerRun), len(parallel.PerRun))
 	}
-	for i := range serial.TTotal {
-		if serial.TTotal[i] != parallel.TTotal[i] || serial.FTotal[i] != parallel.FTotal[i] {
-			t.Fatalf("run %d differs: serial (%v, %v) vs parallel (%v, %v)",
-				i, serial.TTotal[i], serial.FTotal[i], parallel.TTotal[i], parallel.FTotal[i])
+	for i := range serial.PerRun {
+		if serial.PerRun[i] != parallel.PerRun[i] {
+			t.Fatalf("run %d differs: serial %+v vs parallel %+v", i, serial.PerRun[i], parallel.PerRun[i])
 		}
 	}
 }
@@ -413,7 +415,7 @@ func TestCSVExports(t *testing.T) {
 
 	var buf bytes.Buffer
 	rows := []Table6Row{
-		{Scenario: "s", Algorithm: AlgoApprox, Stats: RunStats{Runs: 2, FoundRuns: 2, TTotal: []float64{1, 2}, FTotal: []float64{3, 4}, MemoryBytes: 208}},
+		{Scenario: "s", Algorithm: AlgoApprox, Stats: RunStats{Runs: 2, FoundRuns: 2, PerRun: []RunValue{{Found: true, TTotal: 1, FTotal: 3}, {Found: true, TTotal: 2, FTotal: 4}}, MemoryBytes: 208}},
 		{Scenario: "s", Algorithm: AlgoMaMoRL, Stats: RunStats{Runs: 2, NA: true, NAReason: "exceeds memory budget", MemoryBytes: 1 << 38}},
 	}
 	if err := WriteTable6CSV(&buf, rows); err != nil {
@@ -472,7 +474,7 @@ func TestCSVExports(t *testing.T) {
 	buf.Reset()
 	r8 := Figure8Result{Cells: []TransferCell{{
 		TrainedOn: "a", EvaluatedOn: "b",
-		Stats: RunStats{Runs: 2, FoundRuns: 2, TTotal: []float64{5, 7}, FTotal: []float64{9, 11}},
+		Stats: RunStats{Runs: 2, FoundRuns: 2, PerRun: []RunValue{{Found: true, TTotal: 5, FTotal: 9}, {Found: true, TTotal: 7, FTotal: 11}}},
 	}}}
 	if err := WriteTransferCSV(&buf, r8); err != nil {
 		t.Fatalf("WriteTransferCSV: %v", err)

@@ -121,8 +121,11 @@ func (h *Harness) RunFigure4(ctx context.Context, p Params) (Figure4Result, erro
 	var union []stats.Point2
 	for k, rs := range results {
 		algo := Figure4Algorithms[k]
-		for i := range rs.TTotal {
-			pt := stats.Point2{X: rs.FTotal[i], Y: rs.TTotal[i], Tag: algo}
+		for _, v := range rs.PerRun {
+			if !v.Found {
+				continue
+			}
+			pt := stats.Point2{X: v.FTotal, Y: v.TTotal, Tag: algo}
 			out.Points[algo] = append(out.Points[algo], pt)
 			union = append(union, pt)
 		}
@@ -300,7 +303,7 @@ func (h *Harness) sweepPoint(ctx context.Context, subject string, p Params, valu
 	pt.RITimeVsRW = stats.RelativeImprovement(rw.MeanT(), subj.MeanT())
 	pt.RIFuelVsRW = stats.RelativeImprovement(rw.MeanF(), subj.MeanF())
 	// Pair on run indices both algorithms completed (PairedObjectives); a
-	// bare length check on TTotal cannot detect two algorithms failing on
+	// bare count of found runs cannot detect two algorithms failing on
 	// different seeds and would feed the t-test misaligned samples.
 	if tt, ok := PairedTTestT(subj, b1); ok {
 		pt.SignificantVsB1 = tt.Significant(0.05)

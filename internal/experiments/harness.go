@@ -78,15 +78,10 @@ type RunStats struct {
 	Algorithm string
 	Runs      int
 	// PerRun records every run's outcome at its run index (len == Runs for
-	// a completed evaluation). This is the seed-aligned record backing
-	// paired t-tests: TTotal/FTotal below drop failed runs and therefore
-	// lose alignment as soon as two algorithms fail on different seeds.
+	// a completed evaluation): the one per-run record. Paired t-tests
+	// intersect two algorithms' found runs by index (PairedObjectives);
+	// means and Figure 4's points read the found runs in run order.
 	PerRun []RunValue
-	// Per-run objective values (Definitions 1 and 2) of the runs that found
-	// the destination, in run order. Means and distributional plots use
-	// these; paired comparisons must use PerRun (see PairedObjectives).
-	TTotal []float64
-	FTotal []float64
 	// FoundRuns counts runs that discovered the destination; CollidedRuns
 	// counts runs with at least one collision; AbortedRuns counts runs
 	// terminated by the collision policy.
@@ -105,11 +100,28 @@ type RunStats struct {
 	NAReason string
 }
 
-// MeanT returns the average T_total over completed runs.
-func (r RunStats) MeanT() float64 { return stats.Mean(r.TTotal) }
+// MeanT returns the average T_total over the runs that found the
+// destination.
+func (r RunStats) MeanT() float64 {
+	return stats.Mean(r.found(func(v RunValue) float64 { return v.TTotal }))
+}
 
-// MeanF returns the average F_total over completed runs.
-func (r RunStats) MeanF() float64 { return stats.Mean(r.FTotal) }
+// MeanF returns the average F_total over the runs that found the
+// destination.
+func (r RunStats) MeanF() float64 {
+	return stats.Mean(r.found(func(v RunValue) float64 { return v.FTotal }))
+}
+
+// found lists obj of the runs that found the destination, in run order.
+func (r RunStats) found(obj func(RunValue) float64) []float64 {
+	var xs []float64
+	for _, v := range r.PerRun {
+		if v.Found {
+			xs = append(xs, obj(v))
+		}
+	}
+	return xs
+}
 
 // baselineStateBytes estimates the per-team planner state of the
 // non-learning planners: a seeded PRNG plus a per-asset cursor — hundreds
@@ -242,11 +254,9 @@ func collectStats(name string, outcomes []runOutcome) (RunStats, error) {
 			rs.PerRun[run].Found = true
 			rs.PerRun[run].TTotal = out.res.TTotal
 			rs.PerRun[run].FTotal = out.res.FTotal
-			rs.TTotal = append(rs.TTotal, out.res.TTotal)
-			rs.FTotal = append(rs.FTotal, out.res.FTotal)
 		}
 	}
-	if len(rs.TTotal) == 0 {
+	if rs.FoundRuns == 0 {
 		rs.NA = true
 		switch {
 		case rs.AbortedRuns == runs:

@@ -106,7 +106,7 @@ func TestTracingDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(plain.PerRun, withObs.PerRun) {
 		t.Fatalf("PerRun diverged under tracing:\n%+v\nvs\n%+v", plain.PerRun, withObs.PerRun)
 	}
-	if plain.FoundRuns != withObs.FoundRuns || !reflect.DeepEqual(plain.TTotal, withObs.TTotal) {
+	if plain.FoundRuns != withObs.FoundRuns || plain.MeanT() != withObs.MeanT() {
 		t.Fatalf("aggregates diverged: %+v vs %+v", plain, withObs)
 	}
 

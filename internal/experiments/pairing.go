@@ -9,9 +9,10 @@ import "github.com/routeplanning/mamorl/internal/stats"
 // equal-length and index-aligned by construction — the precondition
 // stats.PairedTTest needs.
 //
-// This exists because RunStats.TTotal alone cannot express pairing: it
-// drops failed runs, so two algorithms failing on different seeds yield
-// equal-length but misaligned arrays that a length check cannot catch.
+// This exists because each algorithm's found runs alone cannot express
+// pairing: two algorithms failing on different seeds find equally many
+// runs, but zipping them in order misaligns seeds, which a count check
+// cannot catch.
 func PairedObjectives(a, b RunStats) (aT, bT, aF, bF []float64) {
 	n := len(a.PerRun)
 	if len(b.PerRun) < n {

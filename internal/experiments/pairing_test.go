@@ -11,7 +11,7 @@ import (
 
 // mkStats builds a RunStats whose PerRun marks exactly the given run
 // indices as found, with TTotal = 10*index + base so values identify their
-// run. The legacy found-only arrays are filled the way Evaluate fills them.
+// run.
 func mkStats(runs int, base float64, found ...int) RunStats {
 	isFound := map[int]bool{}
 	for _, i := range found {
@@ -25,23 +25,33 @@ func mkStats(runs int, base float64, found ...int) RunStats {
 			rs.PerRun[i].Found = true
 			rs.PerRun[i].TTotal = v
 			rs.PerRun[i].FTotal = v * 2
-			rs.TTotal = append(rs.TTotal, v)
-			rs.FTotal = append(rs.FTotal, v*2)
 			rs.FoundRuns++
 		}
 	}
 	return rs
 }
 
+// foundT lists the T_total of rs's found runs in run order: what a naive
+// zip of two algorithms' found runs would pair.
+func foundT(rs RunStats) []float64 {
+	var out []float64
+	for _, v := range rs.PerRun {
+		if v.Found {
+			out = append(out, v.TTotal)
+		}
+	}
+	return out
+}
+
 func TestPairedObjectivesIntersectsRunIndices(t *testing.T) {
 	// The regression this guards: algorithm A fails on run 1, algorithm B
-	// fails on run 3. Both TTotal arrays have length 3, so the old
-	// "len(a.TTotal) == len(b.TTotal)" guard would have zipped them — pairing
-	// A's run 2 with B's run 1 and A's run 3 with B's run 2, i.e. samples
-	// from different seeds. The seed-aligned pairing keeps only runs 0 and 2.
+	// fails on run 3. Both found 3 runs, so an "equal found counts" guard
+	// would have zipped them — pairing A's run 2 with B's run 1 and A's
+	// run 3 with B's run 2, i.e. samples from different seeds. The
+	// seed-aligned pairing keeps only runs 0 and 2.
 	a := mkStats(4, 100, 0, 2, 3)
 	b := mkStats(4, 200, 0, 1, 2)
-	if len(a.TTotal) != len(b.TTotal) {
+	if a.FoundRuns != b.FoundRuns {
 		t.Fatal("fixture must reproduce the equal-length trap")
 	}
 
@@ -62,7 +72,7 @@ func TestPairedObjectivesIntersectsRunIndices(t *testing.T) {
 
 	// The naive zip of the found-only arrays would have produced a
 	// different (wrong) second pair; make the distinction explicit.
-	if a.TTotal[1] == aT[1] && b.TTotal[1] == bT[1] {
+	if foundT(a)[1] == aT[1] && foundT(b)[1] == bT[1] {
 		t.Error("pairing degenerated to zipping the found-only arrays")
 	}
 }
@@ -177,18 +187,20 @@ func TestCollectStatsContract(t *testing.T) {
 			{Seed: 11}, {Seed: 12},
 			{Seed: 13, Found: true, TTotal: 6, FTotal: 60},
 		},
-		TTotal: []float64{5, 6}, FTotal: []float64{50, 60},
 		FoundRuns: 2, CollidedRuns: 2, AbortedRuns: 1,
 	}
 	if !reflect.DeepEqual(rs, want) {
 		t.Fatalf("fold:\n got %+v\nwant %+v", rs, want)
+	}
+	if rs.MeanT() != 5.5 || rs.MeanF() != 55 {
+		t.Fatalf("means over the found runs: T %v F %v, want 5.5 and 55", rs.MeanT(), rs.MeanF())
 	}
 
 	rs, err = collectStats("x", outs[1:3])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rs.NA || rs.NAReason != "collisions aborted 1/2 runs, rest timed out" || rs.TTotal != nil {
-		t.Fatalf("no found run: NA=%v reason=%q T=%v", rs.NA, rs.NAReason, rs.TTotal)
+	if !rs.NA || rs.NAReason != "collisions aborted 1/2 runs, rest timed out" || rs.FoundRuns != 0 || rs.MeanT() != 0 {
+		t.Fatalf("no found run: NA=%v reason=%q found=%d meanT=%v", rs.NA, rs.NAReason, rs.FoundRuns, rs.MeanT())
 	}
 }

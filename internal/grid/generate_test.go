@@ -1,7 +1,10 @@
 package grid
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/routeplanning/mamorl/internal/geo"
@@ -273,5 +276,42 @@ func TestGeneratedGridsGolden(t *testing.T) {
 	}
 	if got, want := carib.Fingerprint(), "991741cdfe5fb25c4c2b11d8f0438efc57814a4e82c57d5f98537957e8254121"; got != want {
 		t.Errorf("caribbean seed 5: fingerprint %s, want %s", got, want)
+	}
+}
+
+// TestFingerprintEncodesOnce: Fingerprint encodes the grid on its first
+// call only (every served plan's trace names its grid's fingerprint), the
+// first calls may race, and the memoized digest is the one a fresh encode
+// gives.
+func TestFingerprintEncodesOnce(t *testing.T) {
+	g, err := GenerateSynthetic(SyntheticConfig{Nodes: 200, Edges: 430, MaxOutDegree: 9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = g.Fingerprint()
+		}()
+	}
+	wg.Wait()
+	first := got[0]
+	for i, fp := range got {
+		if fp != first {
+			t.Fatalf("concurrent call %d read %s, call 0 %s", i, fp, first)
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { _ = g.Fingerprint() }); avg != 0 {
+		t.Fatalf("a repeat Fingerprint call allocates %.1f objects, want 0", avg)
+	}
+	h := sha256.New()
+	if err := Encode(h, g); err != nil {
+		t.Fatal(err)
+	}
+	if want := hex.EncodeToString(h.Sum(nil)); first != want || g.Fingerprint() != want {
+		t.Fatalf("memoized fingerprint %s, fresh encode %s", g.Fingerprint(), want)
 	}
 }

@@ -8,8 +8,8 @@
 // the distance between the endpoint positions under the grid's metric, so
 // weights are always consistent with geometry. Grids are immutable once
 // built, except for a bounded memo of sensing balls that radius queries
-// fill on first use and publish atomically; planners and simulations share
-// them freely across goroutines.
+// fill on first use and publish atomically, and a fingerprint computed on
+// first use; planners and simulations share them freely across goroutines.
 package grid
 
 import (
@@ -36,7 +36,8 @@ type Edge struct {
 
 // Grid is an immutable directed weighted graph embedded in the plane or on
 // the globe. Construct one with a Builder or a generator. Its only mutable
-// state is the sensing-ball memo, which is safe for concurrent use.
+// state is the sensing-ball memo and the fingerprint memo, both safe for
+// concurrent use.
 type Grid struct {
 	name   string
 	metric geo.Metric
@@ -61,6 +62,9 @@ type Grid struct {
 	unit   [][3]float64
 	// strong records that every node reaches every other along arcs.
 	strong bool
+	// fp memoizes Fingerprint, computed under fpOnce on first use.
+	fpOnce sync.Once
+	fp     string
 }
 
 // MaxEdgeWeight returns the largest arc weight: an upper bound on the

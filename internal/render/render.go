@@ -89,7 +89,8 @@ func assetGlyph(i int) byte {
 
 // Mission renders a finished (or in-flight) trace over its grid: node dots
 // (optional), obstacles as '#', asset tracks as '·' with current positions
-// as digits, and the destination as 'X'.
+// as digits, and the destination as 'X'. A dest outside the grid, such as
+// grid.None for an unknown destination, draws no 'X'.
 func Mission(g *grid.Grid, tr *sim.Trace, obstacles []grid.NodeID, dest grid.NodeID, o Options) string {
 	o = o.withDefaults()
 	c := newCanvas(g.Bounds(), o)
@@ -109,7 +110,9 @@ func Mission(g *grid.Grid, tr *sim.Trace, obstacles []grid.NodeID, dest grid.Nod
 		}
 	}
 	// Destination and final positions on top.
-	c.plot(g.Pos(dest), 'X')
+	if dest >= 0 && int(dest) < g.NumNodes() {
+		c.plot(g.Pos(dest), 'X')
+	}
 	if n := len(tr.Epochs); n > 0 {
 		last := tr.Epochs[n-1]
 		for i, p := range last.Positions {

@@ -97,6 +97,20 @@ func TestRenderEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestMissionRenderUnknownDestination: an unknown destination (dest < 0,
+// as a trace file without one reads) renders the tracks without an 'X'
+// instead of panicking.
+func TestMissionRenderUnknownDestination(t *testing.T) {
+	g, tr, _ := tracedMission(t)
+	out := Mission(g, tr, nil, grid.None, Options{Width: 40, Height: 12})
+	if strings.Contains(out, "X") {
+		t.Errorf("unknown destination drew an X:\n%s", out)
+	}
+	if !strings.Contains(out, "0") || !strings.Contains(out, "1") {
+		t.Errorf("asset glyphs missing:\n%s", out)
+	}
+}
+
 func TestDefaultDimensions(t *testing.T) {
 	g := grid.Lattice("map", 4, 4)
 	out := Grid(g, nil, Options{})

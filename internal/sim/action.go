@@ -34,31 +34,14 @@ func (a Action) IsWait() bool { return a.Neighbor < 0 }
 
 // String implements fmt.Stringer: "wait" or "n<neighbor>@s<speed>".
 func (a Action) String() string {
-	var buf [24]byte
-	return string(a.appendText(buf[:0]))
-}
-
-// appendText appends the String form of a to buf.
-func (a Action) appendText(buf []byte) []byte {
 	if a.IsWait() {
-		return append(buf, "wait"...)
+		return "wait"
 	}
-	buf = append(buf, 'n')
-	buf = strconv.AppendInt(buf, int64(a.Neighbor), 10)
-	buf = append(buf, "@s"...)
-	return strconv.AppendInt(buf, int64(a.Speed), 10)
-}
-
-// appendActions appends a joint action rendered as "n1@s2|wait|n0@s1" to
-// buf: one Action.String per asset, |-separated. ParseActions inverts it.
-func appendActions(buf []byte, acts []Action) []byte {
-	for i, a := range acts {
-		if i > 0 {
-			buf = append(buf, '|')
-		}
-		buf = a.appendText(buf)
-	}
-	return buf
+	var buf [24]byte
+	b := append(buf[:0], 'n')
+	b = strconv.AppendInt(b, int64(a.Neighbor), 10)
+	b = append(b, "@s"...)
+	return string(strconv.AppendInt(b, int64(a.Speed), 10))
 }
 
 // ActionCount returns |A_i(s)| for an asset at a node with the given

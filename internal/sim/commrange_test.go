@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/routeplanning/mamorl/internal/grid"
-	"github.com/routeplanning/mamorl/internal/trace"
 	"github.com/routeplanning/mamorl/internal/vessel"
 )
 
@@ -161,8 +160,9 @@ func TestCommunicateReusesScratch(t *testing.T) {
 }
 
 // TestRangedExchangeOrder: a ranged exchange runs its radio groups in order
-// of their lowest member, so a mission emits the same communicate events on
-// every run, and once its scratch is allocated it allocates nothing.
+// of their lowest member, each with its members ascending, so a mission
+// exchanges in the same order on every run, and once its scratch is
+// allocated it allocates nothing.
 func TestRangedExchangeOrder(t *testing.T) {
 	g := grid.Path("line", 30, 1)
 	sc := Scenario{
@@ -173,21 +173,16 @@ func TestRangedExchangeOrder(t *testing.T) {
 		CommEvery: 1,
 		CommRange: 1.5,
 	}
-	want := []int64{3, 2} // group {0, 2, 4}, then group {1, 3}
+	want := [][]int{{0, 2, 4}, {1, 3}}
 	for run := 0; run < 20; run++ {
 		m, err := NewMission(sc, RunOptions{})
 		if err != nil {
 			t.Fatalf("NewMission: %v", err)
 		}
-		m.span = trace.New().Start("mission")
 		m.communicateRanged()
-		var got []int64
-		for _, e := range m.span.EventsNamed("communicate") {
-			a, _ := e.Attr("group")
-			got = append(got, a.IntVal())
-		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("run %d: communicate events for groups of %v, want %v", run, got, want)
+		// The groups the exchange ran are the leading radioGroups.
+		if got := m.radioGroups[:len(want)]; !slices.EqualFunc(got, want, slices.Equal) || m.exchanges != len(want) {
+			t.Fatalf("run %d: exchanged %d groups, leading %v; want %v", run, m.exchanges, got, want)
 		}
 	}
 

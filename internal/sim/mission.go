@@ -109,11 +109,9 @@ type Mission struct {
 	discoveryStep int
 	collisions    int
 	aborted       bool
-
-	// span, when non-nil, receives mission events (communicate, found,
-	// reroute, detour) as they happen. RunContext attaches it; nil during
-	// unobserved missions, so every emission site guards on it.
-	span *trace.Span
+	// exchanges counts group exchanges: one per group of two or more
+	// assets that shared state, periodic or on discovery.
+	exchanges int
 }
 
 // NewMission initializes an episode: assets at their sources, initial
@@ -366,11 +364,6 @@ func (m *Mission) checkDiscovery() {
 					m.know[j].DestKnown = true
 					m.know[j].Dest = m.sc.Dest
 				}
-				if m.span != nil {
-					m.span.Event("found",
-						trace.Int("asset", int64(i)),
-						trace.Int("step", int64(m.step)))
-				}
 				m.communicate()
 				break
 			}
@@ -410,7 +403,7 @@ func (m *Mission) communicate() {
 // assets within CommRange form links, links form transitive groups (a chain
 // of assets relays), and each group shares locations and sensed sets
 // internally. Groups run in order of their lowest member, so a mission
-// emits its communicate events in the same order on every run.
+// exchanges in the same order on every run.
 func (m *Mission) communicateRanged() {
 	n := len(m.know)
 	if m.radioGroups == nil {
@@ -452,11 +445,7 @@ func (m *Mission) communicateGroups(groups [][]int) {
 		if len(group) < 2 {
 			continue
 		}
-		if m.span != nil {
-			m.span.Event("communicate",
-				trace.Int("step", int64(m.step)),
-				trace.Int("group", int64(len(group))))
-		}
+		m.exchanges++
 		// Locations.
 		for _, i := range group {
 			for _, j := range group {
@@ -676,34 +665,31 @@ func RunContext(ctx context.Context, sc Scenario, p Planner, opts RunOptions) (R
 	}
 
 	// Attach the mission span: child of the experiment/request span when one
-	// is supplied, else a fresh trace.
+	// is supplied, else a fresh trace. It records the mission's totals once,
+	// at the end, so its size does not grow with the mission.
 	var sp *trace.Span
 	if opts.TraceParent != nil {
 		sp = opts.TraceParent.Child("mission")
 	} else if opts.Tracer.Enabled() {
 		sp = opts.Tracer.Start("mission")
 	}
+	var decide time.Duration // Decide time of a traced mission
 	if sp.Enabled() {
-		sp.SetAttrs(
-			trace.String("planner", p.Name()),
-			trace.Int("nodes", int64(sc.Grid.NumNodes())),
-			trace.Int("assets", int64(len(sc.Team))))
-		m.span = sp
-		// NewMission runs the initial sense+discovery before the span can be
-		// attached; compensate for a step-0 discovery here.
-		if m.foundBy >= 0 {
-			sp.Event("found",
-				trace.Int("asset", int64(m.foundBy)),
-				trace.Int("step", 0))
-		}
 		defer func() {
 			res := m.Result()
 			sp.SetAttrs(
-				trace.Bool("found", res.Found),
+				trace.String("planner", p.Name()),
+				trace.Int("nodes", int64(sc.Grid.NumNodes())),
+				trace.Int("assets", int64(len(sc.Team))),
 				trace.Int("steps", int64(res.Steps)),
+				trace.Bool("found", res.Found),
+				trace.Int("found_by", int64(res.FoundBy)),
+				trace.Int("discovery_step", int64(res.DiscoverySteps)),
+				trace.Int("collisions", int64(res.Collisions)),
 				trace.Float("t_total", res.TTotal),
 				trace.Float("f_total", res.FTotal),
-				trace.Int("collisions", int64(res.Collisions)))
+				trace.Int("exchanges", int64(m.exchanges)),
+				trace.Float("decide_us", float64(decide)/float64(time.Microsecond)))
 			sp.End()
 		}()
 	}
@@ -711,7 +697,6 @@ func RunContext(ctx context.Context, sc Scenario, p Planner, opts RunOptions) (R
 	learner, _ := p.(Learner)
 	acts := make([]Action, len(sc.Team))
 	prev := make([]grid.NodeID, len(sc.Team))
-	var actText []byte // the step event's rendering of acts, reused
 	for !m.Done() {
 		if err := ctx.Err(); err != nil {
 			return m.Result(), fmt.Errorf("sim: mission aborted at epoch %d: %w", m.Step(), err)
@@ -730,21 +715,11 @@ func RunContext(ctx context.Context, sc Scenario, p Planner, opts RunOptions) (R
 			acts[i] = p.Decide(m, i)
 		}
 		if sp.Enabled() {
-			sp.Event("decide",
-				trace.Int("epoch", int64(m.Step())),
-				trace.Float("dur_us", float64(time.Since(decideStart).Microseconds())))
+			decide += time.Since(decideStart)
 		}
 		r, err := m.ExecuteStep(acts)
 		if err != nil {
 			return Result{}, err
-		}
-		if sp.Enabled() {
-			// Epoch that was just executed (Step has advanced past it).
-			actText = appendActions(actText[:0], acts)
-			sp.Event("step",
-				trace.Int("epoch", int64(m.Step()-1)),
-				trace.Int("sensed", int64(m.TeamSensedCount())),
-				trace.String("actions", string(actText)))
 		}
 		if learner != nil {
 			learner.Observe(m, prev, acts, r)

@@ -3,7 +3,6 @@ package sim
 import (
 	"github.com/routeplanning/mamorl/internal/graphalg"
 	"github.com/routeplanning/mamorl/internal/grid"
-	"github.com/routeplanning/mamorl/internal/trace"
 	"github.com/routeplanning/mamorl/internal/vessel"
 )
 
@@ -73,11 +72,6 @@ func (nv *Navigator) baseTree(m *Mission) *graphalg.ReverseTree {
 		avoid = m.Obstacle
 	}
 	nv.base = graphalg.ReverseTreeAvoiding(m.Grid(), nv.target, avoid)
-	if m.span != nil {
-		m.span.Event("reroute",
-			trace.Int("step", int64(m.Step())),
-			trace.Int("target", int64(nv.target)))
-	}
 	return nv.base
 }
 
@@ -97,11 +91,6 @@ func (nv *Navigator) detourTree(m *Mission, i int) (*graphalg.ReverseTree, bool)
 	})
 	nv.detour[i] = t
 	nv.detourSig[i] = snapshotBeliefs(sig[:0], know.LastKnown, i)
-	if m.span != nil {
-		m.span.Event("detour",
-			trace.Int("step", int64(m.Step())),
-			trace.Int("asset", int64(i)))
-	}
 	return t, true
 }
 

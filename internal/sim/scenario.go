@@ -159,9 +159,9 @@ type RunOptions struct {
 	// the chosen joint action, with each asset's realized move (time and
 	// fuel included) in Mission.LastMove.
 	OnStep func(m *Mission, acts []Action)
-	// Tracer, when non-nil, records the mission as a span with per-epoch
-	// decide/step events plus communicate/found/reroute/detour events —
-	// enough to replay the mission (see Replay). Tracing is pure
+	// Tracer, when non-nil, records the mission as a span carrying its
+	// totals, set once at the end: steps, discovery, collisions, T and F,
+	// the exchange count and the Decide time. Tracing is pure
 	// observation: it never touches the planner, the RNG, or the result.
 	Tracer *trace.Tracer
 	// TraceParent, when non-nil, parents the mission span under an existing

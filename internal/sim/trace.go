@@ -9,9 +9,9 @@ import (
 	"github.com/routeplanning/mamorl/internal/grid"
 )
 
-// Trace records a mission epoch by epoch for replay, visualization and
-// post-hoc analysis (the TMPLAR front-end's global view renders exactly
-// this kind of record). Install it with Recorder before running:
+// Trace records a mission epoch by epoch for visualization and post-hoc
+// analysis (the TMPLAR front-end's global view renders exactly this kind
+// of record). Install its Record as the OnStep hook before running:
 //
 //	tr := sim.NewTrace()
 //	res, _ := sim.Run(sc, planner, sim.RunOptions{OnStep: tr.Record})
@@ -19,9 +19,12 @@ import (
 //	tr.WriteJSON(os.Stdout)
 type Trace struct {
 	// GridName and Assets identify the instance.
-	GridName string       `json:"grid"`
-	Assets   int          `json:"assets"`
-	Epochs   []TraceEpoch `json:"epochs"`
+	GridName string `json:"grid"`
+	Assets   int    `json:"assets"`
+	// Dest is the mission's destination; grid.None (unknown) before the
+	// first Record and in a trace file without a "dest" field.
+	Dest   grid.NodeID  `json:"dest"`
+	Epochs []TraceEpoch `json:"epochs"`
 	// Outcome is filled by Finish.
 	Outcome *Result `json:"outcome,omitempty"`
 }
@@ -45,13 +48,14 @@ type TraceEpoch struct {
 }
 
 // NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{} }
+func NewTrace() *Trace { return &Trace{Dest: grid.None} }
 
 // Record implements the RunOptions.OnStep signature.
 func (t *Trace) Record(m *Mission, acts []Action) {
 	if t.GridName == "" {
 		t.GridName = m.Grid().Name()
 		t.Assets = m.NumAssets()
+		t.Dest = m.sc.Dest
 	}
 	ep := TraceEpoch{
 		Step:        m.Step(),
@@ -77,9 +81,10 @@ func (t *Trace) WriteJSON(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// ReadTrace parses a trace written by WriteJSON.
+// ReadTrace parses a trace written by WriteJSON. A trace without a
+// destination reads as grid.None (unknown).
 func ReadTrace(r io.Reader) (*Trace, error) {
-	var t Trace
+	t := Trace{Dest: grid.None}
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
 		return nil, fmt.Errorf("sim: read trace: %w", err)
 	}

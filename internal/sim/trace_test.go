@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/vessel"
 )
 
@@ -66,6 +67,18 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 	if tr2.Outcome == nil || !tr2.Outcome.Found {
 		t.Error("outcome lost in roundtrip")
+	}
+	if want := toyScenario(t).Dest; tr.Dest != want || tr2.Dest != want {
+		t.Errorf("destination %d recorded, %d read back; want %d", tr.Dest, tr2.Dest, want)
+	}
+	// A trace file written before traces recorded the destination reads
+	// as an unknown one.
+	old, err := ReadTrace(strings.NewReader(`{"grid":"line","assets":2,"epochs":[]}`))
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
+	if old.Dest != grid.None {
+		t.Errorf("a trace without a destination reads dest %d, want grid.None", old.Dest)
 	}
 }
 

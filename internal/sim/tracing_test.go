@@ -3,13 +3,12 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"reflect"
-	"slices"
-	"strings"
 	"testing"
 
+	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/trace"
+	"github.com/routeplanning/mamorl/internal/vessel"
 )
 
 // greedyToward walks each asset toward the destination along the line grid —
@@ -36,7 +35,7 @@ func (p *greedyToward) Decide(m *Mission, i int) Action {
 	return Wait
 }
 
-func TestMissionSpanAndReplay(t *testing.T) {
+func TestMissionSpan(t *testing.T) {
 	sc := toyScenario(t)
 	p := func() Planner { return &greedyToward{dest: int(sc.Dest)} }
 
@@ -73,82 +72,108 @@ func TestMissionSpanAndReplay(t *testing.T) {
 	if a, ok := trace.GetAttr(sp.Attrs, "planner"); !ok || a.Str() != "greedy" {
 		t.Fatalf("planner attr %v %v", a, ok)
 	}
-	if a, ok := trace.GetAttr(sp.Attrs, "found"); !ok || a.BoolVal() != want.Found {
-		t.Fatalf("found attr %v %v, want %v", a, ok, want.Found)
+	checkOutcomeAttrs(t, sp.Attrs, want)
+	// Discovery broadcasts to the whole team: at least one exchange.
+	if a, ok := trace.GetAttr(sp.Attrs, "exchanges"); !ok || a.IntVal() < 1 {
+		t.Fatalf("exchanges attr %v %v, want >= 1", a, ok)
 	}
-	if a, ok := trace.GetAttr(sp.Attrs, "steps"); !ok || a.IntVal() != int64(want.Steps) {
-		t.Fatalf("steps attr %v, want %d", a.IntVal(), want.Steps)
-	}
-	if n := len(sp.EventsNamed("step")); n != want.Steps {
-		t.Fatalf("%d step events, want %d", n, want.Steps)
-	}
-	if n := len(sp.EventsNamed("decide")); n != want.Steps {
-		t.Fatalf("%d decide events, want %d", n, want.Steps)
-	}
-	if want.Found && len(sp.EventsNamed("found")) != 1 {
-		t.Fatalf("found events: %d", len(sp.EventsNamed("found")))
-	}
-	// CommEvery=3 with two assets: at least one communicate event fires
-	// before discovery (discovery itself also broadcasts).
-	if len(sp.EventsNamed("communicate")) == 0 {
-		t.Fatal("no communicate events")
+	if a, ok := trace.GetAttr(sp.Attrs, "decide_us"); !ok || a.FloatVal() < 0 {
+		t.Fatalf("decide_us attr %v %v", a, ok)
 	}
 
-	// Replay directly from the live span.
-	acts, err := ActionsFromSpan(sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := Replay(sc, acts, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replayed, want) {
-		t.Fatalf("replay diverged: %+v vs %+v", replayed, want)
-	}
-
-	// Replay from the JSONL file: full round trip through the wire format.
+	// The JSONL file carries the same attributes.
 	fromFile, err := trace.ReadJSONL(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fromFile) != 1 {
-		t.Fatalf("file holds %d spans", len(fromFile))
+	if len(fromFile) != 1 || len(fromFile[0].Attrs) != len(sp.Attrs) {
+		t.Fatalf("file holds %d spans; want one with %d attrs", len(fromFile), len(sp.Attrs))
 	}
-	acts2, err := ActionsFromSpan(fromFile[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed2, err := Replay(sc, acts2, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(replayed2, want) {
-		t.Fatalf("file replay diverged: %+v vs %+v", replayed2, want)
+	if a, ok := trace.GetAttr(fromFile[0].Attrs, "steps"); !ok || a.FloatVal() != float64(want.Steps) {
+		t.Fatalf("file steps attr %v %v, want %d", a, ok, want.Steps)
 	}
 }
 
-func TestParseAction(t *testing.T) {
-	for _, a := range []Action{Wait, {Neighbor: 0, Speed: 1}, {Neighbor: 3, Speed: 2}} {
-		got, err := ParseAction(a.String())
+// checkOutcomeAttrs checks a mission span's outcome attributes against the
+// mission's Result.
+func checkOutcomeAttrs(t *testing.T, attrs []trace.Attr, want Result) {
+	t.Helper()
+	ints := map[string]int{
+		"steps": want.Steps, "found_by": want.FoundBy,
+		"discovery_step": want.DiscoverySteps, "collisions": want.Collisions,
+	}
+	for k, v := range ints {
+		if a, ok := trace.GetAttr(attrs, k); !ok || a.IntVal() != int64(v) {
+			t.Errorf("%s attr %v %v, want %d", k, a.IntVal(), ok, v)
+		}
+	}
+	floats := map[string]float64{"t_total": want.TTotal, "f_total": want.FTotal}
+	for k, v := range floats {
+		if a, ok := trace.GetAttr(attrs, k); !ok || a.FloatVal() != v {
+			t.Errorf("%s attr %v %v, want %v", k, a.FloatVal(), ok, v)
+		}
+	}
+	if a, ok := trace.GetAttr(attrs, "found"); !ok || a.BoolVal() != want.Found {
+		t.Errorf("found attr %v %v, want %v", a.BoolVal(), ok, want.Found)
+	}
+}
+
+// shuttle moves assets 0 and 1 back and forth across node 1 of a line, so
+// they collide every other epoch, and walks asset 2 right to node 28.
+type shuttle struct{}
+
+func (shuttle) Name() string { return "shuttle" }
+func (shuttle) Decide(m *Mission, i int) Action {
+	cur := m.Cur(i)
+	to := grid.NodeID(1)
+	switch {
+	case i == 2:
+		to = min(cur+1, 28)
+	case cur == 1:
+		to = grid.NodeID(2 * i)
+	}
+	return toward(m.Grid(), cur, to)
+}
+
+// TestMissionSpanSizeIsConstant: a mission span records totals, not
+// epochs, so a 10,000-epoch mission's span holds as many attributes as a
+// 10-epoch one's. The rendezvous never gathers (assets 0 and 1 shuttle
+// far from the destination asset 2 finds at step 3), so both missions run
+// to MaxSteps with a discovery and collisions to report.
+func TestMissionSpanSizeIsConstant(t *testing.T) {
+	sc := Scenario{
+		Grid:       lineGrid(t, 30),
+		Team:       vessel.NewTeam([]grid.NodeID{0, 2, 25}, 1.5, 1),
+		Dest:       29,
+		CommEvery:  3,
+		Rendezvous: true,
+	}
+	var attrs []int
+	for _, steps := range []int{10, 10_000} {
+		sc.MaxSteps = steps
+		ring := trace.NewRing(16)
+		res, err := Run(sc, shuttle{}, RunOptions{Tracer: trace.New(ring)})
 		if err != nil {
-			t.Fatalf("ParseAction(%q): %v", a.String(), err)
+			t.Fatal(err)
 		}
-		if got != a {
-			t.Fatalf("ParseAction(%q) = %v", a.String(), got)
+		if res.Steps != steps || !res.Found || res.FoundBy != 2 || res.DiscoverySteps != 3 || res.Collisions == 0 {
+			t.Fatalf("MaxSteps %d: result %+v, want a full-length mission found by asset 2 at step 3, with collisions", steps, res)
 		}
+		spans := ring.Snapshot()
+		if len(spans) != 1 {
+			t.Fatalf("MaxSteps %d: %d spans", steps, len(spans))
+		}
+		checkOutcomeAttrs(t, spans[0].Attrs, res)
+		attrs = append(attrs, len(spans[0].Attrs))
 	}
-	for _, bad := range []string{"", "n1", "n@s1", "n1@s0", "n-1@s1", "x1@s1", "n1@sx"} {
-		if _, err := ParseAction(bad); err == nil {
-			t.Errorf("ParseAction(%q) accepted", bad)
-		}
+	if attrs[0] != attrs[1] {
+		t.Fatalf("span attributes: %d after 10 epochs, %d after 10,000", attrs[0], attrs[1])
 	}
 }
 
-// TestActionTextMatchesFmt pins the strconv rendering of the step event's
-// actions byte for byte against the fmt rendering it replaced, for every
-// action up to degree 16 × speed 8 plus wait, and round-trips seeded joint
-// actions through ParseActions.
+// TestActionTextMatchesFmt pins the strconv rendering of Action.String
+// byte for byte against the fmt rendering it replaced, for every action up
+// to degree 16 × speed 8 plus wait.
 func TestActionTextMatchesFmt(t *testing.T) {
 	all := []Action{Wait}
 	want := []string{"wait"}
@@ -163,32 +188,11 @@ func TestActionTextMatchesFmt(t *testing.T) {
 			t.Fatalf("Action%+v.String() = %q, want %q", a, got, want[k])
 		}
 	}
-	rng := rand.New(rand.NewSource(1))
-	var buf []byte
-	for k := 0; k < 1000; k++ {
-		acts := make([]Action, 1+rng.Intn(8))
-		parts := make([]string, len(acts))
-		for i := range acts {
-			j := rng.Intn(len(all))
-			acts[i], parts[i] = all[j], want[j]
-		}
-		buf = appendActions(buf[:0], acts)
-		if got := string(buf); got != strings.Join(parts, "|") {
-			t.Fatalf("appendActions(%v) = %q, want %q", acts, got, strings.Join(parts, "|"))
-		}
-		back, err := ParseActions(string(buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(back, acts) {
-			t.Fatalf("ParseActions(%q) = %v, want %v", buf, back, acts)
-		}
-	}
 }
 
 func TestStepZeroDiscoveryEvent(t *testing.T) {
 	// Destination inside the initial sensing radius: discovery happens in
-	// NewMission, before the span attaches; RunContext must compensate.
+	// NewMission, before the mission loop runs.
 	sc := toyScenario(t)
 	sc.Dest = 1 // asset 0 at node 0, radius 1.5 — sensed immediately
 	ring := trace.NewRing(16)
@@ -203,11 +207,10 @@ func TestStepZeroDiscoveryEvent(t *testing.T) {
 	if len(spans) != 1 {
 		t.Fatalf("%d spans", len(spans))
 	}
-	found := spans[0].EventsNamed("found")
-	if len(found) != 1 {
-		t.Fatalf("found events: %d", len(found))
+	if a, ok := trace.GetAttr(spans[0].Attrs, "found_by"); !ok || a.IntVal() != 0 {
+		t.Fatalf("found_by attr: %v %v", a, ok)
 	}
-	if a, ok := found[0].Attr("step"); !ok || a.IntVal() != 0 {
-		t.Fatalf("found step attr: %v %v", a, ok)
+	if a, ok := trace.GetAttr(spans[0].Attrs, "discovery_step"); !ok || a.IntVal() != 0 {
+		t.Fatalf("discovery_step attr: %v %v", a, ok)
 	}
 }

@@ -149,6 +149,16 @@ func (s Spec) normalize() Spec {
 	if s.Kind == KindLatency && s.Exemplar.Metric == "" {
 		s.Exemplar = s.Metric
 	}
+	// An empty constraint map means no constraint, as an absent one does;
+	// keep one form, so a compiled spec marshals and parses back equal.
+	for _, sel := range []*Selector{&s.Metric, &s.Total, &s.Bad, &s.Exemplar} {
+		if len(sel.Labels) == 0 {
+			sel.Labels = nil
+		}
+		if len(sel.LabelPrefixes) == 0 {
+			sel.LabelPrefixes = nil
+		}
+	}
 	return s
 }
 
@@ -167,6 +177,9 @@ func (s Spec) validate() error {
 		}
 		if s.ThresholdSeconds <= 0 {
 			return fmt.Errorf("slo %q: latency objective without a positive threshold_seconds", s.Name)
+		}
+		if s.ThresholdSeconds >= maxSeconds {
+			return fmt.Errorf("slo %q: threshold_seconds %v beyond the longest duration", s.Name, s.ThresholdSeconds)
 		}
 	case KindErrorRate:
 		if s.Total.Metric == "" || s.Bad.Metric == "" {
@@ -202,6 +215,9 @@ func (s Spec) Objective() string {
 // renders as 0.1%, not 0.10000000000000009%.
 func pct(ratio float64) float64 { return math.Round(ratio*1e11) / 1e9 }
 
+// maxSeconds is the longest time.Duration in seconds.
+var maxSeconds = time.Duration(math.MaxInt64).Seconds()
+
 // Duration is a time.Duration that marshals as a Go duration string
 // ("5m0s") and unmarshals from either a string or a nanosecond number, so
 // SLO config files stay human-readable.
@@ -226,6 +242,10 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 		}
 		*d = Duration(p)
 	case float64:
+		// float64(math.MaxInt64) rounds up to 2^63, one past the range.
+		if x < math.MinInt64 || x >= math.MaxInt64 {
+			return fmt.Errorf("slo: duration %v ns outside the int64 range", x)
+		}
 		*d = Duration(x)
 	default:
 		return fmt.Errorf("slo: duration must be a string or number, got %T", v)

@@ -97,6 +97,8 @@ func TestParseRejectsBadConfigs(t *testing.T) {
 		"window inverted": `{"slos":[{"name":"x","metric":{"metric":"m"},"threshold_seconds":1,"target":0.9,"short_window":"1h","long_window":"5m"}]}`,
 		"duplicate names": `{"slos":[{"name":"x","metric":{"metric":"m"},"threshold_seconds":1,"target":0.9},{"name":"x","metric":{"metric":"m"},"threshold_seconds":1,"target":0.9}]}`,
 		"bad duration":    `{"slos":[{"name":"x","metric":{"metric":"m"},"threshold_seconds":1,"target":0.9,"window":"soon"}]}`,
+		"ns past int64":   `{"slos":[{"name":"x","metric":{"metric":"m"},"threshold_seconds":1,"target":0.9,"window":1e19}]}`,
+		"huge threshold":  `{"slos":[{"name":"x","metric":{"metric":"m"},"threshold_seconds":1e300,"target":0.9}]}`,
 		"not json":        `{`,
 	}
 	for name, doc := range cases {

@@ -52,12 +52,23 @@ func (m *Matrix) Row(i int) []float64 {
 	return m.data[off : off+m.cols : off+m.cols]
 }
 
-// AppendRow copies one row onto the end of the matrix, growing the backing
-// array geometrically like append.
+// AppendRow copies one row onto the end of the matrix, doubling the
+// backing array when it is full (Append).
 func (m *Matrix) AppendRow(row []float64) {
 	if len(row) != m.cols {
 		panic(fmt.Sprintf("tensor: append %d values to a %d-column matrix", len(row), m.cols))
 	}
-	m.data = append(m.data, row...)
+	m.data = Append(m.data, row...)
 	m.rows++
+}
+
+// Append appends vals to s as append does, but doubles the capacity when
+// it runs out. append grows a large slice about 1.25× per step, so a slice
+// built to n values a few at a time copies about 4n values on the way;
+// doubling copies at most n.
+func Append(s []float64, vals ...float64) []float64 {
+	if n := len(s) + len(vals); n > cap(s) {
+		s = append(make([]float64, 0, max(2*cap(s), n)), s...)
+	}
+	return append(s, vals...)
 }

@@ -61,3 +61,35 @@ func TestAppendRowPanicsOnWidth(t *testing.T) {
 	}()
 	NewMatrix(2).AppendRow([]float64{1})
 }
+
+// TestAppendDoubles: Append keeps append's values and doubles the capacity
+// when full, so growing a matrix to n rows reallocates only O(log n) times.
+func TestAppendDoubles(t *testing.T) {
+	var s []float64
+	grows := 0
+	for i := 0; i < 1000; i++ {
+		before := cap(s)
+		s = Append(s, float64(i))
+		if c := cap(s); c != before {
+			grows++
+			if before > 0 && c != 2*before {
+				t.Fatalf("capacity grew %d -> %d, want %d", before, c, 2*before)
+			}
+		}
+	}
+	if grows != 11 { // 1, 2, 4, ..., 1024
+		t.Fatalf("%d reallocations for 1000 values, want 11", grows)
+	}
+	for i, v := range s {
+		if v != float64(i) {
+			t.Fatalf("s[%d] = %v", i, v)
+		}
+	}
+	m := NewMatrix(3)
+	for i := 0; i < 100; i++ {
+		m.AppendRow([]float64{float64(i), 0, 0})
+	}
+	if m.Rows() != 100 || m.Row(99)[0] != 99 || cap(m.Data()) != 384 {
+		t.Fatalf("rows %d, last %v, cap %d; want 100, 99, 384", m.Rows(), m.Row(99)[0], cap(m.Data()))
+	}
+}

@@ -1181,10 +1181,10 @@ func writeError(w http.ResponseWriter, err error) {
 }
 
 // recordBudget folds one request's budget usage into the shared metrics
-// and, on exhaustion, stamps a budget.exhausted event on the plan span so
-// traces show which resource ran out and by how much. The tenant label (the
-// request's grid) attributes consumption per tenant; grid names are
-// operator-controlled, so the label cardinality stays bounded.
+// and, on exhaustion, stamps the plan span with the resource that ran out,
+// its limit and its use. The tenant label (the request's grid) attributes
+// consumption per tenant; grid names are operator-controlled, so the label
+// cardinality stays bounded.
 func (s *Server) recordBudget(sp *trace.Span, b *limits.Budget, err error, tenant string) {
 	if b == nil {
 		return
@@ -1199,10 +1199,10 @@ func (s *Server) recordBudget(sp *trace.Span, b *limits.Budget, err error, tenan
 	if errors.As(err, &ob) {
 		m.Counter("limits_exhausted_total", "resource", ob.Resource.String(), "tenant", tenant).Inc()
 		if sp.Enabled() {
-			sp.Event("budget.exhausted",
-				trace.String("resource", ob.Resource.String()),
-				trace.Int("limit", ob.Limit),
-				trace.Int("used", ob.Used))
+			sp.SetAttrs(
+				trace.String("budget_exhausted", ob.Resource.String()),
+				trace.Int("budget_limit", ob.Limit),
+				trace.Int("budget_used", ob.Used))
 		}
 	}
 }
@@ -1276,12 +1276,14 @@ func algoLabel(algo string) string {
 	return algo
 }
 
-// preparedPlan is an admitted plan request, ready to run: its scenario, its
-// planner, the collision policy of its algorithm, and its budget (nil when
+// preparedPlan is an admitted plan request, ready to run: the request and
+// the artifact ID of the model it resolved to, its scenario, its planner,
+// the collision policy of its algorithm, and its budget (nil when
 // unlimited), which the planner and the mission loop share so that a
 // planner-latched violation aborts the run at the next epoch.
 type preparedPlan struct {
-	tenant    string
+	req       PlanRequest
+	artifact  string
 	sc        sim.Scenario
 	planner   sim.Planner
 	collision sim.CollisionPolicy
@@ -1372,7 +1374,7 @@ func (s *Server) prepare(ctx context.Context, req PlanRequest) (*preparedPlan, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	p := &preparedPlan{tenant: req.Grid, sc: sc, collision: alg.Collision, budget: s.newBudget()}
+	p := &preparedPlan{req: req, artifact: ent.ArtifactID(), sc: sc, collision: alg.Collision, budget: s.newBudget()}
 	in := algo.Inputs{Scenario: sc, Model: ent.Model(), Ext: ent.Ext(), Seed: req.Seed, Budget: p.budget}
 	if req.Region != nil {
 		in.Region = geo.Rect(*req.Region)
@@ -1386,7 +1388,7 @@ func (s *Server) prepare(ctx context.Context, req PlanRequest) (*preparedPlan, e
 // run flies an admitted plan's mission on the caller's goroutine and folds
 // its steps into per-asset routes. It ends in a 429 error when the budget
 // runs out, 503 when ctx expires, and 500 otherwise. The mission span
-// parents under sp.
+// parents under sp, and sp records what re-runs the plan (recordPlan).
 func (s *Server) run(ctx context.Context, sp *trace.Span, p *preparedPlan) (*PlanResponse, error) {
 	// Every asset records one leg per step, so all assets' legs share one
 	// slab of perAsset legs each and regrow together: one allocation per
@@ -1415,15 +1417,12 @@ func (s *Server) run(ctx context.Context, sp *trace.Span, p *preparedPlan) (*Pla
 	}
 	res, err := sim.RunContext(ctx, p.sc, p.planner,
 		sim.RunOptions{Collision: p.collision, OnStep: record, TraceParent: sp, Budget: p.budget})
-	s.recordBudget(sp, p.budget, err, p.tenant)
-	if err != nil {
-		if sp.Enabled() {
-			sp.SetAttrs(trace.String("error", err.Error()))
-		}
-		return nil, err
-	}
+	s.recordBudget(sp, p.budget, err, p.req.Grid)
 	if sp.Enabled() {
-		sp.SetAttrs(trace.Bool("found", res.Found), trace.Int("steps", int64(res.Steps)))
+		s.recordPlan(sp, p, res, err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return &PlanResponse{
 		Found:      res.Found,
@@ -1434,6 +1433,31 @@ func (s *Server) run(ctx context.Context, sp *trace.Span, p *preparedPlan) (*Pla
 		Collisions: res.Collisions,
 		Routes:     routes,
 	}, nil
+}
+
+// recordPlan stamps the plan span with its outcome and with what re-runs
+// the plan: the admitted request as JSON, the artifact ID of its model
+// ("" for a default model trained without a registry, which the server's
+// seed fixes) and its grid's fingerprint. A plan is deterministic given
+// the three, so re-POSTing the request to /api/plan on a server holding
+// that model and grid answers the same body. A request whose encoding is
+// longer than MaxPlanBytes could not be re-POSTed and is left out, so the
+// recorded requests in the trace ring total at most TraceBuffer ×
+// MaxPlanBytes.
+func (s *Server) recordPlan(sp *trace.Span, p *preparedPlan, res sim.Result, err error) {
+	attrs := make([]trace.Attr, 0, 5)
+	if b, jerr := json.Marshal(p.req); jerr == nil && int64(len(b)) <= s.opts.MaxPlanBytes {
+		attrs = append(attrs, trace.String("request", string(b)))
+	}
+	attrs = append(attrs,
+		trace.String("artifact", p.artifact),
+		trace.String("grid_fingerprint", p.sc.Grid.Fingerprint()))
+	if err != nil {
+		attrs = append(attrs, trace.String("error", err.Error()))
+	} else {
+		attrs = append(attrs, trace.Bool("found", res.Found), trace.Int("steps", int64(res.Steps)))
+	}
+	sp.SetAttrs(attrs...)
 }
 
 // bodyPool recycles response buffers. releaseBody drops a buffer that grew

@@ -11,7 +11,7 @@ import (
 )
 
 // spanJSON is the wire form of one span: one JSON object per line. Times
-// are unix nanoseconds; event times are offsets from the span start.
+// are unix nanoseconds.
 type spanJSON struct {
 	Trace  string         `json:"trace"`
 	Span   uint64         `json:"span"`
@@ -20,13 +20,6 @@ type spanJSON struct {
 	Start  int64          `json:"start_ns"`
 	Dur    int64          `json:"dur_ns"`
 	Attrs  map[string]any `json:"attrs,omitempty"`
-	Events []eventJSON    `json:"events,omitempty"`
-}
-
-type eventJSON struct {
-	Name  string         `json:"name"`
-	TNS   int64          `json:"t_ns"`
-	Attrs map[string]any `json:"attrs,omitempty"`
 }
 
 func attrsToMap(attrs []Attr) map[string]any {
@@ -70,7 +63,7 @@ func attrsFromMap(m map[string]any) []Attr {
 }
 
 func (s *Span) toWire() spanJSON {
-	w := spanJSON{
+	return spanJSON{
 		Trace:  s.TraceID.String(),
 		Span:   uint64(s.ID),
 		Parent: uint64(s.Parent),
@@ -79,10 +72,6 @@ func (s *Span) toWire() spanJSON {
 		Dur:    int64(s.Dur),
 		Attrs:  attrsToMap(s.Attrs),
 	}
-	for _, e := range s.Events {
-		w.Events = append(w.Events, eventJSON{Name: e.Name, TNS: int64(e.Offset), Attrs: attrsToMap(e.Attrs)})
-	}
-	return w
 }
 
 func spanFromWire(w spanJSON) (*Span, error) {
@@ -90,7 +79,7 @@ func spanFromWire(w spanJSON) (*Span, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Span{
+	return &Span{
 		TraceID: id,
 		ID:      SpanID(w.Span),
 		Parent:  SpanID(w.Parent),
@@ -99,11 +88,7 @@ func spanFromWire(w spanJSON) (*Span, error) {
 		Dur:     time.Duration(w.Dur),
 		Attrs:   attrsFromMap(w.Attrs),
 		ended:   true,
-	}
-	for _, e := range w.Events {
-		s.Events = append(s.Events, Event{Name: e.Name, Offset: time.Duration(e.TNS), Attrs: attrsFromMap(e.Attrs)})
-	}
-	return s, nil
+	}, nil
 }
 
 // MarshalJSON renders the span in its wire form.

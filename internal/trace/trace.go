@@ -1,22 +1,30 @@
 // Package trace is a stdlib-only, allocation-conscious span tracer for the
 // whole pipeline: missions, training episodes, experiment runs, and TMPLAR
-// requests all emit the same span/event records, fanned out to pluggable
-// sinks (an in-memory ring buffer for /debug/traces, JSONL files for
-// offline analysis and replay, obs histograms for aggregated latency).
+// requests all emit the same span records, fanned out to pluggable sinks
+// (an in-memory ring buffer for /debug/traces, JSONL files for offline
+// analysis, obs histograms for aggregated latency).
+//
+// A span holds typed attributes, set when it opens and when its work ends;
+// it records no per-step history, so its size does not grow with the work
+// it covers. A mission span, for instance, carries the mission's end
+// totals:
+//
+//	sp := tracer.Start("mission", trace.String("planner", p.Name()))
+//	defer sp.End()
+//	// ... run the mission ...
+//	if sp.Enabled() {
+//		sp.SetAttrs(trace.Int("steps", int64(res.Steps)), trace.Bool("found", res.Found))
+//	}
 //
 // The design goal is zero cost when disabled: every method on a nil *Tracer
 // or nil *Span is a no-op, so instrumented code carries exactly one pointer
-// comparison per call. Hot loops that build attributes should additionally
-// guard with Enabled() — a variadic attribute list is materialized by the
-// caller before the nil receiver can discard it:
+// comparison per call. Code that builds attributes should additionally
+// guard with Enabled(), as above: a variadic attribute list is
+// materialized by the caller before the nil receiver can discard it.
 //
-//	if sp.Enabled() {
-//		sp.Event("step", trace.Int("epoch", int64(e)))
-//	}
-//
-// A Span's mutating methods (Event, SetAttrs, End) are single-goroutine;
-// Child is safe to call concurrently because it only reads immutable
-// identity fields. Completed spans are immutable and safe to share across
+// A Span's mutating methods (SetAttrs, End) are single-goroutine; Child is
+// safe to call concurrently because it only reads immutable identity
+// fields. Completed spans are immutable and safe to share across
 // goroutines, which is what makes the lock-free Ring sink sound.
 package trace
 
@@ -126,20 +134,8 @@ func GetAttr(attrs []Attr, key string) (Attr, bool) {
 	return Attr{}, false
 }
 
-// Event is a point-in-time record inside a span (a mission step, a
-// communication exchange, a reroute).
-type Event struct {
-	Name string
-	// Offset is the event time relative to the span start.
-	Offset time.Duration
-	Attrs  []Attr
-}
-
-// Attr finds an event attribute by key.
-func (e Event) Attr(key string) (Attr, bool) { return GetAttr(e.Attrs, key) }
-
 // Span is one timed operation. Identity fields (TraceID, ID, Parent, Name,
-// Start) are immutable after creation; Attrs/Events/Dur settle when End is
+// Start) are immutable after creation; Attrs and Dur settle when End is
 // called, after which the span is immutable.
 type Span struct {
 	TraceID TraceID
@@ -149,25 +145,10 @@ type Span struct {
 	Start   time.Time
 	Dur     time.Duration
 	Attrs   []Attr
-	Events  []Event
 
 	tracer *Tracer
 	ended  bool
-	// eventAttrs is the chunk every event's Attrs are carved from, each
-	// capped at its own length so none can grow into the next. A full
-	// chunk is replaced, never regrown: carved slices keep theirs.
-	eventAttrs []Attr
 }
-
-// firstEvents is a span's first Events capacity: a mission span records a
-// decide and a step event per epoch, so spans that have one event usually
-// get many. eventAttrChunk is the size of each attribute chunk. Chunks
-// stay small and do not double, because a finished span keeps its last
-// chunk's unused tail for as long as a sink such as the Ring holds it.
-const (
-	firstEvents    = 16
-	eventAttrChunk = 32
-)
 
 // Enabled reports whether the span records anything. Hot paths guard
 // attribute construction with it.
@@ -179,41 +160,6 @@ func (s *Span) SetAttrs(attrs ...Attr) {
 		return
 	}
 	s.Attrs = append(s.Attrs, attrs...)
-}
-
-// Event appends a typed event stamped with the current offset. No-op on nil
-// or ended spans.
-func (s *Span) Event(name string, attrs ...Attr) {
-	if s == nil || s.ended {
-		return
-	}
-	e := Event{Name: name, Offset: time.Since(s.Start)}
-	if len(attrs) > 0 {
-		if cap(s.eventAttrs)-len(s.eventAttrs) < len(attrs) {
-			s.eventAttrs = make([]Attr, 0, max(eventAttrChunk, len(attrs)))
-		}
-		start := len(s.eventAttrs)
-		s.eventAttrs = append(s.eventAttrs, attrs...)
-		e.Attrs = s.eventAttrs[start:len(s.eventAttrs):len(s.eventAttrs)]
-	}
-	if s.Events == nil {
-		s.Events = make([]Event, 0, firstEvents)
-	}
-	s.Events = append(s.Events, e)
-}
-
-// EventsNamed returns the span's events with the given name, in order.
-func (s *Span) EventsNamed(name string) []Event {
-	if s == nil {
-		return nil
-	}
-	var out []Event
-	for _, e := range s.Events {
-		if e.Name == name {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Child starts a sub-span sharing the trace ID. Returns nil on a nil

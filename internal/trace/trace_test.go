@@ -65,14 +65,10 @@ func TestNilSafety(t *testing.T) {
 	}
 	// All of these must be no-ops, not panics.
 	sp.SetAttrs(Int("a", 1))
-	sp.Event("ev", Bool("b", true))
 	sp.End()
 	sp.End()
 	if c := sp.Child("child"); c != nil {
 		t.Fatal("nil span minted a child")
-	}
-	if got := sp.EventsNamed("ev"); got != nil {
-		t.Fatalf("nil span has events: %v", got)
 	}
 }
 
@@ -82,44 +78,12 @@ func TestNilSpanAllocs(t *testing.T) {
 	var sp *Span
 	avg := testing.AllocsPerRun(1000, func() {
 		if sp.Enabled() {
-			sp.Event("step", Int("epoch", 3))
+			sp.SetAttrs(Int("steps", 3))
 		}
 		sp.End()
 	})
 	if avg != 0 {
 		t.Fatalf("disabled-tracing path allocates %.1f/op, want 0", avg)
-	}
-}
-
-// TestSpanEventAllocs pins what a mission-sized span pays for its events:
-// the attributes of all 100 events are carved from a few span-owned chunks
-// and Events grows by doubling from its first capacity, instead of one
-// allocation per event. Appending to one event's Attrs must not reach the
-// next event's.
-func TestSpanEventAllocs(t *testing.T) {
-	tr := New()
-	var sp *Span
-	avg := testing.AllocsPerRun(100, func() {
-		sp = tr.Start("mission")
-		for e := 0; e < 100; e++ {
-			sp.Event("step", Int("epoch", int64(e)), Int("collisions", 0), String("actions", "wait"))
-		}
-		sp.End()
-	})
-	// One span, Events at 16/32/64/128 and ten 32-attribute chunks for
-	// 300 attributes; 109 when every event copied its own.
-	if avg > 15 {
-		t.Fatalf("a span with 100 events allocates %.1f objects, want <= 15", avg)
-	}
-	first := sp.Events[0].Attrs
-	_ = append(first, Int("extra", 1))
-	if a, ok := sp.Events[1].Attr("epoch"); !ok || a.IntVal() != 1 || len(sp.Events[1].Attrs) != 3 {
-		t.Fatalf("event 1 attrs after appending to event 0's: %v", sp.Events[1].Attrs)
-	}
-	for e, ev := range sp.Events {
-		if a, ok := ev.Attr("epoch"); !ok || a.IntVal() != int64(e) {
-			t.Fatalf("event %d epoch attr = %v, %v", e, a, ok)
-		}
 	}
 }
 
@@ -130,9 +94,6 @@ func TestSpanLifecycle(t *testing.T) {
 	if !root.Enabled() {
 		t.Fatal("live span reports disabled")
 	}
-	root.Event("step", Int("epoch", 0))
-	root.Event("step", Int("epoch", 1))
-	root.Event("found", Int("asset", 2))
 	child := root.Child("decide")
 	if child.TraceID != root.TraceID {
 		t.Fatalf("child trace %v != root trace %v", child.TraceID, root.TraceID)
@@ -150,21 +111,15 @@ func TestSpanLifecycle(t *testing.T) {
 	// End is idempotent and post-End mutation is ignored.
 	durBefore := root.Dur
 	root.End()
-	root.Event("late")
 	root.SetAttrs(Int("late", 1))
-	if root.Dur != durBefore || len(root.EventsNamed("late")) != 0 {
+	if root.Dur != durBefore {
 		t.Fatal("span mutated after End")
 	}
 	if a, ok := GetAttr(root.Attrs, "late"); ok {
 		t.Fatalf("attr added after End: %v", a)
 	}
-
-	steps := root.EventsNamed("step")
-	if len(steps) != 2 {
-		t.Fatalf("EventsNamed(step) = %d events, want 2", len(steps))
-	}
-	if a, ok := steps[1].Attr("epoch"); !ok || a.IntVal() != 1 {
-		t.Fatalf("step[1] epoch attr = %v, %v", a, ok)
+	if a, ok := GetAttr(root.Attrs, "epochs"); !ok || a.IntVal() != 2 {
+		t.Fatalf("epochs attr = %v, %v", a, ok)
 	}
 
 	got := ring.Snapshot()
@@ -242,7 +197,7 @@ func TestRingConcurrentEmit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				sp := tr.Start("w", Int("writer", int64(w)), Int("i", int64(i)))
-				sp.Event("tick")
+				sp.SetAttrs(Bool("done", true))
 				sp.End()
 			}
 		}(w)
@@ -267,8 +222,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	tr := New(jw)
 
 	root := tr.Start("mission", String("planner", "exact"), Int("assets", 2), Float("p_comm", 0.9), Bool("found", true))
-	root.Event("step", Int("epoch", 0), String("actions", "n1@s2|wait"))
-	root.Event("communicate", Int("group", 1))
+	root.SetAttrs(String("request", `{"grid":"g","seed":1}`))
 	child := root.Child("decide", Int("epoch", 0))
 	child.End()
 	root.End()
@@ -301,12 +255,8 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if a, ok := GetAttr(mis.Attrs, "assets"); !ok || a.FloatVal() != 2 {
 		t.Fatalf("assets attr: %v %v", a, ok)
 	}
-	steps := mis.EventsNamed("step")
-	if len(steps) != 1 {
-		t.Fatalf("steps: %d", len(steps))
-	}
-	if a, ok := steps[0].Attr("actions"); !ok || a.Str() != "n1@s2|wait" {
-		t.Fatalf("actions attr: %v %v", a, ok)
+	if a, ok := GetAttr(mis.Attrs, "request"); !ok || a.Str() != `{"grid":"g","seed":1}` {
+		t.Fatalf("request attr: %v %v", a, ok)
 	}
 
 	// Re-marshal is byte-identical: the wire form is a fixed point.

@@ -34,10 +34,12 @@ race:
 # stack (serial fits whose trained networks serve concurrent planner clones
 # through neural's pooled inference scratch; flat sample tensors), the
 # continuous profiler's capture ring, the tenant-aware planner catalog
-# (single-flight loads, concurrent Do), and the grid's sensing-ball tables
+# (single-flight loads, concurrent Do), the grid's sensing-ball tables
 # (lazily filled on first query by whichever request gets there, published
-# with atomic stores, tables added copy-on-write under a mutex) — the
-# packages with real concurrency.
+# with atomic stores, tables added copy-on-write under a mutex) and its
+# breadth-first order memo (each source's order filled as far as frontier
+# walks search, appended under a mutex and read lock-free through an atomic
+# length) — the packages with real concurrency.
 race-exec:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/... ./internal/grid/...
 
@@ -55,14 +57,16 @@ bench-smoke:
 # fuzz-smoke runs each fuzz target for 10 s: the plan response encoder
 # against encoding/json, grid.Decode and grid.Subgraph on arbitrary input,
 # grid.Beyond's key test against Distance on arbitrary two-node grids,
-# exact MaMoRL's joint-state table against its map-based oracle, and
-# slo.Parse on arbitrary SLO configs. -fuzz takes one target per
-# invocation.
+# grid.HopOrder's memoized breadth-first order (cap lowered so walks run
+# past it) against a plain BFS on arbitrary small directed grids, exact
+# MaMoRL's joint-state table against its map-based oracle, and slo.Parse
+# on arbitrary SLO configs. -fuzz takes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzPlanResponseJSON$$' -fuzztime 10s ./internal/tmplar
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzSubgraph$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzBeyond$$' -fuzztime 10s ./internal/grid
+	$(GO) test -run '^$$' -fuzz '^FuzzHopOrder$$' -fuzztime 10s ./internal/grid
 	$(GO) test -run '^$$' -fuzz '^FuzzStateTable$$' -fuzztime 10s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/slo
 

@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -677,7 +678,12 @@ func BenchmarkPlanResponseJSON(b *testing.B) {
 // node left in the cell, and stops there. In the geodesic-cell case the
 // cell's node farthest in hops from asset 0 is unsensed too, so the search
 // cannot stop early and runs on, testing every unsensed node it meets
-// against each teammate, until it reaches that node.
+// against each teammate, until it reaches that node. These three read the
+// grid's breadth-first order from its memo, warm after the first search,
+// and search on their own only past the memo's cap. The
+// geodesic-obstacles case is the geodesic one on a mission with obstacles,
+// whose order the memo does not hold, so every search runs the
+// breadth-first search itself.
 func BenchmarkFrontierStep(b *testing.B) {
 	b.Run("planar", func(b *testing.B) {
 		m := decisionMission(b)
@@ -689,14 +695,10 @@ func BenchmarkFrontierStep(b *testing.B) {
 			_, _ = f.Step(m, i%m.NumAssets(), nil, nil, grid.None, rng, true)
 		}
 	})
-	for _, farCandidate := range []bool{false, true} {
-		name := "geodesic"
-		if farCandidate {
-			name = "geodesic-cell"
-		}
+	for _, name := range []string{"geodesic", "geodesic-cell", "geodesic-obstacles"} {
 		b.Run(name, func(b *testing.B) {
-			m := cellSensedMission(b)
-			if farCandidate {
+			m := cellSensedMission(b, name == "geodesic-obstacles")
+			if name == "geodesic-cell" {
 				k := m.Knowledge(0)
 				hops := graphalg.HopDistances(m.Grid(), m.Cur(0))
 				far := m.Cur(0)
@@ -720,8 +722,9 @@ func BenchmarkFrontierStep(b *testing.B) {
 
 // cellSensedMission is a fresh 4-asset mission on the Caribbean mesh in
 // which asset 0 has sensed exactly its own Voronoi cell: the nodes no
-// teammate's believed position is closer to.
-func cellSensedMission(b *testing.B) *sim.Mission {
+// teammate's believed position is closer to. With obstacles, eight nodes
+// spread over the mesh, none a source or the destination, are obstacles.
+func cellSensedMission(b *testing.B, obstacles bool) *sim.Mission {
 	g, err := grid.CaribbeanGrid(5)
 	if err != nil {
 		b.Fatal(err)
@@ -729,6 +732,11 @@ func cellSensedMission(b *testing.B) *sim.Mission {
 	sc, err := approx.TrainingScenario(g, 4, 5, 1.2, 3)
 	if err != nil {
 		b.Fatal(err)
+	}
+	for v := grid.NodeID(1); obstacles && len(sc.Obstacles) < 8; v += grid.NodeID(g.NumNodes() / 9) {
+		if v != sc.Dest && !slices.ContainsFunc(sc.Team, func(a vessel.Asset) bool { return a.Source == v }) {
+			sc.Obstacles = append(sc.Obstacles, v)
+		}
 	}
 	m, err := sim.NewMission(sc, sim.RunOptions{})
 	if err != nil {
@@ -950,6 +958,7 @@ func BenchmarkCatalogDecide(b *testing.B) {
 // assets with max speed 3–5 and sensing radius 1.2 mean edge weights at
 // distinct sources, and a destination. Every request is served once before
 // the timer starts, so the catalog entry and the grid fingerprint are warm.
+// memo_kb is the size of the grid's breadth-first order memo at the end.
 func BenchmarkServePlan(b *testing.B) {
 	srv, err := tmplar.NewServerOpts(1, tmplar.Options{})
 	if err != nil {
@@ -991,4 +1000,6 @@ func BenchmarkServePlan(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		serve(bodies[i%len(bodies)])
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(g.HopOrderBytes())/1024, "memo_kb")
 }

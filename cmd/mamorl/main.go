@@ -152,7 +152,7 @@ func cmdPlan(args []string) error {
 
 	var trace *mamorl.Trace
 	if *tracePath != "" {
-		trace = mamorl.NewTrace()
+		trace = mamorl.NewTrace(sc)
 		opts.OnStep = trace.Record
 	}
 

@@ -7,9 +7,11 @@
 // The grid is a directed weighted graph. The weight of an edge v_p -> v_q is
 // the distance between the endpoint positions under the grid's metric, so
 // weights are always consistent with geometry. Grids are immutable once
-// built, except for a bounded memo of sensing balls that radius queries
-// fill on first use and publish atomically, and a fingerprint computed on
-// first use; planners and simulations share them freely across goroutines.
+// built, except for three memos: a bounded memo of sensing balls that
+// radius queries fill on first use and publish atomically, a bounded memo
+// of each source's breadth-first order that HopOrder walks fill as far as
+// they search and publish atomically, and a fingerprint computed on first
+// use; planners and simulations share them freely across goroutines.
 package grid
 
 import (
@@ -36,8 +38,8 @@ type Edge struct {
 
 // Grid is an immutable directed weighted graph embedded in the plane or on
 // the globe. Construct one with a Builder or a generator. Its only mutable
-// state is the sensing-ball memo and the fingerprint memo, both safe for
-// concurrent use.
+// state is the sensing-ball memo, the breadth-first order memo and the
+// fingerprint memo, all safe for concurrent use.
 type Grid struct {
 	name   string
 	metric geo.Metric
@@ -55,6 +57,7 @@ type Grid struct {
 	bounds       geo.Rect
 	index        *spatialIndex
 	balls        ballMemo
+	hops         hopMemo
 	// cosLat[v] is geo.CosLat of node v and unit[v] its position as a unit
 	// vector on a geodesic grid (both nil on a planar one), so Distance
 	// costs no cosine and a distance key no trig at all.
@@ -449,6 +452,7 @@ func (b *Builder) Build() (*Grid, error) {
 		pos:    append([]geo.Point(nil), b.pos...),
 		adj:    make([][]Edge, len(b.pos)),
 		in:     make([][]Edge, len(b.pos)),
+		hops:   hopMemo{limit: MaxHopOrder},
 	}
 	// One slab holds every node's out-arcs and another its in-arcs, each
 	// node's list capped at its own length.

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func tracedMission(t *testing.T) (*grid.Grid, *sim.Trace, sim.Scenario) {
 		CommEvery: 3,
 	}
 	// Drive with a simple random planner until done.
-	tr := sim.NewTrace()
+	tr := sim.NewTrace(sc)
 	m, err := sim.NewMission(sc, sim.RunOptions{})
 	if err != nil {
 		t.Fatalf("NewMission: %v", err)
@@ -91,9 +92,44 @@ func TestAssetGlyphs(t *testing.T) {
 
 func TestRenderEmptyTrace(t *testing.T) {
 	g := grid.Lattice("map", 4, 4)
-	out := Mission(g, sim.NewTrace(), nil, 5, Options{})
+	out := Mission(g, &sim.Trace{}, nil, 5, Options{})
 	if !strings.Contains(out, "epochs=0") {
 		t.Errorf("empty trace render:\n%s", out)
+	}
+}
+
+// waiting is a planner that always waits.
+type waiting struct{}
+
+func (waiting) Name() string                        { return "waiting" }
+func (waiting) Decide(*sim.Mission, int) sim.Action { return sim.Wait }
+
+// TestMissionRenderStepZeroDiscovery: a mission that senses its
+// destination from the start records no epoch; read back from its trace
+// file, it still marks the destination.
+func TestMissionRenderStepZeroDiscovery(t *testing.T) {
+	g := grid.Lattice("map", 10, 2)
+	sc := sim.Scenario{Grid: g, Team: vessel.NewTeam([]grid.NodeID{0, 9}, 1.5, 2), Dest: 1, CommEvery: 3}
+	tr := sim.NewTrace(sc)
+	res, err := sim.Run(sc, waiting{}, sim.RunOptions{OnStep: tr.Record})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !res.Found || res.Steps != 0 {
+		t.Fatalf("want a discovery at step 0, got %+v", res)
+	}
+	tr.Finish(res)
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	got, err := sim.ReadTrace(&buf)
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
+	out := Mission(g, got, nil, got.Dest, Options{})
+	if !strings.ContainsRune(out, 'X') || !strings.Contains(out, "assets=2") {
+		t.Errorf("step-0 trace renders without its destination or team:\n%s", out)
 	}
 }
 

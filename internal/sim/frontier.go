@@ -26,6 +26,13 @@ import (
 // the cell, right there if one pass over the nodes it has not reached finds
 // no unsensed node in the cell.
 //
+// Without obstacles the BFS's discovery order depends only on the grid and
+// the asset's node, so the search reads it through a grid.HopOrder, which
+// scans the grid's memo of that order and runs the BFS itself only past the
+// memo's cap; with obstacles the HopOrder runs the BFS alone. Either way
+// the nodes come in the BFS's order and get the same tests, and the path's
+// first hop is read back from their ranks.
+//
 // If the chosen first hop is blocked, the asset detours through an
 // unblocked neighbor that gets it closer to the goal (avoiding prev, the
 // node it just left; hop counts and metric distances can disagree,
@@ -49,12 +56,10 @@ func FrontierStep(m *Mission, i int, blocked func(grid.NodeID) bool, mask func(g
 // ready. A FrontierSearch is not safe for concurrent use; give each planner
 // its own.
 type FrontierSearch struct {
-	// seen marks the nodes the BFS has reached; parent[v] is valid only
-	// for those.
-	seen   grid.NodeSet
-	parent []grid.NodeID
-	// queue is the BFS queue, consumed by index rather than re-sliced.
-	queue []grid.NodeID
+	// order walks the breadth-first order from the asset: on a mission
+	// without obstacles it scans the grid's memo of that order, searching
+	// only past what the memo holds.
+	order grid.HopOrder
 	// open lists the unblocked neighbor indices a detour may take.
 	open []int
 }
@@ -93,58 +98,41 @@ func (f *FrontierSearch) Step(m *Mission, i int, blocked func(grid.NodeID) bool,
 	cellLeft := func() bool {
 		for v := range g.NumNodes() {
 			u := grid.NodeID(v)
-			if !f.seen.Has(u) && candidate(u) && !(obstacles && m.Obstacle(u)) && mine(u) {
+			if !f.order.Reached(u) && candidate(u) && !(obstacles && m.Obstacle(u)) && mine(u) {
 				return true
 			}
 		}
 		return false
 	}
 
-	f.seen.Reset(g.NumNodes())
-	if len(f.parent) < g.NumNodes() {
-		f.parent = make([]grid.NodeID, g.NumNodes())
-	}
-	f.seen.Add(start)
-	f.parent[start] = grid.None
-	f.queue = append(f.queue[:0], start)
+	// Obstacles are impassable: neither goals nor corridors.
+	f.order.Start(g, start, m.obstacles)
 	goal, anyGoal := grid.None, grid.None
-	for head := 0; head < len(f.queue) && goal == grid.None; head++ {
-		v := f.queue[head]
-		for _, e := range g.Neighbors(v) {
-			if f.seen.Has(e.To) {
-				continue
-			}
-			if obstacles && m.Obstacle(e.To) {
-				continue // impassable: neither a goal nor a corridor
-			}
-			f.seen.Add(e.To)
-			f.parent[e.To] = v
-			if candidate(e.To) {
-				if mine(e.To) {
-					goal = e.To
-					break
-				}
-				if anyGoal == grid.None {
-					anyGoal = e.To
-					if !cellLeft() {
-						goal = anyGoal
-						break
-					}
-				}
-			}
-			f.queue = append(f.queue, e.To)
+	for goal == grid.None {
+		u := f.order.Next()
+		if u == grid.None {
+			goal = anyGoal // no frontier in my Voronoi cell: take the nearest
+			break
 		}
-	}
-	if goal == grid.None {
-		goal = anyGoal // no frontier in my Voronoi cell: take the nearest
+		if !candidate(u) {
+			continue
+		}
+		if mine(u) {
+			goal = u
+		} else if anyGoal == grid.None {
+			anyGoal = u
+			if !cellLeft() {
+				goal = u
+			}
+		}
 	}
 	if goal == grid.None {
 		return Wait, false // everything reachable is sensed
 	}
 	// Walk back to the first hop.
 	hop := goal
-	for f.parent[hop] != start {
-		hop = f.parent[hop]
+	for p := f.order.Parent(hop); p != start; p = f.order.Parent(hop) {
+		hop = p
 	}
 	if blocked != nil && blocked(hop) {
 		bestN, bestD := -1, g.Distance(start, goal)

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"github.com/routeplanning/mamorl/internal/graphalg"
@@ -165,7 +168,10 @@ func referenceFrontierStep(m *Mission, i int, blocked, mask func(grid.NodeID) bo
 // same draw. The states mix Voronoi on and off, region masks, obstacles,
 // blocked nodes and sensed sets of every density, and set up on purpose a
 // cell with no unsensed node, a cell whose only unsensed node is walled off
-// by obstacles, and a fully sensed mesh; the test fails if any case goes
+// by obstacles, and a fully sensed mesh. Goals lie past the grid memo's cap
+// on its breadth-first order, where the search continues on its own, and
+// obstacles stand where that order would pass before the goal, which the
+// search then never reads from the memo. The test fails if any case goes
 // unreached.
 func TestFrontierStepMatchesReference(t *testing.T) {
 	caribbean, err := grid.CaribbeanGrid(5)
@@ -196,7 +202,7 @@ func TestFrontierStepMatchesReference(t *testing.T) {
 			keep := make([]bool, n)
 			block := make([]bool, n)
 			reach := make([]bool, n)
-			var queue []grid.NodeID
+			var queue, plain []grid.NodeID
 			for k := 0; k < 10_000; k++ {
 				i := rng.Intn(len(sources))
 				start := grid.NodeID(rng.Intn(n))
@@ -344,11 +350,31 @@ func TestFrontierStepMatchesReference(t *testing.T) {
 				case voronoi && first != goal:
 					cases["a candidate in the cell past one outside"]++
 				}
+				if goal != grid.None && len(m.obstacles) == 0 && slices.Index(queue, goal) > grid.MaxHopOrder {
+					cases["goal past the memo's cap"]++
+				}
+				if goal != grid.None && len(m.obstacles) > 0 {
+					// The order without obstacles, as the memo holds it.
+					clear(reach)
+					reach[start] = true
+					plain = append(plain[:0], start)
+					for head := 0; head < len(plain) && plain[len(plain)-1] != goal; head++ {
+						for _, e := range g.Neighbors(plain[head]) {
+							if !reach[e.To] {
+								reach[e.To] = true
+								plain = append(plain, e.To)
+							}
+						}
+					}
+					if slices.ContainsFunc(plain, m.Obstacle) {
+						cases["obstacles on the private path"]++
+					}
+				}
 			}
 			t.Logf("%s: %v", g.Name(), cases)
 			for _, c := range []string{"voronoi on", "voronoi off", "region mask", "obstacles", "blocked first hop",
 				"everything reachable sensed", "no candidate in the cell", "the cell's only candidates unreachable",
-				"a candidate in the cell past one outside"} {
+				"a candidate in the cell past one outside", "goal past the memo's cap", "obstacles on the private path"} {
 				if cases[c] == 0 {
 					t.Errorf("no state reached the case %q", c)
 				}
@@ -367,4 +393,60 @@ func farthestNode(g *grid.Grid, v grid.NodeID) grid.NodeID {
 		}
 	}
 	return far
+}
+
+// TestFrontierStepConcurrent: 8 goroutines step frontier searches from
+// random states of their own missions on one cold grid, so that they fill
+// its breadth-first order memo together; every answer equals
+// referenceFrontierStep's. It is meant for go test -race.
+func TestFrontierStepConcurrent(t *testing.T) {
+	g, err := grid.CaribbeanGrid(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	sources := []grid.NodeID{0, grid.NodeID(n / 3), grid.NodeID(2 * n / 3)}
+	sc := Scenario{Grid: g, Team: vessel.NewTeam(sources, 2*g.AvgEdgeWeight(), 3),
+		Dest: farthestNode(g, sources[0]), CommEvery: 4}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for worker := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := NewMission(sc, RunOptions{})
+			if err != nil {
+				errs <- err
+				return
+			}
+			rng := rand.New(rand.NewSource(int64(worker)))
+			var f FrontierSearch
+			for k := range 150 {
+				i := rng.Intn(len(sources))
+				m.cur[i] = grid.NodeID(rng.Intn(n))
+				know := m.Knowledge(i)
+				for j := range know.LastKnown {
+					know.LastKnown[j] = grid.NodeID(rng.Intn(n))
+				}
+				know.LastKnown[i] = m.cur[i]
+				density := rng.Float64()
+				for v := range know.Sensed {
+					know.Sensed[v] = rng.Float64() < density
+				}
+				voronoi := rng.Intn(4) != 0
+				seed := rng.Int63()
+				want, wantOK, _, _, _ := referenceFrontierStep(m, i, nil, nil, grid.None, rand.New(rand.NewSource(seed)), voronoi)
+				got, gotOK := f.Step(m, i, nil, nil, grid.None, rand.New(rand.NewSource(seed)), voronoi)
+				if got != want || gotOK != wantOK {
+					errs <- fmt.Errorf("worker %d state %d: Step = %v/%v, reference %v/%v", worker, k, got, gotOK, want, wantOK)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
 }

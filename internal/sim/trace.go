@@ -13,18 +13,17 @@ import (
 // analysis (the TMPLAR front-end's global view renders exactly this kind
 // of record). Install its Record as the OnStep hook before running:
 //
-//	tr := sim.NewTrace()
+//	tr := sim.NewTrace(sc)
 //	res, _ := sim.Run(sc, planner, sim.RunOptions{OnStep: tr.Record})
 //	tr.Finish(res)
 //	tr.WriteJSON(os.Stdout)
 type Trace struct {
-	// GridName and Assets identify the instance.
-	GridName string `json:"grid"`
-	Assets   int    `json:"assets"`
-	// Dest is the mission's destination; grid.None (unknown) before the
-	// first Record and in a trace file without a "dest" field.
-	Dest   grid.NodeID  `json:"dest"`
-	Epochs []TraceEpoch `json:"epochs"`
+	// GridName, Assets and Dest identify the instance. Dest is grid.None
+	// (unknown) in a trace file without a "dest" field.
+	GridName string       `json:"grid"`
+	Assets   int          `json:"assets"`
+	Dest     grid.NodeID  `json:"dest"`
+	Epochs   []TraceEpoch `json:"epochs"`
 	// Outcome is filled by Finish.
 	Outcome *Result `json:"outcome,omitempty"`
 }
@@ -47,16 +46,16 @@ type TraceEpoch struct {
 	Fuel []float64 `json:"fuel"`
 }
 
-// NewTrace returns an empty trace.
-func NewTrace() *Trace { return &Trace{Dest: grid.None} }
+// NewTrace returns an empty trace of sc's mission. It takes the instance's
+// identity from sc, so a mission that ends before its first epoch (a
+// destination sensed from the start) still names its grid, team size and
+// destination.
+func NewTrace(sc Scenario) *Trace {
+	return &Trace{GridName: sc.Grid.Name(), Assets: len(sc.Team), Dest: sc.Dest}
+}
 
 // Record implements the RunOptions.OnStep signature.
 func (t *Trace) Record(m *Mission, acts []Action) {
-	if t.GridName == "" {
-		t.GridName = m.Grid().Name()
-		t.Assets = m.NumAssets()
-		t.Dest = m.sc.Dest
-	}
 	ep := TraceEpoch{
 		Step:        m.Step(),
 		Nodes:       m.CurAll(),

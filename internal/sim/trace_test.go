@@ -19,7 +19,7 @@ func runTraced(t *testing.T) (*Trace, Result) {
 		{toward(g, 0, 1)},
 		{toward(g, 9, 8), toward(g, 8, 7)},
 	}}
-	tr := NewTrace()
+	tr := NewTrace(sc)
 	res, err := Run(sc, p, RunOptions{OnStep: tr.Record})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -82,6 +82,38 @@ func TestTraceJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTraceStepZeroDiscovery: a mission whose destination is sensed from
+// the start runs no epoch, so Record is never called; its trace still
+// names the grid, the team size and the destination after a round trip.
+func TestTraceStepZeroDiscovery(t *testing.T) {
+	sc := toyScenario(t)
+	sc.Dest = 1 // asset 0 at node 0 senses node 1
+	tr := NewTrace(sc)
+	res, err := Run(sc, &scripted{}, RunOptions{OnStep: tr.Record})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !res.Found || res.Steps != 0 {
+		t.Fatalf("want a discovery at step 0, got %+v", res)
+	}
+	tr.Finish(res)
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	got, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatalf("ReadTrace: %v", err)
+	}
+	if got.GridName != "line" || got.Assets != 2 || got.Dest != 1 || len(got.Epochs) != 0 {
+		t.Errorf("read back grid %q, assets %d, dest %d, %d epochs; want \"line\", 2, 1, 0",
+			got.GridName, got.Assets, got.Dest, len(got.Epochs))
+	}
+	if got.Outcome == nil || !got.Outcome.Found {
+		t.Error("outcome lost in roundtrip")
+	}
+}
+
 func TestReadTraceRejectsGarbage(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader("not json")); err == nil {
 		t.Error("garbage accepted")
@@ -130,7 +162,7 @@ func TestTraceWaitFraction(t *testing.T) {
 	if wf := tr.WaitFraction(); math.Abs(wf-0.25) > 1e-9 {
 		t.Errorf("WaitFraction = %v, want 0.25", wf)
 	}
-	empty := NewTrace()
+	empty := NewTrace(toyScenario(t))
 	if empty.WaitFraction() != 0 {
 		t.Error("empty trace wait fraction should be 0")
 	}

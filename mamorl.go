@@ -128,8 +128,8 @@ type (
 	Trace = sim.Trace
 )
 
-// NewTrace returns an empty mission trace recorder.
-func NewTrace() *Trace { return sim.NewTrace() }
+// NewTrace returns an empty trace recorder for sc's mission.
+func NewTrace(sc Scenario) *Trace { return sim.NewTrace(sc) }
 
 // ReadTrace parses a trace written by Trace.WriteJSON.
 func ReadTrace(r io.Reader) (*Trace, error) { return sim.ReadTrace(r) }

@@ -38,8 +38,9 @@ race:
 # (lazily filled on first query by whichever request gets there, published
 # with atomic stores, tables added copy-on-write under a mutex) and its
 # breadth-first order memo (each source's order filled as far as frontier
-# walks search, appended under a mutex and read lock-free through an atomic
-# length) — the packages with real concurrency.
+# walks search: an immutable prefix per source, extended under a mutex and
+# read lock-free through one atomic pointer) — the packages with real
+# concurrency.
 race-exec:
 	$(GO) test -race ./internal/experiments/... ./internal/sim/... ./internal/trace/... ./internal/obs/... ./internal/slo/... ./internal/jobs/... ./internal/limits/... ./internal/registry/... ./internal/neural/... ./internal/linreg/... ./internal/approx/... ./internal/tensor/... ./internal/prof/... ./internal/catalog/... ./internal/grid/...
 
@@ -52,7 +53,7 @@ loadgen-smoke:
 # benchmark and the serial NN trainer's benchmark once each, so benchmark
 # set-up that panics fails the build.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON|ServePlan|CatalogDecide|Table5NNTraining' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SensingQuery|ScenarioValidate|FrontierStep|HopOrderCold|ThetaContext|NavigatorStep|ApproxDecide|ExactDecide|ExactTrain|MissionStep|GenerateSynthetic|PlanResponseJSON|ServePlan|CatalogDecide|Table5NNTraining' -benchtime 1x .
 
 # fuzz-smoke runs each fuzz target for 10 s: the plan response encoder
 # against encoding/json, grid.Decode and grid.Subgraph on arbitrary input,

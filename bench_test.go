@@ -759,6 +759,39 @@ func cellSensedMission(b *testing.B, obstacles bool) *sim.Mission {
 	return m
 }
 
+// BenchmarkHopOrderCold measures the breadth-first walks a first plan pays
+// on a cold grid: 100 walks of 100 nodes, from sources spread over a freshly
+// generated CaribbeanGrid(1), through one grid.HopOrder. "memo" walks avoid
+// nothing, so each walk searches and the next Start publishes what it
+// found; "alone" avoids one node, as a mission with obstacles does, so
+// every walk searches on its own scratch and publishes nothing. Generating
+// the grid is outside the timer.
+func BenchmarkHopOrderCold(b *testing.B) {
+	for _, name := range []string{"memo", "alone"} {
+		b.Run(name, func(b *testing.B) {
+			var w grid.HopOrder
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				g, err := grid.CaribbeanGrid(1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				var avoid map[grid.NodeID]bool
+				if name == "alone" {
+					avoid = map[grid.NodeID]bool{grid.NodeID(g.NumNodes() - 1): true}
+				}
+				b.StartTimer()
+				for s := 0; s < 100; s++ {
+					w.Start(g, grid.NodeID(s*g.NumNodes()/100), avoid)
+					for k := 0; k < 100 && w.Next() != grid.None; k++ {
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkThetaContext measures priming one LM feature context, whose
 // cost is θ's hop search over the other assets' believed nodes, for a
 // 6-asset team at its sources on the Caribbean mesh.

@@ -32,7 +32,7 @@
 //
 // In -profdiff mode the command diffs two profiles: each side may be a raw
 // pprof protobuf (a /debug/prof ?format=raw download, a -cpuprofile file) or
-// a capture JSON (GET /debug/prof/{id}, experiments -profile-out). It prints
+// a capture JSON (GET /debug/prof/{id}). It prints
 // how every function's flat share shifted and exits nonzero when any
 // function grew by more than -prof-threshold percentage points — the same
 // tripwire, aimed at where the time went rather than how much.

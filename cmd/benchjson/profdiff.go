@@ -22,8 +22,8 @@ type profDelta struct {
 
 // loadProfTable reads one side of a -profdiff comparison. Three formats are
 // accepted: a raw pprof protobuf (gzipped or not, e.g. a /debug/prof
-// ?format=raw download or a -cpuprofile file), a JSON capture or capture list
-// (GET /debug/prof/{id}, experiments -profile-out), or a bare JSON table.
+// ?format=raw download or a -cpuprofile file), a JSON capture (GET
+// /debug/prof/{id}) or list of captures, or a bare JSON table.
 func loadProfTable(path, kind string) (prof.Table, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -94,7 +94,7 @@ func TestRunProfDiff(t *testing.T) {
 		t.Fatalf("loose gate: n=%d err=%v", n, err)
 	}
 
-	// Capture-list input (experiments -profile-out): newest finished first.
+	// Capture-list input: newest finished first.
 	listPath := filepath.Join(dir, "list.json")
 	writeJSON(t, listPath, []prof.Capture{
 		{ID: "c000009", State: "failed"},

@@ -18,7 +18,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -39,7 +38,6 @@ import (
 	"github.com/routeplanning/mamorl/internal/grid"
 	"github.com/routeplanning/mamorl/internal/neural"
 	"github.com/routeplanning/mamorl/internal/obs"
-	"github.com/routeplanning/mamorl/internal/prof"
 	"github.com/routeplanning/mamorl/internal/trace"
 )
 
@@ -66,10 +64,6 @@ func main() {
 		dashAddr   = flag.String("dash", "", "serve the live dashboard (/debug/dash, /debug/metrics/stream, /metrics) on this address; disabled when empty")
 		logFormat  = flag.String("log-format", "text", "log output format: text or json")
 		quiet      = flag.Bool("quiet", false, "suppress the live progress line")
-		profEnable = flag.Bool("continuous-profile", false, "take scheduled profile captures while the suite runs and print the hottest functions on exit")
-		profEvery  = flag.Duration("profile-interval", 30*time.Second, "continuous profiler: scheduled capture interval (needs -continuous-profile)")
-		profWindow = flag.Duration("profile-window", 5*time.Second, "continuous profiler: CPU sampling window per capture")
-		profOut    = flag.String("profile-out", "", "write every capture's hot-function tables as JSON to this file on exit (benchjson -profdiff input)")
 	)
 	flag.Parse()
 
@@ -158,33 +152,6 @@ func main() {
 	metrics := obs.New()
 	experiments.RegisterMetricsHelp(metrics)
 
-	// Continuous profiling: scheduled captures accumulate in a bounded ring
-	// while the suite runs. The exit report prints the hottest functions, and
-	// -profile-out persists every table for benchjson -profdiff comparisons
-	// across runs.
-	if *profOut != "" && !*profEnable {
-		fatalf("-profile-out needs -continuous-profile")
-	}
-	if *profEnable {
-		profiler := prof.New(prof.Options{
-			Interval: *profEvery, Window: *profWindow,
-			Metrics: metrics, Logger: logger,
-		})
-		logger.Info("continuous profiler enabled",
-			"interval", *profEvery, "window", profiler.Window())
-		profCtx, stopProfiler := context.WithCancel(context.Background())
-		defer stopProfiler()
-		go profiler.Run(profCtx)
-		defer func() {
-			// A final synchronous capture guarantees a hot-function report
-			// even when the suite finishes inside the first interval.
-			profiler.CaptureNow(context.Background(), prof.ReasonManual)
-			reportHotFunctions(profiler)
-			if *profOut != "" {
-				writeProfileOut(*profOut, profiler)
-			}
-		}()
-	}
 	var tracer *trace.Tracer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
@@ -448,60 +415,4 @@ func main() {
 		fmt.Print(experiments.FormatFigure8(r))
 		writeCSV("figure8_transfer.csv", func(w io.Writer) error { return experiments.WriteTransferCSV(w, r) })
 	}
-}
-
-// reportHotFunctions prints the hottest functions from the newest finished
-// capture, preferring the CPU table and falling back to whichever table has
-// samples (short suites can finish before the CPU window sees any).
-func reportHotFunctions(p *prof.Profiler) {
-	for _, cs := range p.Snapshot() {
-		c, ok := p.Get(cs.ID)
-		if !ok || c.State != "done" {
-			continue
-		}
-		var best *prof.Table
-		for i := range c.Tables {
-			t := &c.Tables[i]
-			if t.Kind == "cpu" && t.Total > 0 && len(t.Funcs) > 0 {
-				best = t
-				break
-			}
-			if best == nil && t.Total > 0 && len(t.Funcs) > 0 {
-				best = t
-			}
-		}
-		if best == nil {
-			continue
-		}
-		fmt.Printf("=== Hot functions (capture %s, %s profile, %s) ===\n", c.ID, best.Kind, best.Unit)
-		for _, f := range best.Funcs[:min(10, len(best.Funcs))] {
-			fmt.Printf("%6.1f%% flat %6.1f%% cum  %s\n", f.FlatPct, f.CumPct, f.Name)
-		}
-		return
-	}
-	logger.Info("no finished profile capture to report")
-}
-
-// writeProfileOut persists every retained capture (newest first, tables only,
-// no raw profiles) as JSON for benchjson -profdiff.
-func writeProfileOut(path string, p *prof.Profiler) {
-	captures := make([]prof.Capture, 0, len(p.Snapshot()))
-	for _, cs := range p.Snapshot() {
-		if c, ok := p.Get(cs.ID); ok {
-			captures = append(captures, c)
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		logger.Error("profile-out", "err", err)
-		return
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(captures); err != nil {
-		logger.Error("profile-out", "err", err)
-		return
-	}
-	logger.Info("wrote profile captures", "path", path, "captures", len(captures))
 }

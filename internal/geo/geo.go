@@ -128,11 +128,6 @@ func (r Rect) Center() Point {
 	return Point{X: (r.MinX + r.MaxX) / 2, Y: (r.MinY + r.MaxY) / 2}
 }
 
-// Expand returns a copy of r grown by margin on every side.
-func (r Rect) Expand(margin float64) Rect {
-	return Rect{MinX: r.MinX - margin, MinY: r.MinY - margin, MaxX: r.MaxX + margin, MaxY: r.MaxY + margin}
-}
-
 // Width returns the X extent of the rectangle.
 func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 

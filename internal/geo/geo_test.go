@@ -107,14 +107,10 @@ func TestRectContains(t *testing.T) {
 	}
 }
 
-func TestRectCenterExpand(t *testing.T) {
+func TestRectCenterSize(t *testing.T) {
 	r := Rect{MinX: 0, MinY: 0, MaxX: 4, MaxY: 2}
 	if c := r.Center(); c.X != 2 || c.Y != 1 {
 		t.Errorf("Center = %v", c)
-	}
-	e := r.Expand(1)
-	if e.MinX != -1 || e.MinY != -1 || e.MaxX != 5 || e.MaxY != 3 {
-		t.Errorf("Expand = %+v", e)
 	}
 	if r.Width() != 4 || r.Height() != 2 {
 		t.Errorf("Width/Height = %v/%v", r.Width(), r.Height())

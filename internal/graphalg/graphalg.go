@@ -227,16 +227,3 @@ func DijkstraAvoiding(g *grid.Grid, source grid.NodeID, avoid func(grid.NodeID) 
 	}
 	return sp
 }
-
-// Connected reports whether every node is reachable from node 0.
-func Connected(g *grid.Grid) bool {
-	if g.NumNodes() == 0 {
-		return true
-	}
-	for _, d := range HopDistances(g, 0) {
-		if d < 0 {
-			return false
-		}
-	}
-	return true
-}

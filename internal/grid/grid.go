@@ -9,9 +9,10 @@
 // weights are always consistent with geometry. Grids are immutable once
 // built, except for three memos: a bounded memo of sensing balls that
 // radius queries fill on first use and publish atomically, a bounded memo
-// of each source's breadth-first order that HopOrder walks fill as far as
-// they search and publish atomically, and a fingerprint computed on first
-// use; planners and simulations share them freely across goroutines.
+// of each source's breadth-first order, an immutable prefix per source
+// that HopOrder walks extend as far as they search and publish through one
+// atomic pointer, and a fingerprint computed on first use; planners and
+// simulations share them freely across goroutines.
 package grid
 
 import (
@@ -20,6 +21,7 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/routeplanning/mamorl/internal/geo"
 )
@@ -38,8 +40,10 @@ type Edge struct {
 
 // Grid is an immutable directed weighted graph embedded in the plane or on
 // the globe. Construct one with a Builder or a generator. Its only mutable
-// state is the sensing-ball memo, the breadth-first order memo and the
-// fingerprint memo, all safe for concurrent use.
+// state is the sensing-ball memo, the breadth-first order memo (one
+// atomically swapped, never-modified prefix per source, on grids of at
+// most 65,536 nodes) and the fingerprint memo, all safe for concurrent
+// use.
 type Grid struct {
 	name   string
 	metric geo.Metric
@@ -395,24 +399,6 @@ func (b *Builder) AddEdge(v, w NodeID) {
 	b.AddArc(w, v)
 }
 
-// RemoveEdge removes both arcs between v and w if present.
-func (b *Builder) RemoveEdge(v, w NodeID) {
-	if b.HasEdge(v, w) || b.HasEdge(w, v) {
-		b.edges--
-	}
-	b.removeArc(v, w)
-	b.removeArc(w, v)
-}
-
-// removeArc removes the arc v -> w if present. Arcs of a node that was
-// once wide may stay in wide after its degree falls: they are still arcs.
-func (b *Builder) removeArc(v, w NodeID) {
-	if k := slices.Index(b.out[v], w); k >= 0 {
-		b.out[v] = slices.Delete(b.out[v], k, k+1)
-		delete(b.wide, arcKey(v, w))
-	}
-}
-
 // HasEdge reports whether the arc v -> w is present.
 func (b *Builder) HasEdge(v, w NodeID) bool {
 	if len(b.out[v]) <= scanLimit {
@@ -453,6 +439,9 @@ func (b *Builder) Build() (*Grid, error) {
 		adj:    make([][]Edge, len(b.pos)),
 		in:     make([][]Edge, len(b.pos)),
 		hops:   hopMemo{limit: MaxHopOrder},
+	}
+	if len(b.pos) <= maxHopOrderNodes {
+		g.hops.prefixes = make([]atomic.Pointer[hopPrefix], len(b.pos))
 	}
 	// One slab holds every node's out-arcs and another its in-arcs, each
 	// node's list capped at its own length.

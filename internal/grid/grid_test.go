@@ -104,15 +104,10 @@ func TestBuilderEdgeCountIncremental(t *testing.T) {
 	if b.UndirectedEdgeCount() != 3 {
 		t.Fatalf("want 3 edges, got %d", b.UndirectedEdgeCount())
 	}
-	b.RemoveEdge(1, 2)
-	if b.UndirectedEdgeCount() != 2 {
-		t.Fatalf("after removal want 2, got %d", b.UndirectedEdgeCount())
+	b.AddEdge(1, 2) // adding a present edge is a no-op
+	if b.UndirectedEdgeCount() != 3 {
+		t.Fatalf("re-adding an edge changed the count: %d", b.UndirectedEdgeCount())
 	}
-	b.RemoveEdge(1, 2) // removing absent edge is a no-op
-	if b.UndirectedEdgeCount() != 2 {
-		t.Fatalf("double removal changed count: %d", b.UndirectedEdgeCount())
-	}
-	b.AddEdge(1, 2)
 	g := b.MustBuild()
 	if g.NumEdges() != 3 {
 		t.Fatalf("built edges = %d, want 3", g.NumEdges())
@@ -282,20 +277,6 @@ func TestDecodeWideNode(t *testing.T) {
 		}
 	}
 
-	// The Builder keeps a wide node's arcs exact through removals.
-	b := NewBuilder("hub", geo.Planar)
-	for range ff.Nodes {
-		b.AddNode(geo.Point{})
-	}
-	for k := 1; k <= spokes; k++ {
-		b.AddEdge(0, NodeID(k))
-	}
-	b.RemoveEdge(0, 7)
-	b.AddArc(0, 9)
-	if b.HasEdge(0, 7) || b.HasEdge(7, 0) || !b.HasEdge(0, 9) || b.OutDegree(0) != spokes-1 || b.UndirectedEdgeCount() != spokes-1 {
-		t.Fatalf("after removing 0-7: HasEdge(0,7) %v, HasEdge(0,9) %v, degree %d, edges %d",
-			b.HasEdge(0, 7), b.HasEdge(0, 9), b.OutDegree(0), b.UndirectedEdgeCount())
-	}
 }
 
 func TestGeodesicGridWeights(t *testing.T) {

@@ -16,65 +16,46 @@ const (
 	maxHopOrderNodes = 1 << 16
 )
 
-// hopList is one source's memoized discovery order. state packs how many
-// entries are published (high 32 bits) and how many nodes, the source
-// first, have had all their discoveries published (low 32 bits); an
-// expansion the cap cut short is not counted. ids holds at least the
-// published entries: it is allocated on first publish and replaced by a
-// copy twice its length when a publish needs more room. Published
-// entries never change, so readers take no lock.
-type hopList struct {
-	ids   atomic.Pointer[[]uint16]
-	state atomic.Uint64
+// hopPrefix is a published prefix of one source's discovery order: ids
+// holds its first len(ids) nodes, and expanded counts the nodes, the
+// source first, whose discoveries all lie in ids; an expansion the cap cut
+// short is not counted. A hopPrefix never changes once stored. A source's
+// prefixes share one backing array of the memo's cap, and a longer prefix
+// writes only entries past the end of every shorter one, so readers take
+// no lock.
+type hopPrefix struct {
+	ids      []uint16
+	expanded int
 }
 
-// hopMemo holds a hopList per node. A breadth-first order depends only on
-// the grid and the source, and a grid never changes once built, so each
-// order is searched once, lazily, as far as walks ask for it.
+// hopMemo holds each source's latest hopPrefix. A breadth-first order
+// depends only on the grid and the source, and a grid never changes once
+// built, so each order is searched once, lazily, as far as walks ask for
+// it.
 type hopMemo struct {
-	// lists is allocated on the grid's first walk.
-	lists atomic.Pointer[[]hopList]
-	// bytes counts the memory the current ids slices hold, headers
-	// included; it changes only under mu.
-	bytes atomic.Int64
-	// limit is the number of entries a list keeps: MaxHopOrder, lowered by
-	// tests so that walks run past a full list.
+	// prefixes[v] is source v's prefix, nil until a walk from v publishes
+	// one. Build allocates it on grids of at most maxHopOrderNodes nodes.
+	prefixes []atomic.Pointer[hopPrefix]
+	// limit is the number of entries a prefix holds at most: MaxHopOrder,
+	// lowered by tests so that walks run past a full prefix.
 	limit int
-	// mu serializes allocation and publishing.
+	// mu serializes publishing.
 	mu sync.Mutex
 }
 
-// hopList returns source v's list.
-func (g *Grid) hopList(v NodeID) *hopList {
-	p := g.hops.lists.Load()
-	if p == nil {
-		p = g.allocHopLists()
-	}
-	return &(*p)[v]
-}
-
-// allocHopLists allocates the grid's lists on its first walk.
-func (g *Grid) allocHopLists() *[]hopList {
-	g.hops.mu.Lock()
-	defer g.hops.mu.Unlock()
-	if p := g.hops.lists.Load(); p != nil {
-		return p
-	}
-	lists := make([]hopList, len(g.pos))
-	g.hops.lists.Store(&lists)
-	return &lists
-}
-
-// HopOrderBytes returns the memory the grid's hop-order memo holds: a
-// 16-byte list per node once any walk has run, and per source a walk has
-// published a 24-byte slice header and up to MaxHopOrder uint16 IDs. It
-// stays within (40 + 2·MaxHopOrder)·NumNodes bytes.
+// HopOrderBytes returns the memory the grid's hop-order memo holds: an
+// 8-byte pointer per node, and per source a walk has published a 32-byte
+// prefix header and an array of MaxHopOrder uint16 IDs. It stays within
+// (40 + 2·MaxHopOrder)·NumNodes bytes.
 func (g *Grid) HopOrderBytes() int64 {
-	p := g.hops.lists.Load()
-	if p == nil {
-		return 0
+	prefixes := g.hops.prefixes
+	n := int64(len(prefixes)) * int64(unsafe.Sizeof(prefixes[0]))
+	for i := range prefixes {
+		if p := prefixes[i].Load(); p != nil {
+			n += int64(unsafe.Sizeof(*p)) + 2*int64(cap(p.ids))
+		}
 	}
-	return int64(len(*p))*int64(unsafe.Sizeof(hopList{})) + g.hops.bytes.Load()
+	return n
 }
 
 // HopOrder walks the nodes a breadth-first search over out-arcs discovers
@@ -84,8 +65,9 @@ func (g *Grid) HopOrderBytes() int64 {
 // scratch: from the first node the memo has not fully expanded, with every
 // memoized node already marked. What a walk searched is published to the
 // memo, up to its cap and in whole expansions, when the HopOrder starts its
-// next walk: one lock per walk. So the first walks from a source search
-// and later ones scan. A walk that avoids nodes runs the search alone.
+// next walk: one lock per walk that searched past its prefix. So the first
+// walks from a source search and later ones scan. A walk that avoids nodes
+// runs the search alone.
 //
 // A HopOrder also answers, for the nodes it has returned, whether a node
 // is among them and from which node the search discovered it. The zero
@@ -93,17 +75,17 @@ func (g *Grid) HopOrderBytes() int64 {
 type HopOrder struct {
 	g   *Grid
 	src NodeID
-	// list is the source's memo list when the walk may publish to it.
-	list *hopList
-	// memo holds the list's entries when the walk started; more holds the
-	// nodes the walk discovered itself, in order.
+	// slot holds the source's prefix when the walk may publish to it.
+	slot *atomic.Pointer[hopPrefix]
+	// memo holds the prefix's entries when the walk started; more holds
+	// the nodes the walk discovered itself, in order.
 	memo []uint16
 	more []NodeID
-	// pops counts the nodes whose out-arcs the search has scanned, the
+	// expanded counts the nodes whose out-arcs the search has scanned, the
 	// source first, and fit those of them whose discoveries all lie within
-	// the list's cap; memoPops is the list's count when the walk started.
-	// next counts the nodes Next has returned.
-	pops, fit, memoPops, next int
+	// the memo's cap; memoExpanded is the prefix's count when the walk
+	// started. next counts the nodes Next has returned.
+	expanded, fit, memoExpanded, next int
 	// at[v]-base is v's rank in this walk: 0 for the source, k for the
 	// k-th node discovered. Stamps of earlier walks lie below base, so the
 	// difference wraps past every rank and a new walk clears nothing. The
@@ -121,7 +103,7 @@ type HopOrder struct {
 // Start begins a walk from source on g that never enters a node of avoid,
 // first publishing what the previous walk searched.
 func (w *HopOrder) Start(g *Grid, source NodeID, avoid map[NodeID]bool) {
-	if w.list != nil && (len(w.more) > 0 || w.fit > w.memoPops) {
+	if w.slot != nil && (len(w.more) > 0 || w.fit > w.memoExpanded) {
 		w.publish()
 	}
 	n := len(g.pos)
@@ -135,8 +117,8 @@ func (w *HopOrder) Start(g *Grid, source NodeID, avoid map[NodeID]bool) {
 	w.base += uint32(len(w.at))
 	w.at[source] = w.base
 	w.g, w.src = g, source
-	w.memo, w.more, w.list = nil, w.more[:0], nil
-	w.pops, w.fit, w.memoPops, w.next, w.marked = 0, 0, 0, 0, 0
+	w.slot, w.memo, w.more = nil, nil, w.more[:0]
+	w.expanded, w.fit, w.memoExpanded, w.next, w.marked = 0, 0, 0, 0, 0
 	if len(avoid) > 0 {
 		for u, ok := range avoid {
 			if ok && u != source {
@@ -145,14 +127,13 @@ func (w *HopOrder) Start(g *Grid, source NodeID, avoid map[NodeID]bool) {
 		}
 		return
 	}
-	if n > maxHopOrderNodes {
+	if g.hops.prefixes == nil {
 		return
 	}
-	w.list = g.hopList(source)
-	if st := w.list.state.Load(); st != 0 {
-		w.memo = (*w.list.ids.Load())[:st>>32]
-		w.pops = int(uint32(st))
-		w.fit, w.memoPops = w.pops, w.pops
+	w.slot = &g.hops.prefixes[source]
+	if p := w.slot.Load(); p != nil {
+		w.memo = p.ids
+		w.expanded, w.fit, w.memoExpanded = p.expanded, p.expanded, p.expanded
 	}
 }
 
@@ -163,7 +144,12 @@ func (w *HopOrder) Next() NodeID {
 		w.next++
 		return NodeID(w.memo[w.next-1])
 	}
-	return w.search()
+	k := w.next - len(w.memo)
+	if k == len(w.more) && !w.expand() {
+		return None
+	}
+	w.next++
+	return w.more[k]
 }
 
 // mark stamps the memoized nodes Next has returned since the last mark.
@@ -172,17 +158,6 @@ func (w *HopOrder) mark() {
 		w.at[w.memo[k]] = w.base + uint32(k+1)
 	}
 	w.marked = w.next
-}
-
-// search returns the next node past the memo's, expanding nodes first
-// when the walk has returned every node it discovered.
-func (w *HopOrder) search() NodeID {
-	k := w.next - len(w.memo)
-	if k == len(w.more) && !w.expand() {
-		return None
-	}
-	w.next++
-	return w.more[k]
 }
 
 // expand expands nodes in discovery order until one discovers a node, and
@@ -194,9 +169,9 @@ func (w *HopOrder) expand() bool {
 	w.mark()
 	at, base, more := w.at, w.base, w.more
 	span, found := uint32(len(at)), len(w.memo)+len(more)
-	for w.pops <= found {
+	for w.expanded <= found {
 		v := w.src
-		if r := w.pops; r > len(w.memo) {
+		if r := w.expanded; r > len(w.memo) {
 			v = more[r-1-len(w.memo)]
 		} else if r > 0 {
 			v = NodeID(w.memo[r-1])
@@ -210,9 +185,9 @@ func (w *HopOrder) expand() bool {
 			found++
 			at[u] = base + uint32(found)
 		}
-		w.pops++
+		w.expanded++
 		if found <= w.g.hops.limit {
-			w.fit = w.pops
+			w.fit = w.expanded
 		}
 		if len(more) > len(w.more) {
 			w.more = more
@@ -222,51 +197,36 @@ func (w *HopOrder) expand() bool {
 	return false // the source and every discovered node are expanded
 }
 
-// publish appends what the walk searched past its memo snapshot to the
-// source's list, up to the list's cap, unless another walk published as
-// far: the nodes it discovered and the count of nodes it expanded whole.
-// Entries past the cap's last whole expansion are published too, and a
-// later walk expands that node again. Two walks that expand the same
-// nodes discover the same nodes, so whichever publishes first serves both.
+// publish extends the source's prefix with what the walk searched past its
+// snapshot, up to the memo's cap, unless the stored prefix already holds
+// as many entries and expansions: the nodes it discovered and the count of
+// nodes it expanded whole. Entries past the cap's last whole expansion are
+// published too, and a later walk expands that node again. Two walks that
+// expand the same nodes discover the same nodes, so whichever publishes
+// first serves both. A source's first publish allocates the array every
+// later prefix of it extends.
 func (w *HopOrder) publish() {
 	m := &w.g.hops
 	end := min(len(w.memo)+len(w.more), m.limit)
-	if end == len(w.memo) && w.fit == w.memoPops {
-		return // nothing searched that the list could hold
+	if end == len(w.memo) && w.fit == w.memoExpanded {
+		return // nothing searched that the prefix could hold
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	st := w.list.state.Load()
-	have, pops := int(st>>32), int(uint32(st))
-	if have > end || have == end && pops >= w.fit {
+	var ids []uint16
+	expanded := w.fit
+	if p := w.slot.Load(); p == nil {
+		ids = make([]uint16, 0, m.limit)
+	} else if len(p.ids) >= end && p.expanded >= w.fit {
 		return
+	} else {
+		ids, expanded = p.ids, max(p.expanded, w.fit)
 	}
-	ids := w.list.ids.Load()
-	if ids == nil || len(*ids) < end {
-		n := 16
-		if ids != nil {
-			n = 2 * len(*ids)
-			m.bytes.Add(-hopIDsBytes(len(*ids)))
-		}
-		for n < end {
-			n *= 2
-		}
-		grown := make([]uint16, min(n, m.limit))
-		if ids != nil {
-			copy(grown, (*ids)[:have])
-		}
-		ids = &grown
-		w.list.ids.Store(ids)
-		m.bytes.Add(hopIDsBytes(len(grown)))
+	for r := len(ids); r < end; r++ {
+		ids = append(ids, uint16(w.more[r-len(w.memo)]))
 	}
-	for r := have; r < end; r++ {
-		(*ids)[r] = uint16(w.more[r-len(w.memo)])
-	}
-	w.list.state.Store(uint64(end)<<32 | uint64(w.fit))
+	w.slot.Store(&hopPrefix{ids: ids, expanded: expanded})
 }
-
-// hopIDsBytes is the memory an ids slice of n entries holds.
-func hopIDsBytes(n int) int64 { return int64(unsafe.Sizeof([]uint16{})) + 2*int64(n) }
 
 // Reached reports whether u is the source or a node Next has returned.
 func (w *HopOrder) Reached(u NodeID) bool {

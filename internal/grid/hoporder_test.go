@@ -27,23 +27,23 @@ func plainBFS(g *Grid, s NodeID, avoid map[NodeID]bool) (order []NodeID, parent 
 	return queue[1:], parent
 }
 
-// memoized returns the entries s's list has published and how many nodes
-// it has fully expanded.
+// memoized returns the entries s's prefix holds and how many nodes it
+// has fully expanded.
 func memoized(g *Grid, s NodeID) ([]NodeID, int) {
-	p := g.hops.lists.Load()
+	p := g.hops.prefixes[s].Load()
 	if p == nil {
 		return nil, 0
 	}
-	l := &(*p)[s]
-	st := l.state.Load()
-	if st == 0 {
-		return nil, 0
+	return widen(p.ids), p.expanded
+}
+
+// widen returns memo entries as node IDs.
+func widen(ids []uint16) []NodeID {
+	var out []NodeID
+	for _, u := range ids {
+		out = append(out, NodeID(u))
 	}
-	var ids []NodeID
-	for _, u := range (*l.ids.Load())[:st>>32] {
-		ids = append(ids, NodeID(u))
-	}
-	return ids, int(uint32(st))
+	return out
 }
 
 // walk runs w from s on g for at most k nodes (all of them when k < 0),
@@ -171,17 +171,17 @@ func TestHopOrderMatchesBFS(t *testing.T) {
 	}
 }
 
-// TestHopOrderBudget pins the memo's per-grid byte budget: once every
-// source of the Caribbean mesh has been walked past its cap, the memo
-// holds a 16-byte list per node and, per source, a 24-byte slice header
-// and MaxHopOrder uint16 IDs: 552 bytes per node (DESIGN.md §8).
+// TestHopOrderBudget pins the memo's per-grid byte budget: a new grid
+// holds an 8-byte pointer per node, and once every source of the Caribbean
+// mesh has been walked past its cap, per source also a 32-byte prefix
+// header and MaxHopOrder uint16 IDs: 552 bytes per node (DESIGN.md §8).
 func TestHopOrderBudget(t *testing.T) {
 	g, err := CaribbeanGrid(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.HopOrderBytes() != 0 {
-		t.Fatal("a new grid holds a memo")
+	if got, want := g.HopOrderBytes(), 8*int64(g.NumNodes()); got != want {
+		t.Fatalf("a new grid's memo holds %d bytes, want %d", got, want)
 	}
 	var w HopOrder
 	for v := range g.NumNodes() {
@@ -198,7 +198,10 @@ func TestHopOrderBudget(t *testing.T) {
 
 // TestHopOrderConcurrent: 8 goroutines walk every source of one cold grid
 // in different orders and to different depths, filling the memo together;
-// every walk returns the plain search's order. It is meant for -race.
+// every walk returns the plain search's order. Each worker keeps every
+// prefix it loaded, and once all are done each kept prefix must still be
+// the plain search's prefix of its length: a published prefix's entries
+// never change. It is meant for -race.
 func TestHopOrderConcurrent(t *testing.T) {
 	g := directedGrid(400, 9)
 	g.hops.limit = 64
@@ -206,8 +209,13 @@ func TestHopOrderConcurrent(t *testing.T) {
 	for v := range orders {
 		orders[v], _ = plainBFS(g, NodeID(v), nil)
 	}
+	type kept struct {
+		src NodeID
+		ids []uint16
+	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
+	loaded := make([][]kept, 8)
 	for worker := range 8 {
 		wg.Add(1)
 		go func() {
@@ -218,6 +226,7 @@ func TestHopOrderConcurrent(t *testing.T) {
 				want := orders[v]
 				k := rng.Intn(len(want) + 1)
 				w.Start(g, NodeID(v), nil)
+				loaded[worker] = append(loaded[worker], kept{NodeID(v), w.memo})
 				for i := range k {
 					if u := w.Next(); u != want[i] {
 						errs <- "a concurrent walk left the plain search's order"
@@ -231,6 +240,20 @@ func TestHopOrderConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Fatal(e)
+	}
+	nonEmpty := 0
+	for _, ks := range loaded {
+		for _, k := range ks {
+			if got, want := widen(k.ids), orders[k.src][:len(k.ids)]; !slices.Equal(got, want) {
+				t.Fatalf("source %d: a prefix loaded during the walks now reads %v, want %v", k.src, got, want)
+			}
+			if len(k.ids) > 0 {
+				nonEmpty++
+			}
+		}
+	}
+	if nonEmpty == 0 {
+		t.Fatal("no walk loaded a published prefix")
 	}
 }
 

@@ -182,34 +182,6 @@ func (m *Model) MSE(X *tensor.Matrix, y []float64) float64 {
 	return s / float64(X.Rows())
 }
 
-// R2 returns the coefficient of determination of the model over a dataset:
-// 1 - SS_res/SS_tot. A constant-target dataset yields 1 when predictions
-// are exact and 0 otherwise.
-func (m *Model) R2(X *tensor.Matrix, y []float64) float64 {
-	if X == nil || X.Rows() == 0 {
-		return 0
-	}
-	mean := 0.0
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(len(y))
-	ssRes, ssTot := 0.0, 0.0
-	for i := 0; i < X.Rows(); i++ {
-		d := y[i] - m.Predict(X.Row(i))
-		ssRes += d * d
-		t := y[i] - mean
-		ssTot += t * t
-	}
-	if ssTot == 0 {
-		if ssRes == 0 {
-			return 1
-		}
-		return 0
-	}
-	return 1 - ssRes/ssTot
-}
-
 // solve performs in-place Gaussian elimination with partial pivoting on the
 // augmented system [A | b].
 func solve(a [][]float64, b []float64) ([]float64, error) {

@@ -163,34 +163,3 @@ func TestWeightedAveragePrediction(t *testing.T) {
 		t.Errorf("model = %+v", m)
 	}
 }
-
-func TestR2(t *testing.T) {
-	X := [][]float64{{0}, {1}, {2}, {3}}
-	y := []float64{-2, 1, 4, 7}
-	m, err := Fit(mat(X), y, Options{FitIntercept: true})
-	if err != nil {
-		t.Fatalf("Fit: %v", err)
-	}
-	if r2 := m.R2(mat(X), y); r2 < 0.999999 {
-		t.Errorf("R2 on exact fit = %v", r2)
-	}
-	// A wrong model has low R2.
-	bad := &Model{Weights: []float64{0}, Intercept: 0}
-	if r2 := bad.R2(mat(X), y); r2 > 0.1 {
-		t.Errorf("R2 of zero model = %v", r2)
-	}
-	// Constant targets: exact prediction -> 1; wrong prediction -> 0.
-	Xc := [][]float64{{1}, {2}}
-	yc := []float64{4, 4}
-	exact := &Model{Weights: []float64{0}, Intercept: 4}
-	if r2 := exact.R2(mat(Xc), yc); r2 != 1 {
-		t.Errorf("constant exact R2 = %v", r2)
-	}
-	wrong := &Model{Weights: []float64{0}, Intercept: 0}
-	if r2 := wrong.R2(mat(Xc), yc); r2 != 0 {
-		t.Errorf("constant wrong R2 = %v", r2)
-	}
-	if (&Model{Weights: []float64{1}}).R2(nil, nil) != 0 {
-		t.Error("empty R2 should be 0")
-	}
-}

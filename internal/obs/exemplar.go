@@ -114,23 +114,3 @@ func (h *Histogram) Exemplars() []*Exemplar {
 	}
 	return out
 }
-
-// LatestExemplar returns the most recently stamped exemplar at or above
-// bucket index from (0 scans every bucket), reporting false when none
-// exists. SLO evaluation uses it to surface an offending request: for a
-// latency objective, from is the first bucket past the threshold, so the
-// answer is always an observation that violated the objective.
-func (h *Histogram) LatestExemplar(from int) (Exemplar, bool) {
-	if from < 0 {
-		from = 0
-	}
-	var best Exemplar
-	found := false
-	for i := from; i < len(h.ex); i++ {
-		if e, ok := h.ex[i].load(); ok && (!found || e.UnixNanos > best.UnixNanos) {
-			best = e
-			found = true
-		}
-	}
-	return best, found
-}

@@ -41,17 +41,6 @@ func TestObserveExemplarRetainsMostRecent(t *testing.T) {
 	if ex[3] != nil {
 		t.Errorf("overflow bucket should have no exemplar (trace ID was zero), got %+v", ex[3])
 	}
-
-	// LatestExemplar scans from a bucket index upward by stamp time.
-	if e, ok := h.LatestExemplar(2); !ok || e.TraceID != "0000000000000123" {
-		t.Errorf("LatestExemplar(2) = %+v %v, want the le=10 exemplar", e, ok)
-	}
-	if e, ok := h.LatestExemplar(0); !ok || e.UnixNanos != 300 {
-		t.Errorf("LatestExemplar(0) = %+v %v, want the newest (t=300)", e, ok)
-	}
-	if _, ok := h.LatestExemplar(3); ok {
-		t.Error("LatestExemplar(3) found something in the empty overflow bucket")
-	}
 }
 
 func TestExemplarsInSnapshotJSON(t *testing.T) {

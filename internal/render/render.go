@@ -50,13 +50,17 @@ func newCanvas(b geo.Rect, o Options) *canvas {
 
 // plot writes ch at the raster cell of p; higher-priority glyphs are
 // written later by callers, so plain overwrite is the intended semantics.
+// An axis along which every node shares one coordinate, as on a line
+// grid, maps to the canvas's middle column or row.
 func (c *canvas) plot(p geo.Point, ch byte) {
-	if c.bounds.Width() <= 0 || c.bounds.Height() <= 0 {
-		return
+	x, y := (c.w-1)/2, (c.h-1)/2
+	if w := c.bounds.Width(); w > 0 {
+		x = int((p.X - c.bounds.MinX) / w * float64(c.w-1))
 	}
-	x := int((p.X - c.bounds.MinX) / c.bounds.Width() * float64(c.w-1))
 	// Y axis is flipped: north up.
-	y := int((c.bounds.MaxY - p.Y) / c.bounds.Height() * float64(c.h-1))
+	if h := c.bounds.Height(); h > 0 {
+		y = int((c.bounds.MaxY - p.Y) / h * float64(c.h-1))
+	}
 	if x < 0 || x >= c.w || y < 0 || y >= c.h {
 		return
 	}

@@ -147,6 +147,48 @@ func TestMissionRenderUnknownDestination(t *testing.T) {
 	}
 }
 
+// sweep moves asset 0 east and every other asset west, one node a step.
+type sweep struct{}
+
+func (sweep) Name() string { return "sweep" }
+func (sweep) Decide(m *sim.Mission, i int) sim.Action {
+	g, at := m.Grid(), m.Cur(i)
+	for n, e := range g.Neighbors(at) {
+		if (g.Pos(e.To).X > g.Pos(at).X) == (i == 0) {
+			return sim.Action{Neighbor: n, Speed: 1}
+		}
+	}
+	return sim.Wait
+}
+
+// TestMissionRenderLineGrid: on a 10-node line grid, the sim toy
+// scenario's shape, every node shares one y coordinate; the map still
+// draws node dots, the tracks, the assets and the destination.
+func TestMissionRenderLineGrid(t *testing.T) {
+	g := grid.Lattice("line", 10, 1)
+	sc := sim.Scenario{Grid: g, Team: vessel.NewTeam([]grid.NodeID{0, 9}, 1.5, 1), Dest: 6, CommEvery: 3}
+	tr := sim.NewTrace(sc)
+	res, err := sim.Run(sc, sweep{}, sim.RunOptions{OnStep: tr.Record})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !res.Found || res.Steps != 2 {
+		t.Fatalf("want the sweep to sense the destination at step 2, got %+v", res)
+	}
+	tr.Finish(res)
+	// The map is everything up to the frame's last corner.
+	frame := func(out string) string { return out[:strings.LastIndex(out, "+")] }
+	out := Mission(g, tr, nil, sc.Dest, Options{ShowNodes: true})
+	for _, glyph := range []string{".", "*", "0", "1", "X"} {
+		if !strings.Contains(frame(out), glyph) {
+			t.Errorf("line grid map lacks %q:\n%s", glyph, out)
+		}
+	}
+	if out := Grid(g, nil, Options{}); strings.Count(frame(out), ".") != 10 {
+		t.Errorf("line grid map draws %d of 10 nodes:\n%s", strings.Count(frame(out), "."), out)
+	}
+}
+
 func TestDefaultDimensions(t *testing.T) {
 	g := grid.Lattice("map", 4, 4)
 	out := Grid(g, nil, Options{})

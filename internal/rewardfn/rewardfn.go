@@ -40,9 +40,6 @@ type Move struct {
 	NewlySensed int
 }
 
-// WaitMove returns the wait action at node v.
-func WaitMove(v grid.NodeID) Move { return Move{From: v, To: v, Wait: true} }
-
 // factor resolves the effective-speed multiplier.
 func (m Move) factor() float64 {
 	if m.SpeedFactor == 0 {
@@ -144,17 +141,7 @@ func (w Weights) Normalized() Weights {
 	return Weights{w.Explore / s, w.Time / s, w.Fuel / s}
 }
 
-// Scalar collapses the vector under the weights.
-func (v Vector) Scalar(w Weights) float64 {
-	return w.Explore*v.Explore + w.Time*v.Time + w.Fuel*v.Fuel
-}
-
 // Add returns the component-wise sum.
 func (v Vector) Add(o Vector) Vector {
 	return Vector{v.Explore + o.Explore, v.Time + o.Time, v.Fuel + o.Fuel}
-}
-
-// Scale returns the vector multiplied by k.
-func (v Vector) Scale(k float64) Vector {
-	return Vector{k * v.Explore, k * v.Time, k * v.Fuel}
 }

@@ -51,7 +51,7 @@ func TestToyFuelReward(t *testing.T) {
 }
 
 func TestAllWaitReward(t *testing.T) {
-	moves := []Move{WaitMove(3), WaitMove(7)}
+	moves := []Move{{From: 3, To: 3, Wait: true}, {From: 7, To: 7, Wait: true}}
 	v := Joint(moves, 5, 2)
 	if v.Explore != 0 {
 		t.Errorf("all-wait explore = %v", v.Explore)
@@ -65,10 +65,7 @@ func TestAllWaitReward(t *testing.T) {
 }
 
 func TestWaitMove(t *testing.T) {
-	m := WaitMove(5)
-	if !m.Wait || m.From != 5 || m.To != 5 {
-		t.Errorf("WaitMove = %+v", m)
-	}
+	m := Move{From: 5, To: 5, Wait: true}
 	if m.Time() != WaitTime || m.Fuel() != 0 {
 		t.Errorf("wait time/fuel = %v/%v", m.Time(), m.Fuel())
 	}
@@ -90,8 +87,8 @@ func TestJointPanics(t *testing.T) {
 		}()
 		f()
 	}
-	check("dMax 0", func() { Joint([]Move{WaitMove(0)}, 0, 1) })
-	check("count mismatch", func() { Joint([]Move{WaitMove(0)}, 5, 2) })
+	check("dMax 0", func() { Joint([]Move{{Wait: true}}, 0, 1) })
+	check("count mismatch", func() { Joint([]Move{{Wait: true}}, 5, 2) })
 }
 
 func TestRewardBounds(t *testing.T) {
@@ -117,13 +114,8 @@ func TestMoreSensedNeverLowersExplore(t *testing.T) {
 	}
 }
 
-func TestScalarAndWeights(t *testing.T) {
-	v := Vector{Explore: 0.5, Time: 0.8, Fuel: 0.1}
+func TestWeights(t *testing.T) {
 	w := Weights{Explore: 1, Time: 0.5, Fuel: 0.5}
-	want := 0.5 + 0.4 + 0.05
-	if got := v.Scalar(w); !almost(got, want, 1e-12) {
-		t.Errorf("Scalar = %v, want %v", got, want)
-	}
 	n := w.Normalized()
 	if !almost(n.Explore+n.Time+n.Fuel, 1, 1e-12) {
 		t.Errorf("Normalized sums to %v", n.Explore+n.Time+n.Fuel)
@@ -142,9 +134,6 @@ func TestVectorArithmetic(t *testing.T) {
 	b := Vector{0.5, 0.5, 0.5}
 	if got := a.Add(b); got != (Vector{1.5, 2.5, 3.5}) {
 		t.Errorf("Add = %+v", got)
-	}
-	if got := a.Scale(2); got != (Vector{2, 4, 6}) {
-		t.Errorf("Scale = %+v", got)
 	}
 }
 

@@ -48,31 +48,15 @@ func (a Action) String() string {
 // out-degree and max speed: every neighbor at every speed, plus wait.
 func ActionCount(outDegree, maxSpeed int) int { return outDegree*maxSpeed + 1 }
 
-// EncodeAction maps an action to a dense index in [0, ActionCount). The
-// wait action takes the last index, so indices are stable as long as the
-// out-degree is fixed, which the exact solver's P and Q tables rely on.
-func EncodeAction(a Action, maxSpeed int) int {
-	if a.IsWait() {
-		return -1 // callers must special-case via EncodeActionAt
-	}
-	return a.Neighbor*maxSpeed + (a.Speed - 1)
-}
-
-// EncodeActionAt maps an action at a node of known out-degree to its dense
-// index, with wait as the final index.
+// EncodeActionAt maps an action at a node of known out-degree to a dense
+// index in [0, ActionCount). The wait action takes the last index, so
+// indices are stable as long as the out-degree is fixed, which the exact
+// solver's P and Q tables rely on.
 func EncodeActionAt(a Action, outDegree, maxSpeed int) int {
 	if a.IsWait() {
 		return outDegree * maxSpeed
 	}
 	return a.Neighbor*maxSpeed + (a.Speed - 1)
-}
-
-// DecodeActionAt inverts EncodeActionAt.
-func DecodeActionAt(idx, outDegree, maxSpeed int) Action {
-	if idx == outDegree*maxSpeed {
-		return Wait
-	}
-	return Action{Neighbor: idx / maxSpeed, Speed: idx%maxSpeed + 1}
 }
 
 // LegalActions enumerates every action available to an asset standing at

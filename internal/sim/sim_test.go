@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"github.com/routeplanning/mamorl/internal/geo"
@@ -58,17 +57,34 @@ func toward(g *grid.Grid, from, to grid.NodeID) Action {
 	return Wait
 }
 
+// TestActionEncodingRoundTrip: at out-degrees 1 to 9 and max speeds 1 to
+// 5, EncodeActionAt maps the k-th action LegalActions enumerates to k, so
+// the enumeration decodes every index of [0, ActionCount).
 func TestActionEncodingRoundTrip(t *testing.T) {
-	f := func(degRaw, spRaw, idxRaw uint8) bool {
-		deg := int(degRaw%9) + 1
-		sp := int(spRaw%5) + 1
-		count := ActionCount(deg, sp)
-		idx := int(idxRaw) % count
-		a := DecodeActionAt(idx, deg, sp)
-		return EncodeActionAt(a, deg, sp) == idx
+	// Node d-1 of the star has out-degree d.
+	b := grid.NewBuilder("star", geo.Planar)
+	for i := range 10 {
+		b.AddNode(geo.Point{X: float64(i), Y: float64(i * i % 7)})
 	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	for d := 1; d <= 9; d++ {
+		for k := range d {
+			b.AddArc(grid.NodeID(d-1), grid.NodeID((d+k)%10))
+		}
+	}
+	b.AddArc(9, 0)
+	g := b.MustBuild()
+	for deg := 1; deg <= 9; deg++ {
+		for sp := 1; sp <= 5; sp++ {
+			acts := LegalActions(g, grid.NodeID(deg-1), sp)
+			if len(acts) != ActionCount(deg, sp) {
+				t.Fatalf("degree %d, speed %d: %d actions, want %d", deg, sp, len(acts), ActionCount(deg, sp))
+			}
+			for k, a := range acts {
+				if EncodeActionAt(a, deg, sp) != k {
+					t.Fatalf("degree %d, speed %d: action %d (%v) encodes to %d", deg, sp, k, a, EncodeActionAt(a, deg, sp))
+				}
+			}
+		}
 	}
 }
 
@@ -83,11 +99,8 @@ func TestActionBasics(t *testing.T) {
 	if ActionCount(4, 3) != 13 {
 		t.Errorf("ActionCount(4,3) = %d", ActionCount(4, 3))
 	}
-	if EncodeAction(Wait, 3) != -1 {
-		t.Error("EncodeAction(Wait) sentinel wrong")
-	}
-	if EncodeAction(a, 3) != 8 {
-		t.Errorf("EncodeAction = %d", EncodeAction(a, 3))
+	if EncodeActionAt(a, 4, 3) != 8 || EncodeActionAt(Wait, 4, 3) != 12 {
+		t.Errorf("EncodeActionAt = %d, %d", EncodeActionAt(a, 4, 3), EncodeActionAt(Wait, 4, 3))
 	}
 }
 

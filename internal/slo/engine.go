@@ -450,29 +450,6 @@ type Report struct {
 	SLOs []Status  `json:"slos"`
 }
 
-// Breaching reports whether any objective is in the given state or worse.
-func (r Report) Breaching(at State) bool {
-	for _, s := range r.SLOs {
-		if stateFromString(s.State) >= at {
-			return true
-		}
-	}
-	return false
-}
-
-// stateFromString inverts State.String (unknown strings read as breach, so
-// a report from a newer server fails safe).
-func stateFromString(s string) State {
-	switch s {
-	case "ok":
-		return StateOK
-	case "warn":
-		return StateWarn
-	default:
-		return StateBreach
-	}
-}
-
 // Report returns the current evaluation without re-measuring (states are
 // as of the last Tick).
 func (e *Engine) Report() Report {
@@ -511,21 +488,6 @@ func (e *Engine) Report() Report {
 		})
 	}
 	return r
-}
-
-// States returns each objective's current state by name (test and
-// admission-control convenience).
-func (e *Engine) States() map[string]State {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]State, len(e.slos))
-	for _, st := range e.slos {
-		out[st.spec.Name] = st.state
-	}
-	return out
 }
 
 // Handler serves the report as JSON (the /debug/slo endpoint).

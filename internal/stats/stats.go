@@ -220,34 +220,6 @@ func ParetoFront(pts []Point2) []Point2 {
 	return front
 }
 
-// CI95 returns the two-sided 95% confidence interval of the mean of xs,
-// using the Student-t quantile for the sample's degrees of freedom. For
-// fewer than two samples the interval collapses to the mean.
-func CI95(xs []float64) (lo, hi float64) {
-	m := Mean(xs)
-	if len(xs) < 2 {
-		return m, m
-	}
-	sem := StdDev(xs) / math.Sqrt(float64(len(xs)))
-	tq := tQuantile975(float64(len(xs) - 1))
-	return m - tq*sem, m + tq*sem
-}
-
-// tQuantile975 inverts the Student-t CDF at 0.975 by bisection on the
-// two-sided p-value (p(t) = 0.05 at the 97.5% quantile).
-func tQuantile975(df float64) float64 {
-	lo, hi := 0.0, 1e3
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if studentTTwoSided(mid, df) > 0.05 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
 // RelativeImprovement is the paper's RI() measure (Section 4.4):
 // (baseline - ours) / baseline × 100. Positive means ours is better
 // (smaller objective); negative means the baseline wins.

@@ -226,37 +226,3 @@ func TestRelativeImprovement(t *testing.T) {
 		t.Errorf("RI with zero baseline = %v", got)
 	}
 }
-
-func TestCI95(t *testing.T) {
-	// Known quantile: with n=10 (df=9) the t multiplier is 2.262.
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	lo, hi := CI95(xs)
-	m := Mean(xs)
-	sem := StdDev(xs) / math.Sqrt(10)
-	wantHalf := 2.262 * sem
-	if !almost(hi-m, wantHalf, 1e-2) || !almost(m-lo, wantHalf, 1e-2) {
-		t.Errorf("CI95 half-width = %v / %v, want ~%v", hi-m, m-lo, wantHalf)
-	}
-	// Degenerate inputs collapse.
-	if lo, hi := CI95([]float64{5}); lo != 5 || hi != 5 {
-		t.Errorf("single-sample CI = [%v, %v]", lo, hi)
-	}
-	// Coverage property: over many resamples of a known-mean population,
-	// ~95% of intervals should contain the mean (loose bound to avoid
-	// flakiness).
-	rng := rand.New(rand.NewSource(12))
-	hits, trials := 0, 300
-	for i := 0; i < trials; i++ {
-		sample := make([]float64, 8)
-		for j := range sample {
-			sample[j] = 3 + rng.NormFloat64()
-		}
-		lo, hi := CI95(sample)
-		if lo <= 3 && 3 <= hi {
-			hits++
-		}
-	}
-	if rate := float64(hits) / float64(trials); rate < 0.88 || rate > 0.99 {
-		t.Errorf("CI95 coverage = %v, want ~0.95", rate)
-	}
-}

@@ -28,9 +28,6 @@ func NewRing(capacity int) *Ring {
 	return &Ring{mask: uint64(n - 1), slots: make([]atomic.Pointer[Span], n)}
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Emit implements Sink.
 func (r *Ring) Emit(s *Span) {
 	i := r.pos.Add(1) - 1

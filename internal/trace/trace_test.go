@@ -134,9 +134,6 @@ func TestSpanLifecycle(t *testing.T) {
 
 func TestRingWraparound(t *testing.T) {
 	ring := NewRing(16)
-	if ring.Cap() != 16 {
-		t.Fatalf("Cap() = %d want 16", ring.Cap())
-	}
 	tr := New(ring)
 	for i := 0; i < 40; i++ {
 		sp := tr.Start("s", Int("i", int64(i)))
@@ -158,10 +155,17 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestRingCapacityRounding: a ring keeps its capacity rounded up to a power
+// of two, at least 16, so once overfilled it holds that many spans.
 func TestRingCapacityRounding(t *testing.T) {
 	for _, c := range []struct{ in, want int }{{0, 16}, {1, 16}, {16, 16}, {17, 32}, {100, 128}} {
-		if got := NewRing(c.in).Cap(); got != c.want {
-			t.Errorf("NewRing(%d).Cap() = %d want %d", c.in, got, c.want)
+		ring := NewRing(c.in)
+		tr := New(ring)
+		for range 2 * c.want {
+			tr.Start("s").End()
+		}
+		if got := ring.Len(); got != c.want {
+			t.Errorf("NewRing(%d) holds %d spans, want %d", c.in, got, c.want)
 		}
 	}
 }

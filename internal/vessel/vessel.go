@@ -96,15 +96,6 @@ func (a Asset) Validate() error {
 	return nil
 }
 
-// Speeds returns the selectable speeds 1..MaxSpeed.
-func (a Asset) Speeds() []int {
-	out := make([]int, a.MaxSpeed)
-	for i := range out {
-		out[i] = i + 1
-	}
-	return out
-}
-
 // Team is an ordered set of assets with dense IDs.
 type Team []Asset
 

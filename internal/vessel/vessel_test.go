@@ -111,14 +111,6 @@ func TestAssetValidate(t *testing.T) {
 	}
 }
 
-func TestSpeeds(t *testing.T) {
-	a := Asset{MaxSpeed: 3}
-	s := a.Speeds()
-	if len(s) != 3 || s[0] != 1 || s[2] != 3 {
-		t.Errorf("Speeds = %v", s)
-	}
-}
-
 func TestTeam(t *testing.T) {
 	team := NewTeam([]grid.NodeID{0, 5, 9}, 2.5, 4)
 	if err := team.Validate(); err != nil {
